@@ -26,10 +26,10 @@ print("difference against x + 1 is zero:", sx.is_zero(r - (x + 1)).verdict)
 B = sx.func("B11", x, y)
 print("d/dx of B11(x,y) * x:", sx.diff(B * x, "x"))
 
-# the sine/cosine square sum is only zero under the optional rewrite
+# trigonometric identities are not rewritten: the sine/cosine square sum
+# samples as zero but is never certified zero
 p = sx.sin(x) ** 2 + sx.cos(x) ** 2 - 1
 print("pythagorean default:", sx.is_zero(p).verdict)
-print("pythagorean enabled:", sx.canon(p, pythagorean=True))
 
 # --- forms on a chart ------------------------------------------------------
 

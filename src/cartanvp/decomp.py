@@ -12,12 +12,12 @@ Decomposability of a raw form is never detected; callers supply factors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import linalg as la
 from . import symexpr as sx
 from .errors import DegreeMismatchError, DivisionByZeroError, RankDeficientLError
-from .forms import BundleChart, DiffForm, coord_field, interior, wedge_all, zero_form
+from .forms import BundleChart, DiffForm, _perm_sign, coord_field, interior, wedge_all, zero_form
 from .symexpr import DEFAULT_SEED, Expr
 
 __all__ = ["FactorSet", "Def8Verdict", "classify", "normalize", "chi_forms"]
@@ -96,15 +96,19 @@ def classify(fs: FactorSet, box=None, seed: int = DEFAULT_SEED) -> Def8Verdict:
     ch = fs.chart
     full = fs.coefficient_matrix()
     fiber = fs.fiber_block()
-    flat = [e for row in full for e in row]
-    assignments = la.make_assignments(flat, box=box, seed=seed, count=la.SAMPLE_COUNT)
+    symbols, points = sx.sample_points(
+        [e for row in full for e in row], box=box, seed=seed, count=la.SAMPLE_COUNT, center=True
+    )
+    points = list(points)
+    eval_full = la.compile_matrix(full, symbols)
+    eval_fiber = la.compile_matrix(fiber, symbols)
     k1 = ch.k + 1
     nond, ranks_q, ranks_r, ranks_v = True, set(), set(), set()
     witnesses: dict = {"degenerate": [], "rank_changes": []}
     seen = []
-    for a in assignments:
-        arr = la.eval_matrix(full, a)
-        arrL = la.eval_matrix(fiber, a)
+    for vals in points:
+        arr = eval_full(vals)
+        arrL = eval_fiber(vals)
         rk = la.numeric_rank(arr)
         q = ch.dim - rk
         v = (ch.dim - ch.k) - la.numeric_rank(arrL)
@@ -115,12 +119,12 @@ def classify(fs: FactorSet, box=None, seed: int = DEFAULT_SEED) -> Def8Verdict:
         ranks_r.add(r)
         if rk < k1:
             nond = False
-            witnesses["degenerate"].append(a.label())
+            witnesses["degenerate"].append(sx.point_label(symbols, vals))
     compatible = len(ranks_r) == 1
     if not compatible:
         majority = max(ranks_r, key=lambda x: [t[2] for t in seen].count(x))
         witnesses["rank_changes"] = [
-            a.label() for a, t in zip(assignments, seen) if t[2] != majority
+            sx.point_label(symbols, vals) for vals, t in zip(points, seen) if t[2] != majority
         ]
     adapted = ranks_v == {0}
     return Def8Verdict(
@@ -147,9 +151,10 @@ def normalize(fs: FactorSet, box=None, seed: int = DEFAULT_SEED) -> FactorSet:
     nfib = ch.dim - ch.k
     rows = [[sx.canon(a.terms.get((i,), sx.ZERO)) for i in range(ch.dim)] for a in fs.alphas]
     target_pivots = min(nfib, k1)
-    center = la.make_assignments(
-        [e for row in rows for e in row], box=box, seed=seed, count=1
-    )[0]
+    symbols, points = sx.sample_points(
+        [e for row in rows for e in row], box=box, seed=seed, count=1, center=True
+    )
+    center = next(points)
     multiplier = sx.ONE
     pivots: list[tuple[int, int]] = []  # (row, absolute column)
     used_rows: set[int] = set()
@@ -171,7 +176,7 @@ def normalize(fs: FactorSet, box=None, seed: int = DEFAULT_SEED) -> FactorSet:
                     if e.is_const_zero():
                         continue
                     try:
-                        mag = abs(la.eval_expr(e, center))
+                        mag = abs(sx.compile_expr(e, symbols)(center))
                     except (DivisionByZeroError, OverflowError, ValueError):
                         mag = 0.0
                     if mag > la.RANK_TOL and sx.is_zero(e, box=box, seed=seed).is_nonzero:
@@ -205,7 +210,7 @@ def normalize(fs: FactorSet, box=None, seed: int = DEFAULT_SEED) -> FactorSet:
     order = [pi for pi, _ in pivots_sorted] + [
         i for i in range(k1) if i not in used_rows
     ]
-    swap_sign = _permutation_sign_of(order)
+    swap_sign = _perm_sign(order)
     multiplier = sx.canon(multiplier * sx.num(swap_sign))
     new_rows = [rows[i] for i in order]
     z_order = tuple(pj for _, pj in pivots_sorted)
@@ -228,15 +233,6 @@ def normalize(fs: FactorSet, box=None, seed: int = DEFAULT_SEED) -> FactorSet:
         multiplier=multiplier,
         pivot_permutation=tuple(pivots_sorted),
     )
-
-
-def _permutation_sign_of(order: Sequence[int]) -> int:
-    inv = 0
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            if order[a] > order[b]:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 def chi_forms(fs: FactorSet) -> list[DiffForm]:

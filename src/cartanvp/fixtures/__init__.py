@@ -237,22 +237,20 @@ def _f_elimination_item(p, system, seed) -> FixtureItem:
     atoms = {}
     for e in system.deltas:
         atoms.update(sx.opaque_atoms(e))
-    atom_exprs = {}
-    for key, expr in atoms.items():
-        atom_exprs[expr.args[0]] = key  # name -> key
+    slot = {expr.args[0]: i for i, expr in enumerate(atoms.values())}  # name -> position
     worst_solvable = 0.0
     min_generic = float("inf")
     fs = p.factors
     wname = chart.fiber_w[0]
+    nbase = len(chart.base)
+    jets = [vp.jet_name(chart.fiber_z[a], b) for a in range(3) for b in chart.base]
+    jets += [vp.jet_name(wname, b) for b in chart.base]
+    deltas = [sx.compile_expr(d, list(chart.coords) + jets + list(atoms)) for d in system.deltas]
     for _ in range(20):
-        env = {c: rng.uniform(-1, 1) for c in chart.coords}
-        atom_env = {key: rng.uniform(-1, 1) for key in atoms}
-        bval = {}
-        for a in range(3):
-            for j in range(2):
-                key = atom_exprs[f"B{a + 1}{j + 1}"]
-                bval[(a, j)] = atom_env[key]
-        cval = [atom_env[atom_exprs[f"C{a + 1}"]] for a in range(3)]
+        coord_vals = [rng.uniform(-1, 1) for _ in chart.coords]
+        atom_vals = [rng.uniform(-1, 1) for _ in atoms]
+        bval = {(a, j): atom_vals[slot[f"B{a + 1}{j + 1}"]] for a in range(3) for j in range(2)}
+        cval = [atom_vals[slot[f"C{a + 1}"]] for a in range(3)]
         dw = [rng.uniform(-1, 1) for _ in range(2)]
         fvec = np.array([rng.uniform(0.2, 1.0), rng.uniform(-1.0, -0.2)])
         vperp = np.array([-fvec[1], fvec[0]])
@@ -260,19 +258,11 @@ def _f_elimination_item(p, system, seed) -> FixtureItem:
         K_solvable = np.outer(u, vperp)
         K_generic = np.array([[rng.uniform(0.5, 1.0) * (1 if (i + j) % 2 else -1) + i + 0.1 * j for j in range(2)] for i in range(3)])
         for K, solvable in ((K_solvable, True), (K_generic, False)):
-            full_env = dict(env)
-            for a in range(3):
-                zname = chart.fiber_z[a]
-                for j, bname in enumerate(chart.base):
-                    full_env[vp.jet_name(zname, bname)] = (
-                        K[a, j] - bval[(a, j)] - cval[a] * dw[j]
-                    )
-            for j, bname in enumerate(chart.base):
-                full_env[vp.jet_name(wname, bname)] = dw[j]
-            vals = [
-                abs(sx.evaluate(sx.canon(d), full_env, atom_env=atom_env))
-                for d in system.deltas
+            values = coord_vals + [
+                float(K[a, j] - bval[(a, j)] - cval[a] * dw[j]) for a in range(3) for j in range(nbase)
             ]
+            values += [dw[j] for j in range(nbase)] + atom_vals
+            vals = [abs(f(values)) for f in deltas]
             if solvable:
                 worst_solvable = max(worst_solvable, max(vals))
             else:

@@ -5,7 +5,9 @@ Integration is classical fixed-step fourth order (deterministic, adequate
 at desk scale).  A sweep marches a lattice over the base box: from each
 seed node it composes flows of transversal-normalized characteristic
 fields axis by axis, then verifies the critical-equation residuals at
-every node with second-order finite-difference jets.
+every node with second-order finite-difference jets.  Fields, seed data
+and residual equations are compiled once by `symexpr.compile_expr` and
+evaluated at the RK4 stages and lattice nodes as plain float vectors.
 """
 
 from __future__ import annotations
@@ -121,34 +123,19 @@ class SampledPatch:
 # point flows
 
 
-def _compile_field(X: VecField, funcs=None):
-    coords = X.chart.coords
-    comps = [sx.canon(c) for c in X.components]
-
-    def F(y: np.ndarray) -> np.ndarray:
-        point = {name: float(v) for name, v in zip(coords, y)}
-        try:
-            return np.array([sx.evaluate(c, point, funcs=funcs) for c in comps])
-        except (DivisionByZeroError, UnboundVariableError, ValueError, OverflowError) as exc:
-            raise EvaluationFailureError(f"field evaluation failed at {point}: {exc}") from exc
-
-    return F
-
-
 def flow(
     X: VecField,
     start: Sequence[float] | Mapping[str, float],
     t: float,
     step: float = DEFAULT_STEP,
     bbox: Optional[Mapping[str, tuple[float, float]]] = None,
-    funcs=None,
 ) -> list[np.ndarray]:
     """Fixed-step classical RK4 path from `start` for duration t.
 
     Returns ceil(|t|/step)+1 points (the step is shrunk uniformly to land
     exactly on t); raises EvaluationFailureError when a component cannot
     be evaluated en route and BoxExitError when a configured bounding box
-    is left.
+    is left.  The components are compiled once per call.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -159,7 +146,16 @@ def flow(
         y = np.array([float(v) for v in start])
         if y.shape != (len(coords),):
             raise ValueError("start point has wrong dimension")
-    F = _compile_field(X, funcs=funcs)
+    comps = [sx.compile_expr(c, coords) for c in X.components]
+
+    def F(y: np.ndarray) -> np.ndarray:
+        v = y.tolist()
+        try:
+            return np.array([f(v) for f in comps])
+        except (DivisionByZeroError, UnboundVariableError, ValueError, OverflowError) as exc:
+            point = dict(zip(coords, v))
+            raise EvaluationFailureError(f"field evaluation failed at {point}: {exc}") from exc
+
     if t == 0:
         return [y.copy()]
     nsteps = max(1, math.ceil(abs(t) / step))
@@ -185,7 +181,6 @@ def commutation_defect(
     point: Sequence[float] | Mapping[str, float],
     t: float,
     step: float = DEFAULT_STEP,
-    funcs=None,
 ) -> float:
     """Largest norm gap between the two flow orders over all basis pairs;
     of size t^2 times the bracket for smooth fields, so a numeric
@@ -201,8 +196,8 @@ def commutation_defect(
     for i in range(len(D.basis)):
         for j in range(i + 1, len(D.basis)):
             Xi, Xj = D.basis[i], D.basis[j]
-            a = flow(Xj, flow(Xi, y0, t, step, funcs=funcs)[-1], t, step, funcs=funcs)[-1]
-            b = flow(Xi, flow(Xj, y0, t, step, funcs=funcs)[-1], t, step, funcs=funcs)[-1]
+            a = flow(Xj, flow(Xi, y0, t, step)[-1], t, step)[-1]
+            b = flow(Xi, flow(Xj, y0, t, step)[-1], t, step)[-1]
             worst = max(worst, float(np.linalg.norm(a - b)))
     return worst
 
@@ -282,7 +277,6 @@ def sweep_section(
     step: float = DEFAULT_STEP,
     tolerance: float = DEFAULT_TOL,
     axis_order: Optional[Sequence[str]] = None,
-    funcs=None,
 ) -> SampledPatch:
     """Reconstruct a critical section from seed data on a sub-base.
 
@@ -333,39 +327,42 @@ def sweep_section(
 
     seed_shape = tuple(axes[b].count for b in seed_axes)
     base_pos = {b: chart.index(b) for b in chart.base}
+    seed_fiber = [sx.compile_expr(comp_map[name], seed_axes) for name in chart.fiber]
+    seed_slopes = [
+        [sx.compile_expr(sx.diff(comp_map[name], ax), seed_axes) for name in chart.fiber]
+        for ax in seed_axes
+    ]
+    eval_basis = la.compile_matrix([Y.components for Y in D.basis], chart.coords)
 
     def node_point(seed_idx: tuple[int, ...]) -> np.ndarray:
         pt = np.zeros(chart.dim)
-        env = {}
         for ax, j in zip(seed_axes, seed_idx):
-            env[ax] = float(vals[ax][j])
-            pt[base_pos[ax]] = env[ax]
+            pt[base_pos[ax]] = vals[ax][j]
         for ax in trans_axes:
             pt[base_pos[ax]] = seed_values[ax]
-        for name in chart.fiber:
-            pt[chart.index(name)] = sx.evaluate(comp_map[name], env, funcs=funcs)
+        at_seed = [float(vals[ax][j]) for ax, j in zip(seed_axes, seed_idx)]
+        for name, f in zip(chart.fiber, seed_fiber):
+            pt[chart.index(name)] = f(at_seed)
         return pt
 
     # tangency of the seed manifold against D at the seed nodes
+    seed_nodes = {}
     for seed_idx in np.ndindex(*seed_shape) if seed_shape else [()]:
-        pt = node_point(seed_idx)
-        env = {c: float(v) for c, v in zip(chart.coords, pt)}
+        pt = seed_nodes[seed_idx] = node_point(seed_idx)
+        at_seed = [float(pt[base_pos[ax]]) for ax in seed_axes]
         rows = []
-        for ax in seed_axes:
+        for ax, slopes in zip(seed_axes, seed_slopes):
             row = np.zeros(chart.dim)
             row[base_pos[ax]] = 1.0
-            for name in chart.fiber:
-                row[chart.index(name)] = sx.evaluate(
-                    sx.diff(comp_map[name], ax), {a: env[a] for a in seed_axes}, funcs=funcs
-                )
+            for name, f in zip(chart.fiber, slopes):
+                row[chart.index(name)] = f(at_seed)
             rows.append(row)
-        for Y in D.basis:
-            rows.append(np.array([sx.evaluate(c, env, funcs=funcs) for c in Y.components]))
+        rows.extend(eval_basis(pt.tolist()))
         rank = la.numeric_rank(np.array(rows))
         if rank < len(seed_axes) + len(D.basis):
             raise TangencyViolationError(
                 "seed manifold is tangent to the characteristic distribution",
-                point=env,
+                point=dict(zip(chart.coords, pt.tolist())),
             )
 
     # march the lattice axis by axis
@@ -381,12 +378,12 @@ def sweep_section(
         current = point
         for j in range(j0 + 1, len(lattice)):
             dt = float(lattice[j] - lattice[j - 1])
-            current = flow(fields[ax], current, dt, step, funcs=funcs)[-1]
+            current = flow(fields[ax], current, dt, step)[-1]
             fill({**from_idx, ax: j}, current, depth + 1)
 
-    for seed_idx in np.ndindex(*seed_shape) if seed_shape else [()]:
+    for seed_idx, pt in seed_nodes.items():
         base_idx = {ax: j for ax, j in zip(seed_axes, seed_idx)}
-        fill(base_idx, node_point(seed_idx), 0)
+        fill(base_idx, pt, 0)
 
     # transversality bookkeeping: base coordinates must hit the lattice
     for node in np.ndindex(*shape):
@@ -401,7 +398,7 @@ def sweep_section(
                     point={c: float(v) for c, v in zip(chart.coords, pt)},
                 )
 
-    residuals = _node_residuals(p, points, vals, tolerance, funcs=funcs)
+    residuals = _node_residuals(p, points, vals, tolerance)
     provenance = {
         "seed_axes": list(seed_axes),
         "seed_section": {name: str(c) for name, c in comp_map.items()},
@@ -419,7 +416,7 @@ class _SeedSection:
         self.components = components
 
 
-def _node_residuals(p, points, vals, tolerance, funcs=None) -> np.ndarray:
+def _node_residuals(p, points, vals, tolerance) -> np.ndarray:
     """Evaluate the critical equations at every node with second-order
     finite-difference jets (exact for the affine closed forms)."""
     chart = p.chart
@@ -428,8 +425,10 @@ def _node_residuals(p, points, vals, tolerance, funcs=None) -> np.ndarray:
     n_eq = len(system.deltas)
     residuals = np.zeros(shape + (n_eq,))
     spacing = {b: (vals[b][1] - vals[b][0]) if len(vals[b]) > 1 else 1.0 for b in chart.base}
+    symbols = list(chart.coords) + [vp.jet_name(f, b) for b in chart.base for f in chart.fiber]
+    deltas = [sx.compile_expr(delta, symbols) for delta in system.deltas]
     for node in np.ndindex(*shape):
-        env = {c: float(v) for c, v in zip(chart.coords, points[node])}
+        values = points[node].tolist()
         for d, b in enumerate(chart.base):
             h = float(spacing[b])
             cnt = shape[d]
@@ -450,10 +449,10 @@ def _node_residuals(p, points, vals, tolerance, funcs=None) -> np.ndarray:
                     slope = (-3 * at(0) + 4 * at(1) - at(2)) / (2 * h) if cnt > 2 else (at(1) - at(0)) / h
                 else:
                     slope = (3 * at(j) - 4 * at(j - 1) + at(j - 2)) / (2 * h) if cnt > 2 else (at(j) - at(j - 1)) / h
-                env[vp.jet_name(fname, b)] = float(slope)
-        for e, delta in enumerate(system.deltas):
+                values.append(float(slope))
+        for e, f in enumerate(deltas):
             try:
-                residuals[node + (e,)] = sx.evaluate(sx.canon(delta), env, funcs=funcs)
+                residuals[node + (e,)] = f(values)
             except (DivisionByZeroError, UnboundVariableError) as exc:
                 raise EvaluationFailureError(f"residual evaluation failed at {node}: {exc}") from exc
         worst = float(np.max(np.abs(residuals[node])))

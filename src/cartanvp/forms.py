@@ -149,15 +149,11 @@ def _merge_indices(I: tuple, J: tuple) -> Optional[tuple[int, tuple]]:
     if set(I) & set(J):
         return None
     merged = I + J
-    inv = 0
-    for a in range(len(merged)):
-        for b in range(a + 1, len(merged)):
-            if merged[a] > merged[b]:
-                inv += 1
-    return (-1 if inv % 2 else 1), tuple(sorted(merged))
+    return _perm_sign(merged), tuple(sorted(merged))
 
 
 def _perm_sign(seq: Sequence[int]) -> int:
+    """Sign of the permutation that sorts `seq` (distinct entries)."""
     inv = 0
     for a in range(len(seq)):
         for b in range(a + 1, len(seq)):

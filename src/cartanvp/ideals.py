@@ -27,6 +27,7 @@ from .forms import (
     DiffForm,
     VecField,
     SectionMap,
+    _perm_sign,
     d_coord,
     ext_d,
     lie_bracket,
@@ -158,7 +159,7 @@ def reduce_mod_generators(f: DiffForm, generators: Sequence[DiffForm]) -> DiffFo
             if not set(Jg) <= set(K):
                 continue
             C = tuple(i for i in K if i not in Jg)
-            sign_merge = _merge_sign(C, Jg)
+            sign_merge = _perm_sign(C + Jg)
             quotient = sx.canon(cK / (g.terms[Jg] * sx.num(sign_merge)))
             if quotient.op == "div":
                 continue
@@ -169,16 +170,6 @@ def reduce_mod_generators(f: DiffForm, generators: Sequence[DiffForm]) -> DiffFo
         if not reduced:
             return current
     return current
-
-
-def _merge_sign(I: tuple, J: tuple) -> int:
-    merged = I + J
-    inv = 0
-    for a in range(len(merged)):
-        for b in range(a + 1, len(merged)):
-            if merged[a] > merged[b]:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 def complete_to_differential(J: CartanIdeal) -> CartanIdeal:
@@ -274,9 +265,8 @@ def _distribution_from_matrix(
     groups = _fiber_first_groups(chart, cols)
     elim = la.gauss_eliminate(sub, box=box, seed=seed, col_groups=groups)
     cert = la.certify_rank(sub, box=box, seed=seed, expected=elim.rank, what=what)
-    kernel = la.nullspace(sub, box=box, seed=seed, col_groups=groups)
     basis = []
-    for vec in kernel:
+    for vec in la.kernel_basis(elim):
         comps = [sx.ZERO] * n
         for c, v in zip(cols, vec):
             comps[c] = v
@@ -302,14 +292,15 @@ def _check_basis_independence(dist: Distribution, seed: int):
     if not dist.basis:
         return
     mat = [list(Y.components) for Y in dist.basis]
-    flat = [e for row in mat for e in row]
-    assignments = la.make_assignments(flat, box=dist.box, seed=seed, count=16)
-    for a in assignments:
-        arr = la.eval_matrix(mat, a)
-        if la.numeric_rank(arr) != len(dist.basis):
+    symbols, points = sx.sample_points(
+        [e for row in mat for e in row], box=dist.box, seed=seed, count=16, center=True
+    )
+    evaluate = la.compile_matrix(mat, symbols)
+    for vals in points:
+        if la.numeric_rank(evaluate(vals)) != len(dist.basis):
             raise NonConstantRankError(
                 "distribution basis not independent at a certification point",
-                witnesses=[a.label()],
+                witnesses=[sx.point_label(symbols, vals)],
             )
 
 
@@ -427,19 +418,21 @@ def frobenius_check(D: Distribution, box=None, seed: int = DEFAULT_SEED) -> Frob
                 continue
             # numeric fallback: least squares at fresh sample points
             exprs = [e for Y in basis for e in Y.components] + list(Z.components)
-            assignments = la.make_assignments(exprs, box=box, seed=seed, count=32)
+            symbols, points = sx.sample_points(exprs, box=box, seed=seed, count=32, center=True)
+            eval_A = la.compile_matrix(
+                [[Y.components[c] for Y in basis] for c in range(D.chart.dim)], symbols
+            )
+            eval_b = la.compile_matrix([Z.components], symbols)
             worst = 0.0
             worst_point = None
-            for a in assignments:
-                A = np.array(
-                    [[la.eval_expr(Y.components[c], a) for Y in basis] for c in range(D.chart.dim)]
-                )
-                bvec = np.array([la.eval_expr(e, a) for e in Z.components])
+            for vals in points:
+                A = eval_A(vals)
+                bvec = eval_b(vals)[0]
                 coef, *_ = np.linalg.lstsq(A, bvec, rcond=None)
                 res = float(np.linalg.norm(A @ coef - bvec))
                 if res > worst:
                     worst = res
-                    worst_point = a.label()
+                    worst_point = sx.point_label(symbols, vals)
             if worst > sx.ZERO_THRESHOLD:
                 return FrobeniusResult(
                     "not_integrable",
@@ -493,11 +486,14 @@ def span_equal(
     chart = (A or B)[0].chart
     matA = [list(Y.components) for Y in A]
     matB = [list(Y.components) for Y in B]
-    flat = [e for row in matA + matB for e in row]
-    assignments = la.make_assignments(flat, box=box, seed=seed, count=la.SAMPLE_COUNT)
-    for a in assignments:
-        arrA = la.eval_matrix(matA, a) if matA else np.zeros((0, chart.dim))
-        arrB = la.eval_matrix(matB, a) if matB else np.zeros((0, chart.dim))
+    symbols, points = sx.sample_points(
+        [e for row in matA + matB for e in row], box=box, seed=seed, count=la.SAMPLE_COUNT, center=True
+    )
+    eval_A = la.compile_matrix(matA, symbols)
+    eval_B = la.compile_matrix(matB, symbols)
+    for vals in points:
+        arrA = eval_A(vals) if matA else np.zeros((0, chart.dim))
+        arrB = eval_B(vals) if matB else np.zeros((0, chart.dim))
         rA = la.numeric_rank(arrA)
         rB = la.numeric_rank(arrB)
         rAB = la.numeric_rank(np.vstack([arrA, arrB]))

@@ -10,11 +10,10 @@ center and certified nonzero by the tri-state zero test.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,67 +25,11 @@ RANK_TOL = 1e-9
 SAMPLE_COUNT = 64
 
 
-# ---------------------------------------------------------------------------
-# sampling assignments
-
-
-@dataclass
-class Assignment:
-    point: dict[str, float]
-    atom_env: dict[tuple, float]
-
-    def label(self) -> dict[str, float]:
-        out = dict(self.point)
-        for k, v in self.atom_env.items():
-            out[str(sx._ATOM_REGISTRY[k])] = v
-        return out
-
-
-def collect_symbols(exprs) -> tuple[list[str], list[tuple]]:
-    names: set[str] = set()
-    atoms: set[tuple] = set()
-    for e in exprs:
-        names |= sx.free_vars(e)
-        atoms |= set(sx.opaque_atoms(e))
-    return sorted(names), sorted(atoms)
-
-
-def make_assignments(
-    exprs,
-    box=None,
-    seed: int = DEFAULT_SEED,
-    count: int = SAMPLE_COUNT,
-    include_center: bool = True,
-    extra_names: Sequence[str] = (),
-) -> list[Assignment]:
-    """Box-center first (atoms still drawn generically), then uniform draws."""
-    names, atoms = collect_symbols(exprs)
-    for n in extra_names:
-        if n not in names:
-            names.append(n)
-    names.sort()
-    rng = random.Random(seed)
-    out = []
-    if include_center:
-        center = {}
-        for n in names:
-            lo, hi = sx._box_bounds(box, n)
-            center[n] = (lo + hi) / 2.0
-        atom_env = {k: rng.uniform(*sx.DEFAULT_BOX) for k in atoms}
-        out.append(Assignment(center, atom_env))
-        count -= 1
-    for _ in range(count):
-        point, atom_env = sx.sample_point(names, atoms, rng, box)
-        out.append(Assignment(point, atom_env))
-    return out
-
-
-def eval_expr(e: Expr, a: Assignment) -> float:
-    return sx.evaluate(sx.canon(e), a.point, atom_env=a.atom_env)
-
-
-def eval_matrix(mat, a: Assignment) -> np.ndarray:
-    return np.array([[eval_expr(e, a) for e in row] for row in mat], dtype=float)
+def compile_matrix(mat, symbols: Sequence) -> Callable[[Sequence[float]], np.ndarray]:
+    """Float evaluator of a matrix of expressions at points aligned with
+    `symbols` (see `symexpr.sample_points`), compiled once."""
+    rows = [[sx.compile_expr(e, symbols) for e in row] for row in mat]
+    return lambda v: np.array([[f(v) for f in row] for row in rows], dtype=float)
 
 
 def numeric_rank(arr: np.ndarray, tol: float = RANK_TOL) -> int:
@@ -137,7 +80,10 @@ def gauss_eliminate(
     n = len(rows[0]) if m else 0
     ncols = n if pivot_cols is None else pivot_cols
     groups = [list(g) for g in col_groups] if col_groups else [list(range(ncols))]
-    center = make_assignments([e for row in rows for e in row], box=box, seed=seed, count=1)[0]
+    symbols, points = sx.sample_points(
+        [e for row in rows for e in row], box=box, seed=seed, count=1, center=True
+    )
+    center = next(points)
     pivots: list[tuple[int, int]] = []
     used_cols: set[int] = set()
     row_order = list(range(m))
@@ -156,7 +102,7 @@ def gauss_eliminate(
                         continue
                     any_nonzero_left = True
                     try:
-                        mag = abs(eval_expr(e, center))
+                        mag = abs(sx.compile_expr(e, symbols)(center))
                     except (DivisionByZeroError, OverflowError, ValueError):
                         mag = 0.0
                     if best is None or mag > best[0]:
@@ -273,9 +219,13 @@ def nullspace(
     mat, box=None, seed: int = DEFAULT_SEED, col_groups=None
 ) -> list[list[Expr]]:
     """Basis of the right kernel, denominator-cleared, deterministic."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    elim = gauss_eliminate(mat, box=box, seed=seed, col_groups=col_groups)
+    return kernel_basis(gauss_eliminate(mat, box=box, seed=seed, col_groups=col_groups))
+
+
+def kernel_basis(elim: Elimination) -> list[list[Expr]]:
+    """Right-kernel basis read off a finished elimination: one vector per
+    free column, denominator-cleared and anchored on that column."""
+    n = len(elim.rows[0]) if elim.rows else 0
     pivot_cols = {pj: ri for ri, pj in elim.pivots}
     free_cols = [j for j in range(n) if j not in pivot_cols]
     basis = []
@@ -358,17 +308,19 @@ def certify_rank(
 ) -> RankCertificate:
     """Sampled-rank certificate; raises NonConstantRankError with witness
     points when ranks differ across the sample set."""
-    flat = [e for row in mat for e in row]
-    assignments = make_assignments(flat, box=box, seed=seed, count=count)
+    symbols, samples = sx.sample_points(
+        [e for row in mat for e in row], box=box, seed=seed, count=count, center=True
+    )
+    evaluate = compile_matrix(mat, symbols)
     ranks = []
     points = []
-    for a in assignments:
+    for vals in samples:
         try:
-            arr = eval_matrix(mat, a)
+            arr = evaluate(vals)
         except (DivisionByZeroError, OverflowError, ValueError):
             continue
         ranks.append(numeric_rank(arr))
-        points.append(a.label())
+        points.append(sx.point_label(symbols, vals))
     if not ranks:
         raise NonConstantRankError(f"{what}: no evaluable sample points")
     majority = max(set(ranks), key=lambda r: (ranks.count(r), r))

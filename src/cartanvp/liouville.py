@@ -123,7 +123,7 @@ def homotopy_antiderivative(beta: DiffForm) -> DiffForm:
 def _monomials(e: Expr):
     """(Fraction coefficient, monomial Expr, total degree) triples of a
     polynomial in plain variables."""
-    rat = sx._to_rat(e, False)
+    rat = sx._to_rat(e)
     for mono, coeff in sorted(rat.num.items(), key=lambda t: (sum(x for _, x in t[0]), t[0])):
         factors = sx.ONE
         degree = 0

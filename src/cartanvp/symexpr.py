@@ -12,7 +12,11 @@ generators.  The quotient is reduced by monomial content only and the
 denominator is normalized to leading coefficient one, so canonical forms
 are unique up to the (unimplemented) full polynomial gcd.  All coefficient
 arithmetic is exact `fractions.Fraction`; floats appear only in
-evaluation and sampling.
+evaluation and sampling, which this module owns for the whole package:
+`compile_expr` turns a canonical form into a float function once (the
+one evaluator; `evaluate` is its one-point entry), and `sample_points`
+is the one seeded sampler of evaluation points, which are tuples of
+floats aligned with a symbol list of variable names and opaque-atom keys.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     DivisionByZeroError,
@@ -43,6 +47,9 @@ __all__ = [
     "canon",
     "diff",
     "evaluate",
+    "compile_expr",
+    "sample_points",
+    "point_label",
     "subst",
     "free_vars",
     "opaque_atoms",
@@ -165,8 +172,8 @@ class Expr:
 
     # -- conveniences -------------------------------------------------------
 
-    def canon(self, pythagorean: bool = False) -> "Expr":
-        return canon(self, pythagorean=pythagorean)
+    def canon(self) -> "Expr":
+        return canon(self)
 
     def diff(self, v) -> "Expr":
         return diff(self, v)
@@ -435,30 +442,7 @@ def _rat_pow(a: _Rat, n: int) -> _Rat:
     return _rat_normalize(_p_pow(a.num, n), _p_pow(a.den, n))
 
 
-def _pythag_reduce(p: dict) -> dict:
-    """Rewrite cos(u)^2 -> 1 - sin(u)^2 until no even cosine powers remain."""
-    while True:
-        target = None
-        for mono in p:
-            for a, e in mono:
-                if a[0] == "f" and a[1] == "cos" and e >= 2:
-                    target = (mono, a)
-                    break
-            if target:
-                break
-        if target is None:
-            return p
-        mono, a = target
-        c = p.pop(mono)
-        rest = _mono_divide(mono, ((a, 2),))
-        arg = _ATOM_REGISTRY[a].args[1]
-        sin_key = _to_rat(sin(arg), False)
-        sin_sq = _p_pow(sin_key.num, 2)
-        repl = _p_add(_p_const(Fraction(1)), _p_scale(sin_sq, Fraction(-1)))
-        p = _p_add(p, _p_mul({rest: c}, repl))
-
-
-def _to_rat(e: Expr, pythagorean: bool) -> _Rat:
+def _to_rat(e: Expr) -> _Rat:
     op = e.op
     if op == "const":
         return _Rat(_p_const(e.args[0]), _p_const(Fraction(1)))
@@ -467,24 +451,24 @@ def _to_rat(e: Expr, pythagorean: bool) -> _Rat:
         return _Rat(_p_atom(key), _p_const(Fraction(1)))
     if op == "func":
         name = e.args[0]
-        cargs = tuple(canon(a, pythagorean=pythagorean) for a in e.args[1:])
+        cargs = tuple(canon(a) for a in e.args[1:])
         atom = Expr("func", (name,) + cargs)
         key = _register_atom(("f", name, tuple(a.key() for a in cargs)), atom)
         return _Rat(_p_atom(key), _p_const(Fraction(1)))
     if op == "add":
         acc = _Rat({}, _p_const(Fraction(1)))
         for a in e.args:
-            acc = _rat_add(acc, _to_rat(a, pythagorean))
+            acc = _rat_add(acc, _to_rat(a))
         return acc
     if op == "mul":
         acc = _Rat(_p_const(Fraction(1)), _p_const(Fraction(1)))
         for a in e.args:
-            acc = _rat_mul(acc, _to_rat(a, pythagorean))
+            acc = _rat_mul(acc, _to_rat(a))
         return acc
     if op == "pow":
-        return _rat_pow(_to_rat(e.args[0], pythagorean), e.args[1])
+        return _rat_pow(_to_rat(e.args[0]), e.args[1])
     if op == "div":
-        return _rat_div(_to_rat(e.args[0], pythagorean), _to_rat(e.args[1], pythagorean))
+        return _rat_div(_to_rat(e.args[0]), _to_rat(e.args[1]))
     raise AssertionError(f"unknown op {op}")
 
 
@@ -510,21 +494,18 @@ def _p_to_expr(p: dict) -> Expr:
     return Expr("add", tuple(exprs))
 
 
-def canon(e: Expr, pythagorean: bool = False) -> Expr:
+def canon(e: Expr) -> Expr:
     """Canonical expanded form; idempotent, exact, deterministic."""
-    if not pythagorean and e._canon is not None:
+    if e._canon is not None:
         return e._canon
-    rat = _to_rat(e, pythagorean)
-    if pythagorean:
-        rat = _rat_normalize(_pythag_reduce(rat.num), _pythag_reduce(rat.den))
+    rat = _to_rat(e)
     num_e = _p_to_expr(rat.num)
     if rat.den == _p_const(Fraction(1)):
         out = num_e
     else:
         out = Expr("div", (num_e, _p_to_expr(rat.den)))
-    if not pythagorean:
-        object.__setattr__(e, "_canon", out)
-        object.__setattr__(out, "_canon", out)
+    object.__setattr__(e, "_canon", out)
+    object.__setattr__(out, "_canon", out)
     return out
 
 
@@ -648,7 +629,7 @@ def _collect_vars(e: Expr, out: set):
 def poly_coeffs(e: Expr) -> Optional[list[Fraction]]:
     """Coefficients of the canonical form in ascending monomial order, or
     None when the canonical form carries a nontrivial denominator."""
-    rat = _to_rat(e, False)
+    rat = _to_rat(e)
     if rat.den != _p_const(Fraction(1)):
         return None
     monos = sorted(rat.num, key=lambda m: (sum(x for _, x in m), m))
@@ -657,7 +638,7 @@ def poly_coeffs(e: Expr) -> Optional[list[Fraction]]:
 
 def opaque_atoms(e: Expr) -> dict[tuple, Expr]:
     """Distinct opaque function atoms of the canonical form, keyed."""
-    rat = _to_rat(e, False)
+    rat = _to_rat(e)
     out: dict[tuple, Expr] = {}
     for p in (rat.num, rat.den):
         for mono in p:
@@ -675,7 +656,19 @@ def _nested_opaque(atom: Expr, out: dict):
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: compile once, evaluate at many points
+
+
+def compile_expr(e: Expr, symbols: Sequence) -> Callable[[Sequence[float]], float]:
+    """Float evaluator of the canonical form of `e`, compiled once.
+
+    The returned function takes the values of `symbols` in order.
+    Constants are converted to floats and atoms bound to their registry
+    keys here, not per point; the arithmetic is the tree order of
+    `evaluate`.  A variable or atom missing from `symbols` raises
+    UnboundVariableError or UnboundFunctionError when it is reached.
+    """
+    return _compile(canon(e), {s: i for i, s in enumerate(symbols)}, None)
 
 
 def evaluate(
@@ -684,53 +677,147 @@ def evaluate(
     funcs: Optional[Mapping[str, Callable]] = None,
     atom_env: Optional[Mapping[tuple, float]] = None,
 ) -> float:
-    """IEEE-double value at `point` (tree evaluation order).
+    """IEEE-double value at `point` (tree evaluation order), through the
+    same compiled code as `compile_expr` but without canonicalizing `e`.
 
     Opaque function atoms look up `funcs[name]` first, then `atom_env`
     keyed by the atom's registry key.  Denominators within 1e-12 of zero
     raise DivisionByZeroError; missing variables raise
     UnboundVariableError.
     """
+    env = dict(point)
+    if atom_env is not None:
+        env.update(atom_env)
+    f = _compile(e, {s: i for i, s in enumerate(env)}, funcs)
+    return f([float(v) for v in env.values()])
+
+
+def _compile(e: Expr, slots: Mapping, funcs) -> Callable[[Sequence[float]], float]:
     op = e.op
     if op == "const":
-        return float(e.args[0])
+        c = float(e.args[0])
+        return lambda v: c
     if op == "var":
         name = e.args[0]
-        if name not in point:
+        i = slots.get(name)
+        if i is not None:
+            return lambda v: v[i]
+
+        def unbound(v):
             raise UnboundVariableError(f"variable {name!r} is not assigned")
-        return float(point[name])
+
+        return unbound
     if op == "add":
-        return math.fsum(evaluate(a, point, funcs, atom_env) for a in e.args)
+        parts = [_compile(a, slots, funcs) for a in e.args]
+        return lambda v: math.fsum([p(v) for p in parts])
     if op == "mul":
-        out = 1.0
-        for a in e.args:
-            out *= evaluate(a, point, funcs, atom_env)
-        return out
+        parts = [_compile(a, slots, funcs) for a in e.args]
+
+        def product(v):
+            out = 1.0
+            for p in parts:
+                out *= p(v)
+            return out
+
+        return product
     if op == "pow":
-        base = evaluate(e.args[0], point, funcs, atom_env)
-        n = e.args[1]
-        if n < 0 and abs(base) <= EVAL_DIV_TOLERANCE:
-            raise DivisionByZeroError("negative power of (near-)zero base")
-        return base**n
+        base, n = _compile(e.args[0], slots, funcs), e.args[1]
+
+        def power(v):
+            b = base(v)
+            if n < 0 and abs(b) <= EVAL_DIV_TOLERANCE:
+                raise DivisionByZeroError("negative power of (near-)zero base")
+            return b**n
+
+        return power
     if op == "div":
-        den = evaluate(e.args[1], point, funcs, atom_env)
-        if abs(den) <= EVAL_DIV_TOLERANCE:
-            raise DivisionByZeroError("denominator within 1e-12 of zero")
-        return evaluate(e.args[0], point, funcs, atom_env) / den
+        num_f, den_f = (_compile(a, slots, funcs) for a in e.args)
+
+        def quotient(v):
+            den = den_f(v)
+            if abs(den) <= EVAL_DIV_TOLERANCE:
+                raise DivisionByZeroError("denominator within 1e-12 of zero")
+            return num_f(v) / den
+
+        return quotient
     if op == "func":
         name = e.args[0]
-        argv = [evaluate(a, point, funcs, atom_env) for a in e.args[1:]]
+        argv = [_compile(a, slots, funcs) for a in e.args[1:]]
         if funcs and name in funcs:
-            return float(funcs[name](*argv))
+            g = funcs[name]
+            return lambda v: float(g(*[a(v) for a in argv]))
         if name in KNOWN_FUNCS:
-            return KNOWN_FUNCS[name](argv[0])
-        if atom_env is not None:
-            cargs = tuple(canon(a) for a in e.args[1:])
-            key = ("f", name, tuple(a.key() for a in cargs))
-            if key in atom_env:
-                return float(atom_env[key])
-        raise UnboundFunctionError(f"no interpretation for function {name!r}")
+            g, arg = KNOWN_FUNCS[name], argv[0]
+            return lambda v: g(arg(v))
+        i = slots.get(("f", name, tuple(canon(a).key() for a in e.args[1:])))
+
+        def atom(v):
+            for a in argv:
+                a(v)  # the arguments' own errors come first
+            if i is None:
+                raise UnboundFunctionError(f"no interpretation for function {name!r}")
+            return v[i]
+
+        return atom
     raise AssertionError(f"unknown op {op}")
+
+
+# ---------------------------------------------------------------------------
+# seeded sampling
+
+
+def _box_bounds(box, name: str) -> tuple[float, float]:
+    if box is None:
+        return DEFAULT_BOX
+    if isinstance(box, dict):
+        lo, hi = box.get(name, DEFAULT_BOX)
+    else:
+        lo, hi = box
+    return float(lo), float(hi)
+
+
+def sample_points(
+    exprs: Iterable[Expr],
+    box=None,
+    seed: int = DEFAULT_SEED,
+    count: int = SAMPLE_BUDGET,
+    center: bool = False,
+) -> tuple[tuple, Iterator[tuple[float, ...]]]:
+    """Seeded evaluation points for `exprs`: returns (symbols, points).
+
+    `symbols` are the free variable names of the expressions as given,
+    sorted, then the registry keys of the opaque atoms of their canonical
+    forms (nested atoms included), sorted.  Each of the `count` points is
+    a tuple aligned with `symbols`: variables uniform in the box, atoms
+    uniform in the default box (a generic-coefficient draw).  With
+    `center`, the first point puts the variables at the box center (its
+    atoms are still drawn).  Points are drawn lazily from one
+    `random.Random(seed)`.
+    """
+    exprs = list(exprs)
+    names = sorted(set().union(*(free_vars(e) for e in exprs)))
+    atoms = sorted(set().union(*(opaque_atoms(e) for e in exprs)))
+    bounds = [_box_bounds(box, n) for n in names]
+    return tuple(names + atoms), _draw(bounds, len(atoms), seed, count, center)
+
+
+def _draw(bounds, n_atoms: int, seed: int, count: int, center: bool):
+    rng = random.Random(seed)
+    for k in range(count):
+        if center and k == 0:
+            vals = [(lo + hi) / 2.0 for lo, hi in bounds]
+        else:
+            vals = [rng.uniform(lo, hi) for lo, hi in bounds]
+        vals += [rng.uniform(*DEFAULT_BOX) for _ in range(n_atoms)]
+        yield tuple(vals)
+
+
+def point_label(symbols: Sequence, values: Sequence[float]) -> dict[str, float]:
+    """Printable form of a point: variables by name, atoms by their text."""
+    return {
+        (s if isinstance(s, str) else str(_ATOM_REGISTRY[s])): v
+        for s, v in zip(symbols, values)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -756,34 +843,6 @@ class ZeroTest:
         return self.verdict == "nonzero"
 
 
-def _box_bounds(box, name: str) -> tuple[float, float]:
-    if box is None:
-        return DEFAULT_BOX
-    if isinstance(box, dict):
-        lo, hi = box.get(name, DEFAULT_BOX)
-    else:
-        lo, hi = box
-    return float(lo), float(hi)
-
-
-def sample_point(
-    names: Iterable[str],
-    atom_keys: Iterable[tuple],
-    rng: random.Random,
-    box=None,
-) -> tuple[dict, dict]:
-    """One sampling assignment: variables uniform in the box, opaque atoms
-    uniform in the default box (a generic-coefficient draw)."""
-    point = {}
-    for n in sorted(names):
-        lo, hi = _box_bounds(box, n)
-        point[n] = rng.uniform(lo, hi)
-    atoms = {}
-    for k in sorted(atom_keys):
-        atoms[k] = rng.uniform(*DEFAULT_BOX)
-    return point, atoms
-
-
 def is_zero(
     e: Expr,
     box=None,
@@ -794,29 +853,18 @@ def is_zero(
     """Zero iff the canonical numerator is the zero polynomial; otherwise
     sample for a witness.  No witness within the budget yields 'unknown'
     (never silently 'zero')."""
-    rat = _to_rat(e, False)
-    if not rat.num:
+    if canon(e).is_const_zero():
         return ZeroTest("zero", seed=seed, threshold=threshold)
-    names = sorted(free_vars(e))
-    atoms = sorted(opaque_atoms(e))
-    rng = random.Random(seed)
-    for _ in range(samples):
-        point, atom_env = sample_point(names, atoms, rng, box)
+    symbols, points = sample_points([e], box=box, seed=seed, count=samples)
+    f = compile_expr(e, symbols)
+    for vals in points:
         try:
-            val = evaluate(canon(e), point, atom_env=atom_env)
-        except DivisionByZeroError:
-            continue
-        except (OverflowError, ValueError):
+            val = f(vals)
+        except (DivisionByZeroError, OverflowError, ValueError):
             continue
         if abs(val) > threshold:
-            witness = dict(point)
-            witness.update({_atom_label(k): v for k, v in atom_env.items()})
-            return ZeroTest("nonzero", witness, val, seed, threshold)
+            return ZeroTest("nonzero", point_label(symbols, vals), val, seed, threshold)
     return ZeroTest("unknown", seed=seed, threshold=threshold)
-
-
-def _atom_label(key: tuple) -> str:
-    return str(_ATOM_REGISTRY[key])
 
 
 # ---------------------------------------------------------------------------

@@ -181,9 +181,9 @@ class TestCharacteristicDistribution:
         # oracle: pointwise numeric nullspace at 20 samples
         rows, mat = ids.contraction_matrix(g)
         rng = random.Random(1)
+        evaluate = la.compile_matrix(mat, chart.coords)
         for _ in range(20):
-            a = la.Assignment({c: rng.uniform(-1, 1) for c in chart.coords}, {})
-            arr = la.eval_matrix(mat, a)
+            arr = evaluate([rng.uniform(-1, 1) for _ in chart.coords])
             null_dim = arr.shape[1] - la.numeric_rank(arr)
             assert null_dim == 1
 
@@ -243,13 +243,13 @@ class TestFrobenius:
         D = ids.annihilator(example1_eta(chart5))
         Z = fm.lie_bracket(D.basis[0], D.basis[1])
         exprs = [e for Y in D.basis for e in Y.components] + list(Z.components)
-        assignments = la.make_assignments(exprs, seed=99, count=20)
+        symbols, points = sx.sample_points(exprs, seed=99, count=20, center=True)
+        eval_A = la.compile_matrix([[Y.components[i] for Y in D.basis] for i in range(5)], symbols)
+        eval_b = la.compile_matrix([Z.components], symbols)
         worst = 0.0
-        for a in assignments:
-            A = np.array(
-                [[la.eval_expr(Y.components[i], a) for Y in D.basis] for i in range(5)]
-            )
-            b = np.array([la.eval_expr(e, a) for e in Z.components])
+        for vals in points:
+            A = eval_A(vals)
+            b = eval_b(vals)[0]
             coef, *_ = np.linalg.lstsq(A, b, rcond=None)
             worst = max(worst, float(np.linalg.norm(A @ coef - b)))
         assert worst > 1e-9  # generic coefficients: bracket escapes the span

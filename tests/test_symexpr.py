@@ -52,7 +52,6 @@ class TestCanon:
     def test_pythagorean_rewrite_flag(self):
         p = sx.sin(x) ** 2 + sx.cos(x) ** 2 - 1
         assert not sx.canon(p).is_const_zero()
-        assert sx.canon(p, pythagorean=True).is_const_zero()
 
 
 class TestDiff:
@@ -135,6 +134,96 @@ class TestEval:
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
+def _exact(e, env):
+    """Exact rational value of the tree as given; opaque atoms read env by
+    registry key (the independent oracle for the float evaluator)."""
+    op = e.op
+    if op == "const":
+        return e.args[0]
+    if op == "var":
+        return Fraction(env[e.args[0]])
+    if op == "func":
+        return Fraction(env[("f", e.args[0], tuple(sx.canon(a).key() for a in e.args[1:]))])
+    if op == "pow":
+        return _exact(e.args[0], env) ** e.args[1]
+    vals = [_exact(a, env) for a in e.args]
+    if op == "add":
+        return sum(vals, Fraction(0))
+    if op == "div":
+        return vals[0] / vals[1]
+    out = Fraction(1)
+    for v in vals:
+        out *= v
+    return out
+
+
+class TestCompiled:
+    def test_differential_against_exact_rationals(self):
+        # quotients and negative powers of seeded polynomials with nested
+        # opaque atoms; denominators stay at least 2 away from zero
+        rng = random.Random(23)
+        names = ["x", "y", "z"]
+        B = sx.func("B", x, sx.func("C", y))
+        checked = 0
+        for _ in range(40):
+            p1 = rand_poly(rng, names, degree=3, terms=3) + B * rand_poly(rng, names, degree=1)
+            q1 = 2 + rand_poly(rng, names, degree=1, terms=2) ** 2 + sx.func("C", y) ** 2
+            q2 = 3 + B**2 + rand_poly(rng, names, degree=2, terms=2) ** 2
+            e = p1 / q1 + rand_poly(rng, names, degree=2) * q2 ** -2
+            symbols, points = sx.sample_points([e], seed=rng.randrange(1 << 16), count=8)
+            f = sx.compile_expr(e, symbols)
+            for vals in points:
+                env = dict(zip(symbols, vals))
+                want = _exact(e, env)
+                tol = 1e-12 * max(1.0, abs(float(want)))
+                assert abs(f(vals) - float(want)) <= tol
+                point = {s: v for s, v in env.items() if isinstance(s, str)}
+                atoms = {s: v for s, v in env.items() if not isinstance(s, str)}
+                assert abs(sx.evaluate(e, point, atom_env=atoms) - float(want)) <= tol
+                checked += 1
+        assert checked == 320
+
+    @pytest.mark.parametrize(
+        "expr, values, error, compiled_msg, tree_msg",
+        [
+            (1 / x, {"x": 1e-13}, DivisionByZeroError, "denominator within 1e-12", "denominator within 1e-12"),
+            # canonical form is a quotient; the tree keeps the negative power
+            ((x - 1) ** -3, {"x": 1 + 1e-13}, DivisionByZeroError, "denominator within 1e-12", "negative power"),
+            (x + y, {"x": 1.0}, UnboundVariableError, "'y'", "'y'"),
+            (sx.func("B11", x) + 1, {"x": 1.0}, UnboundFunctionError, "'B11'", "'B11'"),
+        ],
+    )
+    def test_error_contract(self, expr, values, error, compiled_msg, tree_msg):
+        f = sx.compile_expr(expr, list(values))
+        with pytest.raises(error, match=compiled_msg):
+            f(list(values.values()))
+        with pytest.raises(error, match=tree_msg):
+            sx.evaluate(expr, values)
+
+    def test_tolerance_edge(self):
+        f = sx.compile_expr(1 / x, ["x"])
+        assert f([2e-12]) == 1 / 2e-12
+        assert sx.evaluate(x**-1, {"x": 2e-12}) == 2e-12**-1
+
+    def test_sampler_draws_pinned(self):
+        # labels of the first two draws, recorded before the sampler was
+        # unified; any change to names, atom keys or draw order shows here
+        exprs = [sx.func("B", x, sx.func("C", y)) * z, y / (1 + sx.func("C", y) ** 2)]
+        symbols, points = sx.sample_points(exprs, box=(0.0, 2.0), seed=11, count=2, center=True)
+        assert [sx.point_label(symbols, v) for v in points] == [
+            {"x": 1.0, "y": 1.0, "z": 1.0, "B(x, C(y))": -0.09524089298036276, "C(y)": 0.11954477216099191},
+            {"x": 1.8484211680474587, "y": 0.9313001401995467, "z": 1.0156825461245422,
+             "B(x, C(y))": 0.1747696576997939, "C(y)": -0.6306793122902468},
+        ]
+        symbols, points = sx.sample_points(exprs, box=(0.0, 2.0), seed=11, count=2)
+        assert [sx.point_label(symbols, v) for v in points] == [
+            {"x": 0.9047591070196372, "y": 1.119544772160992, "z": 1.8484211680474587,
+             "B(x, C(y))": -0.06869985980045334, "C(y)": 0.01568254612454223},
+            {"x": 1.174769657699794, "y": 0.36932068770975324, "z": 1.023817278083611,
+             "B(x, C(y))": 0.25976544043360383, "C(y)": 0.5859537450399053},
+        ]
+
+
 class TestIsZero:
     def test_structural_zero(self):
         assert sx.is_zero(x**2 - x * x).verdict == "zero"
@@ -163,14 +252,6 @@ class TestIsZero:
         res = sx.is_zero(x - 3, box={"x": (0.0, 1.0)})
         assert res.verdict == "nonzero"
         assert 0.0 <= res.witness["x"] <= 1.0
-
-    def test_pythagorean_canon_idempotent(self):
-        e = sx.cos(x) ** 4 + sx.sin(x) * sx.cos(x) ** 2
-        c1 = sx.canon(e, pythagorean=True)
-        c2 = sx.canon(c1, pythagorean=True)
-        assert c1 == c2
-        # no even cosine powers survive the rewrite
-        assert "cos(x)^2" not in str(c1)
 
 
 class TestParser:

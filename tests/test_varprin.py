@@ -300,12 +300,14 @@ class TestVerticalBasisInvariance:
         p_cus = vp.build_problem(chart5, factors=list(p_std.factors.alphas), vertical_basis=custom)
         idxs = sorted(set().union(*(set(f.terms) for f in p_std.psi + p_cus.psi)))
         exprs = [f.terms.get(i, sx.ZERO) for f in p_std.psi + p_cus.psi for i in idxs]
-        for a in la.make_assignments(exprs, seed=5, count=16):
-            def mat(forms):
-                return np.array(
-                    [[la.eval_expr(f.terms.get(i, sx.ZERO), a) for i in idxs] for f in forms]
-                )
-            m1, m2 = mat(p_std.psi), mat(p_cus.psi)
+        symbols, points = sx.sample_points(exprs, seed=5, count=16, center=True)
+
+        def mat(forms):
+            return la.compile_matrix([[f.terms.get(i, sx.ZERO) for i in idxs] for f in forms], symbols)
+
+        eval_std, eval_cus = mat(p_std.psi), mat(p_cus.psi)
+        for vals in points:
+            m1, m2 = eval_std(vals), eval_cus(vals)
             r1 = la.numeric_rank(m1)
             r2 = la.numeric_rank(m2)
             r12 = la.numeric_rank(np.vstack([m1, m2]))
