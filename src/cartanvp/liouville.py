@@ -123,12 +123,10 @@ def homotopy_antiderivative(beta: DiffForm) -> DiffForm:
 def _monomials(e: Expr):
     """(Fraction coefficient, monomial Expr, total degree) triples of a
     polynomial in plain variables."""
-    rat = sx._to_rat(e)
-    for mono, coeff in sorted(rat.num.items(), key=lambda t: (sum(x for _, x in t[0]), t[0])):
+    for coeff, powers in sx.poly_terms(e):
         factors = sx.ONE
         degree = 0
-        for atom_key, exp in mono:
-            atom = sx._ATOM_REGISTRY[atom_key]
+        for atom, exp in powers:
             factors = factors * atom**exp if exp != 1 else factors * atom
             degree += exp
         yield coeff, sx.canon(factors), degree

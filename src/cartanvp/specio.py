@@ -56,7 +56,19 @@ def parse_coefficient(text: str, sub: Mapping[str, Expr]) -> Expr:
     return sx.subst(e, sub) if sub else sx.canon(e)
 
 
+def _check_records(records, field: str) -> None:
+    """A form is a list of {coeff: string, index: list of names} records."""
+    if not isinstance(records, list):
+        raise ParseError(f"{field} must be a list of {{coeff, index}} records")
+    for j, r in enumerate(records):
+        if not isinstance(r, Mapping) or not isinstance(r.get("coeff"), str):
+            raise ParseError(f"{field}[{j}] must be a record with a string coeff")
+        if not isinstance(r.get("index"), list) or not all(isinstance(n, str) for n in r["index"]):
+            raise ParseError(f"{field}[{j}].index must be a list of coordinate names")
+
+
 def form_from_records(chart: Chart, records, sub: Mapping[str, Expr]) -> DiffForm:
+    _check_records(records, "records")
     prepared = [
         {"coeff": parse_coefficient(r["coeff"], sub), "index": r["index"]}
         for r in records
@@ -122,8 +134,13 @@ def problem_from_spec(
     theta = None
     factors = None
     if "factors" in spec:
+        if not isinstance(spec["factors"], list):
+            raise ParseError("factors must be a list of forms (lists of records)")
+        for i, rec in enumerate(spec["factors"]):
+            _check_records(rec, f"factors[{i}]")
         factors = [form_from_records(chart, rec, sub) for rec in spec["factors"]]
     if "theta" in spec:
+        _check_records(spec["theta"], "theta")
         theta = form_from_records(chart, spec["theta"], sub)
     if theta is None and factors is None:
         raise ParseError("problem spec needs 'theta' or 'factors'")

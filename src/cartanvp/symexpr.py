@@ -9,10 +9,13 @@ such as B11(x1, x2, z1)) whose derivatives are fresh opaque atoms.
 Canonicalization flattens an expression to a quotient of multivariate
 polynomials over the rationals, with function atoms treated as opaque
 generators.  The quotient is reduced by monomial content only and the
-denominator is normalized to leading coefficient one, so canonical forms
-are unique up to the (unimplemented) full polynomial gcd.  All coefficient
-arithmetic is exact `fractions.Fraction`; floats appear only in
-evaluation and sampling, which this module owns for the whole package:
+denominator is normalized to leading coefficient one; the full polynomial
+gcd is still missing, so canonical forms are unique only up to it.
+Coefficient arithmetic is exact: `int` when integral, `Fraction`
+otherwise, and every constant of an `Expr` is a `Fraction`.  `canon`
+caches the quotient on its output node, so canonical subtrees are never
+expanded again.  Floats appear only in evaluation and sampling, which
+this module owns for the whole package:
 `compile_expr` turns a canonical form into a float function once (the
 one evaluator; `evaluate` is its one-point entry), and `sample_points`
 is the one seeded sampler of evaluation points, which are tuples of
@@ -53,6 +56,7 @@ __all__ = [
     "subst",
     "free_vars",
     "opaque_atoms",
+    "poly_terms",
     "is_zero",
     "ZeroTest",
     "parse",
@@ -90,7 +94,7 @@ class Expr:
     operators; do not build nodes by hand.
     """
 
-    __slots__ = ("op", "args", "_key", "_canon")
+    __slots__ = ("op", "args", "_key", "_canon", "_rat")  # _rat: canonical outputs only
 
     def __init__(self, op: str, args: tuple):
         object.__setattr__(self, "op", op)
@@ -273,37 +277,32 @@ def func(name: str, *args) -> Expr:
 # ---------------------------------------------------------------------------
 # canonical form: polynomial quotient over atoms
 #
-# Poly: dict mapping monomial -> Fraction, monomial = sorted tuple of
-# (atom_key, exponent).  Atom keys index _ATOM_REGISTRY which holds the
-# canonical Expr of each atom (a var or a func node with canonical args).
+# Poly: dict mapping monomial -> coefficient (int when integral, else
+# Fraction), monomial = sorted tuple of (atom_key, exponent).  Atom keys
+# index _ATOM_REGISTRY which holds the canonical Expr of each atom (a var
+# or a func node with canonical args).  Payloads are shared and never
+# mutated; their dict order depends on how they were built, so every
+# consumer sorts or walks the canonical tree.
 
 _ATOM_REGISTRY: dict[tuple, Expr] = {}
 
 _EMPTY_MONO: tuple = ()
+_ONE_POLY = {_EMPTY_MONO: 1}
 
 
-def _register_atom(key: tuple, expr: Expr) -> tuple:
-    if key not in _ATOM_REGISTRY:
-        _ATOM_REGISTRY[key] = expr
-    return key
-
-
-def _p_const(c: Fraction) -> dict:
-    return {} if c == 0 else {_EMPTY_MONO: c}
-
-
-def _p_atom(key: tuple) -> dict:
-    return {((key, 1),): Fraction(1)}
+def _coeff(c):
+    """Payload coefficient type: int when integral, else the Fraction."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _p_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for mono, c in b.items():
-        s = out.get(mono, Fraction(0)) + c
-        if s == 0:
-            out.pop(mono, None)
+        s = out.get(mono, 0) + c
+        if s:
+            out[mono] = s if s.__class__ is int else _coeff(s)
         else:
-            out[mono] = s
+            del out[mono]
     return out
 
 
@@ -323,16 +322,16 @@ def _p_mul(a: dict, b: dict) -> dict:
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = _mono_mul(m1, m2)
-            s = out.get(m, Fraction(0)) + c1 * c2
-            if s == 0:
-                out.pop(m, None)
+            s = out.get(m, 0) + c1 * c2
+            if s:
+                out[m] = s if s.__class__ is int else _coeff(s)
             else:
-                out[m] = s
+                del out[m]
     return out
 
 
 def _p_pow(a: dict, n: int) -> dict:
-    out = _p_const(Fraction(1))
+    out = _ONE_POLY
     base = a
     while n:
         if n & 1:
@@ -347,14 +346,10 @@ def _mono_order(item):
     return (sum(e for _, e in mono), mono)
 
 
-def _p_lead_coeff(p: dict) -> Fraction:
-    return p[max(p, key=lambda m: (sum(e for _, e in m), m))]
-
-
 def _p_scale(p: dict, c: Fraction) -> dict:
     if c == 1:
         return p
-    return {m: v * c for m, v in p.items()}
+    return {m: _coeff(v * c) for m, v in p.items()}
 
 
 def _content_mono(polys: Iterable[dict]) -> tuple:
@@ -399,26 +394,33 @@ class _Rat:
         self.den = den
 
 
+_RAT_ZERO = _Rat({}, _ONE_POLY)
+
+
 def _rat_normalize(num: dict, den: dict) -> _Rat:
     if not den:
         raise DivisionByZeroError("denominator is identically zero")
     if not num:
-        return _Rat({}, _p_const(Fraction(1)))
+        return _RAT_ZERO
     content = _content_mono([num, den])
     if content:
         num = _p_divide_mono(num, content)
         den = _p_divide_mono(den, content)
-    lead = _p_lead_coeff(den)
+    lead = max(den.items(), key=_mono_order)[1]
     if lead != 1:
         inv = Fraction(1) / lead
         num = _p_scale(num, inv)
         den = _p_scale(den, inv)
-    if den == {_EMPTY_MONO: Fraction(1)}:
-        den = _p_const(Fraction(1))
+    if den == _ONE_POLY:
+        den = _ONE_POLY
     return _Rat(num, den)
 
 
 def _rat_add(a: _Rat, b: _Rat) -> _Rat:
+    # every denominator 1 is the shared _ONE_POLY; with two of them
+    # _rat_normalize is the identity (empty content, leading coefficient 1)
+    if a.den is _ONE_POLY and b.den is _ONE_POLY:
+        return _Rat(_p_add(a.num, b.num), _ONE_POLY)
     if a.den == b.den:
         return _rat_normalize(_p_add(a.num, b.num), a.den)
     return _rat_normalize(
@@ -427,6 +429,8 @@ def _rat_add(a: _Rat, b: _Rat) -> _Rat:
 
 
 def _rat_mul(a: _Rat, b: _Rat) -> _Rat:
+    if a.den is _ONE_POLY and b.den is _ONE_POLY:
+        return _Rat(_p_mul(a.num, b.num), _ONE_POLY)
     return _rat_normalize(_p_mul(a.num, b.num), _p_mul(a.den, b.den))
 
 
@@ -436,34 +440,38 @@ def _rat_div(a: _Rat, b: _Rat) -> _Rat:
 
 def _rat_pow(a: _Rat, n: int) -> _Rat:
     if n == 0:
-        return _Rat(_p_const(Fraction(1)), _p_const(Fraction(1)))
+        return _Rat(_ONE_POLY, _ONE_POLY)
     if n < 0:
         return _rat_normalize(_p_pow(a.den, -n), _p_pow(a.num, -n))
     return _rat_normalize(_p_pow(a.num, n), _p_pow(a.den, n))
 
 
 def _to_rat(e: Expr) -> _Rat:
+    c = e._canon
+    if c is not None:
+        return c._rat
     op = e.op
     if op == "const":
-        return _Rat(_p_const(e.args[0]), _p_const(Fraction(1)))
+        v = e.args[0]
+        return _Rat({_EMPTY_MONO: _coeff(v)}, _ONE_POLY) if v else _RAT_ZERO
     if op == "var":
-        key = _register_atom(("v", e.args[0]), e)
-        return _Rat(_p_atom(key), _p_const(Fraction(1)))
+        key = ("v", e.args[0])
+        _ATOM_REGISTRY.setdefault(key, e)
+        return _Rat({((key, 1),): 1}, _ONE_POLY)
     if op == "func":
         name = e.args[0]
         cargs = tuple(canon(a) for a in e.args[1:])
-        atom = Expr("func", (name,) + cargs)
-        key = _register_atom(("f", name, tuple(a.key() for a in cargs)), atom)
-        return _Rat(_p_atom(key), _p_const(Fraction(1)))
-    if op == "add":
-        acc = _Rat({}, _p_const(Fraction(1)))
-        for a in e.args:
-            acc = _rat_add(acc, _to_rat(a))
-        return acc
-    if op == "mul":
-        acc = _Rat(_p_const(Fraction(1)), _p_const(Fraction(1)))
-        for a in e.args:
-            acc = _rat_mul(acc, _to_rat(a))
+        key = ("f", name, tuple(a.key() for a in cargs))
+        if key not in _ATOM_REGISTRY:
+            _ATOM_REGISTRY[key] = Expr("func", (name,) + cargs)
+        return _Rat({((key, 1),): 1}, _ONE_POLY)
+    if op == "add" or op == "mul":
+        # the first operand stands for 0 + a or 1 * a, which normalize to a
+        combine = _rat_add if op == "add" else _rat_mul
+        args = e.args
+        acc = _to_rat(args[0])
+        for a in args[1:]:
+            acc = combine(acc, _to_rat(a))
         return acc
     if op == "pow":
         return _rat_pow(_to_rat(e.args[0]), e.args[1])
@@ -472,10 +480,10 @@ def _to_rat(e: Expr) -> _Rat:
     raise AssertionError(f"unknown op {op}")
 
 
-def _mono_to_expr(mono: tuple, coeff: Fraction) -> Expr:
+def _mono_to_expr(mono: tuple, coeff) -> Expr:
     factors: list[Expr] = []
     if coeff != 1 or not mono:
-        factors.append(Expr("const", (coeff,)))
+        factors.append(Expr("const", (Fraction(coeff),)))
     for a, e in mono:
         base = _ATOM_REGISTRY[a]
         factors.append(base if e == 1 else Expr("pow", (base, e)))
@@ -496,16 +504,22 @@ def _p_to_expr(p: dict) -> Expr:
 
 def canon(e: Expr) -> Expr:
     """Canonical expanded form; idempotent, exact, deterministic."""
+    return _canon(e)
+
+
+def _canon(e: Expr) -> Expr:
+    # the payload is cached on the canonical output only (re-expanding a
+    # canonical tree reproduces it); in-module readers enter here, so calls
+    # of the public canon stay the canonicalizations callers ask for
     if e._canon is not None:
         return e._canon
     rat = _to_rat(e)
-    num_e = _p_to_expr(rat.num)
-    if rat.den == _p_const(Fraction(1)):
-        out = num_e
-    else:
-        out = Expr("div", (num_e, _p_to_expr(rat.den)))
-    object.__setattr__(e, "_canon", out)
+    out = _p_to_expr(rat.num)
+    if rat.den is not _ONE_POLY:
+        out = Expr("div", (out, _p_to_expr(rat.den)))
+    object.__setattr__(out, "_rat", rat)
     object.__setattr__(out, "_canon", out)
+    object.__setattr__(e, "_canon", out)
     return out
 
 
@@ -626,33 +640,43 @@ def _collect_vars(e: Expr, out: set):
             _collect_vars(a, out)
 
 
-def poly_coeffs(e: Expr) -> Optional[list[Fraction]]:
-    """Coefficients of the canonical form in ascending monomial order, or
+def poly_terms(e: Expr) -> Optional[list[tuple[Fraction, tuple[tuple[Expr, int], ...]]]]:
+    """Terms of the canonical form in ascending monomial order (total
+    degree, then atom keys) as (coefficient, ((atom, exponent), ...)), or
     None when the canonical form carries a nontrivial denominator."""
-    rat = _to_rat(e)
-    if rat.den != _p_const(Fraction(1)):
+    rat = _canon(e)._rat
+    if rat.den is not _ONE_POLY:
         return None
-    monos = sorted(rat.num, key=lambda m: (sum(x for _, x in m), m))
-    return [rat.num[m] for m in monos]
+    return [
+        (Fraction(c), tuple((_ATOM_REGISTRY[a], x) for a, x in mono))
+        for mono, c in sorted(rat.num.items(), key=_mono_order)
+    ]
+
+
+def poly_coeffs(e: Expr) -> Optional[list[Fraction]]:
+    """The coefficients of `poly_terms(e)`, or None."""
+    terms = poly_terms(e)
+    return None if terms is None else [c for c, _ in terms]
 
 
 def opaque_atoms(e: Expr) -> dict[tuple, Expr]:
-    """Distinct opaque function atoms of the canonical form, keyed."""
-    rat = _to_rat(e)
+    """Distinct opaque function atoms of the canonical form, keyed, in
+    order of first appearance in its tree (numerator then denominator,
+    terms in order, each atom before the atoms nested in its arguments)."""
     out: dict[tuple, Expr] = {}
-    for p in (rat.num, rat.den):
-        for mono in p:
-            for a, _ in mono:
-                if a[0] == "f" and a[1] not in KNOWN_FUNCS:
-                    out[a] = _ATOM_REGISTRY[a]
-                    _nested_opaque(_ATOM_REGISTRY[a], out)
+    _walk_opaque(_canon(e), out)
     return out
 
 
-def _nested_opaque(atom: Expr, out: dict):
-    for a in atom.args[1:]:
-        for k, v in opaque_atoms(a).items():
-            out.setdefault(k, v)
+def _walk_opaque(e: Expr, out: dict):
+    if e.op == "func":
+        key = ("f", e.args[0], tuple(a.key() for a in e.args[1:]))
+        if e.args[0] in KNOWN_FUNCS or key in out:
+            return
+        out[key] = e
+    for a in e.args:
+        if isinstance(a, Expr):
+            _walk_opaque(a, out)
 
 
 # ---------------------------------------------------------------------------

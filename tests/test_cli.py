@@ -80,6 +80,24 @@ class TestEl:
         assert code in (1, 2)
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda s: s.__setitem__("factors", 5), "factors must be a list"),
+            (lambda s: s["factors"].__setitem__(1, {"coeff": "1"}), "factors[1] must be a list"),
+            (lambda s: s["factors"][0][0].__setitem__("coeff", 3), "factors[0][0] must be a record"),
+            (lambda s: s["factors"][0][1].pop("index"), "factors[0][1].index"),
+        ],
+    )
+    def test_malformed_spec_shape_is_parse_error(self, tmp_path, mutate, field):
+        spec = fx.load("example1")
+        mutate(spec)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        code, out = run(["analyze", "--spec", str(path)])
+        assert code == 2
+        assert field in json.loads(out)["error"]
+
     def test_parse_error_has_position(self, tmp_path):
         spec = fx.load("example1")
         spec["factors"][0][0]["coeff"] = "1 + * 2"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -292,3 +293,114 @@ class TestParser:
     def test_roundtrip_rational_function(self):
         e = sx.canon((x + 1) / (y**2 + 2))
         assert sx.canon(sx.parse(str(e))) == e
+
+
+def _canon_corpus():
+    """200 seeded expressions for the pinned canonical strings: sums,
+    products, positive and negative integer powers, quotients (sums over
+    equal and over distinct denominators, non-monic denominators, rational
+    constants) and nested opaque atoms, one with a non-canonical argument."""
+    rng = random.Random(0xCA40)
+    names = ["x", "y", "z", "w"]
+    C = sx.func("C", y, z)
+    B = sx.func("B", x, C)
+    D = sx.func("D", x * (y + 1) - x * y, sx.sin(z))
+    out = []
+    for _ in range(40):
+        p = rand_poly(rng, names, degree=3, terms=3)
+        q = rand_poly(rng, names, degree=2, terms=2)
+        r = sx.num(Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), rng.randint(1, 6)))
+        out.append(p + r * q - D * q)
+        out.append((p + B) * (q - r * C) * r)
+        out.append((q + r * x) ** rng.randint(2, 3) - p)
+        out.append(p * (C + q) ** -rng.randint(1, 2) + r * y**-1)
+        quot = (p + r * B) / (r * (q**2 + C))
+        same_den = (q - p) / (q**2 + C)
+        out.append(quot + same_den + q / (x * y - D) - quot / (3 * q * x + 2 * B))
+    return out
+
+
+def _fresh(e):
+    """A copy of the tree with no cached canonical form or payload."""
+    return sx.Expr(e.op, tuple(_fresh(a) if isinstance(a, sx.Expr) else a for a in e.args))
+
+
+def _constants(e):
+    if e.op == "const":
+        yield e.args[0]
+    for a in e.args:
+        if isinstance(a, sx.Expr):
+            yield from _constants(a)
+
+
+class TestCanonicalCore:
+    def test_pinned_canonical_strings(self):
+        # recorded with the Fraction-only canonicalization that preceded the
+        # integer coefficients, the no-op normalization fast path and the
+        # payload cache: canonical forms must not change
+        with open(Path(__file__).parent / "data" / "canon_strings.txt") as f:
+            want = f.read().splitlines()
+        got = [str(sx.canon(e)) for e in _canon_corpus()]
+        assert len(got) == len(want) == 200
+        assert got == want
+
+    def test_cached_payload_and_idempotence_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        leaves = st.one_of(
+            st.sampled_from([x, y, z]),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4).map(sx.num),
+        )
+
+        def extend(kids):
+            pairs = st.tuples(kids, kids)
+            return st.one_of(
+                pairs.map(lambda t: t[0] + t[1]),
+                pairs.map(lambda t: t[0] - t[1]),
+                pairs.map(lambda t: t[0] * t[1]),
+                pairs.map(lambda t: t[0] / t[1]),
+                st.tuples(kids, st.integers(-2, 3)).map(lambda t: t[0] ** t[1]),
+                kids.map(lambda k: sx.func("B", x, sx.func("C", k))),
+            )
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.recursive(leaves, extend, max_leaves=10))
+        def check(e):
+            try:
+                c = sx.canon(e)
+            except DivisionByZeroError:
+                hypothesis.assume(False)
+            again = sx.canon(_fresh(c))
+            assert again == c and sx.canon(c) is c
+            assert again._rat.num == c._rat.num and again._rat.den == c._rat.den
+            for p in (c._rat.num, c._rat.den):
+                for v in p.values():
+                    assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+        check()
+
+    def test_coefficient_types_at_the_boundary(self):
+        rng = random.Random(29)
+        polys = [sx.canon(rand_poly(rng, ["x", "y"], degree=3, terms=4)) for _ in range(20)]
+        polys.append(sx.canon(x / 2 + sx.num(Fraction(4, 2)) * y - 3))
+        for e in _canon_corpus() + polys:
+            c = sx.canon(e)
+            assert all(type(k) is Fraction for k in _constants(c))
+        for e in polys:
+            coeffs = sx.poly_coeffs(e)
+            assert coeffs and all(type(k) is Fraction for k in coeffs)
+            assert [k for k, _ in sx.poly_terms(e)] == coeffs
+        assert sx.poly_coeffs(x / 2 + 2 * y - 3) == [-3, Fraction(1, 2), 2]
+        assert sx.poly_coeffs(1 / (x + 1)) is None
+
+    def test_opaque_atoms_order(self):
+        # numerator then denominator, terms in canonical order, each atom
+        # before the atoms nested in its arguments; atoms under a known
+        # function (sin) are not listed
+        C = sx.func("C", y, z)
+        B = sx.func("B", x, C)
+        D = sx.func("D", C + x)
+        e = (y * B + C**2 * x - D) / (x + sx.func("E", D, B) + 3) + sx.sin(sx.func("F", x))
+        want = ["C(y, z)", "E(D(x + C(y, z)), B(x, C(y, z)))", "D(x + C(y, z))", "B(x, C(y, z))"]
+        assert [str(a) for a in sx.opaque_atoms(e).values()] == want
+        assert list(sx.opaque_atoms(e)) == list(sx.opaque_atoms(sx.canon(e)))
