@@ -94,7 +94,7 @@ def _problem(args):
     box = _parse_box(args.box) or options["box"]
     instance = None
     if args.instance:
-        instance = spec.get("instances", {}).get(args.instance)
+        instance = specio.instance_from_spec(spec, args.instance)
         if instance is None:
             raise ParseError(f"spec has no instance {args.instance!r}")
     p = specio.problem_from_spec(spec, box=box, seed=seed, instance=instance)

@@ -48,7 +48,7 @@ def problem(
     """The fixture's variational problem; `instance` picks a numeric
     instantiation block by name (e.g. "constant")."""
     spec = load(name)
-    inst = spec.get("instances", {}).get(instance) if instance else None
+    inst = specio.instance_from_spec(spec, instance) if instance else None
     if instance and inst is None:
         raise KeyError(f"fixture {name} has no instance {instance!r}")
     return specio.problem_from_spec(spec, box=box, seed=seed, instance=inst)

@@ -2,12 +2,11 @@
 sections by pulling seed data along integral manifolds.
 
 Integration is classical fixed-step fourth order (deterministic, adequate
-at desk scale).  A sweep marches a lattice over the base box: from each
-seed node it composes flows of transversal-normalized characteristic
-fields axis by axis, then verifies the critical-equation residuals at
-every node with second-order finite-difference jets.  Fields, seed data
-and residual equations are compiled once by `symexpr.compile_expr` and
-evaluated at the RK4 stages and lattice nodes as plain float vectors.
+at desk scale), one routine over a (rows, dim) array of which `flow` is
+the one-row case.  A sweep marches the lattice axis by axis, all nodes
+reached so far advancing together, then checks the critical equations at
+every node with finite-difference jets, each equation compiled once and
+evaluated over the node columns.
 """
 
 from __future__ import annotations
@@ -110,12 +109,11 @@ class SampledPatch:
             f"residual_{i + 1}" for i in range(n_eq)
         ]
         lines.append(",".join(header))
-        for node in np.ndindex(*self.lattice_shape()):
-            pt = self.points[node]
-            row = [repr(float(pt[self.chart.index(b)])) for b in self.chart.base]
-            row += [repr(float(pt[self.chart.index(f)])) for f in self.chart.fiber]
-            row += [repr(float(r)) for r in self.residuals[node]]
-            lines.append(",".join(row))
+        nodes = math.prod(self.lattice_shape())
+        cols = [self.chart.index(name) for name in header[: self.chart.dim]]
+        points = self.points.reshape(nodes, self.chart.dim)[:, cols].tolist()
+        residuals = self.residuals.reshape(nodes, n_eq).tolist()
+        lines.extend(",".join(map(repr, pt + res)) for pt, res in zip(points, residuals))
         return "\n".join(lines) + "\n"
 
 
@@ -137,8 +135,6 @@ def flow(
     be evaluated en route and BoxExitError when a configured bounding box
     is left.  The components are compiled once per call.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     coords = X.chart.coords
     if isinstance(start, Mapping):
         y = np.array([float(start[c]) for c in coords])
@@ -147,20 +143,45 @@ def flow(
         if y.shape != (len(coords),):
             raise ValueError("start point has wrong dimension")
     comps = [sx.compile_expr(c, coords) for c in X.components]
+    path = [y.copy()]
+    _rk4(comps, X.chart, y, t, step, bbox, path)
+    return path
+
+
+def _rk4(comps: Sequence, chart: Chart, y: np.ndarray, t: float, step: float,
+         bbox=None, path: Optional[list] = None) -> np.ndarray:
+    """Advance `y`, one point (dim) or the rows of a (rows, dim) array, by
+    fixed-step classical RK4 for duration t under the compiled field
+    `comps`, evaluated point by point with the scalar closures, so each
+    row gets the bits of a one-point run; appends the point(s) reached by
+    every step to `path` when given."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if t == 0:
+        return y
+    shape = y.shape
+    # a single point marches as a flat vector: numpy's per-call cost
+    # dominates there, and a (1, dim) array pays more of it
+    one = y.size == chart.dim
+    if one:
+        y = y.reshape(chart.dim)
 
     def F(y: np.ndarray) -> np.ndarray:
-        v = y.tolist()
+        rows = y.tolist()
         try:
-            return np.array([f(v) for f in comps])
+            if one:
+                v = rows
+                return np.array([f(v) for f in comps])
+            out = []
+            for v in rows:
+                out.append([f(v) for f in comps])
+            return np.array(out)
         except (DivisionByZeroError, UnboundVariableError, ValueError, OverflowError) as exc:
-            point = dict(zip(coords, v))
-            raise EvaluationFailureError(f"field evaluation failed at {point}: {exc}") from exc
+            at = dict(zip(chart.coords, v))
+            raise EvaluationFailureError(f"field evaluation failed at {at}: {exc}") from exc
 
-    if t == 0:
-        return [y.copy()]
     nsteps = max(1, math.ceil(abs(t) / step))
     h = t / nsteps
-    path = [y.copy()]
     for _ in range(nsteps):
         k1 = F(y)
         k2 = F(y + 0.5 * h * k1)
@@ -168,12 +189,16 @@ def flow(
         k4 = F(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if bbox is not None:
+            points = y.reshape(-1, chart.dim)
             for name, (lo, hi) in bbox.items():
-                v = y[X.chart.index(name)]
-                if v < lo or v > hi:
-                    raise BoxExitError(f"flow left the box at {name} = {v}", point=y.copy())
-        path.append(y.copy())
-    return path
+                col = points[:, chart.index(name)]
+                left = (col < lo) | (col > hi)
+                if left.any():
+                    r = int(left.argmax())
+                    raise BoxExitError(f"flow left the box at {name} = {col[r]}", point=points[r].copy())
+        if path is not None:
+            path.append(y.copy())
+    return y.reshape(shape)
 
 
 def commutation_defect(
@@ -187,17 +212,12 @@ def commutation_defect(
     cross-check of the Frobenius verdict."""
     if len(D.basis) < 2:
         raise ValueError("need at least two basis fields")
-    coords = D.chart.coords
-    if isinstance(point, Mapping):
-        y0 = np.array([float(point[c]) for c in coords])
-    else:
-        y0 = np.array([float(v) for v in point])
     worst = 0.0
     for i in range(len(D.basis)):
         for j in range(i + 1, len(D.basis)):
             Xi, Xj = D.basis[i], D.basis[j]
-            a = flow(Xj, flow(Xi, y0, t, step)[-1], t, step)[-1]
-            b = flow(Xi, flow(Xj, y0, t, step)[-1], t, step)[-1]
+            a = flow(Xj, flow(Xi, point, t, step)[-1], t, step)[-1]
+            b = flow(Xi, flow(Xj, point, t, step)[-1], t, step)[-1]
             worst = max(worst, float(np.linalg.norm(a - b)))
     return worst
 
@@ -220,28 +240,19 @@ def _transversal_fields(
     for ax in axes:
         target = [sx.ONE if b == ax else sx.ZERO for b in chart.base]
         sol = la.solve_linear(A, target, box=p.box, seed=p.seed)
-        ok = sol is not None
-        if ok:
-            for i in range(k):
-                acc = sx.ZERO
-                for u, Y in zip(sol, D.basis):
-                    acc = acc + u * Y.components[i]
-                if not sx.canon(acc - target[i]).is_const_zero():
-                    ok = False
-                    break
-        if not ok:
+        comps = [sx.ZERO] * chart.dim
+        for u, Y in zip(sol or (), D.basis):
+            for i in range(chart.dim):
+                comps[i] = comps[i] + u * Y.components[i]
+        if sol is None or any(not sx.canon(comps[i] - target[i]).is_const_zero() for i in range(k)):
             raise NonTransversalDistributionError(
                 f"no combination of the distribution matches the {ax} direction"
             )
-        comps = [sx.ZERO] * chart.dim
-        for u, Y in zip(sol, D.basis):
-            for i in range(chart.dim):
-                comps[i] = comps[i] + u * Y.components[i]
         out.append(VecField(chart, comps))
     return out
 
 
-def _seed_is_integral(p: vp.VariationalProblem, phi0, seed_axes, seed_values):
+def _seed_is_integral(p: vp.VariationalProblem, components, seed_axes, seed_values):
     """Pull the contraction generators back onto the seed slice; they must
     vanish identically there."""
     chart = p.chart
@@ -257,7 +268,7 @@ def _seed_is_integral(p: vp.VariationalProblem, phi0, seed_axes, seed_values):
             diff_map[i] = zero_form(target, 1)
             coeff_sub[name] = sx.num(seed_values[name])
         else:
-            comp = phi0.components[name]
+            comp = components[name]
             diff_map[i] = one_form(target, {ax: sx.diff(comp, ax) for ax in seed_axes})
             coeff_sub[name] = comp
     for pos, psi in enumerate(p.psi):
@@ -292,6 +303,8 @@ def sweep_section(
     for b in chart.base:
         if b not in axes:
             raise ValueError(f"grid missing base axis {b!r}")
+        if axes[b].count < 1:
+            raise ValueError(f"grid axis {b!r} needs at least one node")
     seed_axes = tuple(seed_axes)
     trans_axes = [b for b in chart.base if b not in seed_axes]
     if axis_order is None:
@@ -316,15 +329,11 @@ def sweep_section(
             raise ValueError(f"seed component {name!r} must use only seed axes, has {sorted(extra)}")
 
     seed_values = {ax: axes[ax].values()[0] for ax in trans_axes}
-    _seed_is_integral(p, _SeedSection(comp_map), seed_axes, seed_values)
+    _seed_is_integral(p, comp_map, seed_axes, seed_values)
 
     fields = {ax: f for ax, f in zip(axis_order, _transversal_fields(p, D, axis_order))}
 
-    # lattice bookkeeping in chart base order
-    shape = tuple(axes[b].count for b in chart.base)
-    points = np.full(shape + (chart.dim,), np.nan)
     vals = {b: axes[b].values() for b in chart.base}
-
     seed_shape = tuple(axes[b].count for b in seed_axes)
     base_pos = {b: chart.index(b) for b in chart.base}
     seed_fiber = [sx.compile_expr(comp_map[name], seed_axes) for name in chart.fiber]
@@ -334,8 +343,11 @@ def sweep_section(
     ]
     eval_basis = la.compile_matrix([Y.components for Y in D.basis], chart.coords)
 
-    def node_point(seed_idx: tuple[int, ...]) -> np.ndarray:
-        pt = np.zeros(chart.dim)
+    # the seed nodes in C order, and the tangency of the seed manifold
+    # against D at each
+    block = np.zeros(seed_shape + (chart.dim,))
+    for seed_idx in np.ndindex(*seed_shape):
+        pt = block[seed_idx]
         for ax, j in zip(seed_axes, seed_idx):
             pt[base_pos[ax]] = vals[ax][j]
         for ax in trans_axes:
@@ -343,13 +355,6 @@ def sweep_section(
         at_seed = [float(vals[ax][j]) for ax, j in zip(seed_axes, seed_idx)]
         for name, f in zip(chart.fiber, seed_fiber):
             pt[chart.index(name)] = f(at_seed)
-        return pt
-
-    # tangency of the seed manifold against D at the seed nodes
-    seed_nodes = {}
-    for seed_idx in np.ndindex(*seed_shape) if seed_shape else [()]:
-        pt = seed_nodes[seed_idx] = node_point(seed_idx)
-        at_seed = [float(pt[base_pos[ax]]) for ax in seed_axes]
         rows = []
         for ax, slopes in zip(seed_axes, seed_slopes):
             row = np.zeros(chart.dim)
@@ -365,38 +370,33 @@ def sweep_section(
                 point=dict(zip(chart.coords, pt.tolist())),
             )
 
-    # march the lattice axis by axis
-    def fill(from_idx: dict[str, int], point: np.ndarray, depth: int):
-        if depth == len(axis_order):
-            full_idx = tuple(from_idx[b] for b in chart.base)
-            points[full_idx] = point
-            return
-        ax = axis_order[depth]
+    # march the lattice one axis at a time from its low edge: every node
+    # reached so far is a row, and all rows advance together edge by edge
+    for ax in axis_order:
+        comps = [sx.compile_expr(c, chart.coords) for c in fields[ax].components]
         lattice = vals[ax]
-        j0 = 0  # anchored at the low edge
-        fill({**from_idx, ax: j0}, point, depth + 1)
-        current = point
-        for j in range(j0 + 1, len(lattice)):
-            dt = float(lattice[j] - lattice[j - 1])
-            current = flow(fields[ax], current, dt, step)[-1]
-            fill({**from_idx, ax: j}, current, depth + 1)
+        swept = [block.reshape(-1, chart.dim)]
+        for j in range(1, len(lattice)):
+            swept.append(_rk4(comps, chart, swept[-1], float(lattice[j] - lattice[j - 1]), step))
+        block = np.stack(swept, axis=1).reshape(block.shape[:-1] + (len(lattice), chart.dim))
+    order = list(seed_axes) + list(axis_order)
+    points = np.ascontiguousarray(block.transpose([order.index(b) for b in chart.base] + [len(order)]))
+    shape = points.shape[:-1]
 
-    for seed_idx, pt in seed_nodes.items():
-        base_idx = {ax: j for ax, j in zip(seed_axes, seed_idx)}
-        fill(base_idx, pt, 0)
-
-    # transversality bookkeeping: base coordinates must hit the lattice
-    for node in np.ndindex(*shape):
-        pt = points[node]
-        if np.any(np.isnan(pt)):
+    # transversality bookkeeping: base coordinates must hit the lattice (a
+    # NaN means the march broke down); the first bad node in C order fails
+    want = np.stack(np.meshgrid(*vals.values(), indexing="ij"), axis=-1)
+    drifted = np.abs(points[..., [base_pos[b] for b in chart.base]] - want) > 1e-8
+    unreached = np.isnan(points).any(axis=-1)
+    bad = unreached | drifted.any(axis=-1)
+    if bad.any():
+        node = tuple(map(int, np.unravel_index(int(bad.argmax()), shape)))
+        if unreached[node]:
             raise TangencyViolationError(f"lattice node {node} was never reached")
-        for d, b in enumerate(chart.base):
-            want = vals[b][node[d]]
-            if abs(pt[base_pos[b]] - want) > 1e-8:
-                raise TangencyViolationError(
-                    f"node {node} drifted off the base lattice in {b}",
-                    point={c: float(v) for c, v in zip(chart.coords, pt)},
-                )
+        raise TangencyViolationError(
+            f"node {node} drifted off the base lattice in {chart.base[int(drifted[node].argmax())]}",
+            point={c: float(v) for c, v in zip(chart.coords, points[node])},
+        )
 
     residuals = _node_residuals(p, points, vals, tolerance)
     provenance = {
@@ -411,55 +411,73 @@ def sweep_section(
     return SampledPatch(chart, axes, points, residuals, provenance)
 
 
-class _SeedSection:
-    def __init__(self, components):
-        self.components = components
+def _fd_slopes(f: np.ndarray, d: int, vals: np.ndarray) -> np.ndarray:
+    """Second-order finite-difference slopes of node values `f` along axis d
+    of lattice `vals` (one-sided at the ends, first order on two nodes)."""
+    a = np.moveaxis(f, d, 0)
+    out = np.zeros_like(a)
+    if len(a) == 2:
+        out[0] = out[1] = (a[1] - a[0]) / float(vals[1] - vals[0])
+    elif len(a) > 2:
+        h = float(vals[1] - vals[0])
+        out[1:-1] = (a[2:] - a[:-2]) / (2 * h)
+        out[0] = (-3 * a[0] + 4 * a[1] - a[2]) / (2 * h)
+        out[-1] = (3 * a[-1] - 4 * a[-2] + a[-3]) / (2 * h)
+    return np.moveaxis(out, 0, d)
 
 
 def _node_residuals(p, points, vals, tolerance) -> np.ndarray:
     """Evaluate the critical equations at every node with second-order
-    finite-difference jets (exact for the affine closed forms)."""
+    finite-difference jets (exact for the affine closed forms), each
+    equation once over the node columns.  The first node in C order whose
+    evaluation fails or whose largest residual exceeds the tolerance is
+    reported."""
     chart = p.chart
     system = vp.critical_equations(p)
     shape = points.shape[:-1]
-    n_eq = len(system.deltas)
-    residuals = np.zeros(shape + (n_eq,))
-    spacing = {b: (vals[b][1] - vals[b][0]) if len(vals[b]) > 1 else 1.0 for b in chart.base}
+    nodes = math.prod(shape)
     symbols = list(chart.coords) + [vp.jet_name(f, b) for b in chart.base for f in chart.fiber]
     deltas = [sx.compile_expr(delta, symbols) for delta in system.deltas]
-    for node in np.ndindex(*shape):
-        values = points[node].tolist()
-        for d, b in enumerate(chart.base):
-            h = float(spacing[b])
-            cnt = shape[d]
-            for fname in chart.fiber:
-                fi = chart.index(fname)
+    fiber = points[..., [chart.index(name) for name in chart.fiber]]
+    jets = [_fd_slopes(fiber, d, vals[b]) for d, b in enumerate(chart.base)]
+    columns = np.concatenate([points] + jets, axis=-1).reshape(nodes, len(symbols)).T
 
-                def at(j):
-                    idx = list(node)
-                    idx[d] = j
-                    return points[tuple(idx)][fi]
+    def evaluate(upto: int) -> np.ndarray:  # the first `upto` nodes in C order
+        values = list(columns[:, :upto])
+        out = np.empty((upto, len(deltas)))
+        for e, f in enumerate(deltas if upto else ()):
+            out[:, e] = f(values)
+        return out
 
-                j = node[d]
-                if cnt == 1:
-                    slope = 0.0
-                elif 0 < j < cnt - 1:
-                    slope = (at(j + 1) - at(j - 1)) / (2 * h)
-                elif j == 0:
-                    slope = (-3 * at(0) + 4 * at(1) - at(2)) / (2 * h) if cnt > 2 else (at(1) - at(0)) / h
-                else:
-                    slope = (3 * at(j) - 4 * at(j - 1) + at(j - 2)) / (2 * h) if cnt > 2 else (at(j) - at(j - 1)) / h
-                values.append(float(slope))
-        for e, f in enumerate(deltas):
+    failing = (DivisionByZeroError, UnboundVariableError, ValueError, OverflowError)
+    failure = None
+    try:
+        residuals = evaluate(nodes)
+    except failing as exc:
+        # bisect for the longest prefix that evaluates (lo) and the shortest
+        # that fails (hi = lo + 1); the failure of that one is the failure
+        # of node lo, since a column gives every row the scalar evaluation
+        failure, lo, hi = exc, 0, nodes
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
             try:
-                residuals[node + (e,)] = f(values)
-            except (DivisionByZeroError, UnboundVariableError) as exc:
-                raise EvaluationFailureError(f"residual evaluation failed at {node}: {exc}") from exc
-        worst = float(np.max(np.abs(residuals[node])))
-        if worst > tolerance:
-            raise ResidualTooLargeError(
-                f"node {node} violates the residual tolerance: {worst:.3e} > {tolerance}",
-                node=node,
-                value=worst,
-            )
-    return residuals
+                evaluate(mid)
+                lo = mid
+            except failing as exc:
+                failure, hi = exc, mid
+        residuals = evaluate(lo)
+    worst = np.max(np.abs(residuals), axis=1)
+    over = worst > tolerance
+    if over.any():
+        r = int(over.argmax())
+        node = tuple(map(int, np.unravel_index(r, shape)))
+        raise ResidualTooLargeError(
+            f"node {node} violates the residual tolerance: {worst[r]:.3e} > {tolerance}",
+            node=node, value=float(worst[r]),
+        )
+    if isinstance(failure, (DivisionByZeroError, UnboundVariableError)):
+        node = tuple(map(int, np.unravel_index(len(residuals), shape)))
+        raise EvaluationFailureError(f"residual evaluation failed at {node}: {failure}") from failure
+    if failure is not None:
+        raise failure
+    return residuals.reshape(shape + (len(deltas),))

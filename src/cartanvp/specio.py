@@ -3,8 +3,11 @@
 A problem spec holds a chart block, either `theta` or `factors` (lists of
 {coeff, index} records with expression-string coefficients), an optional
 `opaque` block declaring generic coefficient atoms (bare names in the
-coefficient strings are applied to the listed chart coordinates), and an
-`options` block (box, seed, step, tolerance).
+coefficient strings are applied to the listed chart coordinates), an
+optional `instances` block of named numeric instantiations of those atoms
+(atom name -> expression string), and an `options` block (box, seed,
+step, tolerance).  A field of the wrong shape raises a ParseError that
+names it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .symexpr import DEFAULT_SEED, Expr
 __all__ = [
     "chart_from_spec",
     "opaque_substitution",
+    "instance_from_spec",
     "parse_coefficient",
     "form_from_records",
     "section_from_spec",
@@ -29,13 +33,21 @@ __all__ = [
 ]
 
 
+def _names(value, field: str) -> tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(n, str) for n in value):
+        raise ParseError(f"{field} must be a list of coordinate names")
+    return tuple(value)
+
+
 def chart_from_spec(spec: Mapping) -> BundleChart:
     try:
         chart = spec["chart"]
+        if not isinstance(chart, Mapping):
+            raise ParseError("chart must be a record of base, fiber_z and fiber_w name lists")
         return BundleChart(
-            tuple(chart["base"]),
-            tuple(chart["fiber_z"]),
-            tuple(chart.get("fiber_w", ())),
+            _names(chart["base"], "chart.base"),
+            _names(chart["fiber_z"], "chart.fiber_z"),
+            _names(chart.get("fiber_w", ()), "chart.fiber_w"),
         )
     except KeyError as exc:
         raise ParseError(f"problem spec missing chart key {exc}") from exc
@@ -44,11 +56,28 @@ def chart_from_spec(spec: Mapping) -> BundleChart:
 def opaque_substitution(chart: Chart, opaque: Optional[Mapping]) -> dict[str, Expr]:
     """Bare atom names -> applied atoms over the declared coordinates
     ("all" applies the full chart)."""
+    opaque = opaque or {}
+    if not isinstance(opaque, Mapping):
+        raise ParseError('opaque must be a record of atom name -> "all" or a list of coordinate names')
     sub: dict[str, Expr] = {}
-    for name, args in (opaque or {}).items():
-        coords = chart.coords if args == "all" else tuple(args)
+    for name, args in opaque.items():
+        coords = chart.coords if args == "all" else _names(args, f"opaque.{name}")
         sub[name] = sx.func(name, *[sx.var(c) for c in coords])
     return sub
+
+
+def instance_from_spec(spec: Mapping, name: str) -> Optional[Mapping[str, str]]:
+    """The numeric instantiation block `name` of a spec (atom name ->
+    expression string), or None when the spec has no block of that name."""
+    instances = spec.get("instances") or {}
+    if not isinstance(instances, Mapping):
+        raise ParseError("instances must be a record of named instantiation blocks")
+    inst = instances.get(name)
+    if inst is not None and not (
+        isinstance(inst, Mapping) and all(isinstance(t, str) for t in inst.values())
+    ):
+        raise ParseError(f"instances.{name} must be a record of atom name -> expression string")
+    return inst
 
 
 def parse_coefficient(text: str, sub: Mapping[str, Expr]) -> Expr:
@@ -97,18 +126,34 @@ def field_from_spec(chart: Chart, spec: Mapping, sub=None) -> VecField:
     return VecField(chart, out)
 
 
-def options_from_spec(spec: Mapping) -> dict:
-    options = dict(spec.get("options", {}))
-    box = options.get("box")
+def _option(options: Mapping, key: str, convert, default, what: str):
+    try:
+        return convert(options.get(key, default))
+    except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
+        raise ParseError(f"options.{key} must be {what}") from exc
+
+
+def _box(box):
     if isinstance(box, (list, tuple)):
-        box = (float(box[0]), float(box[1]))
-    elif isinstance(box, Mapping):
-        box = {k: (float(v[0]), float(v[1])) for k, v in box.items()}
+        return (float(box[0]), float(box[1]))
+    if isinstance(box, Mapping):
+        return {k: (float(v[0]), float(v[1])) for k, v in box.items()}
+    if box is not None:
+        raise TypeError("box must be a pair or a record of pairs")
+    return None
+
+
+def options_from_spec(spec: Mapping) -> dict:
+    if not isinstance(spec, Mapping):
+        raise ParseError("problem spec must be a JSON object")
+    options = spec.get("options") or {}
+    if not isinstance(options, Mapping):
+        raise ParseError("options must be a record of box, seed, step and tolerance")
     return {
-        "box": box,
-        "seed": int(options.get("seed", DEFAULT_SEED)),
-        "step": float(options.get("step", 1e-3)),
-        "tolerance": float(options.get("tolerance", 1e-6)),
+        "box": _option(options, "box", _box, None, "[lo, hi] or a record of coordinate -> [lo, hi]"),
+        "seed": _option(options, "seed", int, DEFAULT_SEED, "an integer"),
+        "step": _option(options, "step", float, 1e-3, "a number"),
+        "tolerance": _option(options, "tolerance", float, 1e-6, "a number"),
     }
 
 

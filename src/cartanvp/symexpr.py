@@ -17,7 +17,8 @@ caches the quotient on its output node, so canonical subtrees are never
 expanded again.  Floats appear only in evaluation and sampling, which
 this module owns for the whole package:
 `compile_expr` turns a canonical form into a float function once (the
-one evaluator; `evaluate` is its one-point entry), and `sample_points`
+one evaluator, on floats or on columns of floats with the same bits per
+row; `evaluate` is its one-point entry), and `sample_points`
 is the one seeded sampler of evaluation points, which are tuples of
 floats aligned with a symbol list of variable names and opaque-atom keys.
 """
@@ -29,6 +30,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     DivisionByZeroError,
@@ -662,21 +665,29 @@ def poly_coeffs(e: Expr) -> Optional[list[Fraction]]:
 def opaque_atoms(e: Expr) -> dict[tuple, Expr]:
     """Distinct opaque function atoms of the canonical form, keyed, in
     order of first appearance in its tree (numerator then denominator,
-    terms in order, each atom before the atoms nested in its arguments)."""
+    terms in order, each atom before the atoms nested in its arguments),
+    followed by the atoms found only inside the arguments of sin, cos,
+    exp and ln (walked the same way, one nesting level at a time)."""
     out: dict[tuple, Expr] = {}
-    _walk_opaque(_canon(e), out)
+    known_args: list[Expr] = []
+    _walk_opaque(_canon(e), out, known_args)
+    for a in known_args:  # grows while walked
+        _walk_opaque(a, out, known_args)
     return out
 
 
-def _walk_opaque(e: Expr, out: dict):
+def _walk_opaque(e: Expr, out: dict, known_args: list):
     if e.op == "func":
+        if e.args[0] in KNOWN_FUNCS:
+            known_args.extend(e.args[1:])
+            return
         key = ("f", e.args[0], tuple(a.key() for a in e.args[1:]))
-        if e.args[0] in KNOWN_FUNCS or key in out:
+        if key in out:
             return
         out[key] = e
     for a in e.args:
         if isinstance(a, Expr):
-            _walk_opaque(a, out)
+            _walk_opaque(a, out, known_args)
 
 
 # ---------------------------------------------------------------------------
@@ -686,13 +697,62 @@ def _walk_opaque(e: Expr, out: dict):
 def compile_expr(e: Expr, symbols: Sequence) -> Callable[[Sequence[float]], float]:
     """Float evaluator of the canonical form of `e`, compiled once.
 
-    The returned function takes the values of `symbols` in order.
+    The returned function takes the values of `symbols` in order, either
+    floats or equal-length 1-D float arrays (columns, one row per point);
+    on columns it returns an array, or a float when the form is constant.
     Constants are converted to floats and atoms bound to their registry
     keys here, not per point; the arithmetic is the tree order of
-    `evaluate`.  A variable or atom missing from `symbols` raises
-    UnboundVariableError or UnboundFunctionError when it is reached.
+    `evaluate`, and a column row gets the bits of the scalar evaluation
+    (products and quotients elementwise, sums by `math.fsum` per row,
+    powers and sin/cos/exp/ln through Python floats per row, the 1e-12
+    checks over the whole column).  A variable or atom missing from
+    `symbols` raises UnboundVariableError or UnboundFunctionError when it
+    is reached.
     """
-    return _compile(canon(e), {s: i for i, s in enumerate(symbols)}, None)
+    c = canon(e)
+    slots = {s: i for i, s in enumerate(symbols)}
+    scalar = _compile(c, slots, None)
+    if _elementwise(c):
+        return scalar
+    columns = None
+
+    def either(v):
+        nonlocal columns
+        if not v or v[0].__class__ is not np.ndarray:
+            return scalar(v)
+        if columns is None:
+            columns = _compile(c, slots, None, rows=True)
+        with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
+            return columns(v)
+
+    return either
+
+
+def _elementwise(e: Expr) -> bool:
+    """Whether the scalar closures of `e` already act on columns row by
+    row: constants, variables, products, and opaque atoms over such
+    arguments."""
+    if e.op == "mul":
+        return all(_elementwise(a) for a in e.args)
+    if e.op == "func":
+        return e.args[0] not in KNOWN_FUNCS and all(_elementwise(a) for a in e.args[1:])
+    return e.op in ("const", "var")
+
+
+def _per_row(x, g: Callable[[float], float]):
+    """g applied to each row of a column as a Python float (or to a float)."""
+    if x.__class__ is np.ndarray:
+        return np.array([g(t) for t in x.tolist()])
+    return g(x)
+
+
+def _fsum_rows(parts: list):
+    """`math.fsum` of each row across columns and broadcast floats."""
+    n = next((len(x) for x in parts if x.__class__ is np.ndarray), None)
+    if n is None:
+        return math.fsum(parts)
+    cols = [x.tolist() if x.__class__ is np.ndarray else [x] * n for x in parts]
+    return np.array(list(map(math.fsum, zip(*cols))))
 
 
 def evaluate(
@@ -716,7 +776,7 @@ def evaluate(
     return f([float(v) for v in env.values()])
 
 
-def _compile(e: Expr, slots: Mapping, funcs) -> Callable[[Sequence[float]], float]:
+def _compile(e: Expr, slots: Mapping, funcs, rows: bool = False) -> Callable[[Sequence[float]], float]:
     op = e.op
     if op == "const":
         c = float(e.args[0])
@@ -732,10 +792,12 @@ def _compile(e: Expr, slots: Mapping, funcs) -> Callable[[Sequence[float]], floa
 
         return unbound
     if op == "add":
-        parts = [_compile(a, slots, funcs) for a in e.args]
+        parts = [_compile(a, slots, funcs, rows) for a in e.args]
+        if rows:
+            return lambda v: _fsum_rows([p(v) for p in parts])
         return lambda v: math.fsum([p(v) for p in parts])
     if op == "mul":
-        parts = [_compile(a, slots, funcs) for a in e.args]
+        parts = [_compile(a, slots, funcs, rows) for a in e.args]
 
         def product(v):
             out = 1.0
@@ -745,7 +807,16 @@ def _compile(e: Expr, slots: Mapping, funcs) -> Callable[[Sequence[float]], floa
 
         return product
     if op == "pow":
-        base, n = _compile(e.args[0], slots, funcs), e.args[1]
+        base, n = _compile(e.args[0], slots, funcs, rows), e.args[1]
+        if rows:
+
+            def power_rows(v):
+                b = base(v)
+                if n < 0 and np.any(np.abs(b) <= EVAL_DIV_TOLERANCE):
+                    raise DivisionByZeroError("negative power of (near-)zero base")
+                return _per_row(b, lambda t: t**n)
+
+            return power_rows
 
         def power(v):
             b = base(v)
@@ -755,7 +826,16 @@ def _compile(e: Expr, slots: Mapping, funcs) -> Callable[[Sequence[float]], floa
 
         return power
     if op == "div":
-        num_f, den_f = (_compile(a, slots, funcs) for a in e.args)
+        num_f, den_f = (_compile(a, slots, funcs, rows) for a in e.args)
+        if rows:
+
+            def quotient_rows(v):
+                den = den_f(v)
+                if np.any(np.abs(den) <= EVAL_DIV_TOLERANCE):
+                    raise DivisionByZeroError("denominator within 1e-12 of zero")
+                return num_f(v) / den
+
+            return quotient_rows
 
         def quotient(v):
             den = den_f(v)
@@ -766,12 +846,14 @@ def _compile(e: Expr, slots: Mapping, funcs) -> Callable[[Sequence[float]], floa
         return quotient
     if op == "func":
         name = e.args[0]
-        argv = [_compile(a, slots, funcs) for a in e.args[1:]]
+        argv = [_compile(a, slots, funcs, rows) for a in e.args[1:]]
         if funcs and name in funcs:
             g = funcs[name]
             return lambda v: float(g(*[a(v) for a in argv]))
         if name in KNOWN_FUNCS:
             g, arg = KNOWN_FUNCS[name], argv[0]
+            if rows:
+                return lambda v: _per_row(arg(v), g)
             return lambda v: g(arg(v))
         i = slots.get(("f", name, tuple(canon(a).key() for a in e.args[1:])))
 

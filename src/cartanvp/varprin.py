@@ -94,6 +94,8 @@ class VariationalProblem:
     vertical_annihilator: ids.Distribution = field(compare=False)
     box: object = None
     seed: int = DEFAULT_SEED
+    # the result of `critical_equations`, filled on its first success
+    _critical: Optional[CriticalSystem] = field(default=None, init=False, repr=False, compare=False)
 
     def ideal(self) -> ids.CartanIdeal:
         gens = tuple(p for p in self.psi if not p.is_zero_form())
@@ -286,7 +288,8 @@ def _constant_ratio(num: Expr, den: Expr) -> Optional[Fraction]:
 
 
 def critical_equations(p: VariationalProblem) -> CriticalSystem:
-    """The residual expressions whose vanishing picks out critical sections.
+    """The residual expressions whose vanishing picks out critical sections,
+    computed once per problem and kept on it.
 
     Decomposable route: signed k x k minors of the slope matrix P built
     from the normalized factors.  Maximal-degree route: the two quasilinear
@@ -295,6 +298,12 @@ def critical_equations(p: VariationalProblem) -> CriticalSystem:
     pulled-back contraction forms is computed independently and must agree
     canonically (ratio reported).
     """
+    if p._critical is None:
+        object.__setattr__(p, "_critical", _critical_equations(p))
+    return p._critical
+
+
+def _critical_equations(p: VariationalProblem) -> CriticalSystem:
     chart = p.chart
     if p.factors is not None and p.factors.normalized:
         fs = p.factors

@@ -98,6 +98,24 @@ class TestEl:
         assert code == 2
         assert field in json.loads(out)["error"]
 
+    @pytest.mark.parametrize(
+        "field, value, extra, message",
+        [
+            ("chart", 5, [], "chart must be a record"),
+            ("opaque", 5, [], "opaque must be a record"),
+            ("instances", 5, ["--instance", "constant"], "instances must be a record"),
+            ("options", 5, [], "options must be a record"),
+        ],
+    )
+    def test_malformed_spec_field_is_parse_error(self, tmp_path, field, value, extra, message):
+        spec = fx.load("example1")
+        spec[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        code, out = run(["analyze", "--spec", str(path)] + extra)
+        assert code == 2
+        assert message in json.loads(out)["error"]
+
     def test_parse_error_has_position(self, tmp_path):
         spec = fx.load("example1")
         spec["factors"][0][0]["coeff"] = "1 + * 2"

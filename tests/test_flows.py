@@ -9,13 +9,40 @@ from cartanvp import flows
 from cartanvp import forms as fm
 from cartanvp import ideals as ids
 from cartanvp import linalg as la
+from cartanvp import liouville as lv
+from cartanvp import specio
 from cartanvp import symexpr as sx
 from cartanvp import varprin as vp
 from cartanvp.errors import (
     BoxExitError,
     EvaluationFailureError,
     NonTransversalDistributionError,
+    ResidualTooLargeError,
     TangencyViolationError,
+)
+
+
+def _transport_problem():
+    """Maximal-degree transport problem with closed form z = x2^2 + x1/2,
+    w = -x2 - 2 x1 from the seed on the slice x1 = 0."""
+    chart = fm.BundleChart(["x1", "x2"], ["z", "w"])
+    ix = chart.index
+    theta = fm.DiffForm(
+        chart,
+        2,
+        {
+            (ix("z"), ix("w")): sx.var("x2"),
+            (ix("x2"), ix("w")): sx.canon(sx.num(Fraction(1, 2)) * sx.var("x1")),
+            (ix("x2"), ix("z")): sx.canon(sx.num(2) * sx.var("x1")),
+        },
+    )
+    return vp.build_problem(chart, theta=theta)
+
+
+TRANSPORT_SLICE_SEED = dict(
+    phi0={"z": sx.var("x2") ** 2, "w": -1 * sx.var("x2")},
+    grid={"x1": (0.0, 1.0, 11), "x2": (0.0, 1.0, 11)},
+    seed_axes=("x2",),
 )
 
 
@@ -112,28 +139,10 @@ class TestSweep:
 
     def test_maximal_degree_slice_seed(self):
         # transport problem: seed on the codimension-one slice x1 = 0
-        chart = fm.BundleChart(["x1", "x2"], ["z", "w"])
-        ix = chart.index
+        p = _transport_problem()
+        ix = p.chart.index
         f, g = 0.5, -2.0
-        theta = fm.DiffForm(
-            chart,
-            2,
-            {
-                (ix("z"), ix("w")): sx.var("x2"),
-                (ix("x2"), ix("w")): sx.canon(sx.num(Fraction(1, 2)) * sx.var("x1")),
-                (ix("x2"), ix("z")): sx.canon(sx.num(2) * sx.var("x1")),
-            },
-        )
-        p = vp.build_problem(chart, theta=theta)
-        x2 = sx.var("x2")
-        patch = flows.sweep_section(
-            p,
-            p.annihilator,
-            {"z": x2**2, "w": -1 * x2},
-            grid={"x1": (0.0, 1.0, 11), "x2": (0.0, 1.0, 11)},
-            seed_axes=("x2",),
-            step=1e-3,
-        )
+        patch = flows.sweep_section(p, p.annihilator, **TRANSPORT_SLICE_SEED, step=1e-3)
         assert patch.max_residual < 1e-8
         # closed form: z = x2^2 + f x1, w = -x2 + g x1
         vals = np.linspace(0, 1, 11)
@@ -330,3 +339,231 @@ class TestSweep:
         mid = patch.interpolate({"x1": 0.5, "x2": 0.5})
         # multilinear interpolation of an affine section is exact
         assert abs(mid["z1"] - (-(0.5) * 0.5 - (-1 / 3) * 0.5)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the batched sweep against the per-edge, per-node algorithm it replaced
+
+
+def _oracle_sweep(p, D, phi0, grid, seed_axes=(), step=1e-3, axis_order=None):
+    """Points, residuals and CSV of a sweep done as a recursive fill of
+    chained public `flow` calls (one per lattice edge) with a node-by-node
+    residual loop."""
+    chart = p.chart
+    axes = {b: flows.GridAxis(*grid[b]) for b in chart.base}
+    vals = {b: axes[b].values() for b in chart.base}
+    order = list(axis_order or [b for b in chart.base if b not in seed_axes])
+    fields = dict(zip(order, flows._transversal_fields(p, D, order)))
+    seed = {n: sx.canon(c if isinstance(c, sx.Expr) else sx.num(c)) for n, c in phi0.items()}
+    shape = tuple(axes[b].count for b in chart.base)
+    points = np.full(shape + (chart.dim,), np.nan)
+
+    def fill(idx, point, depth):
+        if depth == len(order):
+            points[tuple(idx[b] for b in chart.base)] = point
+            return
+        ax = order[depth]
+        fill({**idx, ax: 0}, point, depth + 1)
+        for j in range(1, len(vals[ax])):
+            point = flows.flow(fields[ax], point, float(vals[ax][j] - vals[ax][j - 1]), step)[-1]
+            fill({**idx, ax: j}, point, depth + 1)
+
+    for seed_idx in np.ndindex(*(axes[b].count for b in seed_axes)):
+        at = {ax: vals[ax][j] for ax, j in zip(seed_axes, seed_idx)}
+        pt = np.zeros(chart.dim)
+        for b in chart.base:
+            pt[chart.index(b)] = at.get(b, vals[b][0])
+        for name in chart.fiber:
+            f = sx.compile_expr(seed[name], seed_axes)
+            pt[chart.index(name)] = f([float(at[ax]) for ax in seed_axes])
+        fill(dict(zip(seed_axes, seed_idx)), pt, 0)
+
+    system = vp.critical_equations(p)
+    symbols = list(chart.coords) + [vp.jet_name(f, b) for b in chart.base for f in chart.fiber]
+    deltas = [sx.compile_expr(d, symbols) for d in system.deltas]
+    residuals = np.zeros(shape + (len(deltas),))
+    rows = []
+    for node in np.ndindex(*shape):
+        values = points[node].tolist()
+        for d, b in enumerate(chart.base):
+            h = float(vals[b][1] - vals[b][0]) if shape[d] > 1 else 1.0
+            cnt, j = shape[d], node[d]
+            for name in chart.fiber:
+
+                def at(i):
+                    return points[node[:d] + (i,) + node[d + 1 :]][chart.index(name)]
+
+                if cnt == 1:
+                    slope = 0.0
+                elif 0 < j < cnt - 1:
+                    slope = (at(j + 1) - at(j - 1)) / (2 * h)
+                elif j == 0:
+                    slope = (-3 * at(0) + 4 * at(1) - at(2)) / (2 * h) if cnt > 2 else (at(1) - at(0)) / h
+                else:
+                    slope = (3 * at(j) - 4 * at(j - 1) + at(j - 2)) / (2 * h) if cnt > 2 else (at(j) - at(j - 1)) / h
+                values.append(float(slope))
+        for e, f in enumerate(deltas):
+            residuals[node + (e,)] = f(values)
+        pt = points[node]
+        row = [repr(float(pt[chart.index(n)])) for n in chart.base + chart.fiber]
+        rows.append(",".join(row + [repr(float(r)) for r in residuals[node]]))
+    return points, residuals, rows
+
+
+def _constant_k3_problem():
+    base, fiber = ["x1", "x2", "x3"], ["z1", "z2", "z3", "z4"]
+    B = [["1/2", "-1/3", "2"], ["0", "3/4", "-1"], ["-2/5", "1", "1/7"], ["1", "0", "-3/2"]]
+    factors = [
+        [{"coeff": "1", "index": [z]}] + [{"coeff": b, "index": [x]} for b, x in zip(row, base)]
+        for z, row in zip(fiber, B)
+    ]
+    spec = {"chart": {"base": base, "fiber_z": fiber, "fiber_w": []}, "factors": factors}
+    return specio.problem_from_spec(spec)
+
+
+def _helix_problem():
+    P = fm.Chart(["x", "y"])
+    x, y = sx.var("x"), sx.var("y")
+    setup = lv.build_setup(P, fm.volume_form(P), fm.VecField(P, [-1 * y, x]))
+    return lv.build_theta(setup)
+
+
+def _example2_seed_curve():
+    x3 = sx.var("x3")
+    return {
+        "z1": sx.canon(x3**2 / 2),
+        "z2": sx.canon(-1 * x3),
+        "z3": sx.canon(sx.num(Fraction(1, 4)) + x3),
+    }
+
+
+DIFFERENTIAL_CASES = {
+    "example1-x1-first": (
+        lambda: fx.problem("example1", instance="constant"),
+        dict(phi0={"z1": 0, "z2": 0, "z3": 0}, grid={"x1": (0.0, 1.0, 7), "x2": (0.0, 0.5, 5)}),
+    ),
+    "example1-x2-first": (
+        lambda: fx.problem("example1", instance="constant"),
+        dict(
+            phi0={"z1": 0, "z2": sx.num(Fraction(1, 3)), "z3": 0},
+            grid={"x1": (0.0, 1.0, 7), "x2": (0.0, 0.5, 5)},
+            axis_order=("x2", "x1"),
+        ),
+    ),
+    "constant-k3": (
+        _constant_k3_problem,
+        dict(
+            phi0={"z1": sx.num(Fraction(1, 5)), "z2": 0, "z3": sx.num(-1), "z4": 0},
+            grid={"x1": (0.0, 0.1, 4), "x2": (0.0, 0.1, 3), "x3": (0.0, 0.1, 5)},
+            axis_order=("x3", "x1", "x2"),
+            step=2.5e-3,
+        ),
+    ),
+    "example2-axis-seed-curve": (
+        lambda: fx.problem("example2", instance="axis"),
+        dict(
+            phi0=_example2_seed_curve(),
+            grid={"x1": (0.0, 0.5, 4), "x2": (0.0, 0.5, 3), "x3": (0.0, 0.5, 5)},
+            seed_axes=("x3",),
+        ),
+    ),
+    "helix": (
+        _helix_problem,
+        dict(phi0={"x": sx.num(Fraction(3, 4)), "y": sx.num(Fraction(-1, 2))}, grid={"t": (0.0, 1.6, 33)}),
+    ),
+    "maximal-degree-slice-seed": (_transport_problem, dict(TRANSPORT_SLICE_SEED)),
+}
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+    def test_bitwise_equal_to_per_edge_oracle(self, case):
+        make, kw = DIFFERENTIAL_CASES[case]
+        p = make()
+        kw = {"step": 1e-3, **kw}
+        patch = flows.sweep_section(p, p.annihilator, tolerance=1e-2, **kw)
+        points, residuals, rows = _oracle_sweep(p, p.annihilator, **kw)
+        assert np.array_equal(patch.points, points)
+        assert np.array_equal(patch.residuals, residuals)
+        assert patch.to_csv().splitlines()[2:] == rows
+
+    def test_residual_error_names_first_bad_node_in_c_order(self):
+        p = _helix_problem()
+        kw = dict(phi0={"x": sx.ONE, "y": sx.ZERO}, grid={"t": (0.0, 1.6, 33)}, step=4e-3)
+        worst = np.max(np.abs(flows.sweep_section(p, p.annihilator, tolerance=1.0, **kw).residuals), axis=-1)
+        tol = float(worst[0])  # the one-sided end nodes carry the largest errors
+        first = int(np.argmax(worst > tol))
+        assert first > 0
+        with pytest.raises(ResidualTooLargeError) as info:
+            flows.sweep_section(p, p.annihilator, tolerance=tol, **kw)
+        assert info.value.node == (first,)
+        assert info.value.value == worst[first]
+        assert f"node ({first},)" in str(info.value)
+
+    def test_k3_residual_error_node_order(self):
+        p = _constant_k3_problem()
+        kw = dict(phi0={"z1": 0, "z2": 0, "z3": 0, "z4": 0}, grid={"x1": (0.0, 0.1, 3), "x2": (0.0, 0.1, 4), "x3": (0.0, 0.1, 2)})
+        worst = np.max(np.abs(flows.sweep_section(p, p.annihilator, step=5e-3, **kw).residuals), axis=-1)
+        tol = float(worst.flat[0])
+        first = np.unravel_index(int(np.argmax(worst > tol)), worst.shape)
+        assert sum(first) > 0
+        with pytest.raises(ResidualTooLargeError) as info:
+            flows.sweep_section(p, p.annihilator, step=5e-3, tolerance=tol, **kw)
+        assert info.value.node == tuple(int(i) for i in first)
+        assert info.value.value == worst[first]
+
+    @staticmethod
+    def _coordinate_distribution(chart, extra=None):
+        """d/dx1 (+ `extra` d/dz1) and d/dx2: an integrable, transversal
+        distribution given directly, whatever the problem's annihilator."""
+        X1 = [sx.ONE, sx.ZERO] + [sx.ZERO] * len(chart.fiber)
+        if extra is not None:
+            X1[chart.index("z1")] = extra
+        X2 = [sx.ZERO, sx.ONE] + [sx.ZERO] * len(chart.fiber)
+        cert = la.RankCertificate(2, 0, None, 0, [], [])
+        return ids.Distribution(chart, (fm.VecField(chart, X1), fm.VecField(chart, X2)), 2, None, cert)
+
+    def test_march_failure_names_the_point(self):
+        # the z1-slope of the x1 field has a pole at x1 = 1/2, which the
+        # k4 stage of the second step hits exactly
+        p = fx.problem("example1", instance="constant")
+        pole = 1 / (sx.var("x1") - sx.num(Fraction(1, 2)))
+        D = self._coordinate_distribution(p.chart, pole)
+        with pytest.raises(EvaluationFailureError, match=r"field evaluation failed at \{'x1': 0.5, 'x2': 0.0,"):
+            flows.sweep_section(
+                p, D, {"z1": 0, "z2": 0, "z3": 0}, grid={"x1": (0.0, 1.0, 5), "x2": (0.0, 1.0, 3)}, step=0.25
+            )
+
+    def _singular_problem(self):
+        # B11 = 1/(x1 - 1/2): every equation is singular on the nodes x1 = 1/2
+        spec = fx.load("example1")
+        spec.pop("opaque")
+        inst = dict(spec["instances"]["constant"], B11="1/(x1 - 1/2)")
+        return specio.problem_from_spec(spec, instance=inst)
+
+    def test_residual_failure_names_the_node(self):
+        p = self._singular_problem()
+        D = self._coordinate_distribution(p.chart)
+        kw = dict(phi0={"z1": 0, "z2": 0, "z3": 0}, grid={"x1": (0.0, 1.0, 5), "x2": (0.0, 1.0, 3)}, step=0.25)
+        with pytest.raises(EvaluationFailureError, match=r"residual evaluation failed at \(2, 0\): denominator"):
+            flows.sweep_section(p, D, tolerance=1e300, **kw)
+        # a node before it that violates the tolerance is reported first
+        with pytest.raises(ResidualTooLargeError) as info:
+            flows.sweep_section(p, D, tolerance=1.0, **kw)
+        assert info.value.node == (0, 0)
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_grid_without_nodes_is_rejected(self, count):
+        p = fx.problem("example1", instance="constant")
+        with pytest.raises(ValueError, match="at least one node"):
+            flows.sweep_section(
+                p, p.annihilator, {"z1": 0, "z2": 0, "z3": 0}, grid={"x1": (0.0, 1.0, count), "x2": (0.0, 1.0, 3)}
+            )
+
+    def test_unbound_residual_atom_fails_at_the_first_node(self):
+        p = fx.problem("example1")  # generic: the equations carry opaque atoms
+        D = self._coordinate_distribution(p.chart)
+        with pytest.raises(EvaluationFailureError, match=r"residual evaluation failed at \(0, 0\): no interpretation"):
+            flows.sweep_section(
+                p, D, {"z1": 0, "z2": 0, "z3": 0}, grid={"x1": (0.0, 1.0, 3), "x2": (0.0, 1.0, 3)}, step=0.5
+            )

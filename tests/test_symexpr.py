@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cartanvp import symexpr as sx
@@ -158,6 +159,14 @@ def _exact(e, env):
     return out
 
 
+def _evaluates(f, value) -> bool:
+    try:
+        f([value])
+    except (DivisionByZeroError, UnboundVariableError, ValueError):
+        return False
+    return True
+
+
 class TestCompiled:
     def test_differential_against_exact_rationals(self):
         # quotients and negative powers of seeded polynomials with nested
@@ -206,6 +215,43 @@ class TestCompiled:
         assert f([2e-12]) == 1 / 2e-12
         assert sx.evaluate(x**-1, {"x": 2e-12}) == 2e-12**-1
 
+    def test_columns_match_scalar_bitwise(self):
+        # sums with cancellation (fsum per row), quotients, integer powers
+        # and the known functions, with an opaque atom under sin
+        rng = random.Random(31)
+        names = ["x", "y", "z"]
+        F = sx.func("F", x, y)
+        for _ in range(30):
+            p1 = rand_poly(rng, names, degree=3, terms=4)
+            q = 3 + rand_poly(rng, names, degree=1, terms=2) ** 2
+            e = p1 / q + sx.sin(F + x) * z**3 - sx.exp(y) * sx.ln(2 + x**2) + sx.cos(p1) * (x - y) ** -2
+            symbols, points = sx.sample_points([e], seed=rng.randrange(1 << 16), count=40)
+            f = sx.compile_expr(e, symbols)
+            rows = [vals for vals in points if abs(vals[0] - vals[1]) > 1e-3]
+            scalar = np.array([f(list(vals)) for vals in rows])
+            columns = f(list(np.array(rows).T))
+            assert np.array_equal(columns, scalar)
+        assert sx.compile_expr(x * 0 + 5, ["x"])([np.zeros(3)]) == 5.0
+
+    @pytest.mark.parametrize(
+        "expr, column, error",
+        [
+            (1 / (x - 1), [3.0, 1.0 + 1e-13, 2.0], DivisionByZeroError),
+            (sx.sin(x) * (x - 1) ** -3 + x, [3.0, 1.0, 2.0], DivisionByZeroError),
+            (sx.ln(x) + 1, [1.0, -1.0], ValueError),
+            (x + y, [1.0, 2.0], UnboundVariableError),
+            (sx.func("B11", x) + 1, [1.0, 2.0], UnboundFunctionError),
+        ],
+    )
+    def test_column_errors_are_the_scalar_errors(self, expr, column, error):
+        f = sx.compile_expr(expr, ["x"])
+        with pytest.raises(error) as on_column:
+            f([np.array(column)])
+        bad = next(v for v in column if not _evaluates(f, v))
+        with pytest.raises(error) as on_row:
+            f([bad])
+        assert str(on_column.value) == str(on_row.value)
+
     def test_sampler_draws_pinned(self):
         # labels of the first two draws, recorded before the sampler was
         # unified; any change to names, atom keys or draw order shows here
@@ -253,6 +299,11 @@ class TestIsZero:
         res = sx.is_zero(x - 3, box={"x": (0.0, 1.0)})
         assert res.verdict == "nonzero"
         assert 0.0 <= res.witness["x"] <= 1.0
+
+    def test_opaque_atom_under_known_function_is_drawn(self):
+        res = sx.is_zero(sx.sin(sx.func("F", x)) + x)
+        assert res.verdict == "nonzero"
+        assert "F(x)" in res.witness
 
 
 class TestParser:
@@ -395,12 +446,12 @@ class TestCanonicalCore:
 
     def test_opaque_atoms_order(self):
         # numerator then denominator, terms in canonical order, each atom
-        # before the atoms nested in its arguments; atoms under a known
-        # function (sin) are not listed
+        # before the atoms nested in its arguments; atoms found only under
+        # a known function (sin) come last
         C = sx.func("C", y, z)
         B = sx.func("B", x, C)
         D = sx.func("D", C + x)
         e = (y * B + C**2 * x - D) / (x + sx.func("E", D, B) + 3) + sx.sin(sx.func("F", x))
-        want = ["C(y, z)", "E(D(x + C(y, z)), B(x, C(y, z)))", "D(x + C(y, z))", "B(x, C(y, z))"]
+        want = ["C(y, z)", "E(D(x + C(y, z)), B(x, C(y, z)))", "D(x + C(y, z))", "B(x, C(y, z))", "F(x)"]
         assert [str(a) for a in sx.opaque_atoms(e).values()] == want
         assert list(sx.opaque_atoms(e)) == list(sx.opaque_atoms(sx.canon(e)))

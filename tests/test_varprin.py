@@ -155,6 +155,15 @@ class TestCriticalEquations:
         assert system.ratio == 1
         assert len(system.deltas) == 3
 
+    def test_computed_once_per_problem(self, chart5):
+        p = example1_problem(chart5)
+        system = vp.critical_equations(p)
+        assert vp.critical_equations(p) is system
+        assert vp.verify_critical(p, fm.SectionMap(chart5, {f"z{a}": sx.ZERO for a in (1, 2, 3)})) is not None
+        assert vp.critical_equations(p) is system
+        # the cache is no part of the problem's value
+        assert p == example1_problem(chart5)
+
     def test_maximal_degree_reduces_to_transport_residuals(self):
         p, f, g = maximal_degree_problem()
         system = vp.critical_equations(p)
