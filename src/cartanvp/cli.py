@@ -37,32 +37,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_spec=True):
-        if needs_spec:
+    # each command accepts only the flags it reads
+    def command(name, help, spec=True, formats=("json", "text")):
+        p = sub.add_parser(name, help=help)
+        if spec:
             p.add_argument("--spec", required=True, help="problem spec JSON path")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=["json", "text", "csv"], default="json")
+        p.add_argument("--format", choices=list(formats), default="json")
         p.add_argument("--seed", type=int, help="override the spec / env seed")
-        p.add_argument("--box", help="sampling box as 'lo,hi'")
-        p.add_argument("--step", type=float, help="integration step")
-        p.add_argument("--tol", type=float, help="residual tolerance")
-        p.add_argument("--instance", help="numeric instantiation block name")
+        return p
 
-    common(sub.add_parser("analyze", help="classification, annihilator, Frobenius verdict"))
-    common(sub.add_parser("el", help="critical-section equations"))
-    common(sub.add_parser("annihilator", help="annihilator basis of the two-step differential"))
-    common(sub.add_parser("frobenius", help="integrability verdict for the annihilator"))
-    p = sub.add_parser("verify", help="residuals of a candidate section")
-    common(p)
+    def problem_command(name, help, **kw):
+        p = command(name, help, **kw)
+        p.add_argument("--box", help="sampling box as 'lo,hi'")
+        p.add_argument("--instance", help="numeric instantiation block name")
+        return p
+
+    problem_command("analyze", "classification, annihilator, Frobenius verdict")
+    problem_command("el", "critical-section equations")
+    problem_command("annihilator", "annihilator basis of the two-step differential")
+    problem_command("frobenius", "integrability verdict for the annihilator")
+    p = problem_command("verify", "residuals of a candidate section")
     p.add_argument("--section", required=True, help="section JSON path")
-    p = sub.add_parser("integrate", help="sweep a critical section patch (CSV)")
-    common(p)
+    p = problem_command(
+        "integrate", "sweep a critical section patch (CSV)", formats=("json", "text", "csv")
+    )
     p.add_argument("--section", required=True, help="seed-section JSON path")
-    p = sub.add_parser("liouville", help="assemble the action form of a volume-preserving field")
-    common(p)
-    p = sub.add_parser("example", help="run a stored worked example against its goldens")
+    p.add_argument("--step", type=float, help="integration step")
+    p.add_argument("--tol", type=float, help="residual tolerance")
+    p = command("liouville", "assemble the action form of a volume-preserving field")
+    p.add_argument("--box", help="sampling box as 'lo,hi'")
+    p = command("example", "run a stored worked example against its goldens", spec=False)
     p.add_argument("name", choices=list(fx.FIXTURE_NAMES))
-    common(p, needs_spec=False)
     return ap
 
 
@@ -100,10 +106,6 @@ def _problem(args):
     p = specio.problem_from_spec(spec, box=box, seed=seed, instance=instance)
     options["seed"] = seed
     options["box"] = box
-    if args.step is not None:
-        options["step"] = args.step
-    if args.tol is not None:
-        options["tolerance"] = args.tol
     return p, spec, options
 
 
@@ -234,8 +236,8 @@ def cmd_integrate(args):
         comps,
         grid,
         seed_axes=seed_axes,
-        step=options["step"],
-        tolerance=options["tolerance"],
+        step=options["step"] if args.step is None else args.step,
+        tolerance=options["tolerance"] if args.tol is None else args.tol,
         axis_order=section_spec.get("axis_order"),
     )
     report = {
@@ -335,19 +337,13 @@ def run(argv=None) -> tuple[int, str]:
             {"error": str(exc), "kind": type(exc).__name__}, sort_keys=True
         )
         return 2, payload
-    if len(result) == 4:
-        report, text, code, csv_payload = result
-    else:
-        report, text, code = result
-        csv_payload = None
+    report, text, code = result[:3]
     if args.format == "json":
         out = json.dumps(report, sort_keys=True, indent=2) + "\n"
     elif args.format == "text":
         out = text + "\n"
-    else:
-        if csv_payload is None:
-            raise SystemExit("csv format is only available for integrate")
-        out = csv_payload
+    else:  # csv, which only integrate accepts and returns
+        out = result[3]
     if args.out:
         with open(args.out, "w") as f:
             f.write(out)

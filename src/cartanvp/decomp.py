@@ -2,9 +2,9 @@
 
 Handles the three point conditions on the factor set (independence,
 constant transversal-annihilator dimension, trivial vertical annihilator),
-row-reduction of the fiber block to the two normal forms (identity pivot
-block with residual base rows, or identity block with a residual
-w-column block), and the hatted wedge products chi_s.
+row-reduction of the fiber block (by `linalg.gauss_eliminate`) to the two
+normal forms (identity pivot block with residual base rows, or identity
+block with a residual w-column block), and the hatted wedge products chi_s.
 
 Decomposability of a raw form is never detected; callers supply factors.
 """
@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import linalg as la
 from . import symexpr as sx
-from .errors import DegreeMismatchError, DivisionByZeroError, RankDeficientLError
+from .errors import DegreeMismatchError, RankDeficientLError
 from .forms import BundleChart, DiffForm, _perm_sign, coord_field, interior, wedge_all, zero_form
 from .symexpr import DEFAULT_SEED, Expr
 
@@ -66,14 +66,6 @@ class FactorSet:
         ch = self.chart
         return [[a.terms.get((i,), sx.ZERO) for i in range(ch.dim)] for a in self.alphas]
 
-    def fiber_block(self) -> list[list[Expr]]:
-        ch = self.chart
-        return [[a.terms.get((i,), sx.ZERO) for i in range(ch.k, ch.dim)] for a in self.alphas]
-
-    def base_block(self) -> list[list[Expr]]:
-        ch = self.chart
-        return [[a.terms.get((i,), sx.ZERO) for i in range(ch.k)] for a in self.alphas]
-
 
 @dataclass(frozen=True)
 class Def8Verdict:
@@ -95,23 +87,20 @@ def classify(fs: FactorSet, box=None, seed: int = DEFAULT_SEED) -> Def8Verdict:
     """
     ch = fs.chart
     full = fs.coefficient_matrix()
-    fiber = fs.fiber_block()
     symbols, points = sx.sample_points(
         [e for row in full for e in row], box=box, seed=seed, count=la.SAMPLE_COUNT, center=True
     )
     points = list(points)
     eval_full = la.compile_matrix(full, symbols)
-    eval_fiber = la.compile_matrix(fiber, symbols)
     k1 = ch.k + 1
     nond, ranks_q, ranks_r, ranks_v = True, set(), set(), set()
     witnesses: dict = {"degenerate": [], "rank_changes": []}
     seen = []
     for vals in points:
         arr = eval_full(vals)
-        arrL = eval_fiber(vals)
         rk = la.numeric_rank(arr)
         q = ch.dim - rk
-        v = (ch.dim - ch.k) - la.numeric_rank(arrL)
+        v = (ch.dim - ch.k) - la.numeric_rank(arr[:, ch.k :])
         r = q - v
         seen.append((q, v, r))
         ranks_q.add(q)
@@ -143,76 +132,34 @@ def normalize(fs: FactorSet, box=None, seed: int = DEFAULT_SEED) -> FactorSet:
 
     Row operations only (never coordinate changes); the factor span is
     unchanged, so the wedge changes by the recorded nonzero multiplier.
-    Pivots prefer the primary fiber block, greedily by sampled magnitude
-    at the box center, ties broken by (row, column).
+    Pivots follow the rule of `linalg.gauss_eliminate`, with the primary
+    fiber columns preferred to the residual block; base columns never
+    pivot.
     """
     ch = fs.chart
     k1 = ch.k + 1
-    nfib = ch.dim - ch.k
-    rows = [[sx.canon(a.terms.get((i,), sx.ZERO)) for i in range(ch.dim)] for a in fs.alphas]
-    target_pivots = min(nfib, k1)
-    symbols, points = sx.sample_points(
-        [e for row in rows for e in row], box=box, seed=seed, count=1, center=True
+    elim = la.gauss_eliminate(
+        fs.coefficient_matrix(),
+        box=box,
+        seed=seed,
+        col_groups=[range(ch.k, ch.k + ch.p), range(ch.k + ch.p, ch.dim)],
     )
-    center = next(points)
-    multiplier = sx.ONE
-    pivots: list[tuple[int, int]] = []  # (row, absolute column)
-    used_rows: set[int] = set()
-    used_cols: set[int] = set()
-    col_ranges = (
-        range(ch.k, ch.k + ch.p),  # primary fiber block first
-        range(ch.k + ch.p, ch.dim),
-    )
-    for _ in range(target_pivots):
-        best = None
-        for cols in col_ranges:
-            for i in range(k1):
-                if i in used_rows:
-                    continue
-                for j in cols:
-                    if j in used_cols:
-                        continue
-                    e = rows[i][j]
-                    if e.is_const_zero():
-                        continue
-                    try:
-                        mag = abs(sx.compile_expr(e, symbols)(center))
-                    except (DivisionByZeroError, OverflowError, ValueError):
-                        mag = 0.0
-                    if mag > la.RANK_TOL and sx.is_zero(e, box=box, seed=seed).is_nonzero:
-                        if best is None or mag > best[0]:
-                            best = (mag, i, j)
-            if best is not None:
-                break
-        if best is None:
-            break
-        _, pi, pj = best
-        pivot = rows[pi][pj]
-        multiplier = multiplier / pivot
-        rows[pi] = [sx.canon(e / pivot) for e in rows[pi]]
-        for i in range(k1):
-            if i == pi:
-                continue
-            f = rows[i][pj]
-            if not f.is_const_zero():
-                rows[i] = [sx.canon(a - f * b) for a, b in zip(rows[i], rows[pi])]
-        pivots.append((pi, pj))
-        used_rows.add(pi)
-        used_cols.add(pj)
-    if len(pivots) < target_pivots:
+    target_pivots = min(ch.dim - ch.k, k1)
+    if elim.rank < target_pivots:
         raise RankDeficientLError(
-            f"fiber block rank {len(pivots)} below required {target_pivots}"
+            f"fiber block rank {elim.rank} below required {target_pivots}"
         )
-    if ch.s > 0 and len(pivots) < k1:
+    if ch.s > 0 and elim.rank < k1:
         raise RankDeficientLError("residual-block chart needs a full k+1 pivot set")
+    multiplier = sx.ONE
+    for pivot in elim.pivot_values:
+        multiplier = multiplier / pivot
     # order: pivot rows ascending by pivot column, then the pure base rows
-    pivots_sorted = sorted(pivots, key=lambda t: t[1])
-    order = [pi for pi, _ in pivots_sorted] + [
-        i for i in range(k1) if i not in used_rows
-    ]
-    swap_sign = _perm_sign(order)
-    multiplier = sx.canon(multiplier * sx.num(swap_sign))
-    new_rows = [rows[i] for i in order]
+    pivots_sorted = sorted(elim.pivots, key=lambda t: t[1])
+    order = [pi for pi, _ in pivots_sorted]
+    order += [i for i in range(k1) if i not in order]
+    multiplier = sx.canon(multiplier * sx.num(_perm_sign(order)))
+    new_rows = [elim.rows[i] for i in order]
     z_order = tuple(pj for _, pj in pivots_sorted)
     alphas = tuple(
         DiffForm(ch, 1, {(j,): c for j, c in enumerate(row)}) for row in new_rows

@@ -28,7 +28,7 @@ from .. import ideals as ids
 from .. import specio
 from .. import symexpr as sx
 from .. import varprin as vp
-from ..forms import DiffForm, VecField, wedge_all, zero_form
+from ..forms import wedge_all, zero_form
 
 __all__ = ["FIXTURE_NAMES", "load", "problem", "run_fixture", "FixtureReport", "FixtureItem"]
 
@@ -84,14 +84,6 @@ class FixtureReport:
         }
 
 
-def _golden_form(chart, records, sub) -> DiffForm:
-    return specio.form_from_records(chart, records, sub)
-
-
-def _golden_field(chart, record, sub) -> VecField:
-    return specio.field_from_spec(chart, record, sub)
-
-
 def run_fixture(name: str, box=None, seed: Optional[int] = None) -> FixtureReport:
     """Recompute everything the printed example displays and compare:
     canonical equality for forms and scalar equations, span equality at
@@ -122,12 +114,12 @@ def run_fixture(name: str, box=None, seed: Optional[int] = None) -> FixtureRepor
         check(f"classification.{key}", have == want, {"want": want, "got": have})
 
     if "eta" in golden:
-        want_eta = _golden_form(chart, golden["eta"], sub)
+        want_eta = specio.form_from_records(chart, golden["eta"], sub)
         check("eta", p.eta == want_eta)
 
     if "psi" in golden:
         for a, records in enumerate(golden["psi"], start=1):
-            want = _golden_form(chart, records, sub)
+            want = specio.form_from_records(chart, records, sub)
             check(f"psi{a}", p.psi[a - 1] == want)
 
     if "psi_as_chi" in golden:
@@ -166,14 +158,14 @@ def run_fixture(name: str, box=None, seed: Optional[int] = None) -> FixtureRepor
         check("P", ok)
 
     if "annihilator" in golden:
-        want_fields = [_golden_field(chart, rec, sub) for rec in golden["annihilator"]]
+        want_fields = [specio.field_from_spec(chart, rec, sub) for rec in golden["annihilator"]]
         same = len(want_fields) == len(p.annihilator.basis) and ids.span_equal(
             want_fields, list(p.annihilator.basis), box=box, seed=use_seed
         )
         check("annihilator_span", same, {"rank": p.annihilator.rank})
 
     if "vertical_witness" in golden:
-        witness = _golden_field(chart, golden["vertical_witness"], sub)
+        witness = specio.field_from_spec(chart, golden["vertical_witness"], sub)
         ok = witness.is_vertical() and p.vertical_annihilator.rank == 1 and ids.span_equal(
             [witness], list(p.vertical_annihilator.basis), box=box, seed=use_seed
         )

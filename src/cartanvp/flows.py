@@ -240,14 +240,14 @@ def _transversal_fields(
     for ax in axes:
         target = [sx.ONE if b == ax else sx.ZERO for b in chart.base]
         sol = la.solve_linear(A, target, box=p.box, seed=p.seed)
-        comps = [sx.ZERO] * chart.dim
-        for u, Y in zip(sol or (), D.basis):
-            for i in range(chart.dim):
-                comps[i] = comps[i] + u * Y.components[i]
-        if sol is None or any(not sx.canon(comps[i] - target[i]).is_const_zero() for i in range(k)):
+        if sol is None:
             raise NonTransversalDistributionError(
                 f"no combination of the distribution matches the {ax} direction"
             )
+        comps = [sx.ZERO] * chart.dim
+        for u, Y in zip(sol, D.basis):
+            for i in range(chart.dim):
+                comps[i] = comps[i] + u * Y.components[i]
         out.append(VecField(chart, comps))
     return out
 

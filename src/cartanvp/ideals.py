@@ -273,7 +273,14 @@ def _distribution_from_matrix(
         basis.append(VecField(chart, comps))
     dist = Distribution(chart, tuple(basis), len(basis), box, cert, uncertain=elim.uncertain)
     _check_definitional_residual(mat, dist)
-    _check_basis_independence(dist, seed)
+    la.certify_rank(
+        [list(Y.components) for Y in basis],
+        box,
+        seed,
+        count=16,
+        expected=len(basis),
+        what="distribution basis",
+    )
     return dist
 
 
@@ -286,22 +293,6 @@ def _check_definitional_residual(mat, dist: Distribution):
                 acc = acc + c * comp
             if not sx.canon(acc).is_const_zero():
                 raise AssertionError("kernel basis fails the defining contraction")
-
-
-def _check_basis_independence(dist: Distribution, seed: int):
-    if not dist.basis:
-        return
-    mat = [list(Y.components) for Y in dist.basis]
-    symbols, points = sx.sample_points(
-        [e for row in mat for e in row], box=dist.box, seed=seed, count=16, center=True
-    )
-    evaluate = la.compile_matrix(mat, symbols)
-    for vals in points:
-        if la.numeric_rank(evaluate(vals)) != len(dist.basis):
-            raise NonConstantRankError(
-                "distribution basis not independent at a certification point",
-                witnesses=[sx.point_label(symbols, vals)],
-            )
 
 
 def annihilator(eta: DiffForm, box=None, seed: int = DEFAULT_SEED) -> Distribution:
@@ -373,30 +364,6 @@ def annihilator_from_factors(
 # Frobenius integrability
 
 
-def _solve_in_span(
-    basis: Sequence[VecField], target: VecField, box, seed
-) -> tuple[Optional[list[Expr]], list[Expr]]:
-    """Try to write target = sum_c u_c basis_c symbolically.  Returns
-    (coefficients or None, symbolic residual components)."""
-    n = target.chart.dim
-    A = [[Y.components[i] for Y in basis] for i in range(n)]
-    b = [target.components[i] for i in range(n)]
-    sol = la.solve_linear(A, b, box=box, seed=seed)
-    if sol is None:
-        return None, b
-    residual = []
-    ok = True
-    for i in range(n):
-        acc = sx.ZERO
-        for u, Y in zip(sol, basis):
-            acc = acc + u * Y.components[i]
-        r = sx.canon(acc - b[i])
-        residual.append(r)
-        if not r.is_const_zero():
-            ok = False
-    return (sol if ok else None), residual
-
-
 def frobenius_check(D: Distribution, box=None, seed: int = DEFAULT_SEED) -> FrobeniusResult:
     """Bracket-closure test for a rank-certified distribution.
 
@@ -407,21 +374,19 @@ def frobenius_check(D: Distribution, box=None, seed: int = DEFAULT_SEED) -> Frob
     """
     box = box if box is not None else D.box
     basis = D.basis
+    A = [[Y.components[c] for Y in basis] for c in range(D.chart.dim)]
     numeric_only = False
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             Z = lie_bracket(basis[i], basis[j])
             if Z.is_zero_field():
                 continue
-            sol, _ = _solve_in_span(basis, Z, box, seed)
-            if sol is not None:
+            if la.solve_linear(A, Z.components, box=box, seed=seed) is not None:
                 continue
             # numeric fallback: least squares at fresh sample points
             exprs = [e for Y in basis for e in Y.components] + list(Z.components)
             symbols, points = sx.sample_points(exprs, box=box, seed=seed, count=32, center=True)
-            eval_A = la.compile_matrix(
-                [[Y.components[c] for Y in basis] for c in range(D.chart.dim)], symbols
-            )
+            eval_A = la.compile_matrix(A, symbols)
             eval_b = la.compile_matrix([Z.components], symbols)
             worst = 0.0
             worst_point = None

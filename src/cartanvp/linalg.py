@@ -3,14 +3,14 @@ certification.
 
 Rank constancy is never proved, only certified: matrices are evaluated at
 the box center plus seeded uniform sample points (opaque coefficient atoms
-drawn as generic values), and numeric ranks must agree.  Pivots for the
-symbolic elimination are chosen greedily by sampled magnitude at the box
-center and certified nonzero by the tri-state zero test.
+drawn as generic values), and numeric ranks must agree.  The symbolic
+elimination, and its pivot rule, is `gauss_eliminate`, the package's only
+one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional, Sequence
@@ -32,11 +32,11 @@ def compile_matrix(mat, symbols: Sequence) -> Callable[[Sequence[float]], np.nda
     return lambda v: np.array([[f(v) for f in row] for row in rows], dtype=float)
 
 
-def numeric_rank(arr: np.ndarray, tol: float = RANK_TOL) -> int:
+def numeric_rank(arr: np.ndarray) -> int:
     if arr.size == 0:
         return 0
     s = np.linalg.svd(arr, compute_uv=False)
-    return int(np.sum(s > tol))
+    return int(np.sum(s > RANK_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -45,103 +45,96 @@ def numeric_rank(arr: np.ndarray, tol: float = RANK_TOL) -> int:
 
 @dataclass
 class Elimination:
-    rank: int
-    pivots: list[tuple[int, int]]
-    rows: list[list[Expr]]
-    row_order: list[int]
+    pivots: list[tuple[int, int]]  # (row, column) in the order chosen
+    pivot_values: list[Expr]  # each pivot entry as it stood when chosen
+    rows: list[list[Expr]]  # reduced rows, each at its input index
     uncertain: bool = False
 
-
-def _certified_nonzero(e: Expr, box, seed) -> bool:
-    return sx.is_zero(e, box=box, seed=seed).is_nonzero
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
 
 def gauss_eliminate(
     mat,
     box=None,
     seed: int = DEFAULT_SEED,
-    pivot_cols: Optional[int] = None,
     col_groups: Optional[Sequence[Sequence[int]]] = None,
 ) -> Elimination:
-    """Gauss-Jordan over the expression field.
+    """Gauss-Jordan over the expression field; rows are never swapped.
 
-    Pivot rule: among remaining entries, the one of largest magnitude at
-    the box center (generic atom draw), certified nonzero by sampling;
-    falls back to a row-major certified-nonzero scan.  Entries that are
-    canonically nonzero but never certifiable leave `uncertain` set.
-    Only the first `pivot_cols` columns are eligible for pivoting
-    (augmented-system solving passes the width of the coefficient block);
-    `col_groups` orders column preference tiers, e.g. fiber columns before
+    Pivot rule (the package's only one): `col_groups` lists tiers of
+    eligible columns in order of preference, e.g. fiber columns before
     base columns so that kernel bases come out in the transversal normal
-    form.
+    form (default: one tier of every column; columns in no tier never
+    pivot).  In the first tier that still holds a canonically nonzero
+    entry in a row without a pivot, take the entry of largest magnitude at
+    the box center (generic atom draw), ties broken by (row, column) in
+    input order, if it is certified nonzero by the tri-state zero test;
+    otherwise the first certified-nonzero entry of that tier in row-major
+    order; a tier with none passes to the next.  Entries that are
+    canonically nonzero but never certifiable leave `uncertain` set.
     """
     rows = [[sx.canon(e) for e in row] for row in mat]
     m = len(rows)
     n = len(rows[0]) if m else 0
-    ncols = n if pivot_cols is None else pivot_cols
-    groups = [list(g) for g in col_groups] if col_groups else [list(range(ncols))]
+    groups = [list(g) for g in col_groups] if col_groups else [list(range(n))]
     symbols, points = sx.sample_points(
         [e for row in rows for e in row], box=box, seed=seed, count=1, center=True
     )
     center = next(points)
+
+    def certified(ij) -> bool:
+        return sx.is_zero(rows[ij[0]][ij[1]], box=box, seed=seed).is_nonzero
+
     pivots: list[tuple[int, int]] = []
+    values: list[Expr] = []
+    free_rows = list(range(m))
     used_cols: set[int] = set()
-    row_order = list(range(m))
-    r = 0
-    while r < m:
+    while free_rows:
         picked = None
         any_nonzero_left = False
         for group in groups:
-            best = None
-            for i in range(r, m):
-                for j in group:
-                    if j in used_cols or j >= ncols:
-                        continue
-                    e = rows[i][j]
-                    if e.is_const_zero():
-                        continue
-                    any_nonzero_left = True
-                    try:
-                        mag = abs(sx.compile_expr(e, symbols)(center))
-                    except (DivisionByZeroError, OverflowError, ValueError):
-                        mag = 0.0
-                    if best is None or mag > best[0]:
-                        best = (mag, i, j)
-            if best is None:
+            cands = [
+                (i, j)
+                for i in free_rows
+                for j in group
+                if j not in used_cols and not rows[i][j].is_const_zero()
+            ]
+            if not cands:
                 continue
-            if best[0] > 0 and _certified_nonzero(rows[best[1]][best[2]], box, seed):
-                picked = (best[1], best[2])
-                break
-            for i in range(r, m):
-                for j in group:
-                    if j in used_cols or j >= ncols or rows[i][j].is_const_zero():
-                        continue
-                    if _certified_nonzero(rows[i][j], box, seed):
-                        picked = (i, j)
-                        break
-                if picked:
-                    break
+            any_nonzero_left = True
+            best = None
+            for i, j in cands:
+                try:
+                    mag = abs(sx.compile_expr(rows[i][j], symbols)(center))
+                except (DivisionByZeroError, OverflowError, ValueError):
+                    mag = 0.0
+                if best is None or mag > best[0]:
+                    best = (mag, i, j)
+            if best[0] > 0 and certified(best[1:]):
+                picked = best[1:]
+            else:
+                picked = next(filter(certified, cands), None)
             if picked:
                 break
         if picked is None:
-            return Elimination(r, pivots, rows, row_order, uncertain=any_nonzero_left)
+            return Elimination(pivots, values, rows, uncertain=any_nonzero_left)
         pi, pj = picked
-        if pi != r:
-            rows[pi], rows[r] = rows[r], rows[pi]
-            row_order[pi], row_order[r] = row_order[r], row_order[pi]
-        pivot = rows[r][pj]
-        rows[r] = [sx.canon(e / pivot) for e in rows[r]]
+        pivot = rows[pi][pj]
+        rows[pi] = [sx.canon(e / pivot) for e in rows[pi]]
         for i in range(m):
-            if i == r:
+            if i == pi:
                 continue
             f = rows[i][pj]
             if f.is_const_zero():
                 continue
-            rows[i] = [sx.canon(a - f * b) for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, pj))
+            rows[i] = [sx.canon(a - f * b) for a, b in zip(rows[i], rows[pi])]
+        pivots.append((pi, pj))
+        values.append(pivot)
+        free_rows.remove(pi)
         used_cols.add(pj)
-        r += 1
-    return Elimination(r, pivots, rows, row_order)
+    return Elimination(pivots, values, rows)
 
 
 def clear_denominators(comps: list[Expr], anchor: Optional[int] = None) -> list[Expr]:
@@ -239,19 +232,25 @@ def kernel_basis(elim: Elimination) -> list[list[Expr]]:
 
 
 def solve_linear(A, b, box=None, seed: int = DEFAULT_SEED) -> Optional[list[Expr]]:
-    """One symbolic solution of A u = b over the expression field, or None
-    when the system is symbolically inconsistent; free unknowns are 0."""
-    m = len(A)
-    n = len(A[0]) if m else 0
+    """One solution of A u = b over the expression field, returned only
+    when A u = b holds canonically; None when elimination finds the
+    system inconsistent or the solution fails that check.  Free unknowns
+    are 0."""
+    n = len(A[0]) if A else 0
     aug = [list(row) + [bi] for row, bi in zip(A, b)]
-    elim = gauss_eliminate(aug, box=box, seed=seed, pivot_cols=n)
-    rows = elim.rows
-    for i in range(elim.rank, m):
-        if all(rows[i][j].is_const_zero() for j in range(n)) and not rows[i][n].is_const_zero():
+    elim = gauss_eliminate(aug, box=box, seed=seed, col_groups=[range(n)])
+    for row in elim.rows:  # a zero row with a nonzero right-hand side
+        if all(e.is_const_zero() for e in row[:n]) and not row[n].is_const_zero():
             return None
     sol: list[Expr] = [sx.ZERO] * n
     for ri, pj in elim.pivots:
-        sol[pj] = rows[ri][n]
+        sol[pj] = elim.rows[ri][n]
+    for row, bi in zip(A, b):
+        acc = sx.ZERO
+        for u, a in zip(sol, row):
+            acc = acc + u * a
+        if not sx.canon(acc - bi).is_const_zero():
+            return None
     return sol
 
 
@@ -286,7 +285,6 @@ class RankCertificate:
     box: object
     count: int
     ranks: list[int]
-    points: list[dict] = field(repr=False)
 
     def to_record(self) -> dict:
         return {
@@ -313,28 +311,26 @@ def certify_rank(
     )
     evaluate = compile_matrix(mat, symbols)
     ranks = []
-    points = []
+    kept = []
     for vals in samples:
         try:
             arr = evaluate(vals)
         except (DivisionByZeroError, OverflowError, ValueError):
             continue
         ranks.append(numeric_rank(arr))
-        points.append(sx.point_label(symbols, vals))
+        kept.append(vals)
     if not ranks:
         raise NonConstantRankError(f"{what}: no evaluable sample points")
     majority = max(set(ranks), key=lambda r: (ranks.count(r), r))
-    if expected is not None and any(r != expected for r in ranks):
-        witnesses = [p for r, p in zip(ranks, points) if r != expected]
-        raise NonConstantRankError(
-            f"{what}: sampled rank differs from symbolic rank {expected} "
-            f"(sampled {sorted(set(ranks))})",
-            witnesses=witnesses,
+    want = majority if expected is None else expected
+    if any(r != want for r in ranks):
+        detail = (
+            f"sampled ranks vary across the box ({sorted(set(ranks))})"
+            if expected is None
+            else f"sampled rank differs from symbolic rank {expected} (sampled {sorted(set(ranks))})"
         )
-    if any(r != majority for r in ranks):
-        witnesses = [p for r, p in zip(ranks, points) if r != majority]
         raise NonConstantRankError(
-            f"{what}: sampled ranks vary across the box ({sorted(set(ranks))})",
-            witnesses=witnesses,
+            f"{what}: {detail}",
+            witnesses=[sx.point_label(symbols, v) for r, v in zip(ranks, kept) if r != want],
         )
-    return RankCertificate(majority, seed, box, len(ranks), ranks, points)
+    return RankCertificate(majority, seed, box, len(ranks), ranks)

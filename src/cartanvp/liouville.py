@@ -28,6 +28,7 @@ from .forms import (
     ext_d,
     hodge_star,
     interior,
+    wedge,
     zero_form,
 )
 from .symexpr import Expr
@@ -73,20 +74,11 @@ def is_liouville(X: VecField, omega: DiffForm) -> bool:
 
 
 def _require_polynomial(e: Expr):
-    if sx.poly_coeffs(e) is None or sx.opaque_atoms(e) or _has_func_atom(e):
+    terms = sx.poly_terms(e)
+    if terms is None or any(atom.op != "var" for _, mono in terms for atom, _ in mono):
         raise NonPolynomialCoefficientError(
             f"homotopy operator needs polynomial coefficients, got {e}"
         )
-
-
-def _has_func_atom(e: Expr) -> bool:
-    if e.op == "func":
-        return True
-    if e.op in ("add", "mul", "div"):
-        return any(_has_func_atom(a) for a in e.args)
-    if e.op == "pow":
-        return _has_func_atom(e.args[0])
-    return False
 
 
 def homotopy_antiderivative(beta: DiffForm) -> DiffForm:
@@ -170,7 +162,7 @@ def build_setup(
     )
     chosen = None
     for s in (0, 1):
-        theta = sigma_M + _wedge_dt(gamma_M, dt) * sx.num((-1) ** s)
+        theta = sigma_M + wedge(gamma_M, dt) * sx.num((-1) ** s)
         eta = ext_d(theta)
         if eta.is_zero_form():
             continue
@@ -180,7 +172,7 @@ def build_setup(
     if chosen is None:
         # X = 0 leaves gamma = 0; fall back to the orientation parity
         s = (nP) % 2
-        theta = sigma_M + _wedge_dt(gamma_M, dt) * sx.num((-1) ** s)
+        theta = sigma_M + wedge(gamma_M, dt) * sx.num((-1) ** s)
         if ext_d(theta).is_zero_form():
             raise ZeroEtaError("the assembled action form is closed")
         if not interior(Z, ext_d(theta)).is_zero_form():
@@ -214,12 +206,6 @@ def _lift(form: DiffForm, ext: BundleChart) -> DiffForm:
         form.degree,
         {tuple(sorted(shift[i] for i in idx)): c for idx, c in form.terms.items()},
     )
-
-
-def _wedge_dt(gamma_M: DiffForm, dt: DiffForm) -> DiffForm:
-    from .forms import wedge
-
-    return wedge(gamma_M, dt)
 
 
 def build_theta(setup: LiouvilleSetup, box=None, seed=sx.DEFAULT_SEED) -> vp.VariationalProblem:

@@ -350,6 +350,26 @@ class TestEntryPoint:
         assert out1 == out2
         assert json.loads(out1)["classification"]["q"] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--spec", "spec.json", "--step", "0.1"],
+            ["el", "--spec", "spec.json", "--tol", "0.1"],
+            ["verify", "--spec", "spec.json", "--section", "s.json", "--step", "0.1"],
+            ["annihilator", "--spec", "spec.json", "--format", "csv"],
+            ["liouville", "--spec", "spec.json", "--instance", "constant"],
+            ["example", "example1", "--instance", "constant"],
+            ["example", "example1", "--box", "0,1"],
+        ],
+    )
+    def test_unread_flags_rejected(self, argv, capsys):
+        # each command accepts only the flags it reads
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice" in err
+
 
 class TestExample:
     @pytest.mark.parametrize("name", fx.FIXTURE_NAMES)

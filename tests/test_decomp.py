@@ -1,9 +1,13 @@
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cartanvp import decomp as dc
 from cartanvp import forms as fm
+from cartanvp import ideals as ids
+from cartanvp import linalg as la
 from cartanvp import symexpr as sx
 from cartanvp.errors import RankDeficientLError
 from conftest import rand_poly
@@ -125,6 +129,108 @@ class TestNormalize:
         ]
         with pytest.raises(RankDeficientLError):
             dc.normalize(dc.FactorSet(chart5, tuple(a)))
+
+    def test_pivot_vanishing_at_box_center(self, chart5):
+        # x1 is the only pivot left for z1 and vanishes at the center of the
+        # default box; it is still certified nonzero and taken
+        dz1, dz2, dz3, dx1, dx2 = (fm.d_coord(chart5, c) for c in ("z1", "z2", "z3", "x1", "x2"))
+        fs = dc.FactorSet(chart5, (dz1 * sx.var("x1") + dx1, dz2 + dx2, dz3))
+        out = dc.normalize(fs)
+        assert out.z_order == (2, 3, 4)
+        assert out.multiplier == sx.canon(1 / sx.var("x1"))
+        assert out.eta() == fs.eta() * out.multiplier
+
+
+def _corpus_chart(k, variant):
+    base = [f"x{j}" for j in range(1, k + 1)]
+    p = k if variant in ("base_row", "w_pivot") else k + 1
+    w = ["w"] if variant in ("w_block", "w_pivot") else []
+    return fm.BundleChart(base, [f"z{a}" for a in range(1, p + 1)], w)
+
+
+def _mixing_matrix(rng, n):
+    while True:
+        M = [[rng.choice([-2, -1, 0, 0, 1, 1, 2]) for _ in range(n)] for _ in range(n)]
+        if la.determinant([[sx.num(v) for v in row] for row in M]) != sx.ZERO:
+            return M
+
+
+def _elimination_corpus():
+    """96 seeded factor sets, 8 for each k = 1..3 and chart variant:
+    maximal (k+1 z columns), base_row (k z columns, so one pure base row),
+    w_block (k+1 z columns and a residual w) and w_pivot (k z columns and
+    a w that takes the last pivot).  Rows start in normal form; most sets
+    are mixed by a small invertible integer matrix (equal-magnitude fiber
+    entries at the box center), then rows are shuffled and scaled by
+    rational constants, and one row by a function that does not vanish at
+    the center."""
+    rng = random.Random(0xE11A)
+    out = []
+    for k in (1, 2, 3):
+        for variant in ("maximal", "base_row", "w_block", "w_pivot"):
+            chart = _corpus_chart(k, variant)
+            names = list(chart.coords)
+            for _ in range(8):
+                rows = []
+                for z in chart.fiber_z:
+                    a = fm.d_coord(chart, z)
+                    for b in chart.base + chart.fiber_w:
+                        a = a + fm.d_coord(chart, b) * rand_poly(rng, names, degree=1, terms=2)
+                    rows.append(a)
+                if variant == "w_pivot":
+                    rows.append(
+                        fm.d_coord(chart, "w")
+                        + fm.d_coord(chart, "x1") * rand_poly(rng, names, degree=1, terms=2)
+                    )
+                while len(rows) < k + 1:
+                    a = fm.zero_form(chart, 1)
+                    for b in chart.base:
+                        a = a + fm.d_coord(chart, b) * rand_poly(rng, names, degree=0, terms=1)
+                    rows.append(a)
+                if rng.random() < 0.6:
+                    mixed = []
+                    for mrow in _mixing_matrix(rng, k + 1):
+                        acc = fm.zero_form(chart, 1)
+                        for c, a in zip(mrow, rows):
+                            if c:
+                                acc = acc + a * sx.num(c)
+                        mixed.append(acc)
+                    rows = mixed
+                rng.shuffle(rows)
+                rows = [
+                    a * sx.num(Fraction(rng.choice([-3, -1, 1, 1, 2]), rng.choice([1, 1, 2, 3])))
+                    for a in rows
+                ]
+                j = rng.randrange(k + 1)
+                rows[j] = rows[j] * rng.choice([sx.ONE, 2 + sx.var("x1") ** 2, 3 - sx.var(names[-1])])
+                out.append(dc.FactorSet(chart, tuple(rows)))
+    return out
+
+
+def _elimination_lines(i, fs):
+    n = dc.normalize(fs)
+    out = [f"{i} z_order {n.z_order} multiplier {n.multiplier} pivots {n.pivot_permutation}"]
+    for name, block in (("B", n.B), ("C", n.C), ("G", n.G)):
+        text = "None" if block is None else " | ".join(", ".join(map(str, r)) for r in block)
+        out.append(f"{i} {name} {text}")
+    for vertical in (False, True):
+        D = ids.annihilator_from_factors(fs.chart, fs.alphas, vertical_only=vertical)
+        out.append(f"{i} {'vertical' if vertical else 'annihilator'} rank {D.rank}")
+        out += [f"{i}   " + ", ".join(map(str, Y.components)) for Y in D.basis]
+    return out
+
+
+class TestEliminationCorpus:
+    def test_pinned_normal_forms_and_annihilators(self):
+        # recorded with the code in which normalize had its own pivot loop
+        # and gauss_eliminate swapped rows: the normal forms and kernel
+        # bases must not change
+        with open(Path(__file__).parent / "data" / "elimination_corpus.txt") as f:
+            want = f.read().splitlines()
+        corpus = _elimination_corpus()
+        got = [line for i, fs in enumerate(corpus) for line in _elimination_lines(i, fs)]
+        assert len(corpus) == 96
+        assert got == want
 
 
 class TestChiForms:

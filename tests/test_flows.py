@@ -92,7 +92,7 @@ class TestFlow:
 class TestCommutationDefect:
     def test_commuting_coordinate_fields(self):
         chart = fm.Chart(["x", "y", "z"])
-        cert = la.RankCertificate(2, 0, None, 0, [], [])
+        cert = la.RankCertificate(2, 0, None, 0, [])
         D = ids.Distribution(
             chart, (fm.coord_field(chart, "x"), fm.coord_field(chart, "y")), 2, None, cert
         )
@@ -103,7 +103,7 @@ class TestCommutationDefect:
         chart = fm.Chart(["x", "y", "z"])
         X = fm.coord_field(chart, "x")
         Y = fm.VecField(chart, [sx.ZERO, sx.ZERO, sx.var("x")])
-        cert = la.RankCertificate(2, 0, None, 0, [], [])
+        cert = la.RankCertificate(2, 0, None, 0, [])
         D = ids.Distribution(chart, (X, Y), 2, None, cert)
         defect = flows.commutation_defect(D, [0.0, 0.0, 0.0], 0.1)
         assert abs(defect - 0.01) < 1e-12
@@ -257,7 +257,7 @@ class TestSweep:
     def test_non_transversal_distribution(self):
         p = fx.problem("example1", instance="constant")
         vertical = fm.VecField(p.chart, [sx.ZERO, sx.ZERO, sx.ONE, sx.ZERO, sx.ZERO])
-        cert = la.RankCertificate(1, 0, None, 0, [], [])
+        cert = la.RankCertificate(1, 0, None, 0, [])
         D = ids.Distribution(p.chart, (vertical,), 1, None, cert)
         with pytest.raises(NonTransversalDistributionError):
             flows.sweep_section(
@@ -520,7 +520,7 @@ class TestBatchedSweep:
         if extra is not None:
             X1[chart.index("z1")] = extra
         X2 = [sx.ZERO, sx.ONE] + [sx.ZERO] * len(chart.fiber)
-        cert = la.RankCertificate(2, 0, None, 0, [], [])
+        cert = la.RankCertificate(2, 0, None, 0, [])
         return ids.Distribution(chart, (fm.VecField(chart, X1), fm.VecField(chart, X2)), 2, None, cert)
 
     def test_march_failure_names_the_point(self):

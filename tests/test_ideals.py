@@ -214,7 +214,7 @@ class TestFrobenius:
         chart = fm.BundleChart(["x1", "x2"], ["z1"])
         Y1 = fm.VecField(chart, [sx.ONE, sx.ZERO, sx.var("z1")])
         Y2 = fm.coord_field(chart, "x2")
-        cert = la.RankCertificate(2, 0, None, 0, [], [])
+        cert = la.RankCertificate(2, 0, None, 0, [])
         D = ids.Distribution(chart, (Y1, Y2), 2, None, cert)
         assert ids.frobenius_check(D).verdict == "integrable"
 
@@ -258,7 +258,7 @@ class TestFrobenius:
 class TestCompleteIdealGenerators:
     def test_single_axis(self):
         chart = fm.Chart(["x1", "x2", "x3"])
-        cert = la.RankCertificate(1, 0, None, 0, [], [])
+        cert = la.RankCertificate(1, 0, None, 0, [])
         D = ids.Distribution(chart, (fm.coord_field(chart, "x1"),), 1, None, cert)
         out = ids.complete_ideal_generators(D)
         assert out == [fm.d_coord(chart, "x2"), fm.d_coord(chart, "x3")]
@@ -273,7 +273,7 @@ class TestCompleteIdealGenerators:
 
     def test_full_rank_distribution(self):
         chart = fm.Chart(["x1", "x2"])
-        cert = la.RankCertificate(2, 0, None, 0, [], [])
+        cert = la.RankCertificate(2, 0, None, 0, [])
         D = ids.Distribution(
             chart, (fm.coord_field(chart, "x1"), fm.coord_field(chart, "x2")), 2, None, cert
         )

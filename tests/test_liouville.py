@@ -173,7 +173,7 @@ class TestHodge:
             time_name=setup.time_name,
             sign_s=1 - setup.sign_s,
             theta=lv._lift(setup.sigma, setup.extended)
-            + lv._wedge_dt(
+            + fm.wedge(
                 lv._lift(setup.gamma, setup.extended), fm.d_coord(setup.extended, "t")
             )
             * sx.num((-1) ** (1 - setup.sign_s)),
