@@ -24,6 +24,7 @@ from . import liouville as lv
 from . import specio
 from . import varprin as vp
 from .errors import CartanVPError, ParseError
+from .forms import Chart, form_to_spec
 from .symexpr import DEFAULT_SEED
 
 __all__ = ["main", "build_parser", "run"]
@@ -254,10 +255,7 @@ def cmd_liouville(args):
     spec = _load_json(args.spec)
     options = specio.options_from_spec(spec)
     seed = _effective_seed(args, options)
-    phase = list(spec["phase"])
-    from .forms import Chart
-
-    chart = Chart(tuple(phase))
+    chart = Chart(tuple(spec["phase"]))
     omega = specio.form_from_records(chart, spec["omega"], {})
     X = specio.field_from_spec(chart, spec["field"])
     liou = lv.is_liouville(X, omega)
@@ -274,10 +272,7 @@ def cmd_liouville(args):
     report.update(
         {
             "sign_s": setup.sign_s,
-            "theta": [
-                {"coeff": str(c), "index": [setup.extended.coords[i] for i in idx]}
-                for idx, c in sorted(setup.theta.terms.items())
-            ],
+            "theta": form_to_spec(setup.theta),
             "Z_annihilates_eta": True,
             "hodge_identity": hodge_ok,
             "hodge_sign": hodge_sign,

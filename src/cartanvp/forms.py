@@ -5,6 +5,11 @@ exact scalar coefficients; insertion normalizes signs so that equality of
 canonical coefficients is plain map comparison.  The interior product is
 the antiderivation acting from the left, and the Hodge star assumes the
 Euclidean metric with orientation given by ascending coordinate order.
+
+Every form built from (index, coefficient) contributions goes through
+`_collect`, which sums each index's contributions left to right in arrival
+order and canonicalizes once.  The order is kept: without a polynomial
+gcd, it can change the canonical quotient of a sum of rational terms.
 """
 
 from __future__ import annotations
@@ -111,10 +116,6 @@ class BundleChart(Chart):
     @property
     def fiber(self) -> tuple[str, ...]:
         return self.fiber_z + self.fiber_w
-
-    @property
-    def nonproper_candidate(self) -> bool:
-        return self.s > 0
 
     def is_base(self, i: int) -> bool:
         return i < self.k
@@ -223,10 +224,7 @@ class DiffForm:
         if self.degree != other.degree and self.terms and other.terms:
             raise DegreeMismatchError("cannot add forms of different degree")
         deg = self.degree if self.terms or not other.terms else other.degree
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            out[idx] = out.get(idx, sx.ZERO) + c
-        return DiffForm(self.chart, deg, out)
+        return _collect(self.chart, deg, [*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: "DiffForm") -> "DiffForm":
         return self + (other * sx.num(-1))
@@ -355,6 +353,14 @@ def _check_chart(a, b):
         raise ChartMismatchError(f"chart mismatch: {a.chart!r} vs {b.chart!r}")
 
 
+def _collect(chart: Chart, degree: int, contributions: Iterable[tuple[tuple, Expr]]) -> DiffForm:
+    """Sum each index's contributions in arrival order; canonicalize once."""
+    acc: dict[tuple, Expr] = {}
+    for K, c in contributions:
+        acc[K] = acc[K] + c if K in acc else c
+    return DiffForm(chart, degree, acc)
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -380,9 +386,8 @@ def coord_field(chart: Chart, name: str) -> VecField:
 
 def form_from_spec(chart: Chart, spec: Iterable[Mapping]) -> DiffForm:
     """Build a form from [{'coeff': str|Expr, 'index': [names]}] records."""
-    spec = list(spec)
     degree = None
-    acc: dict[tuple, Expr] = {}
+    contributions = []
     for item in spec:
         names = list(item["index"])
         if degree is None:
@@ -396,8 +401,8 @@ def form_from_spec(chart: Chart, spec: Iterable[Mapping]) -> DiffForm:
             continue
         sign = _perm_sign(positions)
         idx = tuple(sorted(positions))
-        acc[idx] = acc.get(idx, sx.ZERO) + coeff * sx.num(sign)
-    return DiffForm(chart, degree if degree is not None else 0, acc)
+        contributions.append((idx, coeff * sx.num(sign)))
+    return _collect(chart, degree if degree is not None else 0, contributions)
 
 
 def form_to_spec(form: DiffForm) -> list[dict]:
@@ -418,15 +423,15 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     deg = a.degree + b.degree
     if deg > a.chart.dim:
         return zero_form(a.chart, a.chart.dim)
-    out: dict[tuple, Expr] = {}
+    contributions = []
     for I, ca in a.terms.items():
         for J, cb in b.terms.items():
             m = _merge_indices(I, J)
             if m is None:
                 continue
             sign, K = m
-            out[K] = out.get(K, sx.ZERO) + ca * cb * sx.num(sign)
-    return DiffForm(a.chart, deg, out)
+            contributions.append((K, ca * cb * sx.num(sign)))
+    return _collect(a.chart, deg, contributions)
 
 
 def wedge_all(factors: Sequence[DiffForm]) -> DiffForm:
@@ -441,7 +446,7 @@ def wedge_all(factors: Sequence[DiffForm]) -> DiffForm:
 def ext_d(a: DiffForm) -> DiffForm:
     """Exterior derivative: linear, Leibniz, d(d(a)) = 0."""
     chart = a.chart
-    out: dict[tuple, Expr] = {}
+    contributions = []
     for I, c in a.terms.items():
         for i, name in enumerate(chart.coords):
             dc = sx.diff(c, name)
@@ -451,8 +456,8 @@ def ext_d(a: DiffForm) -> DiffForm:
             if m is None:
                 continue
             sign, K = m
-            out[K] = out.get(K, sx.ZERO) + dc * sx.num(sign)
-    return DiffForm(chart, a.degree + 1, out)
+            contributions.append((K, dc * sx.num(sign)))
+    return _collect(chart, a.degree + 1, contributions)
 
 
 def interior(X: VecField, a: DiffForm) -> DiffForm:
@@ -460,7 +465,7 @@ def interior(X: VecField, a: DiffForm) -> DiffForm:
     _check_chart(X, a)
     if a.degree == 0:
         return zero_form(a.chart, 0)
-    out: dict[tuple, Expr] = {}
+    contributions = []
     for I, c in a.terms.items():
         for pos, i in enumerate(I):
             comp = X.components[i]
@@ -468,8 +473,8 @@ def interior(X: VecField, a: DiffForm) -> DiffForm:
                 continue
             K = I[:pos] + I[pos + 1 :]
             sign = -1 if pos % 2 else 1
-            out[K] = out.get(K, sx.ZERO) + comp * c * sx.num(sign)
-    return DiffForm(a.chart, a.degree - 1, out)
+            contributions.append((K, comp * c * sx.num(sign)))
+    return _collect(a.chart, a.degree - 1, contributions)
 
 
 def pullback_with(
@@ -484,7 +489,7 @@ def pullback_with(
     target chart (the image of its differential); `coeff_sub` rewrites
     coefficient variables.  Commutes with wedge and d by construction.
     """
-    out = zero_form(target, a.degree)
+    contributions = []
     for I, c in a.terms.items():
         cc = sx.subst(c, coeff_sub) if coeff_sub else c
         if cc.is_const_zero():
@@ -494,8 +499,8 @@ def pullback_with(
             piece = wedge(piece, diff_map[i])
             if piece.is_zero_form():
                 break
-        out = out + piece if piece.degree == a.degree else out
-    return out
+        contributions.extend(piece.terms.items())
+    return _collect(target, a.degree, contributions)
 
 
 def pullback(phi: SectionMap, a: DiffForm) -> DiffForm:
@@ -546,12 +551,12 @@ def lie_derivative(X: VecField, f: Expr) -> Expr:
 def hodge_star(a: DiffForm) -> DiffForm:
     """Euclidean Hodge star: *(dx^I) = sign(I, I^c) dx^{I^c}."""
     n = a.chart.dim
-    out: dict[tuple, Expr] = {}
+    contributions = []
     for I, c in a.terms.items():
         comp = tuple(i for i in range(n) if i not in I)
         sign = _perm_sign(I + comp)
-        out[comp] = out.get(comp, sx.ZERO) + c * sx.num(sign)
-    return DiffForm(a.chart, n - a.degree, out)
+        contributions.append((comp, c * sx.num(sign)))
+    return _collect(a.chart, n - a.degree, contributions)
 
 
 def dual_one_form(X: VecField) -> DiffForm:

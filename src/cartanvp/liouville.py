@@ -23,13 +23,13 @@ from .forms import (
     Chart,
     DiffForm,
     VecField,
+    _collect,
     d_coord,
     dual_one_form,
     ext_d,
     hodge_star,
     interior,
     wedge,
-    zero_form,
 )
 from .symexpr import Expr
 
@@ -94,8 +94,7 @@ def homotopy_antiderivative(beta: DiffForm) -> DiffForm:
         raise ValueError("need a form of degree at least 1")
     if not ext_d(beta).is_zero_form():
         raise NotClosedError("the form is not closed")
-    out = zero_form(chart, q - 1)
-    terms_acc: dict[tuple, Expr] = {}
+    contributions = []
     for I, c in beta.terms.items():
         _require_polynomial(c)
         for coeff, mono, degree in _monomials(c):
@@ -104,8 +103,8 @@ def homotopy_antiderivative(beta: DiffForm) -> DiffForm:
                 K = I[:pos] + I[pos + 1 :]
                 sign = -1 if pos % 2 else 1
                 contrib = sx.num(scale * sign) * sx.var(chart.coords[i]) * mono
-                terms_acc[K] = terms_acc.get(K, sx.ZERO) + contrib
-    out = DiffForm(chart, q - 1, terms_acc)
+                contributions.append((K, contrib))
+    out = _collect(chart, q - 1, contributions)
     residual = ext_d(out) - beta
     if not residual.is_zero_form():
         raise AssertionError("homotopy primitive failed the round trip")

@@ -13,9 +13,10 @@ denominator is normalized to leading coefficient one; the full polynomial
 gcd is still missing, so canonical forms are unique only up to it.
 Coefficient arithmetic is exact: `int` when integral, `Fraction`
 otherwise, and every constant of an `Expr` is a `Fraction`.  `canon`
-caches the quotient on its output node, so canonical subtrees are never
-expanded again.  Floats appear only in evaluation and sampling, which
-this module owns for the whole package:
+caches the quotient on its output node, and `+` and `*` keep a canonical
+operand whole (they splice only raw sums and products), so canonical
+subtrees are never expanded again.  Floats appear only in evaluation and
+sampling, which this module owns for the whole package:
 `compile_expr` turns a canonical form into a float function once (the
 one evaluator, on floats or on columns of floats with the same bits per
 row; `evaluate` is its one-point entry), and `sample_points`
@@ -214,13 +215,17 @@ def _neg(e: Expr) -> Expr:
     return _mul2(_coerce(-1), e)
 
 
+def _operands(e: Expr, op: str) -> tuple:
+    # a canonical operand stays whole, so _to_rat reads its cached payload
+    return e.args if e.op == op and e._canon is not e else (e,)
+
+
 def _add2(a: Expr, b: Expr) -> Expr:
     if a.is_const_zero():
         return b
     if b.is_const_zero():
         return a
-    parts = (a.args if a.op == "add" else (a,)) + (b.args if b.op == "add" else (b,))
-    return Expr("add", parts)
+    return Expr("add", _operands(a, "add") + _operands(b, "add"))
 
 
 def _mul2(a: Expr, b: Expr) -> Expr:
@@ -228,8 +233,7 @@ def _mul2(a: Expr, b: Expr) -> Expr:
         return b
     if b.op == "const" and b.args[0] == 1:
         return a
-    parts = (a.args if a.op == "mul" else (a,)) + (b.args if b.op == "mul" else (b,))
-    return Expr("mul", parts)
+    return Expr("mul", _operands(a, "mul") + _operands(b, "mul"))
 
 
 ZERO = Expr("const", (Fraction(0),))
@@ -711,7 +715,7 @@ def compile_expr(e: Expr, symbols: Sequence) -> Callable[[Sequence[float]], floa
     """
     c = canon(e)
     slots = {s: i for i, s in enumerate(symbols)}
-    scalar = _compile(c, slots, None)
+    scalar = _compile(c, slots)
     if _elementwise(c):
         return scalar
     columns = None
@@ -721,7 +725,7 @@ def compile_expr(e: Expr, symbols: Sequence) -> Callable[[Sequence[float]], floa
         if not v or v[0].__class__ is not np.ndarray:
             return scalar(v)
         if columns is None:
-            columns = _compile(c, slots, None, rows=True)
+            columns = _compile(c, slots, rows=True)
         with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
             return columns(v)
 
@@ -758,25 +762,24 @@ def _fsum_rows(parts: list):
 def evaluate(
     e: Expr,
     point: Mapping[str, float],
-    funcs: Optional[Mapping[str, Callable]] = None,
     atom_env: Optional[Mapping[tuple, float]] = None,
 ) -> float:
     """IEEE-double value at `point` (tree evaluation order), through the
     same compiled code as `compile_expr` but without canonicalizing `e`.
 
-    Opaque function atoms look up `funcs[name]` first, then `atom_env`
-    keyed by the atom's registry key.  Denominators within 1e-12 of zero
+    Opaque function atoms look up `atom_env`, keyed by the atom's
+    registry key.  Denominators within 1e-12 of zero
     raise DivisionByZeroError; missing variables raise
     UnboundVariableError.
     """
     env = dict(point)
     if atom_env is not None:
         env.update(atom_env)
-    f = _compile(e, {s: i for i, s in enumerate(env)}, funcs)
+    f = _compile(e, {s: i for i, s in enumerate(env)})
     return f([float(v) for v in env.values()])
 
 
-def _compile(e: Expr, slots: Mapping, funcs, rows: bool = False) -> Callable[[Sequence[float]], float]:
+def _compile(e: Expr, slots: Mapping, rows: bool = False) -> Callable[[Sequence[float]], float]:
     op = e.op
     if op == "const":
         c = float(e.args[0])
@@ -792,12 +795,12 @@ def _compile(e: Expr, slots: Mapping, funcs, rows: bool = False) -> Callable[[Se
 
         return unbound
     if op == "add":
-        parts = [_compile(a, slots, funcs, rows) for a in e.args]
+        parts = [_compile(a, slots, rows) for a in e.args]
         if rows:
             return lambda v: _fsum_rows([p(v) for p in parts])
         return lambda v: math.fsum([p(v) for p in parts])
     if op == "mul":
-        parts = [_compile(a, slots, funcs, rows) for a in e.args]
+        parts = [_compile(a, slots, rows) for a in e.args]
 
         def product(v):
             out = 1.0
@@ -807,7 +810,7 @@ def _compile(e: Expr, slots: Mapping, funcs, rows: bool = False) -> Callable[[Se
 
         return product
     if op == "pow":
-        base, n = _compile(e.args[0], slots, funcs, rows), e.args[1]
+        base, n = _compile(e.args[0], slots, rows), e.args[1]
         if rows:
 
             def power_rows(v):
@@ -826,7 +829,7 @@ def _compile(e: Expr, slots: Mapping, funcs, rows: bool = False) -> Callable[[Se
 
         return power
     if op == "div":
-        num_f, den_f = (_compile(a, slots, funcs, rows) for a in e.args)
+        num_f, den_f = (_compile(a, slots, rows) for a in e.args)
         if rows:
 
             def quotient_rows(v):
@@ -846,10 +849,7 @@ def _compile(e: Expr, slots: Mapping, funcs, rows: bool = False) -> Callable[[Se
         return quotient
     if op == "func":
         name = e.args[0]
-        argv = [_compile(a, slots, funcs, rows) for a in e.args[1:]]
-        if funcs and name in funcs:
-            g = funcs[name]
-            return lambda v: float(g(*[a(v) for a in argv]))
+        argv = [_compile(a, slots, rows) for a in e.args[1:]]
         if name in KNOWN_FUNCS:
             g, arg = KNOWN_FUNCS[name], argv[0]
             if rows:

@@ -204,9 +204,43 @@ class TestPullback:
                 fm.pullback(phi, a), fm.pullback(phi, b)
             )
 
+    def test_vanishing_pullback_keeps_the_degree(self, chart5):
+        # a 3-form on a 2-dimensional base, and a wedge chain that cancels
+        # (z1 = x1^2 sends dz1 to 2*x1 dx1), both pull back to the zero
+        # form of the source degree
+        x1, x2 = sx.var("x1"), sx.var("x2")
+        phi = fm.SectionMap(chart5, {"z1": x1**2, "z2": x2, "z3": sx.ZERO})
+        base = chart5.base_only()
+        dx1, dz1, dz2 = (fm.d_coord(chart5, n) for n in ("x1", "z1", "z2"))
+        top = fm.wedge(fm.wedge(dx1, dz1), dz2) * (x2 + 1)
+        assert fm.pullback(phi, top) == fm.zero_form(base, 3)
+        assert fm.pullback(phi, fm.wedge(dx1, dz1) * x2) == fm.zero_form(base, 2)
+
     def test_section_rejects_fiber_variables(self, chart5):
         with pytest.raises(ValueError):
             fm.SectionMap(chart5, {"z1": sx.var("z2"), "z2": sx.ZERO, "z3": sx.ZERO})
+
+
+class TestAccumulation:
+    def test_sum_keeps_canonical_coefficients_whole(self, chart5, monkeypatch):
+        # a running sum of forms reads each canonical coefficient through its
+        # cached payload instead of expanding the sum so far term by term
+        x1 = sx.var("x1")
+        pieces = [fm.DiffForm(chart5, 1, {(0,): x1**n}) for n in range(1, 201)]
+        calls = 0
+        to_rat = sx._to_rat
+
+        def counting(e):
+            nonlocal calls
+            calls += 1
+            return to_rat(e)
+
+        monkeypatch.setattr(sx, "_to_rat", counting)
+        acc = fm.zero_form(chart5, 1)
+        for piece in pieces:
+            acc = acc + piece
+        assert len(acc.terms[(0,)].args) == len(pieces)
+        assert calls <= 10 * len(pieces)
 
 
 class TestLie:

@@ -6,11 +6,13 @@ and demos, each run from the checkout this script lives in.
 Two checkouts print the same lines exactly when every listed run gave
 byte-identical standard output and the same exit code, so comparing the
 output of a change with its parent is one `diff` between two runs (for
-example one of them inside a `git worktree` of the parent).  The list:
+example one of them in a `git archive` copy of the parent).  The list:
 `example` on the stored examples; `analyze`, `el`, `annihilator` and
 `frobenius` on the three fixture specs, generic and with each numeric
 instance; `integrate --format csv` on the inputs of demo 04 and of
-tests/test_cli.py; `liouville` on the rotation spec; demos 01-05.
+tests/test_cli.py; `liouville` on the rotation spec; `el` on a k = 3
+intermediate and a k = 4 maximally characteristic polynomial spec (the
+pullback route at scale); demos 01-05.
 """
 
 from __future__ import annotations
@@ -60,6 +62,80 @@ INPUTS = {
         "grid": {"x1": [0.0, 1.0, 4], "x2": [0.0, 1.0, 4]},
     },
     "helix-seed.json": {"components": {"x": "1", "y": "0"}, "grid": {"t": [0.0, 6.0, 61]}},
+    # polynomial factor specs as generated by perfbench/gen_analyze.py,
+    # factor_spec(random.Random("swell/<k>/<case>/0"), k, case, "poly")["spec"]
+    "swell-k3-intermediate-0.json": {
+        "chart": {"base": ["x1", "x2", "x3"], "fiber_z": ["z1", "z2", "z3"], "fiber_w": []},
+        "factors": [
+            [
+                {"coeff": "1", "index": ["z3"]},
+                {"coeff": "(-3/2)*x2 + (1)*x1*x3", "index": ["x1"]},
+                {"coeff": "(1)*x2 + (-4/3)*x2*x3", "index": ["x2"]},
+                {"coeff": "(1/2)*x1 + (-3)*x1*x2", "index": ["x3"]},
+            ],
+            [
+                {"coeff": "1", "index": ["z2"]},
+                {"coeff": "(2/3)*z1 + (-3/2)*x3^2", "index": ["x1"]},
+                {"coeff": "(3)*z2 + (2/3)*x3*z2", "index": ["x2"]},
+                {"coeff": "(4/3)*x2 + (-4)*x2*x3", "index": ["x3"]},
+            ],
+            [
+                {"coeff": "1", "index": ["x3"]},
+                {"coeff": "(4/3)*x3 + (-4)*x3*z2", "index": ["x1"]},
+                {"coeff": "(3/2)*x3 + (-2/3)*x3*z3", "index": ["x2"]},
+            ],
+            [
+                {"coeff": "1", "index": ["z1"]},
+                {"coeff": "(-3)*z3 + (3)*x1*z3", "index": ["x1"]},
+                {"coeff": "(1)*x2 + (-2)*x1*z2", "index": ["x2"]},
+                {"coeff": "(-1)*z3 + (-1)*z1*z3", "index": ["x3"]},
+            ],
+        ],
+        "opaque": {},
+        "options": {"seed": 17261},
+    },
+    "swell-k4-maximally-characteristic-0.json": {
+        "chart": {"base": ["x1", "x2", "x3", "x4"], "fiber_z": ["z1", "z2", "z3", "z4", "z5"], "fiber_w": []},
+        "factors": [
+            [
+                {"coeff": "1", "index": ["z2"]},
+                {"coeff": "(1)*z2 + (-2)*z1*z5", "index": ["x1"]},
+                {"coeff": "(1)*z1*z3 + (-1)*x3", "index": ["x2"]},
+                {"coeff": "(4)*x4 + (1)*x1*x3", "index": ["x3"]},
+                {"coeff": "(4/3)*z2 + (3/2)*x1*z3", "index": ["x4"]},
+            ],
+            [
+                {"coeff": "1", "index": ["z1"]},
+                {"coeff": "(-1)*x4*z2 + (-2)*x1", "index": ["x1"]},
+                {"coeff": "(-2/3)*z1 + (3/2)*z1*z5", "index": ["x2"]},
+                {"coeff": "(2)*z1 + (1/2)*x1^2", "index": ["x3"]},
+                {"coeff": "(1)*z4 + (4)*x2*x4", "index": ["x4"]},
+            ],
+            [
+                {"coeff": "1", "index": ["z4"]},
+                {"coeff": "(-4)*z4 + (1)*x3*z3", "index": ["x1"]},
+                {"coeff": "(-4)*x2*x3 + (4)*x1", "index": ["x2"]},
+                {"coeff": "(3)*z1*z4 + (2)*x2", "index": ["x3"]},
+                {"coeff": "(-1)*x4 + (4)*x2*z5", "index": ["x4"]},
+            ],
+            [
+                {"coeff": "1", "index": ["z5"]},
+                {"coeff": "(-2)*z5 + (-3/2)*z4*z5", "index": ["x1"]},
+                {"coeff": "(-3)*z5 + (1)*x2*x3", "index": ["x2"]},
+                {"coeff": "(1)*z2*z3 + (-1)*x2", "index": ["x3"]},
+                {"coeff": "(-3)*z3 + (3/2)*x3*z2", "index": ["x4"]},
+            ],
+            [
+                {"coeff": "1", "index": ["z3"]},
+                {"coeff": "(-4/3)*z2 + (-3)*x1*x2", "index": ["x1"]},
+                {"coeff": "(1)*z5 + (-2)*z1*z5", "index": ["x2"]},
+                {"coeff": "(1)*x4*z4 + (-2)*x2", "index": ["x3"]},
+                {"coeff": "(1/3)*z1 + (-4/3)*x4*z4", "index": ["x4"]},
+            ],
+        ],
+        "opaque": {},
+        "options": {"seed": 13895},
+    },
 }
 
 
@@ -82,6 +158,8 @@ def entries() -> list[list[str]]:
         ["cartanvp", "integrate", "--spec", "rotation-theta.json", "--section", "helix-seed.json",
          "--tol", "0.01", "--format", "csv"],
         ["cartanvp", "liouville", "--spec", "rotation-liouville.json"],
+        ["cartanvp", "el", "--spec", "swell-k3-intermediate-0.json"],
+        ["cartanvp", "el", "--spec", "swell-k4-maximally-characteristic-0.json"],
     ]
     runs += [["python", f"demos/{p.name}"] for p in sorted((ROOT / "demos").glob("0[1-5]_*.py"))]
     return runs
