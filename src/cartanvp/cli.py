@@ -12,6 +12,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -302,6 +303,8 @@ def cmd_example(args):
     return report, "\n".join(lines), 0 if rep.passed else 1
 
 
+_parser = functools.cache(build_parser)  # one parser per process
+
 COMMANDS = {
     "analyze": cmd_analyze,
     "el": cmd_el,
@@ -316,7 +319,7 @@ COMMANDS = {
 
 def run(argv=None) -> tuple[int, str]:
     """Parse, execute, and render; returns (exit code, rendered output)."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         result = COMMANDS[args.command](args)
     except ParseError as exc:

@@ -91,16 +91,17 @@ def classify(fs: FactorSet, box=None, seed: int = DEFAULT_SEED) -> Def8Verdict:
         [e for row in full for e in row], box=box, seed=seed, count=la.SAMPLE_COUNT, center=True
     )
     points = list(points)
-    eval_full = la.compile_matrix(full, symbols)
+    stack, failures = la.sample_stack(full, symbols, points)
+    if failures:
+        raise failures[0][1]
     k1 = ch.k + 1
     nond, ranks_q, ranks_r, ranks_v = True, set(), set(), set()
     witnesses: dict = {"degenerate": [], "rank_changes": []}
     seen = []
-    for vals in points:
-        arr = eval_full(vals)
-        rk = la.numeric_rank(arr)
+    ranks = zip(la.numeric_ranks(stack).tolist(), la.numeric_ranks(stack[:, :, ch.k :]).tolist())
+    for vals, (rk, rk_fiber) in zip(points, ranks):
         q = ch.dim - rk
-        v = (ch.dim - ch.k) - la.numeric_rank(arr[:, ch.k :])
+        v = (ch.dim - ch.k) - rk_fiber
         r = q - v
         seen.append((q, v, r))
         ranks_q.add(q)

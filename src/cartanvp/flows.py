@@ -2,11 +2,11 @@
 sections by pulling seed data along integral manifolds.
 
 Integration is classical fixed-step fourth order (deterministic, adequate
-at desk scale), one routine over a (rows, dim) array of which `flow` is
-the one-row case.  A sweep marches the lattice axis by axis, all nodes
-reached so far advancing together, then checks the critical equations at
-every node with finite-difference jets, each equation compiled once and
-evaluated over the node columns.
+at desk scale), one routine over coordinate columns (1-D arrays of rows,
+or Python floats for the one point of `flow`).  A sweep marches the
+lattice axis by axis, all nodes reached so far advancing together, then
+checks the critical equations at every node with finite-difference jets,
+each equation compiled once and evaluated over the node columns.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ __all__ = ["SampledPatch", "GridAxis", "flow", "sweep_section", "commutation_def
 
 DEFAULT_STEP = 1e-3
 DEFAULT_TOL = 1e-6
+
+# what a field evaluation raises where the march breaks down
+_FIELD_ERRORS = (DivisionByZeroError, UnboundVariableError, ValueError, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -152,44 +155,48 @@ def _rk4(comps: Sequence, chart: Chart, y: np.ndarray, t: float, step: float,
          bbox=None, path: Optional[list] = None) -> np.ndarray:
     """Advance `y`, one point (dim) or the rows of a (rows, dim) array, by
     fixed-step classical RK4 for duration t under the compiled field
-    `comps`, evaluated point by point with the scalar closures, so each
-    row gets the bits of a one-point run; appends the point(s) reached by
-    every step to `path` when given."""
+    `comps`; appends the point(s) reached by every step to `path` when
+    given.  The state is a list of coordinate columns (Python floats for
+    one point, 1-D arrays for rows), each stage calls each component once
+    on them, and the arithmetic per coordinate is elementwise, so every row
+    gets the bits of a one-point run.  A failing stage is re-run row by row
+    with the scalar closures to name the first failing row."""
     if step <= 0:
         raise ValueError("step must be positive")
     if t == 0:
         return y
     shape = y.shape
-    # a single point marches as a flat vector: numpy's per-call cost
-    # dominates there, and a (1, dim) array pays more of it
-    one = y.size == chart.dim
-    if one:
-        y = y.reshape(chart.dim)
+    rows = y.reshape(-1, chart.dim)
+    one = len(rows) == 1
 
-    def F(y: np.ndarray) -> np.ndarray:
-        rows = y.tolist()
+    def F(y: list) -> list:
         try:
-            if one:
-                v = rows
-                return np.array([f(v) for f in comps])
-            out = []
-            for v in rows:
-                out.append([f(v) for f in comps])
-            return np.array(out)
-        except (DivisionByZeroError, UnboundVariableError, ValueError, OverflowError) as exc:
-            at = dict(zip(chart.coords, v))
-            raise EvaluationFailureError(f"field evaluation failed at {at}: {exc}") from exc
+            return [f(y) for f in comps]
+        except _FIELD_ERRORS:
+            for v in [y] if one else zip(*(col.tolist() for col in y)):
+                try:
+                    for f in comps:
+                        f(v)
+                except _FIELD_ERRORS as exc:
+                    at = dict(zip(chart.coords, v))
+                    raise EvaluationFailureError(f"field evaluation failed at {at}: {exc}") from exc
+            raise
 
+    def stacked(y: list) -> np.ndarray:
+        return np.array(y).T.reshape(shape)
+
+    y = rows[0].tolist() if one else list(rows.T)
     nsteps = max(1, math.ceil(abs(t) / step))
     h = t / nsteps
+    half, sixth = 0.5 * h, h / 6.0
     for _ in range(nsteps):
         k1 = F(y)
-        k2 = F(y + 0.5 * h * k1)
-        k3 = F(y + 0.5 * h * k2)
-        k4 = F(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = F([a + half * k for a, k in zip(y, k1)])
+        k3 = F([a + half * k for a, k in zip(y, k2)])
+        k4 = F([a + h * k for a, k in zip(y, k3)])
+        y = [a + sixth * (((b1 + 2 * b2) + 2 * b3) + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         if bbox is not None:
-            points = y.reshape(-1, chart.dim)
+            points = stacked(y).reshape(-1, chart.dim)
             for name, (lo, hi) in bbox.items():
                 col = points[:, chart.index(name)]
                 left = (col < lo) | (col > hi)
@@ -197,8 +204,8 @@ def _rk4(comps: Sequence, chart: Chart, y: np.ndarray, t: float, step: float,
                     r = int(left.argmax())
                     raise BoxExitError(f"flow left the box at {name} = {col[r]}", point=points[r].copy())
         if path is not None:
-            path.append(y.copy())
-    return y.reshape(shape)
+            path.append(stacked(y))
+    return stacked(y)
 
 
 def commutation_defect(
@@ -336,39 +343,37 @@ def sweep_section(
     vals = {b: axes[b].values() for b in chart.base}
     seed_shape = tuple(axes[b].count for b in seed_axes)
     base_pos = {b: chart.index(b) for b in chart.base}
-    seed_fiber = [sx.compile_expr(comp_map[name], seed_axes) for name in chart.fiber]
-    seed_slopes = [
-        [sx.compile_expr(sx.diff(comp_map[name], ax), seed_axes) for name in chart.fiber]
-        for ax in seed_axes
-    ]
-    eval_basis = la.compile_matrix([Y.components for Y in D.basis], chart.coords)
+    fiber_pos = [chart.index(name) for name in chart.fiber]
 
-    # the seed nodes in C order, and the tangency of the seed manifold
-    # against D at each
-    block = np.zeros(seed_shape + (chart.dim,))
-    for seed_idx in np.ndindex(*seed_shape):
-        pt = block[seed_idx]
-        for ax, j in zip(seed_axes, seed_idx):
-            pt[base_pos[ax]] = vals[ax][j]
-        for ax in trans_axes:
-            pt[base_pos[ax]] = seed_values[ax]
-        at_seed = [float(vals[ax][j]) for ax, j in zip(seed_axes, seed_idx)]
-        for name, f in zip(chart.fiber, seed_fiber):
-            pt[chart.index(name)] = f(at_seed)
-        rows = []
-        for ax, slopes in zip(seed_axes, seed_slopes):
-            row = np.zeros(chart.dim)
-            row[base_pos[ax]] = 1.0
-            for name, f in zip(chart.fiber, slopes):
-                row[chart.index(name)] = f(at_seed)
-            rows.append(row)
-        rows.extend(eval_basis(pt.tolist()))
-        rank = la.numeric_rank(np.array(rows))
-        if rank < len(seed_axes) + len(D.basis):
-            raise TangencyViolationError(
-                "seed manifold is tangent to the characteristic distribution",
-                point=dict(zip(chart.coords, pt.tolist())),
-            )
+    # the seed nodes in C order, the seed section's values and slopes at
+    # each, and the tangency of the seed manifold against D there; the
+    # first node that fails to evaluate or is tangent is reported
+    nodes = [tuple(float(vals[ax][j]) for ax, j in zip(seed_axes, idx)) for idx in np.ndindex(*seed_shape)]
+    seed_jet = [[comp_map[name] for name in chart.fiber]]
+    seed_jet += [[sx.diff(comp_map[name], ax) for name in chart.fiber] for ax in seed_axes]
+    jets, failures = la.sample_stack(seed_jet, seed_axes, nodes)
+    upto = failures[0][0] if failures else len(nodes)
+    block = np.zeros((upto, chart.dim))
+    for ax in trans_axes:
+        block[:, base_pos[ax]] = seed_values[ax]
+    block[:, [base_pos[ax] for ax in seed_axes]] = np.reshape(nodes[:upto], (upto, len(seed_axes)))
+    block[:, fiber_pos] = jets[:upto, 0]
+    tangents = np.zeros((upto, len(seed_axes) + len(D.basis), chart.dim))
+    for d, ax in enumerate(seed_axes):
+        tangents[:, d, base_pos[ax]] = 1.0
+        tangents[:, d, fiber_pos] = jets[:upto, 1 + d]
+    basis, basis_failures = la.sample_stack([Y.components for Y in D.basis], chart.coords, block.tolist())
+    upto_basis = basis_failures[0][0] if basis_failures else upto
+    tangents[:upto_basis, len(seed_axes):] = basis[:upto_basis].reshape(upto_basis, len(D.basis), chart.dim)
+    tangent = la.numeric_ranks(tangents[:upto_basis]) < tangents.shape[1]
+    if tangent.any():
+        raise TangencyViolationError(
+            "seed manifold is tangent to the characteristic distribution",
+            point=dict(zip(chart.coords, block[int(tangent.argmax())].tolist())),
+        )
+    for failed in basis_failures[:1] + failures[:1]:
+        raise failed[1]
+    block = block.reshape(seed_shape + (chart.dim,))
 
     # march the lattice one axis at a time from its low edge: every node
     # reached so far is a row, and all rows advance together edge by edge
@@ -437,35 +442,11 @@ def _node_residuals(p, points, vals, tolerance) -> np.ndarray:
     shape = points.shape[:-1]
     nodes = math.prod(shape)
     symbols = list(chart.coords) + [vp.jet_name(f, b) for b in chart.base for f in chart.fiber]
-    deltas = [sx.compile_expr(delta, symbols) for delta in system.deltas]
     fiber = points[..., [chart.index(name) for name in chart.fiber]]
     jets = [_fd_slopes(fiber, d, vals[b]) for d, b in enumerate(chart.base)]
-    columns = np.concatenate([points] + jets, axis=-1).reshape(nodes, len(symbols)).T
-
-    def evaluate(upto: int) -> np.ndarray:  # the first `upto` nodes in C order
-        values = list(columns[:, :upto])
-        out = np.empty((upto, len(deltas)))
-        for e, f in enumerate(deltas if upto else ()):
-            out[:, e] = f(values)
-        return out
-
-    failing = (DivisionByZeroError, UnboundVariableError, ValueError, OverflowError)
-    failure = None
-    try:
-        residuals = evaluate(nodes)
-    except failing as exc:
-        # bisect for the longest prefix that evaluates (lo) and the shortest
-        # that fails (hi = lo + 1); the failure of that one is the failure
-        # of node lo, since a column gives every row the scalar evaluation
-        failure, lo, hi = exc, 0, nodes
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                evaluate(mid)
-                lo = mid
-            except failing as exc:
-                failure, hi = exc, mid
-        residuals = evaluate(lo)
+    at = np.concatenate([points] + jets, axis=-1).reshape(nodes, len(symbols))
+    residuals, failures = la.sample_stack([system.deltas], symbols, at)
+    residuals = residuals[: failures[0][0] if failures else nodes, 0]
     worst = np.max(np.abs(residuals), axis=1)
     over = worst > tolerance
     if over.any():
@@ -475,9 +456,9 @@ def _node_residuals(p, points, vals, tolerance) -> np.ndarray:
             f"node {node} violates the residual tolerance: {worst[r]:.3e} > {tolerance}",
             node=node, value=float(worst[r]),
         )
-    if isinstance(failure, (DivisionByZeroError, UnboundVariableError)):
-        node = tuple(map(int, np.unravel_index(len(residuals), shape)))
-        raise EvaluationFailureError(f"residual evaluation failed at {node}: {failure}") from failure
-    if failure is not None:
+    for _, failure in failures[:1]:
+        if isinstance(failure, (DivisionByZeroError, UnboundVariableError)):
+            node = tuple(map(int, np.unravel_index(len(residuals), shape)))
+            raise EvaluationFailureError(f"residual evaluation failed at {node}: {failure}") from failure
         raise failure
-    return residuals.reshape(shape + (len(deltas),))
+    return residuals.reshape(shape + (len(system.deltas),))

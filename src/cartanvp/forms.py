@@ -203,10 +203,6 @@ class DiffForm:
     def is_zero_form(self) -> bool:
         return not self.terms
 
-    def coefficient(self, *names: str) -> Expr:
-        idx = tuple(sorted(self.chart.index(n) for n in names))
-        return self.terms.get(idx, sx.ZERO)
-
     def __eq__(self, other):
         if not isinstance(other, DiffForm):
             return NotImplemented
@@ -268,9 +264,6 @@ class VecField:
 
     def __setattr__(self, name, value):
         raise AttributeError("VecField is immutable")
-
-    def component(self, name: str) -> Expr:
-        return self.components[self.chart.index(name)]
 
     def is_zero_field(self) -> bool:
         return all(c.is_const_zero() for c in self.components)
@@ -339,9 +332,6 @@ class SectionMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("SectionMap is immutable")
-
-    def component(self, name: str) -> Expr:
-        return self.components[name]
 
     def __repr__(self):
         inner = ", ".join(f"{n} = {c}" for n, c in self.components.items())

@@ -386,15 +386,18 @@ def frobenius_check(D: Distribution, box=None, seed: int = DEFAULT_SEED) -> Frob
             # numeric fallback: least squares at fresh sample points
             exprs = [e for Y in basis for e in Y.components] + list(Z.components)
             symbols, points = sx.sample_points(exprs, box=box, seed=seed, count=32, center=True)
-            eval_A = la.compile_matrix(A, symbols)
-            eval_b = la.compile_matrix([Z.components], symbols)
+            points = list(points)
+            A_at, A_failures = la.sample_stack(A, symbols, points)
+            b_at, b_failures = la.sample_stack([Z.components], symbols, points)
+            # a point evaluates A before b
+            failure = min(A_failures[:1] + b_failures[:1], key=lambda f: f[0], default=None)
+            if failure is not None:
+                raise failure[1]
             worst = 0.0
             worst_point = None
-            for vals in points:
-                A = eval_A(vals)
-                bvec = eval_b(vals)[0]
-                coef, *_ = np.linalg.lstsq(A, bvec, rcond=None)
-                res = float(np.linalg.norm(A @ coef - bvec))
+            for vals, Ai, bi in zip(points, A_at, b_at[:, 0]):
+                coef, *_ = np.linalg.lstsq(Ai, bi, rcond=None)
+                res = float(np.linalg.norm(Ai @ coef - bi))
                 if res > worst:
                     worst = res
                     worst_point = sx.point_label(symbols, vals)
@@ -448,20 +451,18 @@ def span_equal(
     nonzero function multiples, so only the pointwise span can match)."""
     if not A and not B:
         return True
-    chart = (A or B)[0].chart
     matA = [list(Y.components) for Y in A]
     matB = [list(Y.components) for Y in B]
     symbols, points = sx.sample_points(
         [e for row in matA + matB for e in row], box=box, seed=seed, count=la.SAMPLE_COUNT, center=True
     )
-    eval_A = la.compile_matrix(matA, symbols)
-    eval_B = la.compile_matrix(matB, symbols)
-    for vals in points:
-        arrA = eval_A(vals) if matA else np.zeros((0, chart.dim))
-        arrB = eval_B(vals) if matB else np.zeros((0, chart.dim))
-        rA = la.numeric_rank(arrA)
-        rB = la.numeric_rank(arrB)
-        rAB = la.numeric_rank(np.vstack([arrA, arrB]))
-        if not (rA == rB == rAB):
-            return False
+    stack, failures = la.sample_stack(matA + matB, symbols, list(points))
+    # the points before the first that fails to evaluate decide first
+    upto = failures[0][0] if failures else len(stack)
+    a = len(matA)
+    rA, rB, rAB = (la.numeric_ranks(s[:upto]) for s in (stack[:, :a], stack[:, a:], stack))
+    if ((rA != rB) | (rB != rAB)).any():
+        return False
+    if failures:
+        raise failures[0][1]
     return True

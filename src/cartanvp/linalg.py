@@ -3,40 +3,69 @@ certification.
 
 Rank constancy is never proved, only certified: matrices are evaluated at
 the box center plus seeded uniform sample points (opaque coefficient atoms
-drawn as generic values), and numeric ranks must agree.  The symbolic
-elimination, and its pivot rule, is `gauss_eliminate`, the package's only
-one.
+drawn as generic values), and numeric ranks must agree.  `sample_stack`
+is the one float evaluation of a matrix at sample points: a (points, m,
+n) stack, each entry evaluated once over the point columns, whose ranks
+`numeric_ranks` takes from one stacked SVD.  The symbolic elimination, and
+its pivot rule, is `gauss_eliminate`, the package's only one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Optional, Sequence
+from math import gcd, lcm
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import symexpr as sx
-from .errors import DivisionByZeroError, NonConstantRankError
+from .errors import CartanVPError, DivisionByZeroError, NonConstantRankError
 from .symexpr import DEFAULT_SEED, Expr
 
 RANK_TOL = 1e-9
 SAMPLE_COUNT = 64
 
 
-def compile_matrix(mat, symbols: Sequence) -> Callable[[Sequence[float]], np.ndarray]:
-    """Float evaluator of a matrix of expressions at points aligned with
-    `symbols` (see `symexpr.sample_points`), compiled once."""
-    rows = [[sx.compile_expr(e, symbols) for e in row] for row in mat]
-    return lambda v: np.array([[f(v) for f in row] for row in rows], dtype=float)
+# what a compiled entry raises where it cannot be evaluated
+_EVAL_ERRORS = (CartanVPError, ArithmeticError, ValueError)
 
 
-def numeric_rank(arr: np.ndarray) -> int:
-    if arr.size == 0:
-        return 0
-    s = np.linalg.svd(arr, compute_uv=False)
-    return int(np.sum(s > RANK_TOL))
+def sample_stack(mat, symbols: Sequence, points) -> tuple[np.ndarray, list[tuple[int, Exception]]]:
+    """Values of the matrix `mat` at `points` (rows aligned with `symbols`,
+    see `symexpr.sample_points`) as a (points, m, n) stack, each entry
+    compiled once and evaluated once over the point columns, which gives
+    each point the bits of a scalar evaluation.  If an entry fails, the
+    points are evaluated one by one, entries row-major, as a per-point loop
+    would: a failing point is left out of the stack and listed, in point
+    order, as (index, error of its first failing entry)."""
+    values = np.asarray(points, dtype=float).reshape(len(points), len(symbols))
+    m, n = len(mat), len(mat[0]) if mat else 0
+    entries = [sx.compile_expr(e, symbols) for row in mat for e in row]
+    out = np.empty((len(values), m * n))
+    try:
+        columns = list(values.T)
+        for j, f in enumerate(entries):
+            out[:, j] = f(columns)
+        return out.reshape(len(values), m, n), []
+    except _EVAL_ERRORS:
+        pass
+    failures = []
+    for i, vals in enumerate(values.tolist()):
+        try:
+            out[i] = [f(vals) for f in entries]
+        except _EVAL_ERRORS as exc:
+            failures.append((i, exc))
+    out = np.delete(out, [i for i, _ in failures], axis=0)
+    return out.reshape(len(out), m, n), failures
+
+
+def numeric_ranks(stack: np.ndarray) -> np.ndarray:
+    """Numeric ranks of the matrices of a (points, m, n) stack, from one
+    SVD call."""
+    if stack.size == 0:
+        return np.zeros(len(stack), dtype=int)
+    return np.sum(np.linalg.svd(stack, compute_uv=False) > RANK_TOL, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +224,8 @@ def _rational_content(exprs: list[Expr]) -> Optional[Fraction]:
         for f in fr:
             nums.append(abs(f.numerator))
             dens.append(f.denominator)
-    if not nums:
-        return None
-    g = 0
-    for x in nums:
-        g = gcd(g, x)
-    l = 1
-    for x in dens:
-        l = l * x // gcd(l, x)
-    if g == 0:
-        return None
-    return Fraction(g, l)
+    g = gcd(*nums)
+    return Fraction(g, lcm(*dens)) if g else None
 
 
 def nullspace(
@@ -309,16 +329,14 @@ def certify_rank(
     symbols, samples = sx.sample_points(
         [e for row in mat for e in row], box=box, seed=seed, count=count, center=True
     )
-    evaluate = compile_matrix(mat, symbols)
-    ranks = []
-    kept = []
-    for vals in samples:
-        try:
-            arr = evaluate(vals)
-        except (DivisionByZeroError, OverflowError, ValueError):
-            continue
-        ranks.append(numeric_rank(arr))
-        kept.append(vals)
+    samples = list(samples)
+    stack, failures = sample_stack(mat, symbols, samples)
+    failed = dict(failures)  # points that cannot be evaluated are dropped
+    for exc in failed.values():
+        if not isinstance(exc, (DivisionByZeroError, OverflowError, ValueError)):
+            raise exc
+    kept = [vals for i, vals in enumerate(samples) if i not in failed]
+    ranks = numeric_ranks(stack).tolist()
     if not ranks:
         raise NonConstantRankError(f"{what}: no evaluable sample points")
     majority = max(set(ranks), key=lambda r: (ranks.count(r), r))

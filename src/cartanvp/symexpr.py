@@ -711,7 +711,9 @@ def compile_expr(e: Expr, symbols: Sequence) -> Callable[[Sequence[float]], floa
     powers and sin/cos/exp/ln through Python floats per row, the 1e-12
     checks over the whole column).  A variable or atom missing from
     `symbols` raises UnboundVariableError or UnboundFunctionError when it
-    is reached.
+    is reached.  Columns raise where some row would, with some failing
+    row's error: `flows._rk4` and `linalg.sample_stack`, which evaluate on
+    columns, re-run the rows with the scalar closures to name the first.
     """
     c = canon(e)
     slots = {s: i for i, s in enumerate(symbols)}
@@ -849,17 +851,21 @@ def _compile(e: Expr, slots: Mapping, rows: bool = False) -> Callable[[Sequence[
         return quotient
     if op == "func":
         name = e.args[0]
-        argv = [_compile(a, slots, rows) for a in e.args[1:]]
         if name in KNOWN_FUNCS:
-            g, arg = KNOWN_FUNCS[name], argv[0]
+            g, arg = KNOWN_FUNCS[name], _compile(e.args[1], slots, rows)
             if rows:
                 return lambda v: _per_row(arg(v), g)
             return lambda v: g(arg(v))
         i = slots.get(("f", name, tuple(canon(a).key() for a in e.args[1:])))
+        # the arguments' own errors come first; constants and bound variables cannot raise
+        raising = [a for a in e.args[1:] if not (a.op == "const" or a.op == "var" and a.args[0] in slots)]
+        argv = [_compile(a, slots, rows) for a in raising]
+        if i is not None and not argv:
+            return lambda v: v[i]
 
         def atom(v):
             for a in argv:
-                a(v)  # the arguments' own errors come first
+                a(v)
             if i is None:
                 raise UnboundFunctionError(f"no interpretation for function {name!r}")
             return v[i]

@@ -15,6 +15,7 @@ from cartanvp import symexpr as sx
 from cartanvp import varprin as vp
 from cartanvp.errors import (
     BoxExitError,
+    DivisionByZeroError,
     EvaluationFailureError,
     NonTransversalDistributionError,
     ResidualTooLargeError,
@@ -230,6 +231,31 @@ class TestSweep:
                 step=1e-2,
             )
 
+    def test_seed_tangency_and_failures_in_node_order(self):
+        # z1 adds (x2 - 1/2)^3 to the leaf curve above, so the seed curve is
+        # tangent only at the middle node x2 = 1/2; a z2 term with a double
+        # zero there keeps that, and its pole fails at the node x2 = 3/4
+        # after it or at the node x2 = 1/4 before it
+        p = fx.problem("example1", instance="constant")
+        spec = fx.load("example1")["instances"]["constant"]
+        x2 = sx.var("x2")
+        phi0 = {f"z{a}": sx.canon(-sx.parse(spec[f"B{a}2"]) * x2) for a in (1, 2, 3)}
+        phi0["z1"] = sx.canon(phi0["z1"] + (x2 - sx.num(Fraction(1, 2))) ** 3)
+
+        def sweep(pole=None):
+            seed = dict(phi0)
+            if pole is not None:
+                seed["z2"] = sx.canon(seed["z2"] + (x2 - sx.num(Fraction(1, 2))) ** 2 / (x2 - pole))
+            grid = {"x1": (0.0, 1.0, 3), "x2": (0.0, 1.0, 5)}
+            return flows.sweep_section(p, p.annihilator, seed, grid=grid, seed_axes=("x2",), step=0.5)
+
+        for pole in (None, sx.num(Fraction(3, 4))):
+            with pytest.raises(TangencyViolationError) as info:
+                sweep(pole)
+            assert info.value.point["x2"] == 0.5
+        with pytest.raises(DivisionByZeroError):
+            sweep(sx.num(Fraction(1, 4)))
+
     def test_sweep_direction_mismatch_is_transversality_error(self):
         # a rank-one transport distribution cannot supply the second axis
         chart = fm.BundleChart(["x1", "x2"], ["z", "w"])
@@ -345,9 +371,9 @@ class TestSweep:
 # the batched sweep against the per-edge, per-node algorithm it replaced
 
 
-def _oracle_sweep(p, D, phi0, grid, seed_axes=(), step=1e-3, axis_order=None):
+def _oracle_sweep(p, D, phi0, grid, seed_axes=(), step=1e-3, axis_order=None, flow=flows.flow):
     """Points, residuals and CSV of a sweep done as a recursive fill of
-    chained public `flow` calls (one per lattice edge) with a node-by-node
+    chained `flow` calls (one per lattice edge) with a node-by-node
     residual loop."""
     chart = p.chart
     axes = {b: flows.GridAxis(*grid[b]) for b in chart.base}
@@ -365,7 +391,7 @@ def _oracle_sweep(p, D, phi0, grid, seed_axes=(), step=1e-3, axis_order=None):
         ax = order[depth]
         fill({**idx, ax: 0}, point, depth + 1)
         for j in range(1, len(vals[ax])):
-            point = flows.flow(fields[ax], point, float(vals[ax][j] - vals[ax][j - 1]), step)[-1]
+            point = flow(fields[ax], point, float(vals[ax][j] - vals[ax][j - 1]), step)[-1]
             fill({**idx, ax: j}, point, depth + 1)
 
     for seed_idx in np.ndindex(*(axes[b].count for b in seed_axes)):
@@ -567,3 +593,52 @@ class TestBatchedSweep:
             flows.sweep_section(
                 p, D, {"z1": 0, "z2": 0, "z3": 0}, grid={"x1": (0.0, 1.0, 3), "x2": (0.0, 1.0, 3)}, step=0.5
             )
+
+
+# ---------------------------------------------------------------------------
+# RK4 against a reference that shares none of its code
+
+
+def _oracle_flow(X, start, t, step=flows.DEFAULT_STEP):
+    """The path of `flows.flow` by classical RK4 in numpy on a (rows, dim)
+    array of one row, each row evaluated by the scalar closures."""
+    comps = [sx.compile_expr(c, X.chart.coords) for c in X.components]
+
+    def F(y):
+        return np.array([[f(v) for f in comps] for v in y.tolist()])
+
+    y = np.array([[float(v) for v in start]])
+    nsteps = max(1, math.ceil(abs(t) / step))
+    h = t / nsteps
+    path = [y[0].copy()]
+    for _ in range(nsteps):
+        k1 = F(y)
+        k2 = F(y + 0.5 * h * k1)
+        k3 = F(y + 0.5 * h * k2)
+        k4 = F(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        path.append(y[0].copy())
+    return path
+
+
+class TestRK4Oracle:
+    def test_exponential_fixture_path(self):
+        chart = fm.Chart(["t", "z"])
+        X = fm.VecField(chart, [sx.ONE, sx.var("z")])
+        assert np.array_equal(flows.flow(X, [0.0, 1.0], 1.0, step=1e-3), _oracle_flow(X, [0.0, 1.0], 1.0, step=1e-3))
+
+    def test_helix_path(self):
+        p = _helix_problem()
+        (X,) = flows._transversal_fields(p, p.annihilator, ["t"])
+        start = [0.0, 0.75, -0.5]
+        assert np.array_equal(flows.flow(X, start, 1.6, step=1e-3), _oracle_flow(X, start, 1.6, step=1e-3))
+
+    @pytest.mark.parametrize("case", ["example1-x1-first", "constant-k3", "example2-axis-seed-curve"])
+    def test_sweep_bitwise_equal(self, case):
+        make, kw = DIFFERENTIAL_CASES[case]
+        p = make()
+        kw = {"step": 1e-3, **kw}
+        patch = flows.sweep_section(p, p.annihilator, tolerance=1e-2, **kw)
+        points, residuals, _ = _oracle_sweep(p, p.annihilator, flow=_oracle_flow, **kw)
+        assert np.array_equal(patch.points, points)
+        assert np.array_equal(patch.residuals, residuals)

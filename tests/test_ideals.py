@@ -181,11 +181,11 @@ class TestCharacteristicDistribution:
         # oracle: pointwise numeric nullspace at 20 samples
         rows, mat = ids.contraction_matrix(g)
         rng = random.Random(1)
-        evaluate = la.compile_matrix(mat, chart.coords)
-        for _ in range(20):
-            arr = evaluate([rng.uniform(-1, 1) for _ in chart.coords])
-            null_dim = arr.shape[1] - la.numeric_rank(arr)
-            assert null_dim == 1
+        points = [tuple(rng.uniform(-1, 1) for _ in chart.coords) for _ in range(20)]
+        stack, failures = la.sample_stack(mat, chart.coords, points)
+        assert not failures and len(stack) == 20
+        null_dims = stack.shape[2] - la.numeric_ranks(stack)
+        assert null_dims.tolist() == [1] * 20
 
     def test_zero_locus_generator_raises(self):
         chart = fm.BundleChart(["x1", "x2"], ["z1"])
@@ -238,18 +238,34 @@ class TestFrobenius:
         D2 = ids.annihilator(fm.wedge_all(alphas))
         assert ids.frobenius_check(D2).verdict == "integrable"
 
+    def test_numeric_only_pair_leaves_later_pairs_symbolic(self):
+        # [Y0, Y1] = -e d/dw with e = sin(x)^2 + cos(x)^2 - 1, zero but not
+        # canonically so: numeric only; [Y0, Y2] = d/dw leaves the span
+        chart = fm.Chart(["x", "y", "z", "w"])
+        x, y = sx.var("x"), sx.var("y")
+        e = sx.sin(x) ** 2 + sx.cos(x) ** 2 - 1
+        basis = (
+            fm.VecField(chart, [sx.ONE, sx.ZERO, sx.ZERO, y * e]),
+            fm.coord_field(chart, "y"),
+            fm.VecField(chart, [sx.ZERO, sx.ZERO, sx.ONE, x]),
+        )
+        cert = la.RankCertificate(3, 0, None, 0, [])
+        res = ids.frobenius_check(ids.Distribution(chart, basis, 3, None, cert))
+        assert res.verdict == "not_integrable"
+        assert res.witness_pair == (0, 2)
+
     def test_pointwise_solve_oracle(self, chart5):
         # independent oracle for span membership: least squares at samples
         D = ids.annihilator(example1_eta(chart5))
         Z = fm.lie_bracket(D.basis[0], D.basis[1])
         exprs = [e for Y in D.basis for e in Y.components] + list(Z.components)
         symbols, points = sx.sample_points(exprs, seed=99, count=20, center=True)
-        eval_A = la.compile_matrix([[Y.components[i] for Y in D.basis] for i in range(5)], symbols)
-        eval_b = la.compile_matrix([Z.components], symbols)
+        points = list(points)
+        A_at, A_failures = la.sample_stack([[Y.components[i] for Y in D.basis] for i in range(5)], symbols, points)
+        b_at, b_failures = la.sample_stack([Z.components], symbols, points)
+        assert not A_failures and not b_failures and len(A_at) == len(b_at) == 20
         worst = 0.0
-        for vals in points:
-            A = eval_A(vals)
-            b = eval_b(vals)[0]
+        for A, b in zip(A_at, b_at[:, 0]):
             coef, *_ = np.linalg.lstsq(A, b, rcond=None)
             worst = max(worst, float(np.linalg.norm(A @ coef - b)))
         assert worst > 1e-9  # generic coefficients: bracket escapes the span

@@ -310,17 +310,18 @@ class TestVerticalBasisInvariance:
         idxs = sorted(set().union(*(set(f.terms) for f in p_std.psi + p_cus.psi)))
         exprs = [f.terms.get(i, sx.ZERO) for f in p_std.psi + p_cus.psi for i in idxs]
         symbols, points = sx.sample_points(exprs, seed=5, count=16, center=True)
+        points = list(points)
 
-        def mat(forms):
-            return la.compile_matrix([[f.terms.get(i, sx.ZERO) for i in idxs] for f in forms], symbols)
+        def stack(forms):
+            out, failures = la.sample_stack([[f.terms.get(i, sx.ZERO) for i in idxs] for f in forms], symbols, points)
+            assert not failures and len(out) == 16
+            return out
 
-        eval_std, eval_cus = mat(p_std.psi), mat(p_cus.psi)
-        for vals in points:
-            m1, m2 = eval_std(vals), eval_cus(vals)
-            r1 = la.numeric_rank(m1)
-            r2 = la.numeric_rank(m2)
-            r12 = la.numeric_rank(np.vstack([m1, m2]))
-            assert r1 == r2 == r12 == 3
+        m1, m2 = stack(p_std.psi), stack(p_cus.psi)
+        r1 = la.numeric_ranks(m1).tolist()
+        r2 = la.numeric_ranks(m2).tolist()
+        r12 = la.numeric_ranks(np.concatenate([m1, m2], axis=1)).tolist()
+        assert r1 == r2 == r12 == [3] * 16
 
 
 class TestVerifyCritical:
