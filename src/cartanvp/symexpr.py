@@ -15,7 +15,13 @@ Coefficient arithmetic is exact: `int` when integral, `Fraction`
 otherwise, and every constant of an `Expr` is a `Fraction`.  `canon`
 caches the quotient on its output node, and `+` and `*` keep a canonical
 operand whole (they splice only raw sums and products), so canonical
-subtrees are never expanded again.  Floats appear only in evaluation and
+subtrees are never expanded again.  `diff` of a canonical form works on
+that cached quotient (the quotient rule over polynomial derivatives, each
+atom's derivative canonicalized once and cached); a raw tree, or a form
+with an atom whose derivative has a denominator (ln, atoms over rational
+arguments), is differentiated as a product-rule tree and canonicalized,
+because without the gcd the canonical quotient of such a derivative
+depends on the order the tree sums in.  Floats appear only in evaluation and
 sampling, which this module owns for the whole package:
 `compile_expr` turns a canonical form into a float function once (the
 one evaluator, on floats or on columns of floats with the same bits per
@@ -520,13 +526,18 @@ def _canon(e: Expr) -> Expr:
     # of the public canon stay the canonicalizations callers ask for
     if e._canon is not None:
         return e._canon
-    rat = _to_rat(e)
+    out = _rat_to_expr(_to_rat(e))
+    object.__setattr__(e, "_canon", out)
+    return out
+
+
+def _rat_to_expr(rat: _Rat) -> Expr:
+    """The canonical tree of a payload, carrying it."""
     out = _p_to_expr(rat.num)
     if rat.den is not _ONE_POLY:
         out = Expr("div", (out, _p_to_expr(rat.den)))
     object.__setattr__(out, "_rat", rat)
     object.__setattr__(out, "_canon", out)
-    object.__setattr__(e, "_canon", out)
     return out
 
 
@@ -534,15 +545,82 @@ def _canon(e: Expr) -> Expr:
 # differentiation
 
 
+# (atom key, variable) -> payload of the atom's canonical derivative
+_ATOM_DIFF: dict[tuple, _Rat] = {}
+
+
 def diff(e: Expr, v) -> Expr:
-    """Partial derivative with respect to variable `v`, canonicalized."""
+    """Partial derivative with respect to variable `v`, canonicalized.
+
+    A canonical `e` is differentiated on its cached payload (N'D - ND'
+    over D^2, normalized) when every atom derivative it meets is a
+    polynomial; anything else goes through the product-rule tree `_diff`
+    and `canon`.  Both give the same canonical form where the payload
+    route is taken."""
     if isinstance(v, Expr):
         if v.op != "var":
             raise ValueError("can only differentiate by a variable")
         vname = v.args[0]
     else:
         vname = v
+    if e._canon is e:
+        rat = _rat_diff(e._rat, vname)
+        if rat is not None:
+            return _rat_to_expr(rat)
+    # A raw input, or an atom derivative with a denominator (ln, atoms over
+    # rational arguments): without a polynomial gcd the quotient canon
+    # returns depends on the order the tree sums in, and only the tree of
+    # _diff reproduces that order.
     return canon(_diff(e, vname))
+
+
+def _rat_diff(r: _Rat, v: str) -> Optional[_Rat]:
+    """Derivative of a payload by `v`, or None when some atom's derivative
+    carries a denominator."""
+    dn = _p_diff(r.num, v)
+    if dn is None:
+        return None
+    if r.den is _ONE_POLY:
+        return _Rat(dn, _ONE_POLY)
+    dd = _p_diff(r.den, v)
+    if dd is None:
+        return None
+    if not dn and not dd:
+        return _RAT_ZERO
+    return _rat_normalize(
+        _p_add(_p_mul(dn, r.den), _p_scale(_p_mul(r.num, dd), -1)), _p_mul(r.den, r.den)
+    )
+
+
+def _p_diff(p: dict, v: str) -> Optional[dict]:
+    """Derivative of a polynomial payload by `v`: each atom of each monomial
+    lowered once, times its exponent and its derivative; None when some
+    atom's derivative carries a denominator."""
+    out: dict = {}
+    vkey = ("v", v)
+    for mono, c in p.items():
+        for i, (a, n) in enumerate(mono):
+            if a[0] == "v":
+                if a != vkey:
+                    continue
+                da = _ONE_POLY
+            else:
+                d = _ATOM_DIFF.get((a, v))
+                if d is None:
+                    d = _ATOM_DIFF[a, v] = _canon(_diff(_ATOM_REGISTRY[a], v))._rat
+                if d.den is not _ONE_POLY:
+                    return None
+                da = d.num
+            rest = mono[:i] + ((a, n - 1),) + mono[i + 1 :] if n > 1 else mono[:i] + mono[i + 1 :]
+            k = c * n
+            for m, c2 in da.items():
+                m = _mono_mul(rest, m)
+                s = out.get(m, 0) + k * c2
+                if s:
+                    out[m] = s if s.__class__ is int else _coeff(s)
+                else:
+                    del out[m]
+    return out
 
 
 def _diff(e: Expr, v: str) -> Expr:
@@ -705,7 +783,8 @@ def compile_expr(e: Expr, symbols: Sequence) -> Callable[[Sequence[float]], floa
     floats or equal-length 1-D float arrays (columns, one row per point);
     on columns it returns an array, or a float when the form is constant.
     Constants are converted to floats and atoms bound to their registry
-    keys here, not per point; the arithmetic is the tree order of
+    keys once, on the first scalar or first column call, not per point;
+    the arithmetic is the tree order of
     `evaluate`, and a column row gets the bits of the scalar evaluation
     (products and quotients elementwise, sums by `math.fsum` per row,
     powers and sin/cos/exp/ln through Python floats per row, the 1e-12
@@ -717,14 +796,17 @@ def compile_expr(e: Expr, symbols: Sequence) -> Callable[[Sequence[float]], floa
     """
     c = canon(e)
     slots = {s: i for i, s in enumerate(symbols)}
-    scalar = _compile(c, slots)
     if _elementwise(c):
-        return scalar
-    columns = None
+        return _compile(c, slots)
+    # each tree is compiled on its first call: column callers reach the
+    # scalar one only when a column raises
+    scalar = columns = None
 
     def either(v):
-        nonlocal columns
+        nonlocal scalar, columns
         if not v or v[0].__class__ is not np.ndarray:
+            if scalar is None:
+                scalar = _compile(c, slots)
             return scalar(v)
         if columns is None:
             columns = _compile(c, slots, rows=True)

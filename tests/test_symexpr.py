@@ -97,6 +97,86 @@ class TestDiff:
         assert sx.canon(got2 - want).is_const_zero()
 
 
+    @staticmethod
+    def _assert_tree_route(c, v):
+        got, want = sx.diff(c, v), sx.canon(sx._diff(c, v))
+        assert got.key() == want.key() and str(got) == str(want)
+        assert got._rat.num == want._rat.num and got._rat.den == want._rat.den
+
+    def test_payload_route_matches_tree_route(self):
+        # canonical inputs are differentiated on their payload; the result
+        # must be the canonical form of the product-rule tree, quotients
+        # included, for every variable and for an absent one
+        fallbacks = [
+            sx.ln(x**2 + y) * z,
+            sx.func("B", x / (y + 1), z) + x,
+            sx.sin(1 / (x + 1)) * y,
+            (x + sx.ln(x)) / (y + x),
+        ]
+        for c in [sx.canon(e) for e in _canon_corpus() + fallbacks]:
+            for v in sorted(sx.free_vars(c)) + ["q"]:
+                self._assert_tree_route(c, v)
+        # the fallback cases take the tree route for the variables they hold
+        for c, v in zip(map(sx.canon, fallbacks), "xxxx"):
+            assert sx._rat_diff(c._rat, v) is None
+        # a raw input is differentiated as a tree, not as its canonical form
+        raw = (x**2 - 1) / (x - 1) + x * y
+        assert raw._canon is not raw
+        assert sx.diff(raw, "x") == sx.canon(sx._diff(raw, "x"))
+
+    def test_payload_route_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        leaves = st.one_of(
+            st.sampled_from([x, y, z]),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4).map(sx.num),
+        )
+
+        def extend(kids):
+            pairs = st.tuples(kids, kids)
+            return st.one_of(
+                pairs.map(lambda t: t[0] + t[1]),
+                pairs.map(lambda t: t[0] * t[1]),
+                pairs.map(lambda t: t[0] / t[1]),
+                st.tuples(kids, st.integers(-2, 3)).map(lambda t: t[0] ** t[1]),
+                kids.map(lambda k: sx.func("B", x, sx.func("C", k))),
+                kids.map(sx.exp),
+            )
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.recursive(leaves, extend, max_leaves=10))
+        def check(e):
+            try:
+                c = sx.canon(e)
+            except DivisionByZeroError:
+                hypothesis.assume(False)
+            for v in ("x", "y", "z", "w"):
+                self._assert_tree_route(c, v)
+
+        check()
+
+    def test_canonical_polynomial_is_not_re_expanded(self, monkeypatch):
+        # 50 terms, one of them over an opaque atom no other test uses: the
+        # derivative reads the payload, so only the atom's own derivative
+        # is canonicalized
+        B = sx.func("Bcount", x, y)
+        terms = [(k + 1) * x ** (k % 4) * y ** (k // 4 % 4) * z ** (k // 16) for k in range(49)]
+        c = sx.canon(sum(terms, B * x * z))
+        assert len(c.args) == 50
+        calls = 0
+        to_rat = sx._to_rat
+
+        def counting(e):
+            nonlocal calls
+            calls += 1
+            return to_rat(e)
+
+        monkeypatch.setattr(sx, "_to_rat", counting)
+        for v in ("x", "y", "z"):
+            sx.diff(c, v)
+        assert calls <= 12
+
+
 class TestEval:
     def test_polynomial(self):
         assert sx.evaluate(x**2 + y, {"x": 2, "y": 1}) == 5.0
@@ -231,6 +311,26 @@ class TestCompiled:
             columns = f(list(np.array(rows).T))
             assert np.array_equal(columns, scalar)
         assert sx.compile_expr(x * 0 + 5, ["x"])([np.zeros(3)]) == 5.0
+
+    def test_each_tree_compiled_on_first_use(self, monkeypatch):
+        # column callers never compile the scalar tree unless they call it
+        compiled = []
+        compile_ = sx._compile
+
+        def recording(e, slots, rows=False):
+            compiled.append(rows)
+            return compile_(e, slots, rows)
+
+        monkeypatch.setattr(sx, "_compile", recording)
+        f = sx.compile_expr(x / (1 + y**2) + sx.sin(x), ["x", "y"])
+        assert compiled == []
+        f([np.array([0.5, 1.0]), np.array([2.0, 3.0])])
+        assert compiled and all(compiled)
+        n = len(compiled)
+        f([np.array([0.5]), np.array([2.0])])
+        assert len(compiled) == n
+        f([0.5, 2.0])
+        assert len(compiled) > n and not any(compiled[n:])
 
     @pytest.mark.parametrize(
         "expr, column, error",
