@@ -160,8 +160,8 @@ def reduce_mod_generators(f: DiffForm, generators: Sequence[DiffForm]) -> DiffFo
                 continue
             C = tuple(i for i in K if i not in Jg)
             sign_merge = _perm_sign(C + Jg)
-            quotient = sx.canon(cK / (g.terms[Jg] * sx.num(sign_merge)))
-            if quotient.op == "div":
+            quotient, den = sx.numer_denom(cK / (g.terms[Jg] * sx.num(sign_merge)))
+            if den != sx.ONE:
                 continue
             rho = DiffForm(chart, len(C), {C: quotient})
             current = current - wedge(rho, g)

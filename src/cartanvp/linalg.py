@@ -171,21 +171,13 @@ def clear_denominators(comps: list[Expr], anchor: Optional[int] = None) -> list[
     by the common rational content and normalize the sign; the result is a
     function multiple of the input with polynomial entries.  The sign makes
     the `anchor` component (or else the first nonzero one) lead positive."""
-    nums, dens = [], []
-    for c in comps:
-        cc = sx.canon(c)
-        if cc.op == "div":
-            nums.append(cc.args[0])
-            dens.append(cc.args[1])
-        else:
-            nums.append(cc)
-            dens.append(sx.ONE)
+    parts = [sx.numer_denom(c) for c in comps]
     distinct: list[Expr] = []
-    for d in dens:
+    for _, d in parts:
         if d != sx.ONE and all(d != q for q in distinct):
             distinct.append(d)
     cleared = []
-    for nu, de in zip(nums, dens):
+    for nu, de in parts:
         factor = sx.ONE
         for q in distinct:
             if q != de:

@@ -12,17 +12,24 @@ generators.  The quotient is reduced by monomial content only and the
 denominator is normalized to leading coefficient one; the full polynomial
 gcd is still missing, so canonical forms are unique only up to it.
 Coefficient arithmetic is exact: `int` when integral, `Fraction`
-otherwise, and every constant of an `Expr` is a `Fraction`.  `canon`
-caches the quotient on its output node, and `+` and `*` keep a canonical
-operand whole (they splice only raw sums and products), so canonical
-subtrees are never expanded again.  `diff` of a canonical form works on
-that cached quotient (the quotient rule over polynomial derivatives, each
-atom's derivative canonicalized once and cached); a raw tree, or a form
-with an atom whose derivative has a denominator (ln, atoms over rational
-arguments), is differentiated as a product-rule tree and canonicalized,
-because without the gcd the canonical quotient of such a derivative
-depends on the order the tree sums in.  Floats appear only in evaluation and
-sampling, which this module owns for the whole package:
+otherwise, and every constant of an `Expr` is a `Fraction`.  A canonical
+node is its quotient, the payload: `canon`, `diff` and `subst` return
+nodes that hold only the payload, and a node's tree is built from it on
+the first structural read (`op`/`args`: printing, `key`/`hash`,
+`compile_expr`, raw-tree walks).  Zero and unit tests, `==` between
+canonical nodes, `const_value`, `free_vars`, `opaque_atoms` and
+`numer_denom` answer from the payload, and `+` and `*` keep a canonical
+operand whole (they splice only raw sums and products), so a chain of
+form operations neither builds nor re-expands a coefficient tree.
+`diff` of a canonical form works on its payload (the quotient rule over
+polynomial derivatives, each atom's derivative canonicalized once and
+cached); a raw tree, or a form with an atom whose derivative has a
+denominator (ln, atoms over rational arguments), is differentiated as a
+product-rule tree and canonicalized, because without the gcd the
+canonical quotient of such a derivative depends on the order the tree
+sums in.  For the same reason `subst` of a canonical form combines the
+images of its atoms in the order of its tree.  Floats appear only in
+evaluation and sampling, which this module owns for the whole package:
 `compile_expr` turns a canonical form into a float function once (the
 one evaluator, on floats or on columns of floats with the same bits per
 row; `evaluate` is its one-point entry), and `sample_points`
@@ -65,6 +72,7 @@ __all__ = [
     "point_label",
     "subst",
     "free_vars",
+    "numer_denom",
     "opaque_atoms",
     "poly_terms",
     "is_zero",
@@ -102,15 +110,31 @@ class Expr:
     `op` is one of: const, var, add, mul, pow, div, func.  Use the module
     constructors (`num`, `var`, `sin`, ..., `func`) and the overloaded
     operators; do not build nodes by hand.
+
+    A canonical node (the output of `canon`, `diff`, `subst`) is its
+    payload, the `_Rat` quotient: `is_const_zero`, `const_value`, `==`
+    between canonical nodes, `free_vars`, `opaque_atoms` and the
+    arithmetic read that.  Its `op` and `args` stay unset until something
+    reads them (printing, `key`/`hash`, `compile_expr`, the tree walks);
+    the first read builds the tree from the payload, once.
     """
 
-    __slots__ = ("op", "args", "_key", "_canon", "_rat")  # _rat: canonical outputs only
+    # op, args: unset on a canonical node until its tree is first read;
+    # _rat: canonical nodes only
+    __slots__ = ("op", "args", "_key", "_canon", "_rat")
 
     def __init__(self, op: str, args: tuple):
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_canon", None)
+
+    def __getattr__(self, name):
+        # reached only for unset slots, so reads of built nodes pay nothing
+        if (name == "op" or name == "args") and self._canon is self:
+            _build_tree(self)
+            return object.__getattribute__(self, name)
+        raise AttributeError(name)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
@@ -142,6 +166,10 @@ class Expr:
             return True
         if not isinstance(other, Expr):
             return NotImplemented
+        if self._canon is self and other._canon is other:
+            # a canonical tree and its payload determine each other
+            a, b = self._rat, other._rat
+            return a.num == b.num and a.den == b.den
         return self.key() == other.key()
 
     def __hash__(self):
@@ -193,13 +221,17 @@ class Expr:
         return diff(self, v)
 
     def is_const_zero(self) -> bool:
+        if self._canon is self:
+            return not self._rat.num
         return self.op == "const" and self.args[0] == 0
 
     def const_value(self) -> Optional[Fraction]:
         """Fraction value if the canonical form is a constant, else None."""
-        c = canon(self)
-        if c.op == "const":
-            return c.args[0]
+        rat = _canon(self)._rat
+        if not rat.num:
+            return Fraction(0)
+        if rat.den is _ONE_POLY and len(rat.num) == 1 and _EMPTY_MONO in rat.num:
+            return Fraction(rat.num[_EMPTY_MONO])
         return None
 
     def __str__(self):
@@ -223,7 +255,14 @@ def _neg(e: Expr) -> Expr:
 
 def _operands(e: Expr, op: str) -> tuple:
     # a canonical operand stays whole, so _to_rat reads its cached payload
-    return e.args if e.op == op and e._canon is not e else (e,)
+    return e.args if e._canon is not e and e.op == op else (e,)
+
+
+def _is_one(e: Expr) -> bool:
+    if e._canon is e:
+        rat = e._rat
+        return rat.den is _ONE_POLY and rat.num == _ONE_POLY
+    return e.op == "const" and e.args[0] == 1
 
 
 def _add2(a: Expr, b: Expr) -> Expr:
@@ -235,9 +274,9 @@ def _add2(a: Expr, b: Expr) -> Expr:
 
 
 def _mul2(a: Expr, b: Expr) -> Expr:
-    if a.op == "const" and a.args[0] == 1:
+    if _is_one(a):
         return b
-    if b.op == "const" and b.args[0] == 1:
+    if _is_one(b):
         return a
     return Expr("mul", _operands(a, "mul") + _operands(b, "mul"))
 
@@ -408,6 +447,19 @@ class _Rat:
 
 
 _RAT_ZERO = _Rat({}, _ONE_POLY)
+_RAT_ONE = _Rat(_ONE_POLY, _ONE_POLY)
+
+
+def _mark(node: Expr, rat: _Rat) -> Expr:
+    """Make `node` the canonical node of `rat`."""
+    object.__setattr__(node, "_rat", rat)
+    object.__setattr__(node, "_canon", node)
+    return node
+
+
+# the constants are their own canonical forms
+_mark(ZERO, _RAT_ZERO)
+_mark(ONE, _RAT_ONE)
 
 
 def _rat_normalize(num: dict, den: dict) -> _Rat:
@@ -453,7 +505,7 @@ def _rat_div(a: _Rat, b: _Rat) -> _Rat:
 
 def _rat_pow(a: _Rat, n: int) -> _Rat:
     if n == 0:
-        return _Rat(_ONE_POLY, _ONE_POLY)
+        return _RAT_ONE
     if n < 0:
         return _rat_normalize(_p_pow(a.den, -n), _p_pow(a.num, -n))
     return _rat_normalize(_p_pow(a.num, n), _p_pow(a.den, n))
@@ -532,13 +584,34 @@ def _canon(e: Expr) -> Expr:
 
 
 def _rat_to_expr(rat: _Rat) -> Expr:
-    """The canonical tree of a payload, carrying it."""
-    out = _p_to_expr(rat.num)
+    """The canonical node of a payload: ZERO, ONE, the registry atom for a
+    single atom with coefficient 1, else a node holding only the payload,
+    whose tree `_build_tree` makes on its first structural read."""
+    num = rat.num
+    if rat.den is _ONE_POLY and len(num) <= 1:
+        if not num:
+            return ZERO
+        ((mono, c),) = num.items()
+        if c == 1:
+            if not mono:
+                return ONE
+            if len(mono) == 1 and mono[0][1] == 1:
+                atom = _ATOM_REGISTRY[mono[0][0]]
+                return atom if atom._canon is atom else _mark(atom, rat)
+    out = object.__new__(Expr)
+    object.__setattr__(out, "_key", None)
+    return _mark(out, rat)
+
+
+def _build_tree(e: Expr) -> None:
+    """Give a canonical node the tree of its payload: terms in descending
+    `_mono_order`, numerator over denominator."""
+    rat = e._rat
+    tree = _p_to_expr(rat.num)
     if rat.den is not _ONE_POLY:
-        out = Expr("div", (out, _p_to_expr(rat.den)))
-    object.__setattr__(out, "_rat", rat)
-    object.__setattr__(out, "_canon", out)
-    return out
+        tree = Expr("div", (tree, _p_to_expr(rat.den)))
+    object.__setattr__(e, "op", tree.op)
+    object.__setattr__(e, "args", tree.args)
 
 
 # ---------------------------------------------------------------------------
@@ -689,20 +762,57 @@ def _diff(e: Expr, v: str) -> Expr:
 def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables by expressions (simultaneous), canonicalized."""
     mapping = {k: _coerce(v) for k, v in mapping.items()}
-    return canon(_subst(e, mapping))
+    return canon(_subst(e, mapping, {}))
 
 
-def _subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
+def _subst(e: Expr, mapping: Mapping[str, Expr], images: dict) -> Expr:
+    if e._canon is e:
+        return _rat_to_expr(_rat_subst(e._rat, mapping, images))
     op = e.op
     if op == "const":
         return e
     if op == "var":
         return mapping.get(e.args[0], e)
     if op == "func":
-        return Expr("func", (e.args[0],) + tuple(_subst(a, mapping) for a in e.args[1:]))
+        return Expr("func", (e.args[0],) + tuple(_subst(a, mapping, images) for a in e.args[1:]))
     if op == "pow":
-        return Expr("pow", (_subst(e.args[0], mapping), e.args[1]))
-    return Expr(op, tuple(_subst(a, mapping) for a in e.args))
+        return Expr("pow", (_subst(e.args[0], mapping, images), e.args[1]))
+    return Expr(op, tuple(_subst(a, mapping, images) for a in e.args))
+
+
+def _rat_subst(r: _Rat, mapping: Mapping[str, Expr], images: dict) -> _Rat:
+    """`_to_rat` of the substituted canonical tree of `r`, combined in that
+    tree's order without building it (the order decides the quotient when
+    denominators meet): numerator over denominator, terms descending, each
+    term its coefficient times its atoms' powers.  `images` caches the
+    payload of each atom's image."""
+    num = _p_subst(r.num, mapping, images)
+    if r.den is _ONE_POLY:
+        return num
+    return _rat_div(num, _p_subst(r.den, mapping, images))
+
+
+def _p_subst(p: dict, mapping: Mapping[str, Expr], images: dict) -> _Rat:
+    acc = None
+    for mono, c in sorted(p.items(), key=_mono_order, reverse=True):
+        term = _Rat({_EMPTY_MONO: c}, _ONE_POLY) if c != 1 or not mono else None
+        for a, n in mono:
+            image = images.get(a)
+            if image is None:
+                image = images[a] = _atom_subst(a, mapping, images)
+            factor = image if n == 1 else _rat_pow(image, n)
+            term = factor if term is None else _rat_mul(term, factor)
+        acc = term if acc is None else _rat_add(acc, term)
+    return _RAT_ZERO if acc is None else acc
+
+
+def _atom_subst(a: tuple, mapping: Mapping[str, Expr], images: dict) -> _Rat:
+    if mapping.keys().isdisjoint(_atom_vars(a)):
+        return _Rat({((a, 1),): 1}, _ONE_POLY)
+    if a[0] == "v":
+        return _to_rat(mapping[a[1]])
+    atom = _ATOM_REGISTRY[a]
+    return _to_rat(Expr("func", (a[1],) + tuple(_subst(x, mapping, images) for x in atom.args[1:])))
 
 
 def free_vars(e: Expr) -> set[str]:
@@ -712,6 +822,13 @@ def free_vars(e: Expr) -> set[str]:
 
 
 def _collect_vars(e: Expr, out: set):
+    if e._canon is e:
+        rat = e._rat
+        for p in (rat.num, rat.den):
+            for mono in p:
+                for a, _ in mono:
+                    out |= _atom_vars(a)
+        return
     op = e.op
     if op == "var":
         out.add(e.args[0])
@@ -723,6 +840,31 @@ def _collect_vars(e: Expr, out: set):
     elif op in ("add", "mul", "div"):
         for a in e.args:
             _collect_vars(a, out)
+
+
+# atom key -> names of the variables in the atom
+_ATOM_VARS: dict[tuple, frozenset] = {}
+
+
+def _atom_vars(a: tuple) -> frozenset:
+    names = _ATOM_VARS.get(a)
+    if names is None:
+        if a[0] == "v":
+            names = frozenset((a[1],))
+        else:
+            names = frozenset().union(*(free_vars(x) for x in _ATOM_REGISTRY[a].args[1:]))
+        _ATOM_VARS[a] = names
+    return names
+
+
+def numer_denom(e: Expr) -> tuple[Expr, Expr]:
+    """Numerator and denominator of the canonical form of `e`, each a
+    canonical polynomial; the denominator is ONE for a polynomial."""
+    c = _canon(e)
+    rat = c._rat
+    if rat.den is _ONE_POLY:
+        return c, ONE
+    return _rat_to_expr(_Rat(rat.num, _ONE_POLY)), _rat_to_expr(_Rat(rat.den, _ONE_POLY))
 
 
 def poly_terms(e: Expr) -> Optional[list[tuple[Fraction, tuple[tuple[Expr, int], ...]]]]:
@@ -752,24 +894,30 @@ def opaque_atoms(e: Expr) -> dict[tuple, Expr]:
     exp and ln (walked the same way, one nesting level at a time)."""
     out: dict[tuple, Expr] = {}
     known_args: list[Expr] = []
-    _walk_opaque(_canon(e), out, known_args)
+    _walk_opaque(_canon(e)._rat, out, known_args)
     for a in known_args:  # grows while walked
-        _walk_opaque(a, out, known_args)
+        _walk_opaque(a._rat, out, known_args)
     return out
 
 
-def _walk_opaque(e: Expr, out: dict, known_args: list):
-    if e.op == "func":
-        if e.args[0] in KNOWN_FUNCS:
-            known_args.extend(e.args[1:])
-            return
-        key = ("f", e.args[0], tuple(a.key() for a in e.args[1:]))
-        if key in out:
-            return
-        out[key] = e
-    for a in e.args:
-        if isinstance(a, Expr):
-            _walk_opaque(a, out, known_args)
+def _walk_opaque(rat: _Rat, out: dict, known_args: list):
+    # the canonical tree's order without building it: numerator then
+    # denominator, terms descending, the atoms of a term in key order
+    for p in (rat.num,) if rat.den is _ONE_POLY else (rat.num, rat.den):
+        terms = [t for t in p.items() if any(a[0] == "f" for a, _ in t[0])]
+        if len(terms) > 1:
+            terms.sort(key=_mono_order, reverse=True)
+        for mono, _ in terms:
+            for a, _ in mono:
+                if a[0] == "f" and a not in out:
+                    atom = _ATOM_REGISTRY[a]
+                    if a[1] in KNOWN_FUNCS:
+                        known_args.extend(atom.args[1:])
+                        continue
+                    out[a] = atom
+                    # registry atoms have canonical arguments
+                    for x in atom.args[1:]:
+                        _walk_opaque(x._rat, out, known_args)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,35 @@ class TestAccumulation:
         assert calls <= 10 * len(pieces)
 
 
+    def test_identities_build_no_coefficient_trees(self, rng, chart6w, monkeypatch):
+        # forms work reads canonical coefficients through their payloads:
+        # d∘d, the interior antiderivation rule and pullback-commutes-with-d
+        # on 6 coordinates build no expression tree until one is printed
+        builds = 0
+        build_tree = sx._build_tree
+
+        def counting(e):
+            nonlocal builds
+            builds += 1
+            return build_tree(e)
+
+        monkeypatch.setattr(sx, "_build_tree", counting)
+        a, b = rand_form(rng, chart6w, 1, coeff_terms=3), rand_form(rng, chart6w, 2)
+        X = rand_field(rng, chart6w)
+        da = fm.ext_d(a)
+        assert fm.ext_d(da).is_zero_form() and not da.is_zero_form()
+        lhs = fm.interior(X, fm.wedge(a, b))
+        rhs = fm.wedge(fm.interior(X, a), b) - fm.wedge(a, fm.interior(X, b))
+        assert lhs == rhs and not lhs.is_zero_form()
+        base = ["x1", "x2"]
+        phi = fm.SectionMap(chart6w, {n: rand_poly(rng, base) for n in chart6w.fiber})
+        pulled = fm.pullback(phi, fm.ext_d(a))
+        assert pulled == fm.ext_d(fm.pullback(phi, a)) and not pulled.is_zero_form()
+        assert builds == 0
+        str(next(iter(lhs.terms.values())))
+        assert builds > 0
+
+
 class TestLie:
     def test_coordinate_fields_commute(self, chart5):
         got = fm.lie_bracket(fm.coord_field(chart5, "x1"), fm.coord_field(chart5, "x2"))

@@ -475,6 +475,75 @@ def _fresh(e):
     return sx.Expr(e.op, tuple(_fresh(a) if isinstance(a, sx.Expr) else a for a in e.args))
 
 
+def _built(e) -> bool:
+    """Whether the node has its tree (read without building it)."""
+    try:
+        sx.Expr.op.__get__(e, sx.Expr)
+    except AttributeError:
+        return False
+    return True
+
+
+def _tree_opaque_atoms(c):
+    """The documented order of `opaque_atoms`, walked on the built tree."""
+    out, known = {}, []
+
+    def walk(e):
+        if e.op == "func":
+            if e.args[0] in sx.KNOWN_FUNCS:
+                known.extend(e.args[1:])
+                return
+            if e.key() in out:
+                return
+            out[e.key()] = e
+        for a in e.args:
+            if isinstance(a, sx.Expr):
+                walk(a)
+
+    walk(c)
+    for a in known:
+        walk(a)
+    return out
+
+
+def _assert_lazy_equals_built(e):
+    """canon(e) answers from its payload without building its tree, and
+    every answer equals the one read from the tree once it is built."""
+    c = sx.canon(e)
+    twin = sx.canon(_fresh(e))
+    lazy = not _built(c)
+
+    def answers():
+        return (
+            sx.free_vars(c),
+            list(sx.opaque_atoms(c)),
+            c.is_const_zero(),
+            c.const_value(),
+            c == twin and twin == c,
+            hasattr(c, "nonexistent"),
+        )
+
+    before = answers()
+    assert _built(c) is not lazy
+    key, text, h = c.key(), str(c), hash(c)
+    raw = _fresh(c)
+    assert _built(c) and answers() == before
+    assert raw == c and c == raw and hash(raw) == h == hash(twin)
+    assert raw.key() == twin.key() == key and str(raw) == str(twin) == text
+    free, atoms, zero, value, equal, missing = before
+    assert equal and not missing
+    assert free == sx.free_vars(raw)
+    assert atoms == list(_tree_opaque_atoms(c))
+    assert zero == raw.is_const_zero()
+    assert value == (c.args[0] if c.op == "const" else None)
+    assert value is None or type(value) is Fraction
+    # the numerator alone equals c exactly when there is no denominator
+    num, den = sx.numer_denom(c)
+    assert (num == c) == (c == num) == (den == sx.ONE) == (c.op != "div")
+    assert den == sx.ONE or sx.canon(num / den) == c
+    return c
+
+
 def _constants(e):
     if e.op == "const":
         yield e.args[0]
@@ -517,7 +586,7 @@ class TestCanonicalCore:
         @hypothesis.given(st.recursive(leaves, extend, max_leaves=10))
         def check(e):
             try:
-                c = sx.canon(e)
+                c = _assert_lazy_equals_built(e)
             except DivisionByZeroError:
                 hypothesis.assume(False)
             again = sx.canon(_fresh(c))
@@ -528,6 +597,10 @@ class TestCanonicalCore:
                     assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
 
         check()
+        F, G = sx.func("F", x), sx.func("G", y, sx.func("F", x))
+        known = [sx.sin(F) * G + sx.exp(x * G) / (x + 1), sx.cos(sx.ln(G) + F) - F, x, sx.num(1), x - x]
+        for e in _canon_corpus() + known:
+            _assert_lazy_equals_built(e)
 
     def test_coefficient_types_at_the_boundary(self):
         rng = random.Random(29)
@@ -542,6 +615,34 @@ class TestCanonicalCore:
             assert [k for k, _ in sx.poly_terms(e)] == coeffs
         assert sx.poly_coeffs(x / 2 + 2 * y - 3) == [-3, Fraction(1, 2), 2]
         assert sx.poly_coeffs(1 / (x + 1)) is None
+
+    def test_subst_payload_route_matches_tree_route(self):
+        # a canonical input is substituted on its payload, combined in the
+        # order of its tree; the result must be the canonical form of the
+        # substituted tree, quotients and raised errors included
+        F = sx.func("F", x, y)
+        mappings = [
+            {"x": y + 1},
+            {"y": sx.num(Fraction(2, 3)), "w": x},
+            {"z": F},
+            {"x": y},
+            {"q": x},
+        ]
+        rational = {"x": 1 / (y - 2), "z": x * y}
+        for i, e in enumerate(_canon_corpus()[::4]):
+            c = sx.canon(e)
+            # the corpus quotients (every fifth entry) swell past a second
+            # per rational substitution without a gcd
+            for m in mappings + ([rational] if i % 5 != 1 else []):
+                try:
+                    want = sx.canon(sx._subst(_fresh(c), m, {}))
+                except DivisionByZeroError:
+                    with pytest.raises(DivisionByZeroError):
+                        sx.subst(c, m)
+                    continue
+                got = sx.subst(c, m)
+                assert got._rat.num == want._rat.num and got._rat.den == want._rat.den
+                assert got.key() == want.key() and str(got) == str(want)
 
     def test_opaque_atoms_order(self):
         # numerator then denominator, terms in canonical order, each atom
