@@ -3,10 +3,16 @@ sections by pulling seed data along integral manifolds.
 
 Integration is classical fixed-step fourth order (deterministic, adequate
 at desk scale), one routine over coordinate columns (1-D arrays of rows,
-or Python floats for the one point of `flow`).  A sweep marches the
-lattice axis by axis, all nodes reached so far advancing together, then
-checks the critical equations at every node with finite-difference jets,
-each equation compiled once and evaluated over the node columns.
+or Python floats for the one point of `flow`).  Each swept field is
+compiled once into one straight-line step function: components that are
+products of constants and coordinates are inlined as Python arithmetic,
+every other component is called through its `compile_expr` closure, and
+the bits are those of the classical stage loop.  A step that fails is
+re-run stage by stage, row by row, with the scalar closures to name the
+first failing point.  A sweep marches the lattice axis by axis, all
+nodes reached so far advancing together through one march per axis,
+then checks the critical equations at every node with finite-difference
+jets, each equation compiled once and evaluated over the node columns.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -136,7 +142,7 @@ def flow(
     Returns ceil(|t|/step)+1 points (the step is shrunk uniformly to land
     exactly on t); raises EvaluationFailureError when a component cannot
     be evaluated en route and BoxExitError when a configured bounding box
-    is left.  The components are compiled once per call.
+    is left.  The field is compiled once per call.
     """
     coords = X.chart.coords
     if isinstance(start, Mapping):
@@ -145,67 +151,172 @@ def flow(
         y = np.array([float(v) for v in start])
         if y.shape != (len(coords),):
             raise ValueError("start point has wrong dimension")
-    comps = [sx.compile_expr(c, coords) for c in X.components]
     path = [y.copy()]
-    _rk4(comps, X.chart, y, t, step, bbox, path)
+    _rk4(X, y, [t], step, bbox, path)
     return path
 
 
-def _rk4(comps: Sequence, chart: Chart, y: np.ndarray, t: float, step: float,
-         bbox=None, path: Optional[list] = None) -> np.ndarray:
+def _rk4(X: VecField, y: np.ndarray, spans: Sequence[float], step: float,
+         bbox=None, path: Optional[list] = None) -> list[np.ndarray]:
     """Advance `y`, one point (dim) or the rows of a (rows, dim) array, by
-    fixed-step classical RK4 for duration t under the compiled field
-    `comps`; appends the point(s) reached by every step to `path` when
-    given.  The state is a list of coordinate columns (Python floats for
-    one point, 1-D arrays for rows), each stage calls each component once
-    on them, and the arithmetic per coordinate is elementwise, so every row
-    gets the bits of a one-point run.  A failing stage is re-run row by row
-    with the scalar closures to name the first failing row."""
+    fixed-step classical RK4 under the field X for each duration of
+    `spans` in turn, and return the point(s) reached at the end of each;
+    appends the point(s) reached by every step to `path` when given.
+
+    The state is a list of coordinate columns (Python floats for one
+    point, 1-D arrays for rows), kept across the spans, and each step is
+    one call of the field's generated step function (`_compile_step`),
+    whose arithmetic is elementwise, so every row gets the bits of a
+    one-point run.  A step that raises is re-run stage by stage with the
+    scalar closures, row by row (`_name_failure`), to name the first
+    failing row at the first failing stage."""
     if step <= 0:
         raise ValueError("step must be positive")
-    if t == 0:
-        return y
+    chart = X.chart
     shape = y.shape
     rows = y.reshape(-1, chart.dim)
     one = len(rows) == 1
+    kernel = _compile_step(X)
 
-    def F(y: list) -> list:
-        try:
-            return [f(y) for f in comps]
-        except _FIELD_ERRORS:
-            for v in [y] if one else zip(*(col.tolist() for col in y)):
-                try:
-                    for f in comps:
-                        f(v)
-                except _FIELD_ERRORS as exc:
-                    at = dict(zip(chart.coords, v))
-                    raise EvaluationFailureError(f"field evaluation failed at {at}: {exc}") from exc
-            raise
+    def stacked(state: list) -> np.ndarray:
+        return np.array(state).T.reshape(shape)
 
-    def stacked(y: list) -> np.ndarray:
-        return np.array(y).T.reshape(shape)
+    state = rows[0].tolist() if one else list(rows.T)
+    reached = []
+    for t in spans:
+        nsteps = math.ceil(abs(t) / step)  # at least 1 unless t == 0
+        h = t / nsteps if nsteps else 0.0
+        half, sixth = 0.5 * h, h / 6.0
+        for _ in range(nsteps):
+            try:
+                new = kernel(state, h, half, sixth)
+            except _FIELD_ERRORS:
+                _name_failure(X, state, h, half, one)
+                raise
+            state = new
+            if bbox is not None:
+                points = stacked(state).reshape(-1, chart.dim)
+                for name, (lo, hi) in bbox.items():
+                    col = points[:, chart.index(name)]
+                    left = (col < lo) | (col > hi)
+                    if left.any():
+                        r = int(left.argmax())
+                        raise BoxExitError(f"flow left the box at {name} = {col[r]}", point=points[r].copy())
+            if path is not None:
+                path.append(stacked(state))
+        reached.append(stacked(state))
+    return reached
 
-    y = rows[0].tolist() if one else list(rows.T)
-    nsteps = max(1, math.ceil(abs(t) / step))
-    h = t / nsteps
-    half, sixth = 0.5 * h, h / 6.0
-    for _ in range(nsteps):
-        k1 = F(y)
-        k2 = F([a + half * k for a, k in zip(y, k1)])
-        k3 = F([a + half * k for a, k in zip(y, k2)])
-        k4 = F([a + h * k for a, k in zip(y, k3)])
-        y = [a + sixth * (((b1 + 2 * b2) + 2 * b3) + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        if bbox is not None:
-            points = stacked(y).reshape(-1, chart.dim)
-            for name, (lo, hi) in bbox.items():
-                col = points[:, chart.index(name)]
-                left = (col < lo) | (col > hi)
-                if left.any():
-                    r = int(left.argmax())
-                    raise BoxExitError(f"flow left the box at {name} = {col[r]}", point=points[r].copy())
-        if path is not None:
-            path.append(stacked(y))
-    return stacked(y)
+
+def _name_failure(X: VecField, state: list, h: float, half: float, one: bool) -> None:
+    """Re-run the RK4 step from `state` stage by stage, each stage row by
+    row with the scalar closures (the same bits as the step function), and
+    raise EvaluationFailureError for the first row that fails at the first
+    stage where any row fails; return when no row fails."""
+    coords = X.chart.coords
+    comps = [sx.compile_expr(c, coords) for c in X.components]
+    ys = [state] if one else [list(r) for r in zip(*(col.tolist() for col in state))]
+    ks: list = []
+    for coef in (None, half, half, h):
+        stage = ys if coef is None else [[a + coef * k for a, k in zip(v, kv)] for v, kv in zip(ys, ks)]
+        ks = []
+        for v in stage:
+            try:
+                ks.append([f(v) for f in comps])
+            except _FIELD_ERRORS as exc:
+                at = dict(zip(coords, v))
+                raise EvaluationFailureError(f"field evaluation failed at {at}: {exc}") from exc
+
+
+# generated step source -> its factory; the source holds slot indices and
+# operators only, so fields of one shape share it
+_STEP_FACTORIES: dict[str, Callable] = {}
+# stage state names: stage 1 reads the step's input, stages 2-4 y + c*k
+_STAGES = (("y", None), ("a", "half"), ("b", "half"), ("d", "h"))
+
+
+def _compile_step(X: VecField) -> Callable[[list, float, float, float], list]:
+    """One RK4 step of X as one straight-line function of the state list
+    and h, h/2, h/6, returning the next state list.
+
+    A component whose canonical tree is only constants, bound variables
+    and products is inlined as Python arithmetic in the order of
+    `symexpr._compile`'s product, `((1.0 * a) * b) * ...`; every other
+    component is called through its `compile_expr` closure on the stage's
+    state list.  The stage states are `y + half*k1`, `y + half*k2`,
+    `y + h*k3` and the update `y + sixth*(((k1 + 2*k2) + 2*k3) + k4)`, as
+    in the classical loop, so floats and columns keep its bits; a stage
+    coordinate no component reads is not computed.  Constants and
+    closures are arguments of the generated factory, so the source
+    depends only on the field's shape and is compiled once per shape."""
+    coords = X.chart.coords
+    slots = {c: i for i, c in enumerate(coords)}
+    consts: list[float] = []
+    calls: list = []
+    reads: set[int] = set()
+    texts = []
+    for c in X.components:
+        c = sx.canon(c)
+        mark = len(consts)
+        text = _inline(c, slots, consts, reads)
+        if text is None:
+            del consts[mark:]
+            calls.append(sx.compile_expr(c, coords))
+            text = f"f{len(calls) - 1}(v)"
+        texts.append(text)
+    dim = len(texts)
+    reads = range(dim) if calls else sorted(reads)
+    params = [f"c{j}" for j in range(len(consts))] + [f"f{j}" for j in range(len(calls))]
+    src = [f"def factory({', '.join(params)}):", "    def step(y, h, half, sixth):",
+           f"        {''.join(f'y{i}, ' for i in range(dim))}= y"]
+    ks: list = []
+    for s, (name, coef) in enumerate(_STAGES):
+        if coef is not None:
+            src += [f"        {name}{i} = y{i} + {coef} * {ks[-1][i]}" for i in reads]
+        if calls:
+            src.append("        v = y" if coef is None else f"        v = [{', '.join(f'{name}{i}' for i in range(dim))}]")
+        stage_k = []
+        for i, text in enumerate(texts):
+            expr = text.replace("@", name)
+            if not expr.isidentifier():
+                src.append(f"        k{s + 1}_{i} = {expr}")
+                expr = f"k{s + 1}_{i}"
+            stage_k.append(expr)
+        ks.append(stage_k)
+    update = [f"y{i} + sixth * ((({k1} + 2 * {k2}) + 2 * {k3}) + {k4})" for i, (k1, k2, k3, k4) in enumerate(zip(*ks))]
+    src += [f"        return [{', '.join(update)}]", "    return step"]
+    src = "\n".join(src) + "\n"
+    factory = _STEP_FACTORIES.get(src)
+    if factory is None:
+        scope: dict = {}
+        exec(compile(src, "<rk4 step>", "exec"), scope)
+        factory = _STEP_FACTORIES[src] = scope["factory"]
+    return factory(*consts, *calls)
+
+
+def _inline(e: Expr, slots: Mapping[str, int], consts: list, reads: set) -> Optional[str]:
+    """Python source of a tree of constants, bound variables and products
+    (`c<j>` for the j-th entry it appends to `consts`, `@<i>` for slot i
+    of the stage state, which it adds to `reads`), or None for any other
+    tree."""
+    if e.op == "const":
+        consts.append(float(e.args[0]))
+        return f"c{len(consts) - 1}"
+    if e.op == "var":
+        i = slots.get(e.args[0])
+        if i is None:
+            return None
+        reads.add(i)
+        return f"@{i}"
+    if e.op == "mul":
+        out = "1.0"
+        for a in e.args:
+            part = _inline(a, slots, consts, reads)
+            if part is None:
+                return None
+            out = f"({out} * {part})"
+        return out
+    return None
 
 
 def commutation_defect(
@@ -378,11 +489,10 @@ def sweep_section(
     # march the lattice one axis at a time from its low edge: every node
     # reached so far is a row, and all rows advance together edge by edge
     for ax in axis_order:
-        comps = [sx.compile_expr(c, chart.coords) for c in fields[ax].components]
         lattice = vals[ax]
-        swept = [block.reshape(-1, chart.dim)]
-        for j in range(1, len(lattice)):
-            swept.append(_rk4(comps, chart, swept[-1], float(lattice[j] - lattice[j - 1]), step))
+        rows = block.reshape(-1, chart.dim)
+        spans = [float(lattice[j] - lattice[j - 1]) for j in range(1, len(lattice))]
+        swept = [rows] + _rk4(fields[ax], rows, spans, step)
         block = np.stack(swept, axis=1).reshape(block.shape[:-1] + (len(lattice), chart.dim))
     order = list(seed_axes) + list(axis_order)
     points = np.ascontiguousarray(block.transpose([order.index(b) for b in chart.base] + [len(order)]))

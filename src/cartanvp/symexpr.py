@@ -528,7 +528,8 @@ def _to_rat(e: Expr) -> _Rat:
         cargs = tuple(canon(a) for a in e.args[1:])
         key = ("f", name, tuple(a.key() for a in cargs))
         if key not in _ATOM_REGISTRY:
-            _ATOM_REGISTRY[key] = Expr("func", (name,) + cargs)
+            atom = _ATOM_REGISTRY[key] = Expr("func", (name,) + cargs)
+            object.__setattr__(atom, "_key", key)
         return _Rat({((key, 1),): 1}, _ONE_POLY)
     if op == "add" or op == "mul":
         # the first operand stands for 0 + a or 1 * a, which normalize to a
@@ -915,9 +916,29 @@ def _walk_opaque(rat: _Rat, out: dict, known_args: list):
                         known_args.extend(atom.args[1:])
                         continue
                     out[a] = atom
-                    # registry atoms have canonical arguments
-                    for x in atom.args[1:]:
-                        _walk_opaque(x._rat, out, known_args)
+                    nested, known = _atom_nested(a)
+                    for b in nested:
+                        if b not in out:
+                            out[b] = _ATOM_REGISTRY[b]
+                    known_args.extend(known)
+
+
+# opaque atom key -> (keys of the opaque atoms nested in its arguments, in
+# walk order, and the arguments of the known functions met on the way)
+_ATOM_NESTED: dict[tuple, tuple[tuple, tuple]] = {}
+
+
+def _atom_nested(a: tuple) -> tuple[tuple, tuple]:
+    # a walk of the arguments alone: the atoms a shared walk adds there are
+    # these, less the ones it holds already, whose nested atoms it holds too
+    nested = _ATOM_NESTED.get(a)
+    if nested is None:
+        out: dict[tuple, Expr] = {}
+        known: list[Expr] = []
+        for x in _ATOM_REGISTRY[a].args[1:]:  # registry atoms have canonical arguments
+            _walk_opaque(x._rat, out, known)
+        nested = _ATOM_NESTED[a] = (tuple(out), tuple(known))
+    return nested
 
 
 # ---------------------------------------------------------------------------
@@ -939,8 +960,10 @@ def compile_expr(e: Expr, symbols: Sequence) -> Callable[[Sequence[float]], floa
     checks over the whole column).  A variable or atom missing from
     `symbols` raises UnboundVariableError or UnboundFunctionError when it
     is reached.  Columns raise where some row would, with some failing
-    row's error: `flows._rk4` and `linalg.sample_stack`, which evaluate on
-    columns, re-run the rows with the scalar closures to name the first.
+    row's error: the RK4 march (`flows._rk4`, whose generated step calls
+    the closures of the components it does not inline) and
+    `linalg.sample_stack`, which evaluate on columns, re-run the rows with
+    the scalar closures to name the first.
     """
     c = canon(e)
     slots = {s: i for i, s in enumerate(symbols)}
@@ -1086,7 +1109,10 @@ def _compile(e: Expr, slots: Mapping, rows: bool = False) -> Callable[[Sequence[
             if rows:
                 return lambda v: _per_row(arg(v), g)
             return lambda v: g(arg(v))
-        i = slots.get(("f", name, tuple(canon(a).key() for a in e.args[1:])))
+        key = e._key
+        if _ATOM_REGISTRY.get(key) is not e:  # a raw node: key its canonical arguments
+            key = ("f", name, tuple(canon(a).key() for a in e.args[1:]))
+        i = slots.get(key)
         # the arguments' own errors come first; constants and bound variables cannot raise
         raising = [a for a in e.args[1:] if not (a.op == "const" or a.op == "var" and a.args[0] in slots)]
         argv = [_compile(a, slots, rows) for a in raising]

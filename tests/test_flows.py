@@ -20,6 +20,7 @@ from cartanvp.errors import (
     NonTransversalDistributionError,
     ResidualTooLargeError,
     TangencyViolationError,
+    UnboundVariableError,
 )
 
 
@@ -642,3 +643,135 @@ class TestRK4Oracle:
         points, residuals, _ = _oracle_sweep(p, p.annihilator, flow=_oracle_flow, **kw)
         assert np.array_equal(patch.points, points)
         assert np.array_equal(patch.residuals, residuals)
+
+
+# ---------------------------------------------------------------------------
+# the generated step against a stage loop over rows
+
+
+def _oracle_march(X, rows, t, step):
+    """The rows reached by RK4 in numpy on a (rows, dim) array, each row
+    evaluated by the scalar closures; a stage that fails names its first
+    failing row."""
+    comps = [sx.compile_expr(c, X.chart.coords) for c in X.components]
+
+    def F(y):
+        out = []
+        for v in y.tolist():
+            try:
+                out.append([f(v) for f in comps])
+            except (DivisionByZeroError, UnboundVariableError, ValueError, OverflowError) as exc:
+                raise EvaluationFailureError(f"field evaluation failed at {dict(zip(X.chart.coords, v))}: {exc}")
+        return np.array(out)
+
+    y = np.array(rows, dtype=float)
+    nsteps = max(1, math.ceil(abs(t) / step))
+    h = t / nsteps
+    for _ in range(nsteps):
+        k1 = F(y)
+        k2 = F(y + 0.5 * h * k1)
+        k3 = F(y + 0.5 * h * k2)
+        k4 = F(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
+def _outcome(run):
+    try:
+        return run()
+    except EvaluationFailureError as exc:
+        return str(exc)
+
+
+class TestGeneratedStep:
+    CHART = fm.Chart(["x", "y", "z"])
+
+    @staticmethod
+    def _component(kind, c):
+        # inlined: constants, variables, products; called: the rest
+        x, y, z = (sx.var(n) for n in ("x", "y", "z"))
+        return [
+            lambda: sx.num(c),
+            lambda: y,
+            lambda: c * x * z,
+            lambda: x + c * y,
+            lambda: 1 / (x - c),
+            lambda: y**-2,
+            lambda: sx.sin(z) + c,
+            lambda: sx.func("B", x),  # unbound: fails wherever it is reached
+        ][kind]()
+
+    def test_equal_to_the_stage_loop_bit_for_bit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        fracs = st.fractions(min_value=-2, max_value=2, max_denominator=8)
+        kinds = st.sampled_from([0, 0, 1, 1, 2, 2, 3, 4, 5, 6, 7])
+        coords = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
+
+        @hypothesis.settings(max_examples=80, deadline=None, database=None)
+        @hypothesis.given(
+            st.lists(st.tuples(kinds, fracs), min_size=3, max_size=3),
+            st.lists(st.lists(coords, min_size=3, max_size=3), min_size=1, max_size=5),
+            st.sampled_from([0.3, -0.2, 0.05]),
+            st.sampled_from([0.05, 0.1, 0.25]),
+        )
+        def check(spec, rows, t, step):
+            X = fm.VecField(self.CHART, [self._component(kind, c) for kind, c in spec])
+            rows = np.array(rows)
+            want = _outcome(lambda: _oracle_march(X, rows, t, step))
+            got = _outcome(lambda: flows._rk4(X, rows, [t], step)[-1])
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert np.array_equal(got, want, equal_nan=True)
+            # one point: the path of `flow`, and every row alone
+            for r, row in enumerate(rows):
+                alone = _outcome(lambda: flows.flow(X, row, t, step))
+                march = _outcome(lambda: _oracle_march(X, rows[r : r + 1], t, step))
+                if isinstance(march, str):
+                    assert alone == march
+                else:
+                    assert np.array_equal(alone, _oracle_flow(X, row, t, step), equal_nan=True)
+                    if not isinstance(got, str):
+                        assert np.array_equal(got[r], alone[-1], equal_nan=True)
+
+        check()
+
+    def test_first_failing_stage_before_first_failing_row(self):
+        # w' = 1/(x - 1/2): row 1 reaches x = 1/2 at stage 2, row 0 only at
+        # stage 3, so the step fails first at stage 2, in row 1
+        chart = fm.Chart(["x", "s", "w"])
+        X = fm.VecField(chart, [sx.var("s"), sx.ONE, 1 / (sx.var("x") - sx.num(Fraction(1, 2)))])
+        rows = np.array([[0.25, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        message = "field evaluation failed at {'x': 0.5, 's': 1.5, 'w': -1.0}: denominator within 1e-12 of zero"
+        with pytest.raises(EvaluationFailureError) as info:
+            flows._rk4(X, rows, [1.0], 1.0)
+        assert str(info.value) == message
+        assert _outcome(lambda: _oracle_march(X, rows, 1.0, 1.0)) == message
+        # alone, row 0 fails at stage 3
+        with pytest.raises(EvaluationFailureError, match=r"at \{'x': 0.5, 's': 0.5, 'w': -2.0\}"):
+            flows._rk4(X, rows[:1], [1.0], 1.0)
+
+    def test_march_keeps_its_state_across_spans(self):
+        p = _constant_k3_problem()
+        (X,) = flows._transversal_fields(p, p.annihilator, ["x2"])
+        rows = np.random.default_rng(3).uniform(-1, 1, (4, p.chart.dim))
+        spans = [0.05, 0.0, 0.025, -0.01]
+        reached = flows._rk4(X, rows, spans, 1e-2)
+        at = rows
+        for span, got in zip(spans, reached):
+            at = at if span == 0 else np.array([flows.flow(X, row, span, 1e-2)[-1] for row in at])
+            assert np.array_equal(got, at)
+
+    def test_one_source_per_shape(self):
+        chart = fm.Chart(["alpha", "beta"])
+        a, b = sx.var("alpha"), sx.var("beta")
+        flows._compile_step(fm.VecField(chart, [-1 * b, 2 * a]))
+        known = dict(flows._STEP_FACTORIES)
+        other = fm.VecField(chart, [sx.num(Fraction(-3, 7)) * b, 5 * a])
+        flows._compile_step(other)
+        assert flows._STEP_FACTORIES == known  # the constants are arguments
+        assert np.array_equal(flows.flow(other, [1.0, 0.5], 0.2, 0.05), _oracle_flow(other, [1.0, 0.5], 0.2, 0.05))
+        # the source names slots and operators, never coordinates or values
+        for src in flows._STEP_FACTORIES:
+            assert not any(text in src for text in ("alpha", "beta", repr(-3 / 7), "5.0"))

@@ -10,7 +10,10 @@ example one of them in a `git archive` copy of the parent).  The list:
 `example` on the stored examples; `analyze`, `el`, `annihilator` and
 `frobenius` on the three fixture specs, generic and with each numeric
 instance; `integrate --format csv` on the inputs of demo 04 and of
-tests/test_cli.py; `liouville` on the rotation spec; `el` on a k = 3
+tests/test_cli.py, and on a k = 2 spec whose characteristic fields have
+quotient, power, sum and exp components (one sweep, and two that fail
+on a pole, in the first and in the second axis); `liouville` on the
+rotation spec; `el` on a k = 3
 intermediate and a k = 4 maximally characteristic polynomial spec (the
 pullback route at scale); demos 01-05.
 """
@@ -62,6 +65,34 @@ INPUTS = {
         "grid": {"x1": [0.0, 1.0, 4], "x2": [0.0, 1.0, 4]},
     },
     "helix-seed.json": {"components": {"x": "1", "y": "0"}, "grid": {"t": [0.0, 6.0, 61]}},
+    # closed factors dz_a + P_a(x1) dx1 + Q_a(x2) dx2 with non-polynomial
+    # coefficients: the swept fields carry components that are not products
+    "nonpoly-k2.json": {
+        "chart": {"base": ["x1", "x2"], "fiber_z": ["z1", "z2", "z3"], "fiber_w": []},
+        "factors": [
+            [{"coeff": "1", "index": ["z1"]}, {"coeff": "x1^2 + 1/2", "index": ["x1"]},
+             {"coeff": "sin(x2)", "index": ["x2"]}],
+            [{"coeff": "1", "index": ["z2"]}, {"coeff": "1/(x1 - 2)", "index": ["x1"]},
+             {"coeff": "x2^-2", "index": ["x2"]}],
+            [{"coeff": "1", "index": ["z3"]}, {"coeff": "exp(x1)", "index": ["x1"]},
+             {"coeff": "-1/3", "index": ["x2"]}],
+        ],
+        "opaque": {},
+        "options": {"seed": 4242},
+    },
+    "nonpoly-seed.json": {
+        "components": {"z1": "1/5", "z2": "0", "z3": "-1"},
+        "grid": {"x1": [0.0, 0.5, 6], "x2": [0.5, 1.0, 5]},
+    },
+    # the x1 field has a pole at x1 = 2, the x2 field one at x2 = 0
+    "nonpoly-seed-pole-x1.json": {
+        "components": {"z1": "1/5", "z2": "0", "z3": "-1"},
+        "grid": {"x1": [1.5, 2.5, 5], "x2": [0.5, 1.0, 3]},
+    },
+    "nonpoly-seed-pole-x2.json": {
+        "components": {"z1": "1/5", "z2": "0", "z3": "-1"},
+        "grid": {"x1": [0.0, 0.5, 3], "x2": [-0.25, 0.25, 3]},
+    },
     # polynomial factor specs as generated by perfbench/gen_analyze.py,
     # factor_spec(random.Random("swell/<k>/<case>/0"), k, case, "poly")["spec"]
     "swell-k3-intermediate-0.json": {
@@ -157,6 +188,12 @@ def entries() -> list[list[str]]:
         ex1 + ["--section", "test-seed-4.json", "--step", "0.01", "--format", "csv"],
         ["cartanvp", "integrate", "--spec", "rotation-theta.json", "--section", "helix-seed.json",
          "--tol", "0.01", "--format", "csv"],
+    ]
+    nonpoly = ["cartanvp", "integrate", "--spec", "nonpoly-k2.json", "--tol", "0.01", "--format", "csv"]
+    runs += [
+        nonpoly + ["--section", "nonpoly-seed.json", "--step", "0.01"],
+        nonpoly + ["--section", "nonpoly-seed-pole-x1.json", "--step", "0.125"],
+        nonpoly + ["--section", "nonpoly-seed-pole-x2.json", "--step", "0.125"],
         ["cartanvp", "liouville", "--spec", "rotation-liouville.json"],
         ["cartanvp", "el", "--spec", "swell-k3-intermediate-0.json"],
         ["cartanvp", "el", "--spec", "swell-k4-maximally-characteristic-0.json"],

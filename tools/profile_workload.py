@@ -1,8 +1,8 @@
-"""cProfile the cycles of one benchmark workload, run item by item as the
+"""Profile the cycles of one benchmark workload, run item by item as the
 benchmark worker runs them, and print the top entries.
 
     python3 tools/profile_workload.py --workload forms-identities --seed 1 \
-        --cycles 0-3 [--top 25] [--calls diff _to_rat _compile]
+        --cycles 0-3 [--top 25] [--calls diff _to_rat _compile] [--sample]
 
 Each item is prepared, called and checked before the next one is
 prepared, as in `perfbench/worker.py`; only the call is profiled.  (The
@@ -12,8 +12,21 @@ worker's warm-up item runs first, unprofiled.  The script re-executes
 itself with `PYTHONHASHSEED=0` and one BLAS thread, like the worker.
 It prints the top `--top` entries by self time and by cumulative time,
 then the call counts (primitive and total) of every function named in
-`--calls`, by bare name or as `module.name`.  It imports the benchmark's workload module and changes
-nothing under `perfbench/`.
+`--calls`, by bare name or as `module.name`.
+
+cProfile charges every call, so it overstates call-heavy code.  With
+`--sample` the script takes a statistical profile instead: a SIGPROF
+interval timer on its own process (`signal.setitimer(ITIMER_PROF)`,
+asking for 1 ms of CPU time; the kernel's tick makes it coarser, about
+4 ms on a 250 Hz kernel) records the stack of every sample, and the
+script prints the sample count and the self and inclusive shares of the
+top `--top` functions, as `file:function:line` of the definition.
+Python runs the handler only where the interpreter checks for signals
+(calls and loop jumps), so straight-line code without calls, such as the
+generated RK4 step of `flows`, is charged to its caller.
+
+It imports the benchmark's workload module and changes nothing under
+`perfbench/`.
 """
 
 from __future__ import annotations
@@ -22,8 +35,10 @@ import argparse
 import cProfile
 import os
 import pstats
+import signal
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,7 +55,58 @@ def cycle_range(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
-def run_item(prof: cProfile.Profile, wl, item: dict) -> None:
+class Sampler:
+    """Stack samples on SIGPROF while enabled: per function, the samples
+    in which it runs (self) and those in which it is on the stack
+    (inclusive); this script's own frames are left out."""
+
+    INTERVAL_S = 1e-3
+
+    def __init__(self):
+        self.samples = 0
+        self.self = Counter()
+        self.inclusive = Counter()
+        self.active = False
+        # the timer runs throughout, so that calls shorter than a tick are
+        # sampled in proportion to their CPU time; samples outside calls
+        # are dropped
+        signal.signal(signal.SIGPROF, self._sample)
+        signal.setitimer(signal.ITIMER_PROF, self.INTERVAL_S, self.INTERVAL_S)
+
+    def enable(self) -> None:
+        self.active = True
+
+    def disable(self) -> None:
+        self.active = False
+
+    def stop(self) -> None:
+        signal.setitimer(signal.ITIMER_PROF, 0, 0)
+
+    def _sample(self, signum, frame) -> None:
+        if not self.active:
+            return
+        codes = []
+        while frame is not None:
+            if frame.f_code.co_filename != __file__:
+                codes.append(frame.f_code)
+            frame = frame.f_back
+        if not codes:
+            return
+        self.samples += 1
+        self.self[codes[0]] += 1
+        self.inclusive.update(set(codes))
+
+    def print(self, top: int) -> None:
+        def label(code) -> str:
+            return f"{Path(code.co_filename).name}:{code.co_name}:{code.co_firstlineno}"
+
+        for title, counts in (("self", self.self), ("inclusive", self.inclusive)):
+            print(f"\n-- top {top} by {title} share of {self.samples} samples")
+            for code, n in counts.most_common(top):
+                print(f"{100 * n / self.samples:6.1f}%  {n:>7d}  {label(code)}")
+
+
+def run_item(prof, wl, item: dict) -> None:
     call = wl.prepare(item)
     prof.enable()
     try:
@@ -57,7 +123,10 @@ def main(argv=None) -> int:
     ap.add_argument("--cycles", type=cycle_range, default=range(0, 1), help="A or A-B (inclusive)")
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--calls", nargs="*", default=[], help="function names to count calls of")
+    ap.add_argument("--sample", action="store_true", help="statistical profile by SIGPROF stack samples")
     args = ap.parse_args(argv)
+    if args.sample and args.calls:
+        ap.error("--calls counts calls under cProfile; leave out --sample")
 
     if any(os.environ.get(k) != v for k, v in ENV.items()):
         os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, **ENV})
@@ -65,7 +134,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from workloads import WORKLOADS
 
-    prof = cProfile.Profile()
+    prof = Sampler() if args.sample else cProfile.Profile()
     items = failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         wl = WORKLOADS[args.workload](args.seed, Path(tmp), ROOT)
@@ -79,10 +148,14 @@ def main(argv=None) -> int:
                     failed += 1
                     print(f"failed: {item.get('label')}: {type(exc).__name__}: {exc}"[:300], file=sys.stderr)
 
+    head = f"{args.workload} seed {args.seed} cycles {args.cycles.start}-{args.cycles.stop - 1}: {items} items, {failed} failed"
+    if args.sample:
+        prof.stop()
+        print(f"{head}, {prof.samples} samples")
+        prof.print(args.top)
+        return 0
     stats = pstats.Stats(prof)
-    total = stats.total_tt
-    print(f"{args.workload} seed {args.seed} cycles {args.cycles.start}-{args.cycles.stop - 1}: "
-          f"{items} items, {failed} failed, {total:.3f} s profiled")
+    print(f"{head}, {stats.total_tt:.3f} s profiled")
     for order in ("tottime", "cumulative"):
         print(f"\n-- top {args.top} by {order}")
         stats.sort_stats(order).print_stats(args.top)
