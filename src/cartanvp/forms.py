@@ -6,15 +6,22 @@ canonical coefficients is plain map comparison.  The interior product is
 the antiderivation acting from the left, and the Hodge star assumes the
 Euclidean metric with orientation given by ascending coordinate order.
 
-Every form built from (index, coefficient) contributions goes through
-`_collect`, which sums each index's contributions left to right in arrival
-order and canonicalizes once.  The order is kept: without a polynomial
-gcd, it can change the canonical quotient of a sum of rational terms.
+The calculus computes on the `_Rat` payloads of canonical coefficients:
+wedge, interior, d, the Hodge star, pullbacks, the Lie bracket and form
+and field arithmetic hand `(index, payload)` contributions to `_collect`,
+which folds each index's contributions with `_rat_add` left to right in
+arrival order and builds one canonical node per index; no expression tree
+is built on the way.  Products are free of order (their normalization
+only rescales), sums are not: without a polynomial gcd the order of a sum
+of rational terms can change its canonical quotient, so every fold keeps
+the order of the raw sum it stands for.  `form_from_spec` alone sums raw
+parse trees, because a repeated index splices them into one sum, and
+canonicalizes that sum.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import symexpr as sx
 from .errors import ChartMismatchError, DegreeMismatchError
@@ -220,19 +227,21 @@ class DiffForm:
         if self.degree != other.degree and self.terms and other.terms:
             raise DegreeMismatchError("cannot add forms of different degree")
         deg = self.degree if self.terms or not other.terms else other.degree
-        return _collect(self.chart, deg, [*self.terms.items(), *other.terms.items()])
+        return _collect(self.chart, deg, [*_payloads(self), *_payloads(other)])
 
     def __sub__(self, other: "DiffForm") -> "DiffForm":
-        return self + (other * sx.num(-1))
+        return self + -other
 
     def __mul__(self, scalar) -> "DiffForm":
-        s = scalar if isinstance(scalar, Expr) else sx.num(scalar)
-        return DiffForm(self.chart, self.degree, {i: c * s for i, c in self.terms.items()})
+        s = _canon_coeff(scalar)._rat
+        return _collect(
+            self.chart, self.degree, ((I, sx._rat_mul(c._rat, s)) for I, c in self.terms.items())
+        )
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self * sx.num(-1)
+        return _collect(self.chart, self.degree, [(I, sx._rat_neg(r)) for I, r in _payloads(self)])
 
     def display(self) -> str:
         """Human-readable sum of wedge monomials, deterministic order."""
@@ -284,15 +293,20 @@ class VecField:
 
     def __add__(self, other):
         _check_chart(self, other)
-        return VecField(self.chart, [a + b for a, b in zip(self.components, other.components)])
+        return VecField(
+            self.chart, [_sum((a._rat, b._rat)) for a, b in zip(self.components, other.components)]
+        )
 
     def __sub__(self, other):
         _check_chart(self, other)
-        return VecField(self.chart, [a - b for a, b in zip(self.components, other.components)])
+        return VecField(
+            self.chart,
+            [_sum((a._rat, sx._rat_neg(b._rat))) for a, b in zip(self.components, other.components)],
+        )
 
     def __mul__(self, scalar):
-        s = scalar if isinstance(scalar, Expr) else sx.num(scalar)
-        return VecField(self.chart, [c * s for c in self.components])
+        s = _canon_coeff(scalar)._rat
+        return VecField(self.chart, [sx._rat_to_expr(sx._rat_mul(c._rat, s)) for c in self.components])
 
     __rmul__ = __mul__
 
@@ -343,12 +357,26 @@ def _check_chart(a, b):
         raise ChartMismatchError(f"chart mismatch: {a.chart!r} vs {b.chart!r}")
 
 
-def _collect(chart: Chart, degree: int, contributions: Iterable[tuple[tuple, Expr]]) -> DiffForm:
-    """Sum each index's contributions in arrival order; canonicalize once."""
-    acc: dict[tuple, Expr] = {}
-    for K, c in contributions:
-        acc[K] = acc[K] + c if K in acc else c
-    return DiffForm(chart, degree, acc)
+def _fold(contributions: Iterable[tuple[tuple, sx._Rat]]) -> dict[tuple, sx._Rat]:
+    """Payload sum per index: each index's contributions added left to right
+    in arrival order, as `_to_rat` folds the raw sum they stand for (a zero
+    contribution is skipped, which is the identity)."""
+    acc: dict[tuple, sx._Rat] = {}
+    for K, r in contributions:
+        if r.num:
+            acc[K] = sx._rat_add(acc[K], r) if K in acc else r
+    return acc
+
+
+def _collect(chart: Chart, degree: int, contributions: Iterable[tuple[tuple, sx._Rat]]) -> DiffForm:
+    """The form of `(index, payload)` contributions: `_fold`, then one
+    canonical node per index."""
+    return DiffForm(chart, degree, {K: sx._rat_to_expr(r) for K, r in _fold(contributions).items()})
+
+
+def _sum(rats: Iterable[sx._Rat]) -> Expr:
+    """Canonical node of a payload sum, added left to right."""
+    return sx._rat_to_expr(_fold(((), r) for r in rats).get((), sx._RAT_ZERO))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +405,7 @@ def coord_field(chart: Chart, name: str) -> VecField:
 def form_from_spec(chart: Chart, spec: Iterable[Mapping]) -> DiffForm:
     """Build a form from [{'coeff': str|Expr, 'index': [names]}] records."""
     degree = None
-    contributions = []
+    terms: dict[tuple, Expr] = {}
     for item in spec:
         names = list(item["index"])
         if degree is None:
@@ -389,10 +417,11 @@ def form_from_spec(chart: Chart, spec: Iterable[Mapping]) -> DiffForm:
         positions = [chart.index(n) for n in names]
         if len(set(positions)) != len(positions):
             continue
-        sign = _perm_sign(positions)
+        c = coeff * sx.num(_perm_sign(positions))
         idx = tuple(sorted(positions))
-        contributions.append((idx, coeff * sx.num(sign)))
-    return _collect(chart, degree if degree is not None else 0, contributions)
+        # raw sums: a repeated index splices its parse trees into one sum
+        terms[idx] = terms[idx] + c if idx in terms else c
+    return DiffForm(chart, degree if degree is not None else 0, terms)
 
 
 def form_to_spec(form: DiffForm) -> list[dict]:
@@ -413,15 +442,24 @@ def wedge(a: DiffForm, b: DiffForm) -> DiffForm:
     deg = a.degree + b.degree
     if deg > a.chart.dim:
         return zero_form(a.chart, a.chart.dim)
-    contributions = []
-    for I, ca in a.terms.items():
-        for J, cb in b.terms.items():
+    return _collect(a.chart, deg, _wedge_terms(_payloads(a), _payloads(b)))
+
+
+def _payloads(a: DiffForm) -> list[tuple[tuple, sx._Rat]]:
+    return [(I, c._rat) for I, c in a.terms.items()]
+
+
+def _signed(sign: int, r: sx._Rat) -> sx._Rat:
+    return r if sign > 0 else sx._rat_neg(r)
+
+
+def _wedge_terms(a_terms, b_terms) -> Iterator[tuple[tuple, sx._Rat]]:
+    """The contributions of the wedge of two payload term lists."""
+    for I, ra in a_terms:
+        for J, rb in b_terms:
             m = _merge_indices(I, J)
-            if m is None:
-                continue
-            sign, K = m
-            contributions.append((K, ca * cb * sx.num(sign)))
-    return _collect(a.chart, deg, contributions)
+            if m is not None:
+                yield m[1], _signed(m[0], sx._rat_mul(ra, rb))
 
 
 def wedge_all(factors: Sequence[DiffForm]) -> DiffForm:
@@ -446,7 +484,7 @@ def ext_d(a: DiffForm) -> DiffForm:
             if m is None:
                 continue
             sign, K = m
-            contributions.append((K, dc * sx.num(sign)))
+            contributions.append((K, _signed(sign, dc._rat)))
     return _collect(chart, a.degree + 1, contributions)
 
 
@@ -463,7 +501,7 @@ def interior(X: VecField, a: DiffForm) -> DiffForm:
                 continue
             K = I[:pos] + I[pos + 1 :]
             sign = -1 if pos % 2 else 1
-            contributions.append((K, comp * c * sx.num(sign)))
+            contributions.append((K, _signed(sign, sx._rat_mul(comp._rat, c._rat))))
     return _collect(a.chart, a.degree - 1, contributions)
 
 
@@ -479,17 +517,23 @@ def pullback_with(
     target chart (the image of its differential); `coeff_sub` rewrites
     coefficient variables.  Commutes with wedge and d by construction.
     """
+    images = {}
+    for i, f in diff_map.items():
+        if f.chart != target:
+            raise ChartMismatchError(f"chart mismatch: {target!r} vs {f.chart!r}")
+        images[i] = _payloads(f)
     contributions = []
     for I, c in a.terms.items():
         cc = sx.subst(c, coeff_sub) if coeff_sub else c
         if cc.is_const_zero():
             continue
-        piece = DiffForm(target, 0, {(): cc})
+        # the wedge of the images, one factor at a time, each step summed
+        piece = {(): cc._rat}
         for i in I:
-            piece = wedge(piece, diff_map[i])
-            if piece.is_zero_form():
+            piece = _fold(_wedge_terms(piece.items(), images[i]))
+            if not piece:
                 break
-        contributions.extend(piece.terms.items())
+        contributions.extend(piece.items())
     return _collect(target, a.degree, contributions)
 
 
@@ -520,22 +564,27 @@ def lie_bracket(X: VecField, Y: VecField) -> VecField:
     """[X, Y]^i = X(Y^i) - Y(X^i)."""
     _check_chart(X, Y)
     coords = X.chart.coords
+    xs, ys = X.components, Y.components
     comps = []
     for i in range(len(coords)):
-        acc = sx.ZERO
+        terms = []
         for j, cj in enumerate(coords):
-            acc = acc + X.components[j] * sx.diff(Y.components[i], cj)
-            acc = acc - Y.components[j] * sx.diff(X.components[i], cj)
-        comps.append(acc)
+            # X^j dY^i/dx^j - Y^j dX^i/dx^j, term by term in this order
+            if not xs[j].is_const_zero():
+                terms.append(sx._rat_mul(xs[j]._rat, sx.diff(ys[i], cj)._rat))
+            if not ys[j].is_const_zero():
+                terms.append(sx._rat_neg(sx._rat_mul(ys[j]._rat, sx.diff(xs[i], cj)._rat)))
+        comps.append(_sum(terms))
     return VecField(X.chart, comps)
 
 
 def lie_derivative(X: VecField, f: Expr) -> Expr:
     """Derivative of a scalar along a field: sum X^i df/dx^i."""
-    acc = sx.ZERO
-    for name, comp in zip(X.chart.coords, X.components):
-        acc = acc + comp * sx.diff(f, name)
-    return sx.canon(acc)
+    return _sum(
+        sx._rat_mul(comp._rat, sx.diff(f, name)._rat)
+        for name, comp in zip(X.chart.coords, X.components)
+        if not comp.is_const_zero()
+    )
 
 
 def hodge_star(a: DiffForm) -> DiffForm:
@@ -544,8 +593,7 @@ def hodge_star(a: DiffForm) -> DiffForm:
     contributions = []
     for I, c in a.terms.items():
         comp = tuple(i for i in range(n) if i not in I)
-        sign = _perm_sign(I + comp)
-        contributions.append((comp, c * sx.num(sign)))
+        contributions.append((comp, _signed(_perm_sign(I + comp), c._rat)))
     return _collect(a.chart, n - a.degree, contributions)
 
 

@@ -24,6 +24,7 @@ from .forms import (
     DiffForm,
     VecField,
     _collect,
+    _signed,
     d_coord,
     dual_one_form,
     ext_d,
@@ -94,33 +95,21 @@ def homotopy_antiderivative(beta: DiffForm) -> DiffForm:
         raise ValueError("need a form of degree at least 1")
     if not ext_d(beta).is_zero_form():
         raise NotClosedError("the form is not closed")
+    coords = [sx.canon(sx.var(n))._rat for n in chart.coords]
     contributions = []
     for I, c in beta.terms.items():
         _require_polynomial(c)
-        for coeff, mono, degree in _monomials(c):
-            scale = Fraction(coeff, q + degree)
+        for mono, coeff in c._rat.num.items():
+            degree = sum(e for _, e in mono)
+            term = sx._Rat({mono: sx._coeff(Fraction(coeff, q + degree))}, sx._ONE_POLY)
             for pos, i in enumerate(I):
                 K = I[:pos] + I[pos + 1 :]
-                sign = -1 if pos % 2 else 1
-                contrib = sx.num(scale * sign) * sx.var(chart.coords[i]) * mono
-                contributions.append((K, contrib))
+                contributions.append((K, _signed(-1 if pos % 2 else 1, sx._rat_mul(coords[i], term))))
     out = _collect(chart, q - 1, contributions)
     residual = ext_d(out) - beta
     if not residual.is_zero_form():
         raise AssertionError("homotopy primitive failed the round trip")
     return out
-
-
-def _monomials(e: Expr):
-    """(Fraction coefficient, monomial Expr, total degree) triples of a
-    polynomial in plain variables."""
-    for coeff, powers in sx.poly_terms(e):
-        factors = sx.ONE
-        degree = 0
-        for atom, exp in powers:
-            factors = factors * atom**exp if exp != 1 else factors * atom
-            degree += exp
-        yield coeff, sx.canon(factors), degree
 
 
 def build_setup(

@@ -19,8 +19,11 @@ the first structural read (`op`/`args`: printing, `key`/`hash`,
 `compile_expr`, raw-tree walks).  Zero and unit tests, `==` between
 canonical nodes, `const_value`, `free_vars`, `opaque_atoms` and
 `numer_denom` answer from the payload, and `+` and `*` keep a canonical
-operand whole (they splice only raw sums and products), so a chain of
-form operations neither builds nor re-expands a coefficient tree.
+operand whole (they splice only raw sums and products).  The exterior
+calculus of `forms` computes on payloads directly (`_rat_mul`,
+`_rat_neg`, and `_rat_add` in the order of the raw sum it stands for),
+so a chain of form operations neither builds nor re-expands a
+coefficient tree.
 `diff` of a canonical form works on its payload (the quotient rule over
 polynomial derivatives, each atom's derivative canonicalized once and
 cached); a raw tree, or a form with an atom whose derivative has a
@@ -359,14 +362,27 @@ def _p_add(a: dict, b: dict) -> dict:
 
 
 def _mono_mul(m1: tuple, m2: tuple) -> tuple:
+    """Product of two monomials: one merge of their sorted atom pairs."""
     if not m1:
         return m2
     if not m2:
         return m1
-    acc = dict(m1)
-    for a, e in m2:
-        acc[a] = acc.get(a, 0) + e
-    return tuple(sorted(acc.items()))
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        p, q = m1[i], m2[j]
+        if p[0] == q[0]:
+            out.append((p[0], p[1] + q[1]))
+            i += 1
+            j += 1
+        elif p[0] < q[0]:
+            out.append(p)
+            i += 1
+        else:
+            out.append(q)
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
 
 
 def _p_mul(a: dict, b: dict) -> dict:
@@ -491,6 +507,12 @@ def _rat_add(a: _Rat, b: _Rat) -> _Rat:
     return _rat_normalize(
         _p_add(_p_mul(a.num, b.den), _p_mul(b.num, a.den)), _p_mul(a.den, b.den)
     )
+
+
+def _rat_neg(r: _Rat) -> _Rat:
+    """-r: the numerator negated, the denominator kept (bit for bit
+    `_rat_mul(r, -1)`, whose normalization is the identity here)."""
+    return _Rat({m: -c for m, c in r.num.items()}, r.den)
 
 
 def _rat_mul(a: _Rat, b: _Rat) -> _Rat:

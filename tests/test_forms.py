@@ -240,7 +240,30 @@ class TestAccumulation:
         for piece in pieces:
             acc = acc + piece
         assert len(acc.terms[(0,)].args) == len(pieces)
-        assert calls <= 10 * len(pieces)
+        assert calls == 0
+
+    def test_calculus_folds_payloads(self, rng, chart5, monkeypatch):
+        # on canonical inputs, quotients included, wedge, interior, d and the
+        # Lie bracket canonicalize no raw tree: they fold payloads
+        x1, z1 = sx.var("x1"), sx.var("z1")
+        a = rand_form(rng, chart5, 1, coeff_terms=3) + fm.d_coord(chart5, "z2") * (x1 / (z1 + 2))
+        b = rand_form(rng, chart5, 2) + fm.wedge(fm.d_coord(chart5, "x1"), fm.d_coord(chart5, "z3")) * (
+            1 / (x1 - 3)
+        )
+        X = rand_field(rng, chart5) + fm.coord_field(chart5, "z1") * (z1 / (x1 + 1))
+        Y = rand_field(rng, chart5)
+        raw = []
+        to_rat = sx._to_rat
+
+        def counting(e):
+            if e._canon is None:
+                raw.append(e)
+            return to_rat(e)
+
+        monkeypatch.setattr(sx, "_to_rat", counting)
+        results = [fm.wedge(a, b), fm.interior(X, b), fm.ext_d(a), fm.ext_d(b), fm.lie_bracket(X, Y)]
+        assert raw == []
+        assert not any(r.is_zero_form() if isinstance(r, fm.DiffForm) else r.is_zero_field() for r in results)
 
 
     def test_identities_build_no_coefficient_trees(self, rng, chart6w, monkeypatch):
@@ -332,3 +355,196 @@ class TestHodge:
         assert fm.dual_one_form(X) == fm.one_form(e3, {"t": sx.ONE, "z": f})
         zero = fm.VecField(e3, [sx.ZERO] * 3)
         assert fm.dual_one_form(zero).is_zero_form()
+
+
+# ---------------------------------------------------------------------------
+# the raw-tree calculus: each operation as one raw Expr sum per index,
+# canonicalized once; the payload fold must give the same bytes
+
+
+def _raw_collect(chart, degree, contributions):
+    acc = {}
+    for K, c in contributions:
+        acc[K] = acc[K] + c if K in acc else c
+    return fm.DiffForm(chart, degree, acc)
+
+
+def _raw_wedge(a, b):
+    contributions = []
+    for I, ca in a.terms.items():
+        for J, cb in b.terms.items():
+            m = fm._merge_indices(I, J)
+            if m is not None:
+                contributions.append((m[1], ca * cb * sx.num(m[0])))
+    return _raw_collect(a.chart, a.degree + b.degree, contributions)
+
+
+def _raw_ext_d(a):
+    contributions = []
+    for I, c in a.terms.items():
+        for i, name in enumerate(a.chart.coords):
+            dc = sx.diff(c, name)
+            m = fm._insert_index(i, I)
+            if m is not None and not dc.is_const_zero():
+                contributions.append((m[1], dc * sx.num(m[0])))
+    return _raw_collect(a.chart, a.degree + 1, contributions)
+
+
+def _raw_interior(X, a):
+    contributions = []
+    for I, c in a.terms.items():
+        for pos, i in enumerate(I):
+            comp = X.components[i]
+            if not comp.is_const_zero():
+                K = I[:pos] + I[pos + 1 :]
+                contributions.append((K, comp * c * sx.num(-1 if pos % 2 else 1)))
+    return _raw_collect(a.chart, a.degree - 1, contributions)
+
+
+def _raw_hodge_star(a):
+    n = a.chart.dim
+    contributions = []
+    for I, c in a.terms.items():
+        comp = tuple(i for i in range(n) if i not in I)
+        contributions.append((comp, c * sx.num(fm._perm_sign(I + comp))))
+    return _raw_collect(a.chart, n - a.degree, contributions)
+
+
+def _raw_pullback_with(a, target, diff_map, coeff_sub):
+    contributions = []
+    for I, c in a.terms.items():
+        cc = sx.subst(c, coeff_sub) if coeff_sub else c
+        piece = fm.DiffForm(target, 0, {(): cc})
+        for i in I:
+            piece = _raw_wedge(piece, diff_map[i])
+        contributions.extend(piece.terms.items())
+    return _raw_collect(target, a.degree, contributions)
+
+
+def _raw_lie_bracket(X, Y):
+    comps = []
+    for i in range(X.chart.dim):
+        acc = sx.ZERO
+        for j, cj in enumerate(X.chart.coords):
+            acc = acc + X.components[j] * sx.diff(Y.components[i], cj)
+            acc = acc - Y.components[j] * sx.diff(X.components[i], cj)
+        comps.append(acc)
+    return fm.VecField(X.chart, comps)
+
+
+def _raw_lie_derivative(X, f):
+    acc = sx.ZERO
+    for name, comp in zip(X.chart.coords, X.components):
+        acc = acc + comp * sx.diff(f, name)
+    return sx.canon(acc)
+
+
+def _same_bytes(got, want):
+    assert got._canon is got
+    assert got._rat.num == want._rat.num and got._rat.den == want._rat.den
+    assert str(got) == str(want)
+
+
+def _same_form(got, want):
+    assert got.degree == want.degree and got.terms.keys() == want.terms.keys()
+    for K, c in want.terms.items():
+        _same_bytes(got.terms[K], c)
+
+
+def _same_field(got, want):
+    for g, w in zip(got.components, want.components):
+        _same_bytes(g, w)
+
+
+class TestRawSumOracle:
+    """Quotients over distinct denominators, where the order of a sum can
+    change its canonical quotient (it does when a denominator comes back
+    after another): every payload operation equals the canonical form of
+    the raw sum it stands for."""
+
+    @pytest.fixture(scope="class")
+    def q(self):
+        from test_symexpr import _canon_corpus
+
+        corpus = _canon_corpus()
+        # p*(C + q)^-k + r/y: one denominator per entry, none shared
+        return [sx.canon(corpus[i]) for i in range(3, 60, 5)]
+
+    @pytest.fixture(scope="class")
+    def chart(self):
+        return fm.Chart(["x", "y", "z", "w"])
+
+    def test_denominators_are_distinct(self, q):
+        dens = [str(sx.numer_denom(v)[1]) for v in q]
+        assert len(set(dens)) == len(dens) and "1" not in dens
+
+    def _forms(self, q, chart):
+        x, y = sx.var("x"), sx.var("y")
+        # A = den q[0] and B = den q[4] alternate within one index's sum
+        a = fm.one_form(chart, {"x": q[0], "y": q[4], "z": q[0] + x, "w": q[4] * y})
+        b = fm.one_form(chart, {"x": q[1], "y": q[5], "z": q[6], "w": q[7]})
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        coeffs = [q[0], q[0] * y, sx.ONE, q[4], q[0] + x, q[8]]
+        c = fm.DiffForm(chart, 2, dict(zip(pairs, coeffs)))
+        return a, b, c
+
+    def test_form_operations(self, q, chart):
+        a, b, c = self._forms(q, chart)
+        X = fm.VecField(chart, [sx.ONE, q[4], sx.var("x"), sx.ONE])
+        _same_form(fm.wedge(a, b), _raw_wedge(a, b))
+        _same_form(fm.wedge(a, c), _raw_wedge(a, c))
+        for f in (a, c):
+            _same_form(fm.ext_d(f), _raw_ext_d(f))
+            _same_form(fm.interior(X, f), _raw_interior(X, f))
+            _same_form(fm.hodge_star(f), _raw_hodge_star(f))
+        ab = fm.wedge(a, b)
+        _same_form(ab + c, _raw_collect(chart, 2, [*ab.terms.items(), *c.terms.items()]))
+        neg = [(K, v * sx.num(-1)) for K, v in c.terms.items()]
+        _same_form(ab - c, _raw_collect(chart, 2, [*ab.terms.items(), *neg]))
+        for s in (q[2], sx.num(-3), 2, sx.var("y") + 1):
+            scaled = {K: v * (s if isinstance(s, sx.Expr) else sx.num(s)) for K, v in c.terms.items()}
+            _same_form(c * s, fm.DiffForm(chart, 2, scaled))
+
+    def test_pullback_with(self, q, chart):
+        target = fm.Chart(["x", "y"])
+        x, y = sx.var("x"), sx.var("y")
+        diff_map = {
+            0: fm.d_coord(target, "x"),
+            1: fm.one_form(target, {"x": sx.ONE, "y": sx.ONE}),
+            2: fm.one_form(target, {"x": x, "y": 1 / (x + 2)}),
+            3: fm.one_form(target, {"y": y / (x - 3)}),
+        }
+        sub = {"z": x / (y - 1), "w": y}
+        a, _, c = self._forms(q, chart)
+        for f in (a, c):
+            for coeff_sub in (sub, {}):
+                got = fm.pullback_with(f, target, diff_map, coeff_sub)
+                _same_form(got, _raw_pullback_with(f, target, diff_map, coeff_sub))
+
+    def test_fields(self, q, chart):
+        x = sx.var("x")
+        X = fm.VecField(chart, [q[0], sx.ONE, sx.ZERO, sx.ZERO])
+        Y = fm.VecField(chart, [q[4], q[0] + x, sx.ZERO, sx.ZERO])
+        _same_field(fm.lie_bracket(X, Y), _raw_lie_bracket(X, Y))
+        X = fm.VecField(chart, [q[0], q[1], sx.ZERO, q[0] * x])
+        Y = fm.VecField(chart, [q[4], sx.ONE, q[6], q[7]])
+        for f in (q[8], x / (sx.var("y") + sx.var("w"))):
+            _same_bytes(fm.lie_derivative(X, f), _raw_lie_derivative(X, f))
+        pairs = list(zip(X.components, Y.components))
+        _same_field(X + Y, fm.VecField(chart, [u + v for u, v in pairs]))
+        _same_field(X - Y, fm.VecField(chart, [u - v for u, v in pairs]))
+        _same_field(X * q[9], fm.VecField(chart, [u * q[9] for u in X.components]))
+
+    def test_spec_sums_its_parse_trees(self, chart):
+        # a repeated index splices both parse trees into one sum; folding
+        # their two canonical forms instead would give another quotient
+        first, second = "x/(y + 2) + z/(x + 1)", "w/(x + 1) + y/(y + 2)"
+        spec = [{"coeff": first, "index": ["x", "y"]}, {"coeff": second, "index": ["x", "y"]}]
+        got = fm.form_from_spec(chart, spec).terms[(0, 1)]
+        _same_bytes(got, sx.canon(sx.parse(first) + sx.parse(second)))
+        folded = sx._rat_add(sx.canon(sx.parse(first))._rat, sx.canon(sx.parse(second))._rat)
+        assert str(sx._rat_to_expr(folded)) != str(got)
+        # the other order of the index puts the sign on the second tree
+        spec[1]["index"] = ["y", "x"]
+        got = fm.form_from_spec(chart, spec).terms[(0, 1)]
+        _same_bytes(got, sx.canon(sx.parse(first) - sx.parse(second)))

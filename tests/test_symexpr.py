@@ -552,7 +552,44 @@ def _constants(e):
             yield from _constants(a)
 
 
+def _mono_mul_reference(m1, m2):
+    """The monomial product by a dict of exponents, sorted afterwards."""
+    acc = dict(m1)
+    for a, e in m2:
+        acc[a] = acc.get(a, 0) + e
+    return tuple(sorted(acc.items()))
+
+
 class TestCanonicalCore:
+    def test_monomial_product_merge_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # variable and opaque-atom keys, "f" sorting before "v", atoms of one
+        # name ordered by their argument keys
+        atoms = [
+            ("v", "x"),
+            ("v", "y"),
+            ("v", "z1"),
+            ("f", "B", (("v", "x"),)),
+            ("f", "B", (("v", "y"),)),
+            ("f", "B@1", (("v", "x"), ("c", (1, 2)))),
+            ("f", "C", (("f", "B", (("v", "x"),)),)),
+        ]
+        monos = st.dictionaries(st.sampled_from(atoms), st.integers(1, 5), max_size=len(atoms)).map(
+            lambda d: tuple(sorted(d.items()))
+        )
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(monos, monos)
+        def check(m1, m2):
+            got = sx._mono_mul(m1, m2)
+            assert type(got) is tuple and got == _mono_mul_reference(m1, m2)
+            assert got == sx._mono_mul(m2, m1)
+
+        check()
+        assert sx._mono_mul((), ()) == ()
+        assert sx._mono_mul((), ((atoms[0], 2),)) == ((atoms[0], 2),)
+
     def test_pinned_canonical_strings(self):
         # recorded with the Fraction-only canonicalization that preceded the
         # integer coefficients, the no-op normalization fast path and the

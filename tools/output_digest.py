@@ -12,8 +12,9 @@ example one of them in a `git archive` copy of the parent).  The list:
 instance; `integrate --format csv` on the inputs of demo 04 and of
 tests/test_cli.py, and on a k = 2 spec whose characteristic fields have
 quotient, power, sum and exp components (one sweep, and two that fail
-on a pole, in the first and in the second axis); `liouville` on the
-rotation spec; `el` on a k = 3
+on a pole, in the first and in the second axis); `analyze` and `el` on a
+k = 2 spec whose factors carry quotients over distinct denominators;
+`liouville` on the rotation spec; `el` on a k = 3
 intermediate and a k = 4 maximally characteristic polynomial spec (the
 pullback route at scale); demos 01-05.
 """
@@ -79,6 +80,21 @@ INPUTS = {
         ],
         "opaque": {},
         "options": {"seed": 4242},
+    },
+    # quotients over distinct denominators: the canonical quotient of a sum
+    # depends on the order its terms are added in
+    "quotients-k2.json": {
+        "chart": {"base": ["x1", "x2"], "fiber_z": ["z1", "z2", "z3"], "fiber_w": []},
+        "factors": [
+            [{"coeff": "1", "index": ["z1"]}, {"coeff": "1/(x1 - 2)", "index": ["x1"]},
+             {"coeff": "x1/(x2 + 3)", "index": ["x2"]}],
+            [{"coeff": "1", "index": ["z2"]}, {"coeff": "z1/(x2 - 3)", "index": ["x1"]},
+             {"coeff": "1/(x1 + x2 + 5)", "index": ["x2"]}],
+            [{"coeff": "1", "index": ["z3"]}, {"coeff": "z2/(x1 + 4)", "index": ["x1"]},
+             {"coeff": "(x1 - 1)/(x2 - 4)", "index": ["x2"]}],
+        ],
+        "opaque": {},
+        "options": {"seed": 777},
     },
     "nonpoly-seed.json": {
         "components": {"z1": "1/5", "z2": "0", "z3": "-1"},
@@ -194,6 +210,8 @@ def entries() -> list[list[str]]:
         nonpoly + ["--section", "nonpoly-seed.json", "--step", "0.01"],
         nonpoly + ["--section", "nonpoly-seed-pole-x1.json", "--step", "0.125"],
         nonpoly + ["--section", "nonpoly-seed-pole-x2.json", "--step", "0.125"],
+        ["cartanvp", "analyze", "--spec", "quotients-k2.json"],
+        ["cartanvp", "el", "--spec", "quotients-k2.json"],
         ["cartanvp", "liouville", "--spec", "rotation-liouville.json"],
         ["cartanvp", "el", "--spec", "swell-k3-intermediate-0.json"],
         ["cartanvp", "el", "--spec", "swell-k4-maximally-characteristic-0.json"],
