@@ -291,9 +291,10 @@ def cmd_liouville(args):
 
 
 def cmd_example(args):
-    rep = fx.run_fixture(args.name, seed=args.seed)
+    seed = _effective_seed(args, specio.options_from_spec(fx.load(args.name)))
+    rep = fx.run_fixture(args.name, seed=seed)
     report = rep.to_dict()
-    report["seed"] = args.seed if args.seed is not None else specio.options_from_spec(fx.load(args.name))["seed"]
+    report["seed"] = seed
     lines = [f"fixture {rep.name}: {'PASS' if rep.passed else 'FAIL'} ({rep.elapsed:.2f}s)"]
     for item in rep.items:
         lines.append(f"  [{item.status:^11}] {item.name}")

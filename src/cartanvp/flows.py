@@ -239,28 +239,27 @@ def _compile_step(X: VecField) -> Callable[[list, float, float, float], list]:
     """One RK4 step of X as one straight-line function of the state list
     and h, h/2, h/6, returning the next state list.
 
-    A component whose canonical tree is only constants, bound variables
-    and products is inlined as Python arithmetic in the order of
-    `symexpr._compile`'s product, `((1.0 * a) * b) * ...`; every other
-    component is called through its `compile_expr` closure on the stage's
-    state list.  The stage states are `y + half*k1`, `y + half*k2`,
-    `y + h*k3` and the update `y + sixth*(((k1 + 2*k2) + 2*k3) + k4)`, as
-    in the classical loop, so floats and columns keep its bits; a stage
+    A component whose canonical form is one term, a constant times bound
+    coordinates to the first power, is inlined as Python arithmetic in the
+    order of `symexpr.compile_expr`'s product, `((1.0 * c) * a) * b`;
+    every other component is called through its `compile_expr` closure on
+    the stage's state list.  The stage states are `y + half*k1`,
+    `y + half*k2`, `y + h*k3` and the update
+    `y + sixth*(((k1 + 2*k2) + 2*k3) + k4)`, as in the classical loop, so
+    floats and columns keep its bits; a stage
     coordinate no component reads is not computed.  Constants and
     closures are arguments of the generated factory, so the source
     depends only on the field's shape and is compiled once per shape."""
     coords = X.chart.coords
-    slots = {c: i for i, c in enumerate(coords)}
+    slots = {sx.var(c): i for i, c in enumerate(coords)}
     consts: list[float] = []
     calls: list = []
     reads: set[int] = set()
     texts = []
     for c in X.components:
         c = sx.canon(c)
-        mark = len(consts)
         text = _inline(c, slots, consts, reads)
         if text is None:
-            del consts[mark:]
             calls.append(sx.compile_expr(c, coords))
             text = f"f{len(calls) - 1}(v)"
         texts.append(text)
@@ -294,29 +293,29 @@ def _compile_step(X: VecField) -> Callable[[list, float, float, float], list]:
     return factory(*consts, *calls)
 
 
-def _inline(e: Expr, slots: Mapping[str, int], consts: list, reads: set) -> Optional[str]:
-    """Python source of a tree of constants, bound variables and products
-    (`c<j>` for the j-th entry it appends to `consts`, `@<i>` for slot i
-    of the stage state, which it adds to `reads`), or None for any other
-    tree."""
-    if e.op == "const":
-        consts.append(float(e.args[0]))
-        return f"c{len(consts) - 1}"
-    if e.op == "var":
-        i = slots.get(e.args[0])
-        if i is None:
-            return None
-        reads.add(i)
-        return f"@{i}"
-    if e.op == "mul":
-        out = "1.0"
-        for a in e.args:
-            part = _inline(a, slots, consts, reads)
-            if part is None:
-                return None
-            out = f"({out} * {part})"
-        return out
-    return None
+def _inline(e: Expr, slots: Mapping[Expr, int], consts: list, reads: set) -> Optional[str]:
+    """Python source of a canonical form that is one term (`poly_terms`),
+    a constant times variables of `slots` to the first power, or None for
+    any other form: `c<j>` for the j-th entry it appends to `consts` (left
+    out when it is 1 and not alone), then `@<i>` for slot i of the stage
+    state, which it adds to `reads`, multiplied from 1.0 left to right."""
+    terms = sx.poly_terms(e)
+    if terms is None or len(terms) > 1:
+        return None
+    coeff, atoms = terms[0] if terms else (0, ())
+    if not all(n == 1 and atom in slots for atom, n in atoms):
+        return None
+    reads.update(slots[atom] for atom, _ in atoms)
+    parts = [f"@{slots[atom]}" for atom, _ in atoms]
+    if coeff != 1 or not atoms:
+        consts.append(float(coeff))
+        parts.insert(0, f"c{len(consts) - 1}")
+    if len(parts) == 1:
+        return parts[0]
+    out = "1.0"
+    for part in parts:
+        out = f"({out} * {part})"
+    return out
 
 
 def commutation_defect(
@@ -350,7 +349,10 @@ def _transversal_fields(
     axes: Sequence[str],
 ) -> list[VecField]:
     """Combinations of the basis whose base components are coordinate unit
-    vectors along the requested axes (the transversal part of D)."""
+    vectors along the requested axes (the transversal part of D).  The
+    base components are the unit vector itself, which `solve_linear` has
+    checked canonically (A u = target); only the fiber components are
+    summed."""
     chart = p.chart
     k = chart.k
     A = [[Y.components[i] for Y in D.basis] for i in range(k)]
@@ -362,9 +364,9 @@ def _transversal_fields(
             raise NonTransversalDistributionError(
                 f"no combination of the distribution matches the {ax} direction"
             )
-        comps = [sx.ZERO] * chart.dim
+        comps = target + [sx.ZERO] * (chart.dim - k)
         for u, Y in zip(sol, D.basis):
-            for i in range(chart.dim):
+            for i in range(k, chart.dim):
                 comps[i] = comps[i] + u * Y.components[i]
         out.append(VecField(chart, comps))
     return out

@@ -15,12 +15,12 @@ Coefficient arithmetic is exact: `int` when integral, `Fraction`
 otherwise, and every constant of an `Expr` is a `Fraction`.  A canonical
 node is its quotient, the payload: `canon`, `diff` and `subst` return
 nodes that hold only the payload, and a node's tree is built from it on
-the first structural read (`op`/`args`: printing, `key`/`hash`,
-`compile_expr`, raw-tree walks).  Zero and unit tests, `==` between
-canonical nodes, `const_value`, `free_vars`, `opaque_atoms` and
-`numer_denom` answer from the payload, and `+` and `*` keep a canonical
-operand whole (they splice only raw sums and products).  The exterior
-calculus of `forms` computes on payloads directly (`_rat_mul`,
+the first structural read (`op`/`args`: printing, `key`/`hash`, raw-tree
+walks).  Zero and unit tests, `==` between canonical nodes,
+`const_value`, `free_vars`, `opaque_atoms`, `numer_denom`, `poly_terms`
+and `compile_expr` answer from the payload, and `+` and `*` keep a
+canonical operand whole (they splice only raw sums and products).  The
+exterior calculus of `forms` computes on payloads directly (`_rat_mul`,
 `_rat_neg`, and `_rat_add` in the order of the raw sum it stands for),
 so a chain of form operations neither builds nor re-expands a
 coefficient tree.
@@ -33,10 +33,10 @@ canonical quotient of such a derivative depends on the order the tree
 sums in.  For the same reason `subst` of a canonical form combines the
 images of its atoms in the order of its tree.  Floats appear only in
 evaluation and sampling, which this module owns for the whole package:
-`compile_expr` turns a canonical form into a float function once (the
-one evaluator, on floats or on columns of floats with the same bits per
-row; `evaluate` is its one-point entry), and `sample_points`
-is the one seeded sampler of evaluation points, which are tuples of
+`compile_expr` turns the payload of a canonical form into a float
+function once (the one evaluator: one set of closures, on floats or on
+columns of floats with the same bits per row), and `sample_points` is
+the one seeded sampler of evaluation points, which are tuples of
 floats aligned with a symbol list of variable names and opaque-atom keys.
 """
 
@@ -69,7 +69,6 @@ __all__ = [
     "func",
     "canon",
     "diff",
-    "evaluate",
     "compile_expr",
     "sample_points",
     "point_label",
@@ -116,10 +115,10 @@ class Expr:
 
     A canonical node (the output of `canon`, `diff`, `subst`) is its
     payload, the `_Rat` quotient: `is_const_zero`, `const_value`, `==`
-    between canonical nodes, `free_vars`, `opaque_atoms` and the
-    arithmetic read that.  Its `op` and `args` stay unset until something
-    reads them (printing, `key`/`hash`, `compile_expr`, the tree walks);
-    the first read builds the tree from the payload, once.
+    between canonical nodes, `free_vars`, `opaque_atoms`, `compile_expr`
+    and the arithmetic read that.  Its `op` and `args` stay unset until
+    something reads them (printing, `key`/`hash`, the tree walks); the
+    first read builds the tree from the payload, once.
     """
 
     # op, args: unset on a canonical node until its tree is first read;
@@ -968,188 +967,139 @@ def _atom_nested(a: tuple) -> tuple[tuple, tuple]:
 
 
 def compile_expr(e: Expr, symbols: Sequence) -> Callable[[Sequence[float]], float]:
-    """Float evaluator of the canonical form of `e`, compiled once.
+    """Float evaluator of the canonical form of `e`, compiled once from its
+    payload (no tree is built).
 
     The returned function takes the values of `symbols` in order, either
     floats or equal-length 1-D float arrays (columns, one row per point);
     on columns it returns an array, or a float when the form is constant.
-    Constants are converted to floats and atoms bound to their registry
-    keys once, on the first scalar or first column call, not per point;
-    the arithmetic is the tree order of
-    `evaluate`, and a column row gets the bits of the scalar evaluation
-    (products and quotients elementwise, sums by `math.fsum` per row,
-    powers and sin/cos/exp/ln through Python floats per row, the 1e-12
-    checks over the whole column).  A variable or atom missing from
-    `symbols` raises UnboundVariableError or UnboundFunctionError when it
-    is reached.  Columns raise where some row would, with some failing
-    row's error: the RK4 march (`flows._rk4`, whose generated step calls
-    the closures of the components it does not inline) and
-    `linalg.sample_stack`, which evaluate on columns, re-run the rows with
-    the scalar closures to name the first.
+    The arithmetic is in the order of the canonical tree: numerator over
+    denominator, terms in descending monomial order summed by `math.fsum`,
+    each term its coefficient and then its atoms' powers left to right,
+    `((1.0 * c) * a) * b`.  One set of closures serves floats and columns,
+    and a column row gets the bits of the scalar evaluation: products and
+    quotients are elementwise, and where the two differ a closure branches
+    on its input's class (`math.fsum`, powers and sin/cos/exp/ln through
+    Python floats per row, the 1e-12 check over the whole column).  A
+    variable or atom missing from `symbols` raises UnboundVariableError or
+    UnboundFunctionError when it is reached.  Columns raise where some row
+    would, with some failing row's error: `flows._rk4` and
+    `linalg.sample_stack`, which evaluate on columns, re-run the rows one
+    by one to name the first.
     """
-    c = canon(e)
-    slots = {s: i for i, s in enumerate(symbols)}
-    if _elementwise(c):
-        return _compile(c, slots)
-    # each tree is compiled on its first call: column callers reach the
-    # scalar one only when a column raises
-    scalar = columns = None
+    f = _compile(canon(e), {s: i for i, s in enumerate(symbols)})
 
-    def either(v):
-        nonlocal scalar, columns
-        if not v or v[0].__class__ is not np.ndarray:
-            if scalar is None:
-                scalar = _compile(c, slots)
-            return scalar(v)
-        if columns is None:
-            columns = _compile(c, slots, rows=True)
-        with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
-            return columns(v)
+    def evaluator(v):
+        if v and v[0].__class__ is np.ndarray:
+            with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
+                return f(v)
+        return f(v)
 
-    return either
+    return evaluator
 
 
-def _elementwise(e: Expr) -> bool:
-    """Whether the scalar closures of `e` already act on columns row by
-    row: constants, variables, products, and opaque atoms over such
-    arguments."""
-    if e.op == "mul":
-        return all(_elementwise(a) for a in e.args)
-    if e.op == "func":
-        return e.args[0] not in KNOWN_FUNCS and all(_elementwise(a) for a in e.args[1:])
-    return e.op in ("const", "var")
+def _compile(e: Expr, slots: Mapping) -> Callable:
+    """Closure of the canonical `e` over the values of `slots`: its
+    numerator, over its denominator when it has one."""
+    rat, atoms = e._rat, {}  # atom key -> closure, shared by the terms
+    num = _compile_poly(rat.num, slots, atoms)
+    if rat.den is _ONE_POLY:
+        return num
+    den = _compile_poly(rat.den, slots, atoms)
+
+    def quotient(v):
+        d = den(v)
+        if np.any(np.abs(d) <= EVAL_DIV_TOLERANCE) if d.__class__ is np.ndarray else abs(d) <= EVAL_DIV_TOLERANCE:
+            raise DivisionByZeroError("denominator within 1e-12 of zero")
+        return num(v) / d
+
+    return quotient
 
 
-def _per_row(x, g: Callable[[float], float]):
-    """g applied to each row of a column as a Python float (or to a float)."""
-    if x.__class__ is np.ndarray:
-        return np.array([g(t) for t in x.tolist()])
-    return g(x)
+def _compile_poly(p: dict, slots: Mapping, atoms: dict) -> Callable:
+    terms = []
+    for mono, c in sorted(p.items(), key=_mono_order, reverse=True):
+        factors = []
+        for a, n in mono:
+            f = atoms.get(a)
+            if f is None:
+                f = atoms[a] = _compile_atom(a, slots)
+            factors.append(f if n == 1 else _per_row(f, lambda t, n=n: t**n))
+        terms.append(_product(float(c), factors))
+    if len(terms) <= 1:
+        return terms[0] if terms else lambda v: 0.0
+
+    def total(v):
+        xs = [t(v) for t in terms]
+        for x in xs:
+            if x.__class__ is np.ndarray:  # fsum per row, floats broadcast
+                cols = [y.tolist() if y.__class__ is np.ndarray else [y] * len(x) for y in xs]
+                return np.array(list(map(math.fsum, zip(*cols))))
+        return math.fsum(xs)
+
+    return total
 
 
-def _fsum_rows(parts: list):
-    """`math.fsum` of each row across columns and broadcast floats."""
-    n = next((len(x) for x in parts if x.__class__ is np.ndarray), None)
-    if n is None:
-        return math.fsum(parts)
-    cols = [x.tolist() if x.__class__ is np.ndarray else [x] * n for x in parts]
-    return np.array(list(map(math.fsum, zip(*cols))))
-
-
-def evaluate(
-    e: Expr,
-    point: Mapping[str, float],
-    atom_env: Optional[Mapping[tuple, float]] = None,
-) -> float:
-    """IEEE-double value at `point` (tree evaluation order), through the
-    same compiled code as `compile_expr` but without canonicalizing `e`.
-
-    Opaque function atoms look up `atom_env`, keyed by the atom's
-    registry key.  Denominators within 1e-12 of zero
-    raise DivisionByZeroError; missing variables raise
-    UnboundVariableError.
-    """
-    env = dict(point)
-    if atom_env is not None:
-        env.update(atom_env)
-    f = _compile(e, {s: i for i, s in enumerate(env)})
-    return f([float(v) for v in env.values()])
-
-
-def _compile(e: Expr, slots: Mapping, rows: bool = False) -> Callable[[Sequence[float]], float]:
-    op = e.op
-    if op == "const":
-        c = float(e.args[0])
+def _product(c: float, factors: list) -> Callable:
+    """`((1.0 * c) * a) * b`, which is `(c * a) * b`."""
+    if not factors:
         return lambda v: c
-    if op == "var":
-        name = e.args[0]
-        i = slots.get(name)
-        if i is not None:
-            return lambda v: v[i]
+    if c == 1.0 and len(factors) == 1:
+        return factors[0]
 
-        def unbound(v):
-            raise UnboundVariableError(f"variable {name!r} is not assigned")
+    def product(v):
+        out = c
+        for f in factors:
+            out *= f(v)
+        return out
 
-        return unbound
-    if op == "add":
-        parts = [_compile(a, slots, rows) for a in e.args]
-        if rows:
-            return lambda v: _fsum_rows([p(v) for p in parts])
-        return lambda v: math.fsum([p(v) for p in parts])
-    if op == "mul":
-        parts = [_compile(a, slots, rows) for a in e.args]
+    return product
 
-        def product(v):
-            out = 1.0
-            for p in parts:
-                out *= p(v)
-            return out
 
-        return product
-    if op == "pow":
-        base, n = _compile(e.args[0], slots, rows), e.args[1]
-        if rows:
+def _per_row(f: Callable, g: Callable[[float], float]) -> Callable:
+    """g of the value of f, through Python floats row by row on a column."""
 
-            def power_rows(v):
-                b = base(v)
-                if n < 0 and np.any(np.abs(b) <= EVAL_DIV_TOLERANCE):
-                    raise DivisionByZeroError("negative power of (near-)zero base")
-                return _per_row(b, lambda t: t**n)
+    def apply(v):
+        x = f(v)
+        if x.__class__ is np.ndarray:
+            return np.array([g(t) for t in x.tolist()])
+        return g(x)
 
-            return power_rows
+    return apply
 
-        def power(v):
-            b = base(v)
-            if n < 0 and abs(b) <= EVAL_DIV_TOLERANCE:
-                raise DivisionByZeroError("negative power of (near-)zero base")
-            return b**n
 
-        return power
-    if op == "div":
-        num_f, den_f = (_compile(a, slots, rows) for a in e.args)
-        if rows:
-
-            def quotient_rows(v):
-                den = den_f(v)
-                if np.any(np.abs(den) <= EVAL_DIV_TOLERANCE):
-                    raise DivisionByZeroError("denominator within 1e-12 of zero")
-                return num_f(v) / den
-
-            return quotient_rows
-
-        def quotient(v):
-            den = den_f(v)
-            if abs(den) <= EVAL_DIV_TOLERANCE:
-                raise DivisionByZeroError("denominator within 1e-12 of zero")
-            return num_f(v) / den
-
-        return quotient
-    if op == "func":
-        name = e.args[0]
+def _compile_atom(a: tuple, slots: Mapping) -> Callable:
+    name = a[1]
+    if a[0] == "v":
+        i, argv = slots.get(name), []
+    else:
+        args = _ATOM_REGISTRY[a].args[1:]  # registry atoms have canonical arguments
         if name in KNOWN_FUNCS:
-            g, arg = KNOWN_FUNCS[name], _compile(e.args[1], slots, rows)
-            if rows:
-                return lambda v: _per_row(arg(v), g)
-            return lambda v: g(arg(v))
-        key = e._key
-        if _ATOM_REGISTRY.get(key) is not e:  # a raw node: key its canonical arguments
-            key = ("f", name, tuple(canon(a).key() for a in e.args[1:]))
-        i = slots.get(key)
-        # the arguments' own errors come first; constants and bound variables cannot raise
-        raising = [a for a in e.args[1:] if not (a.op == "const" or a.op == "var" and a.args[0] in slots)]
-        argv = [_compile(a, slots, rows) for a in raising]
-        if i is not None and not argv:
-            return lambda v: v[i]
+            return _per_row(_compile(args[0], slots), KNOWN_FUNCS[name])
+        # the arguments' own errors come first; a product of bound variables cannot raise
+        i, argv = slots.get(a), [_compile(x, slots) for x in args if not _bound_product(x, slots)]
+    if i is not None and not argv:
+        return lambda v: v[i]
 
-        def atom(v):
-            for a in argv:
-                a(v)
-            if i is None:
-                raise UnboundFunctionError(f"no interpretation for function {name!r}")
-            return v[i]
+    def atom(v):
+        for f in argv:
+            f(v)
+        if i is None:
+            if a[0] == "v":
+                raise UnboundVariableError(f"variable {name!r} is not assigned")
+            raise UnboundFunctionError(f"no interpretation for function {name!r}")
+        return v[i]
 
-        return atom
-    raise AssertionError(f"unknown op {op}")
+    return atom
+
+
+def _bound_product(x: Expr, slots: Mapping) -> bool:
+    """Whether the canonical `x` is one term in variables of `slots` to the
+    first power."""
+    rat = x._rat
+    return rat.den is _ONE_POLY and len(rat.num) <= 1 and all(
+        a[0] == "v" and a[1] in slots and n == 1 for mono in rat.num for a, n in mono
+    )
 
 
 # ---------------------------------------------------------------------------

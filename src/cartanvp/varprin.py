@@ -267,24 +267,19 @@ def _signed_minor(P: Sequence[Sequence[Expr]], a: int) -> Expr:
 
 
 def _constant_ratio(num: Expr, den: Expr) -> Optional[Fraction]:
-    cn = sx.poly_coeffs(sx.canon(num))
-    cd = sx.poly_coeffs(sx.canon(den))
-    if cn is None or cd is None or not cd:
+    """The constant c with num = c * den when both are polynomials, else
+    None: the two must have the same monomials, each coefficient of num c
+    times that of den."""
+    tn = sx.poly_terms(num)
+    td = sx.poly_terms(den)
+    if tn is None or td is None or not td:
         return None
-    if not cn:
+    if not tn:
         return Fraction(0)
-    if len(cn) != len(cd):
+    if [m for _, m in tn] != [m for _, m in td]:
         return None
-    ratio = None
-    for a, b in zip(cn, cd):
-        if b == 0:
-            return None
-        r = Fraction(a, b)
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return None
-    return ratio
+    ratios = {a / b for (a, _), (b, _) in zip(tn, td)}
+    return ratios.pop() if len(ratios) == 1 else None
 
 
 def critical_equations(p: VariationalProblem) -> CriticalSystem:

@@ -379,6 +379,14 @@ class TestExample:
         report = json.loads(out)
         assert report["passed"] is True
 
+    def test_env_seed_echoed(self, monkeypatch):
+        # the environment seeds `example` as it seeds every report
+        monkeypatch.setenv("CARTAN_VP_SEED", "7")
+        code, out = run(["example", "example1"])
+        assert code == 0 and json.loads(out)["seed"] == 7
+        _, out = run(["example", "example1", "--seed", "3"])
+        assert json.loads(out)["seed"] == 3
+
     def test_text_shows_discrepancies(self):
         code, out = run(["example", "example3", "--format", "text"])
         assert code == 0

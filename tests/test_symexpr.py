@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cartanvp import flows
+from cartanvp import forms as fm
 from cartanvp import symexpr as sx
 from cartanvp.errors import (
     DivisionByZeroError,
@@ -177,29 +179,34 @@ class TestDiff:
         assert calls <= 12
 
 
+def _value(e, point):
+    """The compiled float value of `e` at a point given by name."""
+    return sx.compile_expr(e, list(point))([float(v) for v in point.values()])
+
+
 class TestEval:
     def test_polynomial(self):
-        assert sx.evaluate(x**2 + y, {"x": 2, "y": 1}) == 5.0
+        assert _value(x**2 + y, {"x": 2, "y": 1}) == 5.0
 
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZeroError):
-            sx.evaluate(1 / x, {"x": 0})
+            _value(1 / x, {"x": 0})
 
     def test_exp_times_constant(self):
-        assert sx.evaluate(sx.exp(sx.num(0)) * 7, {}) == 7.0
+        assert _value(sx.exp(sx.num(0)) * 7, {}) == 7.0
 
     def test_unbound(self):
         with pytest.raises(UnboundVariableError):
-            sx.evaluate(x + y, {"x": 1})
+            _value(x + y, {"x": 1})
 
     def test_opaque_needs_interpretation(self):
         F = sx.func("B11", x)
         with pytest.raises(UnboundFunctionError):
-            sx.evaluate(F, {"x": 1})
+            _value(F, {"x": 1})
 
     def test_near_zero_denominator_tolerance(self):
         with pytest.raises(DivisionByZeroError):
-            sx.evaluate(1 / x, {"x": 1e-13})
+            _value(1 / x, {"x": 1e-13})
 
     def test_product_eval_consistency_200_pairs(self):
         # canonical product evaluates like the product of evaluations
@@ -210,8 +217,8 @@ class TestEval:
             prod = sx.canon(e1 * e2)
             for _ in range(20):
                 pt = {n: rng.uniform(-1, 1) for n in ("x", "y", "z", "w")}
-                lhs = sx.evaluate(prod, pt)
-                rhs = sx.evaluate(e1, pt) * sx.evaluate(e2, pt)
+                lhs = _value(prod, pt)
+                rhs = _value(e1, pt) * _value(e2, pt)
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
@@ -266,33 +273,29 @@ class TestCompiled:
                 want = _exact(e, env)
                 tol = 1e-12 * max(1.0, abs(float(want)))
                 assert abs(f(vals) - float(want)) <= tol
-                point = {s: v for s, v in env.items() if isinstance(s, str)}
-                atoms = {s: v for s, v in env.items() if not isinstance(s, str)}
-                assert abs(sx.evaluate(e, point, atom_env=atoms) - float(want)) <= tol
+                # the slots bind by symbol, in any order
+                assert sx.compile_expr(e, symbols[::-1])(vals[::-1]) == f(vals)
                 checked += 1
         assert checked == 320
 
     @pytest.mark.parametrize(
-        "expr, values, error, compiled_msg, tree_msg",
+        "expr, values, error, compiled_msg",
         [
-            (1 / x, {"x": 1e-13}, DivisionByZeroError, "denominator within 1e-12", "denominator within 1e-12"),
-            # canonical form is a quotient; the tree keeps the negative power
-            ((x - 1) ** -3, {"x": 1 + 1e-13}, DivisionByZeroError, "denominator within 1e-12", "negative power"),
-            (x + y, {"x": 1.0}, UnboundVariableError, "'y'", "'y'"),
-            (sx.func("B11", x) + 1, {"x": 1.0}, UnboundFunctionError, "'B11'", "'B11'"),
+            (1 / x, {"x": 1e-13}, DivisionByZeroError, "denominator within 1e-12"),
+            # the canonical form of a negative power is a quotient
+            ((x - 1) ** -3, {"x": 1 + 1e-13}, DivisionByZeroError, "denominator within 1e-12"),
+            (x + y, {"x": 1.0}, UnboundVariableError, "'y'"),
+            (sx.func("B11", x) + 1, {"x": 1.0}, UnboundFunctionError, "'B11'"),
         ],
     )
-    def test_error_contract(self, expr, values, error, compiled_msg, tree_msg):
+    def test_error_contract(self, expr, values, error, compiled_msg):
         f = sx.compile_expr(expr, list(values))
         with pytest.raises(error, match=compiled_msg):
             f(list(values.values()))
-        with pytest.raises(error, match=tree_msg):
-            sx.evaluate(expr, values)
 
     def test_tolerance_edge(self):
         f = sx.compile_expr(1 / x, ["x"])
         assert f([2e-12]) == 1 / 2e-12
-        assert sx.evaluate(x**-1, {"x": 2e-12}) == 2e-12**-1
 
     def test_columns_match_scalar_bitwise(self):
         # sums with cancellation (fsum per row), quotients, integer powers
@@ -312,25 +315,32 @@ class TestCompiled:
             assert np.array_equal(columns, scalar)
         assert sx.compile_expr(x * 0 + 5, ["x"])([np.zeros(3)]) == 5.0
 
-    def test_each_tree_compiled_on_first_use(self, monkeypatch):
-        # column callers never compile the scalar tree unless they call it
-        compiled = []
-        compile_ = sx._compile
+    def test_compiling_builds_no_tree(self, monkeypatch):
+        # the closures read the payload: compiling and calling a quotient
+        # with sums, powers, sin/ln and nested opaque atoms, on floats and
+        # on columns, and the RK4 step of a product field build no tree
+        B = sx.func("B", x, sx.func("C", y + 1))
+        e = sx.canon((x**2 * B - 2 * sx.sin(x * y + 1) + 3) / (4 + y**2 + sx.ln(2 + x**2) ** 2))
+        symbols, points = sx.sample_points([e], seed=5, count=3)
+        rows = list(points)
+        chart = fm.Chart(["x", "y"])
+        X = fm.VecField(chart, [sx.canon(-3 * x * y), sx.canon(sx.num(Fraction(2, 7)) * y)])
+        builds = 0
+        build_tree = sx._build_tree
 
-        def recording(e, slots, rows=False):
-            compiled.append(rows)
-            return compile_(e, slots, rows)
+        def counting(node):
+            nonlocal builds
+            builds += 1
+            return build_tree(node)
 
-        monkeypatch.setattr(sx, "_compile", recording)
-        f = sx.compile_expr(x / (1 + y**2) + sx.sin(x), ["x", "y"])
-        assert compiled == []
-        f([np.array([0.5, 1.0]), np.array([2.0, 3.0])])
-        assert compiled and all(compiled)
-        n = len(compiled)
-        f([np.array([0.5]), np.array([2.0])])
-        assert len(compiled) == n
-        f([0.5, 2.0])
-        assert len(compiled) > n and not any(compiled[n:])
+        monkeypatch.setattr(sx, "_build_tree", counting)
+        f = sx.compile_expr(e, symbols)
+        scalar = [f(vals) for vals in rows]
+        assert np.array_equal(f(list(np.array(rows).T)), scalar)
+        flows._compile_step(X)([0.5, 0.25], 0.1, 0.05, 0.1 / 6)
+        assert builds == 0
+        str(e)
+        assert builds > 0
 
     @pytest.mark.parametrize(
         "expr, column, error",
@@ -384,9 +394,7 @@ class TestIsZero:
         assert sx.is_zero(p).verdict == "unknown"
         # dense sampling oracle: |value| <= 1e-9 at 1000 points
         rng = random.Random(3)
-        worst = max(
-            abs(sx.evaluate(p, {"x": rng.uniform(-4, 4)})) for _ in range(1000)
-        )
+        worst = max(abs(_value(p, {"x": rng.uniform(-4, 4)})) for _ in range(1000))
         assert worst <= 1e-9
 
     def test_seed_recorded(self):

@@ -242,6 +242,16 @@ class TestCriticalEquations:
             system = vp.critical_equations(p)  # asserts equality internally
             assert system.ratio == 1
 
+    def test_constant_ratio_needs_the_same_monomials(self):
+        # equal coefficient lists over different monomials are no ratio
+        x, y = sx.variables("x y")
+        assert vp._constant_ratio(x, y) is None
+        assert vp._constant_ratio(2 * x + 1, 3 * y + 1) is None
+        assert vp._constant_ratio(-x * y + 2, sx.canon(x * y / 2 - 1)) == -2
+        assert vp._constant_ratio(sx.ZERO, y) == 0
+        with pytest.raises(AssertionError, match="beyond a constant"):
+            vp._assert_proportional([x], [y])
+
 
 class TestMaximalDegreeField:
     def test_plain_transport(self):

@@ -12,8 +12,9 @@ example one of them in a `git archive` copy of the parent).  The list:
 instance; `integrate --format csv` on the inputs of demo 04 and of
 tests/test_cli.py, and on a k = 2 spec whose characteristic fields have
 quotient, power, sum and exp components (one sweep, and two that fail
-on a pole, in the first and in the second axis); `analyze` and `el` on a
-k = 2 spec whose factors carry quotients over distinct denominators;
+on a pole, in the first and in the second axis); `analyze`, `el` and
+`verify` (of a polynomial-and-quotient section) on a k = 2 spec whose
+factors carry quotients over distinct denominators;
 `liouville` on the rotation spec; `el` on a k = 3
 intermediate and a k = 4 maximally characteristic polynomial spec (the
 pullback route at scale); demos 01-05.
@@ -96,6 +97,10 @@ INPUTS = {
         "opaque": {},
         "options": {"seed": 777},
     },
+    # a candidate section of quotients-k2.json: its residuals are pulled
+    # back through quotient coefficients, so they print what the fold of
+    # each index's sum gives
+    "quotients-section.json": {"components": {"z1": "x1*x2 + 1", "z2": "x1 - x2", "z3": "x2^2/(x1 + 7)"}},
     "nonpoly-seed.json": {
         "components": {"z1": "1/5", "z2": "0", "z3": "-1"},
         "grid": {"x1": [0.0, 0.5, 6], "x2": [0.5, 1.0, 5]},
@@ -212,6 +217,7 @@ def entries() -> list[list[str]]:
         nonpoly + ["--section", "nonpoly-seed-pole-x2.json", "--step", "0.125"],
         ["cartanvp", "analyze", "--spec", "quotients-k2.json"],
         ["cartanvp", "el", "--spec", "quotients-k2.json"],
+        ["cartanvp", "verify", "--spec", "quotients-k2.json", "--section", "quotients-section.json"],
         ["cartanvp", "liouville", "--spec", "rotation-liouville.json"],
         ["cartanvp", "el", "--spec", "swell-k3-intermediate-0.json"],
         ["cartanvp", "el", "--spec", "swell-k4-maximally-characteristic-0.json"],
