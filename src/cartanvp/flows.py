@@ -46,7 +46,7 @@ DEFAULT_STEP = 1e-3
 DEFAULT_TOL = 1e-6
 
 # what a field evaluation raises where the march breaks down
-_FIELD_ERRORS = (DivisionByZeroError, UnboundVariableError, ValueError, OverflowError)
+_FIELD_ERRORS = sx.SINGULAR_POINT_ERRORS + (UnboundVariableError,)
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,7 @@ class SampledPatch:
     """Lattice of reconstructed section points with per-node residuals.
 
     `points` has shape lattice_shape x n (chart coordinate order);
-    `residuals` has shape lattice_shape x n_equations.  Interpolation
-    between nodes is multilinear and flagged approximate.
+    `residuals` has shape lattice_shape x n_equations.
     """
 
     chart: BundleChart
@@ -75,7 +74,6 @@ class SampledPatch:
     points: np.ndarray
     residuals: np.ndarray
     provenance: dict = field(default_factory=dict)
-    approximate: bool = True
 
     @property
     def max_residual(self) -> float:
@@ -83,31 +81,6 @@ class SampledPatch:
 
     def lattice_shape(self) -> tuple[int, ...]:
         return tuple(self.axes[b].count for b in self.chart.base)
-
-    def interpolate(self, base_point: Mapping[str, float]) -> dict[str, float]:
-        """Multilinear fiber values at a base point inside the lattice."""
-        shape = self.lattice_shape()
-        idx0 = []
-        fracs = []
-        for d, b in enumerate(self.chart.base):
-            vals = self.axes[b].values()
-            x = float(base_point[b])
-            j = int(np.clip(np.searchsorted(vals, x) - 1, 0, max(len(vals) - 2, 0)))
-            denom = vals[j + 1] - vals[j] if len(vals) > 1 else 1.0
-            frac = 0.0 if denom == 0 else (x - vals[j]) / denom
-            idx0.append(j)
-            fracs.append(min(max(frac, 0.0), 1.0))
-        acc = np.zeros(self.points.shape[-1])
-        for corner in np.ndindex(*([2] * len(shape))):
-            w = 1.0
-            node = []
-            for d, c in enumerate(corner):
-                w *= fracs[d] if c else (1.0 - fracs[d])
-                node.append(min(idx0[d] + c, shape[d] - 1))
-            acc += w * self.points[tuple(node)]
-        return {
-            name: float(acc[self.chart.index(name)]) for name in self.chart.fiber
-        }
 
     def to_csv(self) -> str:
         """One row per node: base coords, fiber coords, per-equation

@@ -16,7 +16,9 @@ only rescales), sums are not: without a polynomial gcd the order of a sum
 of rational terms can change its canonical quotient, so every fold keeps
 the order of the raw sum it stands for.  `form_from_spec` alone sums raw
 parse trees, because a repeated index splices them into one sum, and
-canonicalizes that sum.
+canonicalizes that sum.  `_merge_indices` is the package's one sign rule
+for two ascending index tuples; `_perm_sign` serves unsorted input only,
+and every contraction elsewhere is a call of `interior`.
 """
 
 from __future__ import annotations
@@ -141,23 +143,18 @@ class BundleChart(Chart):
 # index bookkeeping
 
 
-def _insert_index(i: int, idx: tuple) -> Optional[tuple[int, tuple]]:
-    """Insert i into ascending idx; (sign, merged) or None on collision."""
-    pos = 0
-    for j in idx:
-        if j == i:
-            return None
-        if j < i:
-            pos += 1
-    sign = -1 if pos % 2 else 1
-    return sign, tuple(sorted(idx + (i,)))
-
-
 def _merge_indices(I: tuple, J: tuple) -> Optional[tuple[int, tuple]]:
-    if set(I) & set(J):
-        return None
-    merged = I + J
-    return _perm_sign(merged), tuple(sorted(merged))
+    """dx^I ^ dx^J = sign dx^K for ascending I and J: (sign, K), or None
+    on a shared index.  The sign is the parity of the pairs a in I, b in J
+    with a > b."""
+    inv = 0
+    for a in I:
+        for b in J:
+            if a == b:
+                return None
+            if a > b:
+                inv += 1
+    return (-1 if inv % 2 else 1), tuple(sorted(I + J))
 
 
 def _perm_sign(seq: Sequence[int]) -> int:
@@ -477,14 +474,12 @@ def ext_d(a: DiffForm) -> DiffForm:
     contributions = []
     for I, c in a.terms.items():
         for i, name in enumerate(chart.coords):
-            dc = sx.diff(c, name)
-            if dc.is_const_zero():
-                continue
-            m = _insert_index(i, I)
+            m = _merge_indices((i,), I)
             if m is None:
                 continue
-            sign, K = m
-            contributions.append((K, _signed(sign, dc._rat)))
+            dc = sx.diff(c, name)
+            if not dc.is_const_zero():
+                contributions.append((m[1], _signed(m[0], dc._rat)))
     return _collect(chart, a.degree + 1, contributions)
 
 
@@ -579,12 +574,9 @@ def lie_bracket(X: VecField, Y: VecField) -> VecField:
 
 
 def lie_derivative(X: VecField, f: Expr) -> Expr:
-    """Derivative of a scalar along a field: sum X^i df/dx^i."""
-    return _sum(
-        sx._rat_mul(comp._rat, sx.diff(f, name)._rat)
-        for name, comp in zip(X.chart.coords, X.components)
-        if not comp.is_const_zero()
-    )
+    """Derivative of a scalar along a field: X(f) = iota_X df."""
+    df = ext_d(DiffForm(X.chart, 0, {(): f}))
+    return interior(X, df).terms.get((), sx.ZERO)
 
 
 def hodge_star(a: DiffForm) -> DiffForm:
@@ -593,7 +585,7 @@ def hodge_star(a: DiffForm) -> DiffForm:
     contributions = []
     for I, c in a.terms.items():
         comp = tuple(i for i in range(n) if i not in I)
-        contributions.append((comp, _signed(_perm_sign(I + comp), c._rat)))
+        contributions.append((comp, _signed(_merge_indices(I, comp)[0], c._rat)))
     return _collect(a.chart, n - a.degree, contributions)
 
 

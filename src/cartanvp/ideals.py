@@ -27,9 +27,11 @@ from .forms import (
     DiffForm,
     VecField,
     SectionMap,
-    _perm_sign,
+    _merge_indices,
+    coord_field,
     d_coord,
     ext_d,
+    interior,
     lie_bracket,
     pullback,
     wedge,
@@ -159,7 +161,7 @@ def reduce_mod_generators(f: DiffForm, generators: Sequence[DiffForm]) -> DiffFo
             if not set(Jg) <= set(K):
                 continue
             C = tuple(i for i in K if i not in Jg)
-            sign_merge = _perm_sign(C + Jg)
+            sign_merge, _ = _merge_indices(C, Jg)
             quotient, den = sx.numer_denom(cK / (g.terms[Jg] * sx.num(sign_merge)))
             if den != sx.ONE:
                 continue
@@ -204,28 +206,12 @@ def is_integral_section(J: CartanIdeal, phi: SectionMap) -> IntegralSectionRepor
 
 
 def contraction_matrix(eta: DiffForm) -> tuple[list[tuple], list[list[Expr]]]:
-    """Coefficient matrix of iota_Y eta = 0: rows indexed by the ascending
-    (deg-1)-indices reachable from eta's terms, columns by coordinates."""
-    n = eta.chart.dim
-    row_keys: set[tuple] = set()
-    for J in eta.terms:
-        for pos in range(len(J)):
-            row_keys.add(J[:pos] + J[pos + 1 :])
-    rows = sorted(row_keys)
-    mat = []
-    for K in rows:
-        row = [sx.ZERO] * n
-        for i in range(n):
-            if i in K:
-                continue
-            J = tuple(sorted(K + (i,)))
-            if J not in eta.terms:
-                continue
-            pos = J.index(i)
-            sign = -1 if pos % 2 else 1
-            row[i] = sx.canon(eta.terms[J] * sx.num(sign))
-        mat.append(row)
-    return rows, mat
+    """Coefficient matrix of iota_Y eta = 0: column i is the contraction
+    of eta with d/dx^i, rows are the ascending (deg-1)-indices it reaches."""
+    chart = eta.chart
+    cols = [interior(coord_field(chart, name), eta).terms for name in chart.coords]
+    rows = sorted(set().union(*cols))
+    return rows, [[col.get(K, sx.ZERO) for col in cols] for K in rows]
 
 
 def _fiber_first_groups(chart: Chart, cols: list[int]) -> Optional[list[list[int]]]:
@@ -251,16 +237,19 @@ def _distribution_from_matrix(
     box,
     seed: int,
     what: str,
-    columns: Optional[list[int]] = None,
+    vertical_only: bool = False,
 ) -> Distribution:
     """Solve mat . Y = 0 over the expression field and certify the rank.
 
-    `columns` restricts the unknown vector to a coordinate subset (used
-    for the vertical-restricted annihilator); the returned fields are
-    padded with zeros elsewhere.
+    `vertical_only` restricts the unknown vector to the fiber coordinates
+    of a bundle chart; the returned fields are zero on the base.
     """
     n = chart.dim
-    cols = list(range(n)) if columns is None else columns
+    cols = list(range(n))
+    if vertical_only:
+        if not isinstance(chart, BundleChart):
+            raise ChartMismatchError("vertical restriction needs a bundle chart")
+        cols = cols[chart.k :]
     sub = [[row[c] for c in cols] for row in mat]
     groups = _fiber_first_groups(chart, cols)
     elim = la.gauss_eliminate(sub, box=box, seed=seed, col_groups=groups)
@@ -325,13 +314,9 @@ def vertical_annihilator(
     eta: DiffForm, box=None, seed: int = DEFAULT_SEED
 ) -> Distribution:
     """Annihilator restricted to vertical fields (fiber components only)."""
-    chart = eta.chart
-    if not hasattr(chart, "is_base"):
-        raise ChartMismatchError("vertical restriction needs a bundle chart")
-    fiber_cols = [i for i in range(chart.dim) if not chart.is_base(i)]
     _, mat = contraction_matrix(eta)
     return _distribution_from_matrix(
-        mat, chart, box, seed, "vertical annihilator system", columns=fiber_cols
+        mat, eta.chart, box, seed, "vertical annihilator system", vertical_only=True
     )
 
 
@@ -350,14 +335,8 @@ def annihilator_from_factors(
     basis comes out in the factors' own normal form.
     """
     mat = [[a.terms.get((i,), sx.ZERO) for i in range(chart.dim)] for a in alphas]
-    columns = None
-    what = "factor annihilator system"
-    if vertical_only:
-        if not hasattr(chart, "is_base"):
-            raise ChartMismatchError("vertical restriction needs a bundle chart")
-        columns = [i for i in range(chart.dim) if not chart.is_base(i)]
-        what = "vertical factor annihilator system"
-    return _distribution_from_matrix(mat, chart, box, seed, what, columns=columns)
+    what = "vertical factor annihilator system" if vertical_only else "factor annihilator system"
+    return _distribution_from_matrix(mat, chart, box, seed, what, vertical_only=vertical_only)
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +409,8 @@ def complete_ideal_generators(
     out = []
     for vec in kernel:
         alpha = DiffForm(chart, 1, {(i,): v for i, v in enumerate(vec)})
-        for Y in D.basis:
-            resid = sx.ZERO
-            for comp, coeff in zip(Y.components, vec):
-                resid = resid + comp * coeff
-            if not sx.canon(resid).is_const_zero():
-                raise AssertionError("complement one-form fails to annihilate the basis")
+        if not all(interior(Y, alpha).is_zero_form() for Y in D.basis):
+            raise AssertionError("complement one-form fails to annihilate the basis")
         out.append(alpha)
     if len(out) != chart.dim - D.rank:
         raise NonConstantRankError(

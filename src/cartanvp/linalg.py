@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import symexpr as sx
-from .errors import CartanVPError, DivisionByZeroError, NonConstantRankError
+from .errors import CartanVPError, NonConstantRankError
 from .symexpr import DEFAULT_SEED, Expr
 
 RANK_TOL = 1e-9
@@ -137,7 +137,7 @@ def gauss_eliminate(
             for i, j in cands:
                 try:
                     mag = abs(sx.compile_expr(rows[i][j], symbols)(center))
-                except (DivisionByZeroError, OverflowError, ValueError):
+                except sx.SINGULAR_POINT_ERRORS:
                     mag = 0.0
                 if best is None or mag > best[0]:
                     best = (mag, i, j)
@@ -325,7 +325,7 @@ def certify_rank(
     stack, failures = sample_stack(mat, symbols, samples)
     failed = dict(failures)  # points that cannot be evaluated are dropped
     for exc in failed.values():
-        if not isinstance(exc, (DivisionByZeroError, OverflowError, ValueError)):
+        if not isinstance(exc, sx.SINGULAR_POINT_ERRORS):
             raise exc
     kept = [vals for i, vals in enumerate(samples) if i not in failed]
     ranks = numeric_ranks(stack).tolist()

@@ -24,12 +24,12 @@ from .forms import (
     DiffForm,
     VecField,
     _collect,
-    _signed,
     d_coord,
     dual_one_form,
     ext_d,
     hodge_star,
     interior,
+    pullback_with,
     wedge,
 )
 from .symexpr import Expr
@@ -85,9 +85,10 @@ def _require_polynomial(e: Expr):
 def homotopy_antiderivative(beta: DiffForm) -> DiffForm:
     """Radial homotopy primitive on a star-shaped chart about the origin.
 
-    For each monomial coefficient of total degree d in a q-form term, the
-    radial integral contributes the exact factor 1/(q+d); the output gamma
-    satisfies d(gamma) = beta whenever beta is closed (checked first).
+    The contraction of beta with the radial field sum x^i d/dx^i, each
+    monomial of total degree d in a q-form term first scaled by its
+    radial integral 1/(q+d); d(gamma) = beta whenever beta is closed
+    (checked first).
     """
     chart = beta.chart
     q = beta.degree
@@ -95,17 +96,16 @@ def homotopy_antiderivative(beta: DiffForm) -> DiffForm:
         raise ValueError("need a form of degree at least 1")
     if not ext_d(beta).is_zero_form():
         raise NotClosedError("the form is not closed")
-    coords = [sx.canon(sx.var(n))._rat for n in chart.coords]
-    contributions = []
+    scaled = []
     for I, c in beta.terms.items():
         _require_polynomial(c)
-        for mono, coeff in c._rat.num.items():
-            degree = sum(e for _, e in mono)
-            term = sx._Rat({mono: sx._coeff(Fraction(coeff, q + degree))}, sx._ONE_POLY)
-            for pos, i in enumerate(I):
-                K = I[:pos] + I[pos + 1 :]
-                contributions.append((K, _signed(-1 if pos % 2 else 1, sx._rat_mul(coords[i], term))))
-    out = _collect(chart, q - 1, contributions)
+        weights = {
+            mono: sx._coeff(Fraction(coeff, q + sum(e for _, e in mono)))
+            for mono, coeff in c._rat.num.items()
+        }
+        scaled.append((I, sx._Rat(weights, sx._ONE_POLY)))
+    radial = VecField(chart, [sx.var(n) for n in chart.coords])
+    out = interior(radial, _collect(chart, q, scaled))
     residual = ext_d(out) - beta
     if not residual.is_zero_form():
         raise AssertionError("homotopy primitive failed the round trip")
@@ -184,16 +184,11 @@ def build_setup(
 
 
 def _lift(form: DiffForm, ext: BundleChart) -> DiffForm:
-    """Reinterpret a phase-chart form on the extended chart (same
-    coordinate names, time prepended)."""
-    shift = {}
-    for i, name in enumerate(form.chart.coords):
-        shift[i] = ext.index(name)
-    return DiffForm(
-        ext,
-        form.degree,
-        {tuple(sorted(shift[i] for i in idx)): c for idx, c in form.terms.items()},
-    )
+    """Pull a phase-chart form back to the extended chart along the
+    projection that forgets time: each differential goes to the one of
+    the same name."""
+    diff_map = {i: d_coord(ext, name) for i, name in enumerate(form.chart.coords)}
+    return pullback_with(form, ext, diff_map, {})
 
 
 def build_theta(setup: LiouvilleSetup, box=None, seed=sx.DEFAULT_SEED) -> vp.VariationalProblem:

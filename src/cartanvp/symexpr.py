@@ -84,6 +84,7 @@ __all__ = [
     "DEFAULT_BOX",
     "ZERO_THRESHOLD",
     "EVAL_DIV_TOLERANCE",
+    "SINGULAR_POINT_ERRORS",
 ]
 
 DEFAULT_SEED = 0xC4A7
@@ -91,6 +92,9 @@ DEFAULT_BOX = (-1.0, 1.0)
 ZERO_THRESHOLD = 1e-9
 EVAL_DIV_TOLERANCE = 1e-12
 SAMPLE_BUDGET = 64
+# what evaluating a form at a singular point raises (a pole, an overflow, a
+# logarithm or power off its domain): such a point is skipped, not decisive
+SINGULAR_POINT_ERRORS = (DivisionByZeroError, OverflowError, ValueError)
 
 KNOWN_FUNCS: dict[str, Callable[[float], float]] = {
     "sin": math.sin,
@@ -1200,7 +1204,7 @@ def is_zero(
     for vals in points:
         try:
             val = f(vals)
-        except (DivisionByZeroError, OverflowError, ValueError):
+        except SINGULAR_POINT_ERRORS:
             continue
         if abs(val) > threshold:
             return ZeroTest("nonzero", point_label(symbols, vals), val, seed, threshold)

@@ -142,7 +142,6 @@ def build_problem(
     vertical_basis: Optional[Sequence[VecField]] = None,
     box=None,
     seed: int = DEFAULT_SEED,
-    normalize_factors: bool = True,
 ) -> VariationalProblem:
     """Assemble the variational problem from theta or from factor input.
 
@@ -155,7 +154,7 @@ def build_problem(
     fs: Optional[dc.FactorSet] = None
     if factors is not None:
         fs = factors if isinstance(factors, dc.FactorSet) else dc.FactorSet(chart, tuple(factors))
-        if normalize_factors and not fs.normalized:
+        if not fs.normalized:
             fs = dc.normalize(fs, box=box, seed=seed)
         eta = fs.eta()
     if theta is not None:
@@ -221,13 +220,9 @@ def build_problem(
     )
 
 
-def check_proper(p: VariationalProblem, box=None) -> tuple[str, list[VecField]]:
-    """Tri-state properness with the vertical annihilator basis as witness."""
-    vert = (
-        p.vertical_annihilator
-        if box is None or box == p.box
-        else ids.vertical_annihilator(p.eta, box=box, seed=p.seed)
-    )
+def check_proper(p: VariationalProblem) -> tuple[str, list[VecField]]:
+    """Properness with the vertical annihilator basis as witness."""
+    vert = p.vertical_annihilator
     if vert.rank == 0:
         return "proper", []
     return "not_proper", list(vert.basis)

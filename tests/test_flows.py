@@ -352,20 +352,6 @@ class TestSweep:
         assert lines[0].startswith("# {")
         assert lines[1].split(",")[:2] == ["x1", "x2"]
         assert len(lines) == 2 + 9
-        assert patch.approximate
-
-    def test_interpolation(self):
-        p = fx.problem("example1", instance="constant")
-        patch = flows.sweep_section(
-            p,
-            p.annihilator,
-            {"z1": 0, "z2": 0, "z3": 0},
-            grid={"x1": (0.0, 1.0, 5), "x2": (0.0, 1.0, 5)},
-            step=1e-2,
-        )
-        mid = patch.interpolate({"x1": 0.5, "x2": 0.5})
-        # multilinear interpolation of an affine section is exact
-        assert abs(mid["z1"] - (-(0.5) * 0.5 - (-1 / 3) * 0.5)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from cartanvp import forms as fm
+from cartanvp import ideals as ids
+from cartanvp import liouville as lv
 from cartanvp import symexpr as sx
 from cartanvp.errors import ChartMismatchError
 from conftest import rand_field, rand_form, rand_poly
@@ -384,7 +387,7 @@ def _raw_ext_d(a):
     for I, c in a.terms.items():
         for i, name in enumerate(a.chart.coords):
             dc = sx.diff(c, name)
-            m = fm._insert_index(i, I)
+            m = fm._merge_indices((i,), I)
             if m is not None and not dc.is_const_zero():
                 contributions.append((m[1], dc * sx.num(m[0])))
     return _raw_collect(a.chart, a.degree + 1, contributions)
@@ -437,6 +440,45 @@ def _raw_lie_derivative(X, f):
     for name, comp in zip(X.chart.coords, X.components):
         acc = acc + comp * sx.diff(f, name)
     return sx.canon(acc)
+
+
+# reference loops for `ids.contraction_matrix`, `lv.homotopy_antiderivative`
+# and `lv._lift`, written out by index and sign
+
+
+def _raw_contraction_matrix(eta):
+    n = eta.chart.dim
+    rows = sorted({J[:pos] + J[pos + 1 :] for J in eta.terms for pos in range(len(J))})
+    mat = []
+    for K in rows:
+        row = [sx.ZERO] * n
+        for i in range(n):
+            J = tuple(sorted(K + (i,)))
+            if i not in K and J in eta.terms:
+                row[i] = sx.canon(eta.terms[J] * sx.num(-1 if J.index(i) % 2 else 1))
+        mat.append(row)
+    return rows, mat
+
+
+def _raw_homotopy(beta):
+    # one contribution per monomial and removed position: x^i m / (q + deg m)
+    q = beta.degree
+    contributions = []
+    for I, c in beta.terms.items():
+        for coeff, mono in sx.poly_terms(c):
+            term = sx.num(coeff / (q + sum(e for _, e in mono)))
+            for atom, e in mono:
+                term = term * atom**e
+            for pos, i in enumerate(I):
+                x = sx.var(beta.chart.coords[i])
+                contributions.append((I[:pos] + I[pos + 1 :], x * term * sx.num(-1 if pos % 2 else 1)))
+    return _raw_collect(beta.chart, q - 1, contributions)
+
+
+def _raw_lift(form, ext):
+    # re-indexing without a sign: right for a monotone shift only
+    shift = {i: ext.index(name) for i, name in enumerate(form.chart.coords)}
+    return fm.DiffForm(ext, form.degree, {tuple(sorted(shift[i] for i in I)): c for I, c in form.terms.items()})
 
 
 def _same_bytes(got, want):
@@ -534,6 +576,40 @@ class TestRawSumOracle:
         _same_field(X + Y, fm.VecField(chart, [u + v for u, v in pairs]))
         _same_field(X - Y, fm.VecField(chart, [u - v for u, v in pairs]))
         _same_field(X * q[9], fm.VecField(chart, [u * q[9] for u in X.components]))
+
+    def test_merge_indices_is_the_sorting_sign(self):
+        tuples = [t for k in range(4) for t in itertools.combinations(range(6), k)]
+        for I in tuples:
+            for J in tuples:
+                want = None if set(I) & set(J) else (fm._perm_sign(I + J), tuple(sorted(I + J)))
+                assert fm._merge_indices(I, J) == want
+
+    def test_contraction_matrix(self, q, chart, rng):
+        a, b, c = self._forms(q, chart)
+        seeded = [rand_form(rng, chart, d) for d in (1, 2, 3)]
+        for eta in (a, c, fm.wedge(a, b), fm.wedge(a, c), *seeded):
+            rows, mat = ids.contraction_matrix(eta)
+            want_rows, want = _raw_contraction_matrix(eta)
+            assert rows == want_rows
+            for got_row, want_row in zip(mat, want, strict=True):
+                for g, w in zip(got_row, want_row, strict=True):
+                    _same_bytes(g, w)
+
+    def test_homotopy(self, chart, rng):
+        for d in (0, 1, 2, 3):
+            beta = fm.ext_d(rand_form(rng, chart, d, coeff_terms=3))
+            assert not beta.is_zero_form()
+            _same_form(lv.homotopy_antiderivative(beta), _raw_homotopy(beta))
+
+    def test_lift(self, q, chart, rng):
+        ext = fm.BundleChart(["t", "x", "y"], ["z", "w"])
+        a, b, c = self._forms(q, chart)
+        for f in (a, c, fm.wedge(a, c), rand_form(rng, chart, 3)):
+            _same_form(lv._lift(f, ext), _raw_lift(f, ext))
+        # where the shift is not monotone the pullback carries the sign
+        swapped = fm.BundleChart(["t", "y", "x"], ["z", "w"])
+        dxdy = fm.wedge(fm.d_coord(chart, "x"), fm.d_coord(chart, "y"))
+        assert lv._lift(dxdy, swapped) == -_raw_lift(dxdy, swapped)
 
     def test_spec_sums_its_parse_trees(self, chart):
         # a repeated index splices both parse trees into one sum; folding

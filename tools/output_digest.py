@@ -15,7 +15,10 @@ quotient, power, sum and exp components (one sweep, and two that fail
 on a pole, in the first and in the second axis); `analyze`, `el` and
 `verify` (of a polynomial-and-quotient section) on a k = 2 spec whose
 factors carry quotients over distinct denominators;
-`liouville` on the rotation spec; `el` on a k = 3
+`analyze`, `annihilator`, `frobenius` and `el` on the rotation action
+form (the route through the contraction matrix of a given theta);
+`liouville` on the rotation spec and on a divergence-free field on four
+coordinates; `el` on a k = 3
 intermediate and a k = 4 maximally characteristic polynomial spec (the
 pullback route at scale); demos 01-05.
 """
@@ -48,6 +51,14 @@ INPUTS = {
         "phase": ["x", "y"],
         "omega": [{"coeff": "1", "index": ["x", "y"]}],
         "field": {"x": "-y", "y": "x"},
+    },
+    # a divergence-free field on four coordinates: the homotopy runs on
+    # 3-forms with monomials of degree 1-3, and the lift to the extended
+    # chart shifts every index
+    "liouville-4d.json": {
+        "phase": ["x1", "y1", "x2", "y2"],
+        "omega": [{"coeff": "1", "index": ["x1", "y1", "x2", "y2"]}],
+        "field": {"x1": "x1^2 + y1^3", "y1": "-2*x1*y1 - x2", "x2": "2*x2*y2", "y2": "-y2^2 - x1"},
     },
     "demo04-seed.json": {
         "components": {"z1": "0", "z2": "0", "z3": "0"},
@@ -210,6 +221,7 @@ def entries() -> list[list[str]]:
         ["cartanvp", "integrate", "--spec", "rotation-theta.json", "--section", "helix-seed.json",
          "--tol", "0.01", "--format", "csv"],
     ]
+    runs += [["cartanvp", cmd, "--spec", "rotation-theta.json"] for cmd in ("analyze", "annihilator", "frobenius", "el")]
     nonpoly = ["cartanvp", "integrate", "--spec", "nonpoly-k2.json", "--tol", "0.01", "--format", "csv"]
     runs += [
         nonpoly + ["--section", "nonpoly-seed.json", "--step", "0.01"],
@@ -219,6 +231,7 @@ def entries() -> list[list[str]]:
         ["cartanvp", "el", "--spec", "quotients-k2.json"],
         ["cartanvp", "verify", "--spec", "quotients-k2.json", "--section", "quotients-section.json"],
         ["cartanvp", "liouville", "--spec", "rotation-liouville.json"],
+        ["cartanvp", "liouville", "--spec", "liouville-4d.json"],
         ["cartanvp", "el", "--spec", "swell-k3-intermediate-0.json"],
         ["cartanvp", "el", "--spec", "swell-k4-maximally-characteristic-0.json"],
     ]
