@@ -249,7 +249,8 @@ def cmd_integrate(args):
         "provenance": patch.provenance,
     }
     text = f"swept {report['nodes']} nodes, max residual {patch.max_residual:.3e}"
-    return report, text, 0, patch.to_csv()
+    # formatting every node is a large share of a sweep: only csv needs it
+    return report, text, 0, patch.to_csv() if args.format == "csv" else None
 
 
 def cmd_liouville(args):

@@ -41,7 +41,6 @@ __all__ = [
     "pullback",
     "pullback_with",
     "lie_bracket",
-    "lie_derivative",
     "hodge_star",
     "dual_one_form",
     "zero_form",
@@ -360,7 +359,7 @@ def _fold(contributions: Iterable[tuple[tuple, sx._Rat]]) -> dict[tuple, sx._Rat
     contribution is skipped, which is the identity)."""
     acc: dict[tuple, sx._Rat] = {}
     for K, r in contributions:
-        if r.num:
+        if not sx._rat_is_zero(r):
             acc[K] = sx._rat_add(acc[K], r) if K in acc else r
     return acc
 
@@ -571,12 +570,6 @@ def lie_bracket(X: VecField, Y: VecField) -> VecField:
                 terms.append(sx._rat_neg(sx._rat_mul(ys[j]._rat, sx.diff(xs[i], cj)._rat)))
         comps.append(_sum(terms))
     return VecField(X.chart, comps)
-
-
-def lie_derivative(X: VecField, f: Expr) -> Expr:
-    """Derivative of a scalar along a field: X(f) = iota_X df."""
-    df = ext_d(DiffForm(X.chart, 0, {(): f}))
-    return interior(X, df).terms.get((), sx.ZERO)
 
 
 def hodge_star(a: DiffForm) -> DiffForm:

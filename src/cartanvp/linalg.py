@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -183,7 +182,7 @@ def clear_denominators(comps: list[Expr], anchor: Optional[int] = None) -> list[
             if q != de:
                 factor = factor * q
         cleared.append(sx.canon(nu * factor))
-    content = _rational_content(cleared)
+    content = sx.poly_content(cleared)
     if content is not None and content != 1:
         cleared = [sx.canon(c / sx.num(content)) for c in cleared]
     order = list(range(len(cleared)))
@@ -204,20 +203,6 @@ def _lead_fraction(e: Expr) -> Optional[Fraction]:
     if not fr:
         return None
     return fr[-1]
-
-
-def _rational_content(exprs: list[Expr]) -> Optional[Fraction]:
-    nums: list[int] = []
-    dens: list[int] = []
-    for e in exprs:
-        fr = sx.poly_coeffs(e)
-        if fr is None:
-            return None
-        for f in fr:
-            nums.append(abs(f.numerator))
-            dens.append(f.denominator)
-    g = gcd(*nums)
-    return Fraction(g, lcm(*dens)) if g else None
 
 
 def nullspace(

@@ -12,7 +12,6 @@ star of the dual one-form is then checked canonically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import symexpr as sx
@@ -99,11 +98,7 @@ def homotopy_antiderivative(beta: DiffForm) -> DiffForm:
     scaled = []
     for I, c in beta.terms.items():
         _require_polynomial(c)
-        weights = {
-            mono: sx._coeff(Fraction(coeff, q + sum(e for _, e in mono)))
-            for mono, coeff in c._rat.num.items()
-        }
-        scaled.append((I, sx._Rat(weights, sx._ONE_POLY)))
+        scaled.append((I, sx._rat_radial_integral(c._rat, q)))
     radial = VecField(chart, [sx.var(n) for n in chart.coords])
     out = interior(radial, _collect(chart, q, scaled))
     residual = ext_d(out) - beta

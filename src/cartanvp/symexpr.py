@@ -11,14 +11,18 @@ polynomials over the rationals, with function atoms treated as opaque
 generators.  The quotient is reduced by monomial content only and the
 denominator is normalized to leading coefficient one; the full polynomial
 gcd is still missing, so canonical forms are unique only up to it.
-Coefficient arithmetic is exact: `int` when integral, `Fraction`
-otherwise, and every constant of an `Expr` is a `Fraction`.  A canonical
-node is its quotient, the payload: `canon`, `diff` and `subst` return
-nodes that hold only the payload, and a node's tree is built from it on
-the first structural read (`op`/`args`: printing, `key`/`hash`, raw-tree
-walks).  Zero and unit tests, `==` between canonical nodes,
-`const_value`, `free_vars`, `opaque_atoms`, `numer_denom`, `poly_terms`
-and `compile_expr` answer from the payload, and `+` and `*` keep a
+Coefficient arithmetic is exact and in `int`s: each polynomial is a
+positive rational content (two ints) times a primitive polynomial with
+`int` coefficients, so a product multiplies the contents once and the
+terms as `int`s, and a sum takes one gcd.  A `Fraction` is formed only
+where a coefficient is read, and every constant of an `Expr` is a
+`Fraction`.  A canonical node is its quotient, the payload: `canon`,
+`diff` and `subst` return nodes that hold only the payload, and a node's
+tree is built from it on the first structural read (`op`/`args`:
+printing, `key`/`hash`, raw-tree walks).  Zero and unit tests, `==`
+between canonical nodes, `const_value`, `free_vars`, `opaque_atoms`,
+`numer_denom`, `poly_terms`, `poly_content` and `compile_expr` answer
+from the payload, and `+` and `*` keep a
 canonical operand whole (they splice only raw sums and products).  The
 exterior calculus of `forms` computes on payloads directly (`_rat_mul`,
 `_rat_neg`, and `_rat_add` in the order of the raw sum it stands for),
@@ -46,6 +50,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -228,16 +233,17 @@ class Expr:
 
     def is_const_zero(self) -> bool:
         if self._canon is self:
-            return not self._rat.num
+            return not self._rat.num[2]
         return self.op == "const" and self.args[0] == 0
 
     def const_value(self) -> Optional[Fraction]:
         """Fraction value if the canonical form is a constant, else None."""
         rat = _canon(self)._rat
-        if not rat.num:
+        p, q, terms = rat.num
+        if not terms:
             return Fraction(0)
-        if rat.den is _ONE_POLY and len(rat.num) == 1 and _EMPTY_MONO in rat.num:
-            return Fraction(rat.num[_EMPTY_MONO])
+        if rat.den is _ONE_POLY and len(terms) == 1 and _EMPTY_MONO in terms:
+            return Fraction(p * terms[_EMPTY_MONO], q)
         return None
 
     def __str__(self):
@@ -335,33 +341,80 @@ def func(name: str, *args) -> Expr:
 # ---------------------------------------------------------------------------
 # canonical form: polynomial quotient over atoms
 #
-# Poly: dict mapping monomial -> coefficient (int when integral, else
-# Fraction), monomial = sorted tuple of (atom_key, exponent).  Atom keys
-# index _ATOM_REGISTRY which holds the canonical Expr of each atom (a var
-# or a func node with canonical args).  Payloads are shared and never
-# mutated; their dict order depends on how they were built, so every
-# consumer sorts or walks the canonical tree.
+# Poly: a triple (p, q, terms) that means p/q times `terms`.  The content
+# p/q is a positive rational in lowest terms, held as two ints; `terms`
+# maps monomial -> nonzero int coefficient and is primitive (the gcd of
+# the coefficients' absolute values is 1).  The zero polynomial is
+# (0, 1, {}).  Each rational polynomial has exactly one triple, so `==` on
+# polys is equality of the polynomials they mean.  No payload holds a
+# `Fraction`: a coefficient is formed as content times int where it is
+# read (`const_value`, `poly_terms`, printing), and its float is the
+# correctly rounded int quotient, as `float` of that `Fraction` is.
+# monomial = sorted tuple of (atom_key, exponent).  Atom keys index
+# _ATOM_REGISTRY which holds the canonical Expr of each atom (a var or a
+# func node with canonical args).  Payloads are shared and never mutated;
+# their dict order depends on how they were built, so every consumer sorts
+# or walks the canonical tree.
 
 _ATOM_REGISTRY: dict[tuple, Expr] = {}
 
 _EMPTY_MONO: tuple = ()
-_ONE_POLY = {_EMPTY_MONO: 1}
+_ZERO_POLY = (0, 1, {})
+_ONE_POLY = (1, 1, {_EMPTY_MONO: 1})
 
 
-def _coeff(c):
-    """Payload coefficient type: int when integral, else the Fraction."""
-    return c.numerator if c.denominator == 1 else c
+def _q_mul(ap: int, aq: int, bp: int, bq: int) -> tuple[int, int]:
+    """(ap/aq) * (bp/bq) in lowest terms, from two fractions in lowest terms."""
+    if aq == 1 and bq == 1:
+        return ap * bp, 1
+    g, h = gcd(ap, bq), gcd(bp, aq)
+    return (ap // g) * (bp // h), (aq // h) * (bq // g)
 
 
-def _p_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for mono, c in b.items():
-        s = out.get(mono, 0) + c
+def _p_const(n: int, d: int) -> tuple:
+    """The constant polynomial n/d, for n != 0 and d > 0."""
+    g = gcd(n, d)
+    return abs(n) // g, d // g, {_EMPTY_MONO: 1 if n > 0 else -1}
+
+
+def _p_primitive(p: int, q: int, terms: dict) -> tuple:
+    """The poly p/q times the int polynomial `terms`, whose coefficients
+    may have a common factor: it moves into the content."""
+    if not terms:
+        return _ZERO_POLY
+    h = gcd(*terms.values())
+    if h == 1:
+        return p, q, terms
+    return (*_q_mul(p, q, h, 1), {m: c // h for m, c in terms.items()})
+
+
+def _p_add(a: tuple, b: tuple) -> tuple:
+    ap, aq, A = a
+    bp, bq, B = b
+    if not A:
+        return b
+    if not B:
+        return a
+    if ap == bp and aq == bq:
+        out, kb = dict(A), 1
+    else:
+        # a + b = (g/l) (ka A + kb B): g/l is the rational gcd of the
+        # contents, in lowest terms, and ka, kb are ints
+        g, l = gcd(ap, bp), lcm(aq, bq)
+        ka, kb = ap // g * (l // aq), bp // g * (l // bq)
+        out = {m: ka * c for m, c in A.items()} if ka != 1 else dict(A)
+        ap, aq = g, l
+    for mono, c in B.items():
+        s = out.get(mono, 0) + kb * c
         if s:
-            out[mono] = s if s.__class__ is int else _coeff(s)
+            out[mono] = s
         else:
             del out[mono]
-    return out
+    return _p_primitive(ap, aq, out)
+
+
+def _p_neg(a: tuple) -> tuple:
+    return a[0], a[1], {m: -c for m, c in a[2].items()}
 
 
 def _mono_mul(m1: tuple, m2: tuple) -> tuple:
@@ -388,20 +441,25 @@ def _mono_mul(m1: tuple, m2: tuple) -> tuple:
     return (*out, *m1[i:], *m2[j:])
 
 
-def _p_mul(a: dict, b: dict) -> dict:
+def _p_mul(a: tuple, b: tuple) -> tuple:
+    ap, aq, A = a
+    bp, bq, B = b
+    if not A or not B:
+        return _ZERO_POLY
     out: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
+    for m1, c1 in A.items():
+        for m2, c2 in B.items():
             m = _mono_mul(m1, m2)
             s = out.get(m, 0) + c1 * c2
             if s:
-                out[m] = s if s.__class__ is int else _coeff(s)
+                out[m] = s
             else:
                 del out[m]
-    return out
+    # Gauss's lemma: a product of primitive polynomials is primitive
+    return (*_q_mul(ap, aq, bp, bq), out)
 
 
-def _p_pow(a: dict, n: int) -> dict:
+def _p_pow(a: tuple, n: int) -> tuple:
     out = _ONE_POLY
     base = a
     while n:
@@ -417,14 +475,8 @@ def _mono_order(item):
     return (sum(e for _, e in mono), mono)
 
 
-def _p_scale(p: dict, c: Fraction) -> dict:
-    if c == 1:
-        return p
-    return {m: _coeff(v * c) for m, v in p.items()}
-
-
 def _content_mono(polys: Iterable[dict]) -> tuple:
-    """Largest monomial dividing every monomial of every polynomial."""
+    """Largest monomial dividing every monomial of every term dict."""
     acc: Optional[dict] = None
     for p in polys:
         for mono in p:
@@ -451,22 +503,28 @@ def _mono_divide(mono: tuple, by: tuple) -> tuple:
     return tuple(sorted(d.items()))
 
 
-def _p_divide_mono(p: dict, by: tuple) -> dict:
-    if not by:
-        return p
-    return {_mono_divide(m, by): c for m, c in p.items()}
+def _terms_divide_mono(terms: dict, by: tuple) -> dict:
+    return {_mono_divide(m, by): c for m, c in terms.items()}
 
 
 class _Rat:
     __slots__ = ("num", "den")
 
-    def __init__(self, num: dict, den: dict):
+    def __init__(self, num: tuple, den: tuple):
         self.num = num
         self.den = den
 
 
-_RAT_ZERO = _Rat({}, _ONE_POLY)
+_RAT_ZERO = _Rat(_ZERO_POLY, _ONE_POLY)
 _RAT_ONE = _Rat(_ONE_POLY, _ONE_POLY)
+
+
+def _rat_atom(key: tuple) -> _Rat:
+    return _Rat((1, 1, {((key, 1),): 1}), _ONE_POLY)
+
+
+def _rat_is_zero(r: _Rat) -> bool:
+    return not r.num[2]
 
 
 def _mark(node: Expr, rat: _Rat) -> Expr:
@@ -481,21 +539,30 @@ _mark(ZERO, _RAT_ZERO)
 _mark(ONE, _RAT_ONE)
 
 
-def _rat_normalize(num: dict, den: dict) -> _Rat:
-    if not den:
+def _rat_normalize(num: tuple, den: tuple) -> _Rat:
+    """num/den with the monomial content cancelled and the denominator
+    monic: its content is 1/l for its leading int coefficient l > 0."""
+    (np_, nq, N), (dp, dq, D) = num, den
+    if not D:
         raise DivisionByZeroError("denominator is identically zero")
-    if not num:
+    if not N:
         return _RAT_ZERO
-    content = _content_mono([num, den])
+    content = _content_mono([N, D])
     if content:
-        num = _p_divide_mono(num, content)
-        den = _p_divide_mono(den, content)
-    lead = max(den.items(), key=_mono_order)[1]
-    if lead != 1:
-        inv = Fraction(1) / lead
-        num = _p_scale(num, inv)
-        den = _p_scale(den, inv)
-    if den == _ONE_POLY:
+        N, D = _terms_divide_mono(N, content), _terms_divide_mono(D, content)
+        num, den = (np_, nq, N), (dp, dq, D)
+    lead = max(D.items(), key=_mono_order)[1]
+    if dp != 1 or dq != lead:
+        # divide both by the leading coefficient dp/dq * lead: only the
+        # contents change, and the signs when lead < 0
+        if lead < 0:
+            lead = -lead
+            N = {m: -c for m, c in N.items()}
+            D = {m: -c for m, c in D.items()}
+        g = gcd(dq, lead)
+        num = (*_q_mul(np_, nq, dq // g, dp * (lead // g)), N)
+        den = 1, lead, D
+    if len(D) == 1 and _EMPTY_MONO in D:
         den = _ONE_POLY
     return _Rat(num, den)
 
@@ -513,9 +580,9 @@ def _rat_add(a: _Rat, b: _Rat) -> _Rat:
 
 
 def _rat_neg(r: _Rat) -> _Rat:
-    """-r: the numerator negated, the denominator kept (bit for bit
-    `_rat_mul(r, -1)`, whose normalization is the identity here)."""
-    return _Rat({m: -c for m, c in r.num.items()}, r.den)
+    """-r: the numerator negated, the denominator kept (`_rat_mul(r, -1)`,
+    whose normalization is the identity here)."""
+    return _Rat(_p_neg(r.num), r.den)
 
 
 def _rat_mul(a: _Rat, b: _Rat) -> _Rat:
@@ -536,6 +603,16 @@ def _rat_pow(a: _Rat, n: int) -> _Rat:
     return _rat_normalize(_p_pow(a.num, n), _p_pow(a.den, n))
 
 
+def _rat_radial_integral(r: _Rat, q: int) -> _Rat:
+    """The integral of t^(q-1) c(t x) dt over [0, 1] of a polynomial
+    payload c: each term of total degree d divided by q + d."""
+    p, pq, P = r.num
+    weights = {m: q + sum(e for _, e in m) for m in P}
+    l = lcm(*weights.values())
+    out = {m: c * (l // weights[m]) for m, c in P.items()}
+    return _Rat(_p_primitive(*_q_mul(p, pq, 1, l), out), _ONE_POLY)
+
+
 def _to_rat(e: Expr) -> _Rat:
     c = e._canon
     if c is not None:
@@ -543,11 +620,11 @@ def _to_rat(e: Expr) -> _Rat:
     op = e.op
     if op == "const":
         v = e.args[0]
-        return _Rat({_EMPTY_MONO: _coeff(v)}, _ONE_POLY) if v else _RAT_ZERO
+        return _Rat(_p_const(v.numerator, v.denominator), _ONE_POLY) if v else _RAT_ZERO
     if op == "var":
         key = ("v", e.args[0])
         _ATOM_REGISTRY.setdefault(key, e)
-        return _Rat({((key, 1),): 1}, _ONE_POLY)
+        return _rat_atom(key)
     if op == "func":
         name = e.args[0]
         cargs = tuple(canon(a) for a in e.args[1:])
@@ -555,7 +632,7 @@ def _to_rat(e: Expr) -> _Rat:
         if key not in _ATOM_REGISTRY:
             atom = _ATOM_REGISTRY[key] = Expr("func", (name,) + cargs)
             object.__setattr__(atom, "_key", key)
-        return _Rat({((key, 1),): 1}, _ONE_POLY)
+        return _rat_atom(key)
     if op == "add" or op == "mul":
         # the first operand stands for 0 + a or 1 * a, which normalize to a
         combine = _rat_add if op == "add" else _rat_mul
@@ -571,10 +648,10 @@ def _to_rat(e: Expr) -> _Rat:
     raise AssertionError(f"unknown op {op}")
 
 
-def _mono_to_expr(mono: tuple, coeff) -> Expr:
+def _mono_to_expr(mono: tuple, coeff: Fraction) -> Expr:
     factors: list[Expr] = []
     if coeff != 1 or not mono:
-        factors.append(Expr("const", (Fraction(coeff),)))
+        factors.append(Expr("const", (coeff,)))
     for a, e in mono:
         base = _ATOM_REGISTRY[a]
         factors.append(base if e == 1 else Expr("pow", (base, e)))
@@ -583,11 +660,12 @@ def _mono_to_expr(mono: tuple, coeff) -> Expr:
     return Expr("mul", tuple(factors))
 
 
-def _p_to_expr(p: dict) -> Expr:
-    if not p:
+def _p_to_expr(poly: tuple) -> Expr:
+    p, q, terms = poly
+    if not terms:
         return ZERO
-    terms = sorted(p.items(), key=_mono_order, reverse=True)
-    exprs = [_mono_to_expr(m, c) for m, c in terms]
+    ordered = sorted(terms.items(), key=_mono_order, reverse=True)
+    exprs = [_mono_to_expr(m, Fraction(p * c, q)) for m, c in ordered]
     if len(exprs) == 1:
         return exprs[0]
     return Expr("add", tuple(exprs))
@@ -613,12 +691,12 @@ def _rat_to_expr(rat: _Rat) -> Expr:
     """The canonical node of a payload: ZERO, ONE, the registry atom for a
     single atom with coefficient 1, else a node holding only the payload,
     whose tree `_build_tree` makes on its first structural read."""
-    num = rat.num
-    if rat.den is _ONE_POLY and len(num) <= 1:
-        if not num:
+    p, q, terms = rat.num
+    if rat.den is _ONE_POLY and len(terms) <= 1:
+        if not terms:
             return ZERO
-        ((mono, c),) = num.items()
-        if c == 1:
+        ((mono, c),) = terms.items()
+        if c == 1 and p == 1 and q == 1:
             if not mono:
                 return ONE
             if len(mono) == 1 and mono[0][1] == 1:
@@ -684,42 +762,49 @@ def _rat_diff(r: _Rat, v: str) -> Optional[_Rat]:
     dd = _p_diff(r.den, v)
     if dd is None:
         return None
-    if not dn and not dd:
+    if not dn[2] and not dd[2]:
         return _RAT_ZERO
     return _rat_normalize(
-        _p_add(_p_mul(dn, r.den), _p_scale(_p_mul(r.num, dd), -1)), _p_mul(r.den, r.den)
+        _p_add(_p_mul(dn, r.den), _p_neg(_p_mul(r.num, dd))), _p_mul(r.den, r.den)
     )
 
 
-def _p_diff(p: dict, v: str) -> Optional[dict]:
+def _p_diff(p: tuple, v: str) -> Optional[tuple]:
     """Derivative of a polynomial payload by `v`: each atom of each monomial
     lowered once, times its exponent and its derivative; None when some
     atom's derivative carries a denominator."""
+    cp, cq, terms = p
     out: dict = {}
+    scale = 1  # out is the derivative times scale * cq / cp
     vkey = ("v", v)
-    for mono, c in p.items():
+    for mono, c in terms.items():
         for i, (a, n) in enumerate(mono):
             if a[0] == "v":
                 if a != vkey:
                     continue
-                da = _ONE_POLY
+                dp, dq, da = _ONE_POLY
             else:
                 d = _ATOM_DIFF.get((a, v))
                 if d is None:
                     d = _ATOM_DIFF[a, v] = _canon(_diff(_ATOM_REGISTRY[a], v))._rat
                 if d.den is not _ONE_POLY:
                     return None
-                da = d.num
+                dp, dq, da = d.num
+                if scale % dq:  # a new denominator of a content
+                    f = dq // gcd(scale, dq)
+                    out = {m: f * x for m, x in out.items()}
+                    scale *= f
             rest = mono[:i] + ((a, n - 1),) + mono[i + 1 :] if n > 1 else mono[:i] + mono[i + 1 :]
-            k = c * n
+            k = c * n * dp * (scale // dq)
             for m, c2 in da.items():
                 m = _mono_mul(rest, m)
                 s = out.get(m, 0) + k * c2
                 if s:
-                    out[m] = s if s.__class__ is int else _coeff(s)
+                    out[m] = s
                 else:
                     del out[m]
-    return out
+    g = gcd(cp, scale)
+    return _p_primitive(*_q_mul(cp // g, cq, 1, scale // g), out)
 
 
 def _diff(e: Expr, v: str) -> Expr:
@@ -818,10 +903,12 @@ def _rat_subst(r: _Rat, mapping: Mapping[str, Expr], images: dict) -> _Rat:
     return _rat_div(num, _p_subst(r.den, mapping, images))
 
 
-def _p_subst(p: dict, mapping: Mapping[str, Expr], images: dict) -> _Rat:
+def _p_subst(p: tuple, mapping: Mapping[str, Expr], images: dict) -> _Rat:
     acc = None
-    for mono, c in sorted(p.items(), key=_mono_order, reverse=True):
-        term = _Rat({_EMPTY_MONO: c}, _ONE_POLY) if c != 1 or not mono else None
+    cp, cq, terms = p
+    for mono, c in sorted(terms.items(), key=_mono_order, reverse=True):
+        unit = c == 1 and cp == 1 and cq == 1 and mono
+        term = None if unit else _Rat(_p_const(c * cp, cq), _ONE_POLY)
         for a, n in mono:
             image = images.get(a)
             if image is None:
@@ -834,7 +921,7 @@ def _p_subst(p: dict, mapping: Mapping[str, Expr], images: dict) -> _Rat:
 
 def _atom_subst(a: tuple, mapping: Mapping[str, Expr], images: dict) -> _Rat:
     if mapping.keys().isdisjoint(_atom_vars(a)):
-        return _Rat({((a, 1),): 1}, _ONE_POLY)
+        return _rat_atom(a)
     if a[0] == "v":
         return _to_rat(mapping[a[1]])
     atom = _ATOM_REGISTRY[a]
@@ -851,7 +938,7 @@ def _collect_vars(e: Expr, out: set):
     if e._canon is e:
         rat = e._rat
         for p in (rat.num, rat.den):
-            for mono in p:
+            for mono in p[2]:
                 for a, _ in mono:
                     out |= _atom_vars(a)
         return
@@ -900,9 +987,10 @@ def poly_terms(e: Expr) -> Optional[list[tuple[Fraction, tuple[tuple[Expr, int],
     rat = _canon(e)._rat
     if rat.den is not _ONE_POLY:
         return None
+    p, q, terms = rat.num
     return [
-        (Fraction(c), tuple((_ATOM_REGISTRY[a], x) for a, x in mono))
-        for mono, c in sorted(rat.num.items(), key=_mono_order)
+        (Fraction(p * c, q), tuple((_ATOM_REGISTRY[a], x) for a, x in mono))
+        for mono, c in sorted(terms.items(), key=_mono_order)
     ]
 
 
@@ -910,6 +998,19 @@ def poly_coeffs(e: Expr) -> Optional[list[Fraction]]:
     """The coefficients of `poly_terms(e)`, or None."""
     terms = poly_terms(e)
     return None if terms is None else [c for c, _ in terms]
+
+
+def poly_content(exprs: Iterable[Expr]) -> Optional[Fraction]:
+    """The positive rational gcd of all coefficients of the canonical
+    forms of `exprs` (the rational gcd of their contents), or None when
+    one of them has a nontrivial denominator or all of them are zero."""
+    p, q = 0, 1
+    for e in exprs:
+        rat = _canon(e)._rat
+        if rat.den is not _ONE_POLY:
+            return None
+        p, q = gcd(p, rat.num[0]), lcm(q, rat.num[1])
+    return Fraction(p, q) if p else None
 
 
 def opaque_atoms(e: Expr) -> dict[tuple, Expr]:
@@ -930,7 +1031,7 @@ def _walk_opaque(rat: _Rat, out: dict, known_args: list):
     # the canonical tree's order without building it: numerator then
     # denominator, terms descending, the atoms of a term in key order
     for p in (rat.num,) if rat.den is _ONE_POLY else (rat.num, rat.den):
-        terms = [t for t in p.items() if any(a[0] == "f" for a, _ in t[0])]
+        terms = [t for t in p[2].items() if any(a[0] == "f" for a, _ in t[0])]
         if len(terms) > 1:
             terms.sort(key=_mono_order, reverse=True)
         for mono, _ in terms:
@@ -1020,16 +1121,17 @@ def _compile(e: Expr, slots: Mapping) -> Callable:
     return quotient
 
 
-def _compile_poly(p: dict, slots: Mapping, atoms: dict) -> Callable:
+def _compile_poly(poly: tuple, slots: Mapping, atoms: dict) -> Callable:
+    p, q, coeffs = poly
     terms = []
-    for mono, c in sorted(p.items(), key=_mono_order, reverse=True):
+    for mono, c in sorted(coeffs.items(), key=_mono_order, reverse=True):
         factors = []
         for a, n in mono:
             f = atoms.get(a)
             if f is None:
                 f = atoms[a] = _compile_atom(a, slots)
             factors.append(f if n == 1 else _per_row(f, lambda t, n=n: t**n))
-        terms.append(_product(float(c), factors))
+        terms.append(_product(p * c / q, factors))  # rounded as float(Fraction) is
     if len(terms) <= 1:
         return terms[0] if terms else lambda v: 0.0
 
@@ -1101,8 +1203,9 @@ def _bound_product(x: Expr, slots: Mapping) -> bool:
     """Whether the canonical `x` is one term in variables of `slots` to the
     first power."""
     rat = x._rat
-    return rat.den is _ONE_POLY and len(rat.num) <= 1 and all(
-        a[0] == "v" and a[1] in slots and n == 1 for mono in rat.num for a, n in mono
+    terms = rat.num[2]
+    return rat.den is _ONE_POLY and len(terms) <= 1 and all(
+        a[0] == "v" and a[1] in slots and n == 1 for mono in terms for a, n in mono
     )
 
 

@@ -36,6 +36,7 @@ from .forms import (
     coord_field,
     d_coord,
     ext_d,
+    hodge_star,
     interior,
     one_form,
     pullback,
@@ -377,23 +378,17 @@ def _jet_names_of(exprs: Sequence[Expr], chart: BundleChart) -> tuple[str, ...]:
 def maximal_degree_data(p: VariationalProblem) -> tuple[list[Expr], Expr, Expr]:
     """Extract (A, f, g) from the coordinate display of eta for fiber (z, w):
     eta = sum_mu A^mu [omega_(mu) ^ dz ^ dw] + (-1)^k f [omega ^ dw]
-          + (-1)^(k+1) g [omega ^ dz]."""
+          + (-1)^(k+1) g [omega ^ dz].
+    The field (A, f, g) is (-1)^(n-1) times the dual of the Hodge star of
+    eta, so all three are read off one `hodge_star` call."""
     chart = p.chart
     if p.classification.degree_case != MAXIMAL_DEGREE or len(chart.fiber) != 2:
         raise NormalFormRequiredError("not a maximal-degree problem (fiber must be z, w)")
-    k = chart.k
-    zi = chart.index(chart.fiber[0])
-    wi = chart.index(chart.fiber[1])
-    eta = p.eta
-    A = []
-    for mu in range(k):
-        idx = tuple(sorted([i for i in range(k) if i != mu] + [zi, wi]))
-        coeff = eta.terms.get(idx, sx.ZERO)
-        sign = -1 if mu % 2 else 1  # omega_(mu) carries (-1)^(mu-1), 0-indexed here
-        A.append(sx.canon(coeff * sx.num(sign)))
-    base_idx = tuple(range(k))
-    f = sx.canon(eta.terms.get(base_idx + (wi,), sx.ZERO) * sx.num((-1) ** k))
-    g = sx.canon(eta.terms.get(base_idx + (zi,), sx.ZERO) * sx.num((-1) ** (k + 1)))
+    star = hodge_star(p.eta)
+    if chart.dim % 2 == 0:
+        star = -star
+    A = [star.terms.get((mu,), sx.ZERO) for mu in range(chart.k)]
+    f, g = (star.terms.get((chart.index(z),), sx.ZERO) for z in chart.fiber)
     return A, f, g
 
 

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from cartanvp import cli
+from cartanvp import flows
 from cartanvp import fixtures as fx
 
 
@@ -236,6 +237,23 @@ class TestIntegrate:
         report = json.loads(out)
         assert report["nodes"] == 16
         assert report["max_residual"] < 1e-6
+
+    def test_csv_is_rendered_only_for_csv(self, example1_spec, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("to_csv called for a json or text report")
+
+        monkeypatch.setattr(flows.SampledPatch, "to_csv", refuse)
+        seedfile = {
+            "components": {"z1": "0", "z2": "0", "z3": "0"},
+            "grid": {"x1": [0.0, 1.0, 2], "x2": [0.0, 1.0, 2]},
+        }
+        spath = tmp_path / "seed.json"
+        spath.write_text(json.dumps(seedfile))
+        argv = ["integrate", "--spec", example1_spec, "--instance", "constant", "--section", str(spath)]
+        code, out = run(argv + ["--format", "json"])
+        assert code == 0 and json.loads(out)["nodes"] == 4
+        code, out = run(argv + ["--format", "text"])
+        assert code == 0 and out.startswith("swept 4 nodes")
 
 
 class TestIntegrateThetaInput:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -560,6 +561,23 @@ def _constants(e):
             yield from _constants(a)
 
 
+def assert_payload(rat):
+    """The payload invariant: each poly is (p, q, terms), p/q a positive
+    content in lowest terms and `terms` a primitive int polynomial, the
+    zero poly is (0, 1, {}), and the denominator is monic (content 1/l for
+    its leading coefficient l), the shared _ONE_POLY when it is 1."""
+    for p, q, terms in (rat.num, rat.den):
+        assert type(p) is int and type(q) is int and q > 0
+        assert all(type(k) is int and k for k in terms.values())
+        if terms:
+            assert p > 0 and math.gcd(p, q) == 1 and math.gcd(*terms.values()) == 1
+        else:
+            assert (p, q) == (0, 1)
+    p, q, terms = rat.den
+    assert p == 1 and q == max(terms.items(), key=sx._mono_order)[1]
+    assert (rat.den is sx._ONE_POLY) == (terms == {(): 1})
+
+
 def _mono_mul_reference(m1, m2):
     """The monomial product by a dict of exponents, sorted afterwards."""
     acc = dict(m1)
@@ -637,9 +655,7 @@ class TestCanonicalCore:
             again = sx.canon(_fresh(c))
             assert again == c and sx.canon(c) is c
             assert again._rat.num == c._rat.num and again._rat.den == c._rat.den
-            for p in (c._rat.num, c._rat.den):
-                for v in p.values():
-                    assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+            assert_payload(c._rat)
 
         check()
         F, G = sx.func("F", x), sx.func("G", y, sx.func("F", x))
@@ -700,3 +716,176 @@ class TestCanonicalCore:
         want = ["C(y, z)", "E(D(x + C(y, z)), B(x, C(y, z)))", "D(x + C(y, z))", "B(x, C(y, z))", "F(x)"]
         assert [str(a) for a in sx.opaque_atoms(e).values()] == want
         assert list(sx.opaque_atoms(e)) == list(sx.opaque_atoms(sx.canon(e)))
+
+
+# The payload arithmetic over Fraction-coefficient dicts (int when
+# integral) that the (content, primitive int polynomial) payload replaced,
+# kept as the reference it must agree with coefficient by coefficient.
+
+
+def _ref_coeff(c):
+    return c.numerator if c.denominator == 1 else c
+
+
+def _ref_p_add(a, b):
+    out = dict(a)
+    for mono, c in b.items():
+        s = out.get(mono, 0) + c
+        if s:
+            out[mono] = _ref_coeff(Fraction(s))
+        else:
+            del out[mono]
+    return out
+
+
+def _ref_p_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = sx._mono_mul(m1, m2)
+            s = out.get(m, 0) + c1 * c2
+            if s:
+                out[m] = _ref_coeff(Fraction(s))
+            else:
+                del out[m]
+    return out
+
+
+def _ref_p_pow(a, n):
+    out = {(): 1}
+    for _ in range(n):
+        out = _ref_p_mul(out, a)
+    return out
+
+
+def _ref_rat_normalize(num, den):
+    if not num:
+        return {}, {(): 1}
+    content = sx._content_mono([num, den])
+    num = sx._terms_divide_mono(num, content) if content else num
+    den = sx._terms_divide_mono(den, content) if content else den
+    inv = 1 / Fraction(max(den.items(), key=sx._mono_order)[1])
+    return (
+        {m: _ref_coeff(c * inv) for m, c in num.items()},
+        {m: _ref_coeff(c * inv) for m, c in den.items()},
+    )
+
+
+def _ref_p_diff(p, v):
+    out = {}
+    for mono, c in p.items():
+        for i, (a, n) in enumerate(mono):
+            if a[0] == "v":
+                if a != ("v", v):
+                    continue
+                da = {(): 1}
+            else:
+                d = sx.canon(sx._diff(sx._ATOM_REGISTRY[a], v))._rat
+                if d.den is not sx._ONE_POLY:
+                    return None
+                da = _fractions(d.num)
+            rest = mono[:i] + ((a, n - 1),) + mono[i + 1 :] if n > 1 else mono[:i] + mono[i + 1 :]
+            for m, c2 in da.items():
+                m = sx._mono_mul(rest, m)
+                s = out.get(m, 0) + c * n * c2
+                if s:
+                    out[m] = _ref_coeff(Fraction(s))
+                else:
+                    del out[m]
+    return out
+
+
+def _fractions(poly):
+    """The coefficients a poly means, as the reference stores them."""
+    p, q, terms = poly
+    return {m: _ref_coeff(Fraction(p * c, q)) for m, c in terms.items()}
+
+
+def _poly(coeffs):
+    """The poly of a reference coefficient dict, built independently of
+    the module: content = gcd of the numerators over lcm of the
+    denominators."""
+    if not coeffs:
+        return (0, 1, {})
+    fs = [Fraction(c) for c in coeffs.values()]
+    g = Fraction(math.gcd(*(f.numerator for f in fs)), math.lcm(*(f.denominator for f in fs)))
+    return g.numerator, g.denominator, {m: int(Fraction(c) / g) for m, c in coeffs.items()}
+
+
+class TestIntegerPayload:
+    # variables, atoms whose derivatives have contents 1/2 and 3, an opaque
+    # atom, and ln, whose derivative has a denominator
+    ATOMS = [x, y, sx.sin(x / 2), sx.exp(3 * y), sx.func("G", x, y), sx.ln(x)]
+
+    @pytest.fixture(scope="class")
+    def keys(self):
+        return sorted(next(iter(sx.canon(a)._rat.num[2]))[0][0] for a in self.ATOMS)
+
+    def _polys(self, st, keys, max_size=5):
+        monos = st.tuples(*[st.integers(0, 2)] * len(keys)).map(
+            lambda es: tuple((a, e) for a, e in zip(keys, es) if e)
+        )
+        coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool)
+        return st.dictionaries(monos, coeffs.map(_ref_coeff), max_size=max_size)
+
+    def test_arithmetic_agrees_with_fraction_dicts(self, keys):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        polys = self._polys(st, keys)
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(polys, polys, st.integers(0, 3), st.sampled_from(["x", "y", "w"]))
+        def check(a, b, n, v):
+            pa, pb = _poly(a), _poly(b)
+            assert _fractions(pa) == a and _poly(_fractions(pa)) == pa
+            for got, want in (
+                (sx._p_add(pa, pb), _ref_p_add(a, b)),
+                (sx._p_mul(pa, pb), _ref_p_mul(a, b)),
+                (sx._p_pow(pa, n), _ref_p_pow(a, n)),
+                (sx._p_neg(pa), {m: -c for m, c in a.items()}),
+            ):
+                # the same coefficients, and the one representation of them
+                assert _fractions(got) == want and got == _poly(want)
+            got, want = sx._p_diff(pa, v), _ref_p_diff(a, v)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert _fractions(got) == want and got == _poly(want)
+            if b:
+                rat = sx._rat_normalize(pa, pb)
+                want_num, want_den = _ref_rat_normalize(a, b)
+                assert _fractions(rat.num) == want_num and _fractions(rat.den) == want_den
+                assert_payload(rat)
+
+        check()
+
+    def test_every_payload_keeps_the_invariant(self, monkeypatch):
+        # every _Rat built by canon, diff, subst and the forms calculus has
+        # positive contents, primitive int polynomials and a monic
+        # denominator; each is checked as it is built
+        built = 0
+        init = sx._Rat.__init__
+
+        def checking(self, num, den):
+            nonlocal built
+            init(self, num, den)
+            assert_payload(self)
+            built += 1
+
+        monkeypatch.setattr(sx._Rat, "__init__", checking)
+        corpus = [sx.canon(e) for e in _canon_corpus()[::3]]
+        for c in corpus:
+            for v in ("x", "y"):
+                sx.diff(c, v)
+            sx.subst(c, {"x": y / 2 + 1, "z": sx.func("F", x)})
+        # polynomials and small quotients: products of the corpus
+        # quotients swell without a gcd
+        p = [c for c in corpus if sx.numer_denom(c)[1] == sx.ONE]
+        chart = fm.Chart(["x", "y", "z", "w"])
+        a = fm.one_form(chart, {"x": p[0], "y": p[1] / 3, "z": x / (2 * y + 4)})
+        b = fm.one_form(chart, {"y": p[2], "w": sx.func("F", x) / 6})
+        X = fm.VecField(chart, [p[3], x / 3, sx.ONE, 1 / (z - 2)])
+        fm.ext_d(fm.wedge(a, b))
+        fm.interior(X, fm.wedge(a, fm.ext_d(b)))
+        fm.hodge_star(a)
+        fm.lie_bracket(X, fm.VecField(chart, [y / 5, x, p[4], sx.ZERO]))
+        assert built > 1000

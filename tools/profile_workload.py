@@ -19,8 +19,10 @@ cProfile charges every call, so it overstates call-heavy code.  With
 interval timer on its own process (`signal.setitimer(ITIMER_PROF)`,
 asking for 1 ms of CPU time; the kernel's tick makes it coarser, about
 4 ms on a 250 Hz kernel) records the stack of every sample, and the
-script prints the sample count and the self and inclusive shares of the
-top `--top` functions, as `file:function:line` of the definition.
+script prints the sample count, the self and inclusive shares of the
+top `--top` functions, as `file:function:line` of the definition, and
+the self share of every source file (all its functions together, e.g.
+the `fractions.py` share of exact arithmetic).
 Python runs the handler only where the interpreter checks for signals
 (calls and loop jumps), so straight-line code without calls, such as the
 generated RK4 step of `flows`, is charged to its caller.
@@ -104,6 +106,12 @@ class Sampler:
             print(f"\n-- top {top} by {title} share of {self.samples} samples")
             for code, n in counts.most_common(top):
                 print(f"{100 * n / self.samples:6.1f}%  {n:>7d}  {label(code)}")
+        files = Counter()
+        for code, n in self.self.items():
+            files[Path(code.co_filename).name] += n
+        print(f"\n-- self share per source file of {self.samples} samples")
+        for name, n in files.most_common():
+            print(f"{100 * n / self.samples:6.1f}%  {n:>7d}  {name}")
 
 
 def run_item(prof, wl, item: dict) -> None:
