@@ -10,11 +10,18 @@ The calculus computes on the `_Rat` payloads of canonical coefficients:
 wedge, interior, d, the Hodge star, pullbacks, the Lie bracket and form
 and field arithmetic hand `(index, payload)` contributions to `_collect`,
 which folds each index's contributions with `_rat_add` left to right in
-arrival order and builds one canonical node per index; no expression tree
-is built on the way.  Products are free of order (their normalization
-only rescales), sums are not: without a polynomial gcd the order of a sum
-of rational terms can change its canonical quotient, so every fold keeps
-the order of the raw sum it stands for.  `form_from_spec` alone sums raw
+arrival order and builds one canonical node per index whose sum is not
+zero; no expression tree is built on the way.  d and the Lie bracket
+differentiate payloads (`sx._rat_diff`, or `sx.diff` where an atom's
+derivative has a denominator) and skip each coordinate that a
+coefficient's variable set lacks, whose derivative is zero.  Computed
+forms and fields are built by `DiffForm._make` and `VecField._make`,
+which take their canonical terms as they are; `__init__`, which checks
+indices and canonicalizes coefficients, is for input.  Products are
+free of order (their normalization only rescales), sums are not: without
+a polynomial gcd the order of a sum of rational terms can change its
+canonical quotient, so every fold keeps the order of the raw sum it
+stands for.  `form_from_spec` alone sums raw
 parse trees, because a repeated index splices them into one sum, and
 canonicalizes that sum.  `_merge_indices` is the package's one sign rule
 for two ascending index tuples; `_perm_sign` serves unsorted input only,
@@ -200,6 +207,18 @@ class DiffForm:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _make(cls, chart: Chart, degree: int, terms: dict[tuple, Expr]) -> "DiffForm":
+        """The form of `terms`, nonzero canonical coefficients at strictly
+        ascending in-range indices of length `degree`, taken as they are:
+        the constructor of computed results, with none of `__init__`'s
+        checks."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "chart", chart)
+        object.__setattr__(form, "degree", degree)
+        object.__setattr__(form, "terms", terms)
+        return form
+
     def __setattr__(self, name, value):
         raise AttributeError("DiffForm is immutable")
 
@@ -267,6 +286,16 @@ class VecField:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "components", components)
 
+    @classmethod
+    def _make(cls, chart: Chart, components: tuple[Expr, ...]) -> "VecField":
+        """The field of `components`, one canonical coefficient per chart
+        coordinate, taken as they are: the constructor of computed
+        results, with none of `__init__`'s checks."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "chart", chart)
+        object.__setattr__(field, "components", components)
+        return field
+
     def __setattr__(self, name, value):
         raise AttributeError("VecField is immutable")
 
@@ -289,20 +318,22 @@ class VecField:
 
     def __add__(self, other):
         _check_chart(self, other)
-        return VecField(
-            self.chart, [_sum((a._rat, b._rat)) for a, b in zip(self.components, other.components)]
+        return VecField._make(
+            self.chart, tuple(_sum((a._rat, b._rat)) for a, b in zip(self.components, other.components))
         )
 
     def __sub__(self, other):
         _check_chart(self, other)
-        return VecField(
+        return VecField._make(
             self.chart,
-            [_sum((a._rat, sx._rat_neg(b._rat))) for a, b in zip(self.components, other.components)],
+            tuple(_sum((a._rat, sx._rat_neg(b._rat))) for a, b in zip(self.components, other.components)),
         )
 
     def __mul__(self, scalar):
         s = _canon_coeff(scalar)._rat
-        return VecField(self.chart, [sx._rat_to_expr(sx._rat_mul(c._rat, s)) for c in self.components])
+        return VecField._make(
+            self.chart, tuple(sx._rat_to_expr(sx._rat_mul(c._rat, s)) for c in self.components)
+        )
 
     __rmul__ = __mul__
 
@@ -366,8 +397,9 @@ def _fold(contributions: Iterable[tuple[tuple, sx._Rat]]) -> dict[tuple, sx._Rat
 
 def _collect(chart: Chart, degree: int, contributions: Iterable[tuple[tuple, sx._Rat]]) -> DiffForm:
     """The form of `(index, payload)` contributions: `_fold`, then one
-    canonical node per index."""
-    return DiffForm(chart, degree, {K: sx._rat_to_expr(r) for K, r in _fold(contributions).items()})
+    canonical node per index whose sum is not zero."""
+    terms = {K: sx._rat_to_expr(r) for K, r in _fold(contributions).items() if not sx._rat_is_zero(r)}
+    return DiffForm._make(chart, degree, terms)
 
 
 def _sum(rats: Iterable[sx._Rat]) -> Expr:
@@ -467,18 +499,28 @@ def wedge_all(factors: Sequence[DiffForm]) -> DiffForm:
     return acc
 
 
+def _derivative(c: Expr, name: str) -> sx._Rat:
+    """The payload of `sx.diff(c, name)` for a canonical `c`, without its
+    node when the payload route takes it."""
+    r = sx._rat_diff(c._rat, name)
+    return r if r is not None else sx.diff(c, name)._rat
+
+
 def ext_d(a: DiffForm) -> DiffForm:
     """Exterior derivative: linear, Leibniz, d(d(a)) = 0."""
     chart = a.chart
     contributions = []
     for I, c in a.terms.items():
+        names = sx._rat_vars(c._rat)  # a coordinate not in c has derivative zero
         for i, name in enumerate(chart.coords):
+            if name not in names:
+                continue
             m = _merge_indices((i,), I)
             if m is None:
                 continue
-            dc = sx.diff(c, name)
-            if not dc.is_const_zero():
-                contributions.append((m[1], _signed(m[0], dc._rat)))
+            dc = _derivative(c, name)
+            if not sx._rat_is_zero(dc):
+                contributions.append((m[1], _signed(m[0], dc)))
     return _collect(chart, a.degree + 1, contributions)
 
 
@@ -560,16 +602,18 @@ def lie_bracket(X: VecField, Y: VecField) -> VecField:
     coords = X.chart.coords
     xs, ys = X.components, Y.components
     comps = []
-    for i in range(len(coords)):
+    for xi, yi in zip(xs, ys):
+        # a coordinate not in a component has derivative zero
+        x_names, y_names = sx._rat_vars(xi._rat), sx._rat_vars(yi._rat)
         terms = []
-        for j, cj in enumerate(coords):
+        for xj, yj, cj in zip(xs, ys, coords):
             # X^j dY^i/dx^j - Y^j dX^i/dx^j, term by term in this order
-            if not xs[j].is_const_zero():
-                terms.append(sx._rat_mul(xs[j]._rat, sx.diff(ys[i], cj)._rat))
-            if not ys[j].is_const_zero():
-                terms.append(sx._rat_neg(sx._rat_mul(ys[j]._rat, sx.diff(xs[i], cj)._rat)))
+            if cj in y_names and not xj.is_const_zero():
+                terms.append(sx._rat_mul(xj._rat, _derivative(yi, cj)))
+            if cj in x_names and not yj.is_const_zero():
+                terms.append(sx._rat_neg(sx._rat_mul(yj._rat, _derivative(xi, cj))))
         comps.append(_sum(terms))
-    return VecField(X.chart, comps)
+    return VecField._make(X.chart, tuple(comps))
 
 
 def hodge_star(a: DiffForm) -> DiffForm:

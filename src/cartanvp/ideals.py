@@ -372,19 +372,17 @@ def frobenius_check(D: Distribution, box=None, seed: int = DEFAULT_SEED) -> Frob
             failure = min(A_failures[:1] + b_failures[:1], key=lambda f: f[0], default=None)
             if failure is not None:
                 raise failure[1]
-            worst = 0.0
-            worst_point = None
-            for vals, Ai, bi in zip(points, A_at, b_at[:, 0]):
+            worst, worst_at = 0.0, None  # the first point of the largest residual
+            for at, (Ai, bi) in enumerate(zip(A_at, b_at[:, 0])):
                 coef, *_ = np.linalg.lstsq(Ai, bi, rcond=None)
                 res = float(np.linalg.norm(Ai @ coef - bi))
                 if res > worst:
-                    worst = res
-                    worst_point = sx.point_label(symbols, vals)
+                    worst, worst_at = res, at
             if worst > sx.ZERO_THRESHOLD:
                 return FrobeniusResult(
                     "not_integrable",
                     witness_pair=(i, j),
-                    witness_point=worst_point,
+                    witness_point=sx.point_label(symbols, points[worst_at]),
                     detail=f"bracket escapes the span; residual {worst:.3e}",
                 )
             numeric_only = True

@@ -23,11 +23,13 @@ printing, `key`/`hash`, raw-tree walks).  Zero and unit tests, `==`
 between canonical nodes, `const_value`, `free_vars`, `opaque_atoms`,
 `numer_denom`, `poly_terms`, `poly_content` and `compile_expr` answer
 from the payload, and `+` and `*` keep a
-canonical operand whole (they splice only raw sums and products).  The
-exterior calculus of `forms` computes on payloads directly (`_rat_mul`,
-`_rat_neg`, and `_rat_add` in the order of the raw sum it stands for),
-so a chain of form operations neither builds nor re-expands a
-coefficient tree.
+canonical operand whole (they splice only raw sums and products).
+`free_vars` of a canonical node is a copy of its payload's variable set
+(`_rat_vars`: the union over the payload's distinct atoms, cached on the
+payload).  The exterior calculus of `forms` computes on payloads directly
+(`_rat_mul`, `_rat_neg`, `_rat_diff`, and `_rat_add` in the order of the
+raw sum it stands for), so a chain of form operations neither builds nor
+re-expands a coefficient tree.
 `diff` of a canonical form works on its payload (the quotient rule over
 polynomial derivatives, each atom's derivative canonicalized once and
 cached); a raw tree, or a form with an atom whose derivative has a
@@ -35,7 +37,14 @@ denominator (ln, atoms over rational arguments), is differentiated as a
 product-rule tree and canonicalized, because without the gcd the
 canonical quotient of such a derivative depends on the order the tree
 sums in.  For the same reason `subst` of a canonical form combines the
-images of its atoms in the order of its tree.  Floats appear only in
+images of its atoms in the order of its tree.
+`parse` reads its text in one regular-expression pass into a token list
+and descends over the list.  Its trees share their leaves (an `Expr` is
+immutable): a variable is the variable's registry atom, an integer below
+1024 one cached constant, each its own canonical form holding its
+payload, and every negation multiplies by one shared -1.  A sum or a
+product is built once, from the operands that the left fold of `+` or
+`*` would splice.  Floats appear only in
 evaluation and sampling, which this module owns for the whole package:
 `compile_expr` turns the payload of a canonical form into a float
 function once (the one evaluator: one set of closures, on floats or on
@@ -48,6 +57,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -262,7 +272,7 @@ def _coerce(x) -> Expr:
 
 
 def _neg(e: Expr) -> Expr:
-    return _mul2(_coerce(-1), e)
+    return _mul2(_MINUS_ONE, e)
 
 
 def _operands(e: Expr, op: str) -> tuple:
@@ -295,6 +305,7 @@ def _mul2(a: Expr, b: Expr) -> Expr:
 
 ZERO = Expr("const", (Fraction(0),))
 ONE = Expr("const", (Fraction(1),))
+_MINUS_ONE = Expr("const", (Fraction(-1),))  # the one factor of every negation
 
 
 def num(value) -> Expr:
@@ -508,11 +519,14 @@ def _terms_divide_mono(terms: dict, by: tuple) -> dict:
 
 
 class _Rat:
-    __slots__ = ("num", "den")
+    # vars: the names of the variables in the quotient, atoms' arguments
+    # included, once `_rat_vars` has read them
+    __slots__ = ("num", "den", "vars")
 
     def __init__(self, num: tuple, den: tuple):
         self.num = num
         self.den = den
+        self.vars = None
 
 
 _RAT_ZERO = _Rat(_ZERO_POLY, _ONE_POLY)
@@ -537,6 +551,19 @@ def _mark(node: Expr, rat: _Rat) -> Expr:
 # the constants are their own canonical forms
 _mark(ZERO, _RAT_ZERO)
 _mark(ONE, _RAT_ONE)
+_mark(_MINUS_ONE, _Rat(_p_const(-1, 1), _ONE_POLY))
+
+
+def _var_atom(name: str, node: Optional[Expr] = None) -> Expr:
+    """The registry atom of variable `name`, which is its own canonical
+    form; `node` (or a new var node) becomes it if the name has none yet."""
+    key = ("v", name)
+    atom = _ATOM_REGISTRY.get(key)
+    if atom is None:
+        atom = _ATOM_REGISTRY[key] = node if node is not None else Expr("var", (name,))
+    if atom._canon is not atom:
+        _mark(atom, _rat_atom(key))
+    return atom
 
 
 def _rat_normalize(num: tuple, den: tuple) -> _Rat:
@@ -622,9 +649,7 @@ def _to_rat(e: Expr) -> _Rat:
         v = e.args[0]
         return _Rat(_p_const(v.numerator, v.denominator), _ONE_POLY) if v else _RAT_ZERO
     if op == "var":
-        key = ("v", e.args[0])
-        _ATOM_REGISTRY.setdefault(key, e)
-        return _rat_atom(key)
+        return _var_atom(e.args[0], e)._rat
     if op == "func":
         name = e.args[0]
         cargs = tuple(canon(a) for a in e.args[1:])
@@ -929,6 +954,8 @@ def _atom_subst(a: tuple, mapping: Mapping[str, Expr], images: dict) -> _Rat:
 
 
 def free_vars(e: Expr) -> set[str]:
+    if e._canon is e:
+        return set(_rat_vars(e._rat))
     out: set[str] = set()
     _collect_vars(e, out)
     return out
@@ -936,11 +963,7 @@ def free_vars(e: Expr) -> set[str]:
 
 def _collect_vars(e: Expr, out: set):
     if e._canon is e:
-        rat = e._rat
-        for p in (rat.num, rat.den):
-            for mono in p[2]:
-                for a, _ in mono:
-                    out |= _atom_vars(a)
+        out |= _rat_vars(e._rat)
         return
     op = e.op
     if op == "var":
@@ -953,6 +976,16 @@ def _collect_vars(e: Expr, out: set):
     elif op in ("add", "mul", "div"):
         for a in e.args:
             _collect_vars(a, out)
+
+
+def _rat_vars(r: _Rat) -> frozenset:
+    """Names of the variables of a payload, those in its atoms' arguments
+    included: the union over its distinct atom keys, cached on `r`."""
+    names = r.vars
+    if names is None:
+        powers = set().union(*r.num[2], *r.den[2])  # the distinct (atom, exponent) pairs
+        names = r.vars = frozenset().union(*map(_atom_vars, {a for a, _ in powers}))
+    return names
 
 
 # atom key -> names of the variables in the atom
@@ -1376,142 +1409,187 @@ def _format(e: Expr, parent_prec: int) -> str:
 # parsing
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# One match per token: a word (`\w+`: the characters `str.isalnum` accepts,
+# and "_"), an operator or bracket, or any other character; the whitespace
+# before it (`\s`: `str.isspace`) is skipped.  A word is an identifier when
+# it starts with a letter (`str.isalpha`); one that starts with a digit
+# (`str.isdigit`) is split where its digits end when the parser consumes
+# it, and `int` reads the digits.
+_TOKEN = re.compile(r"\s*(\w+|[-+*/^(),]|\S)")
+_PUNCT = frozenset("+-*/^(),")
 
-    def error(self, message):
-        raise ParseError(message, self.pos, self.text)
+# the leaves of small integer literals, shared by all parse trees (an Expr
+# is immutable); each is its own canonical form, so it carries its payload
+_INT_LEAF_LIMIT = 1024
+_INT_LEAVES: dict[int, Expr] = {0: ZERO, 1: ONE}
 
-    def peek(self):
-        t = self.text
-        n = len(t)
-        p = self.pos
-        while p < n and t[p].isspace():
-            p += 1
-        self.pos = p
-        if p >= n:
-            return None
-        return t[p]
 
-    def next_token(self):
-        ch = self.peek()
-        if ch is None:
-            return None, None
-        p = self.pos
-        t = self.text
-        if ch.isdigit():
-            q = p
-            while q < len(t) and t[q].isdigit():
-                q += 1
-            self.pos = q
-            return "int", int(t[p:q])
-        if ch.isalpha():
-            q = p
-            while q < len(t) and (t[q].isalnum() or t[q] == "_"):
-                q += 1
-            self.pos = q
-            return "ident", t[p:q]
-        if ch in "+-*/^(),":
-            self.pos = p + 1
-            return ch, ch
-        self.error(f"unexpected character {ch!r}")
+def _int_leaf(v: int) -> Expr:
+    leaf = _INT_LEAVES.get(v)
+    if leaf is None:
+        leaf = _mark(Expr("const", (Fraction(v),)), _Rat(_p_const(v, 1), _ONE_POLY))
+        if v < _INT_LEAF_LIMIT:
+            _INT_LEAVES[v] = leaf
+    return leaf
 
 
 class _Parser:
-    """Recursive descent for: +,- < *,／ < unary- < ^ (integer exponents)."""
+    """Recursive descent over the token list of one text, for
+    +,- < *,/ < unary - < ^ (integer exponents).  Variables are their
+    registry atoms and small integers shared leaves; a sum or a product
+    is built once, as the left fold of `_add2` or `_mul2` over its
+    operands would build it, without the partial sums.  The end of input
+    is the empty token.  A ParseError carries the position of a token's
+    first character (an unexpected character, trailing input) or the
+    position just past the token consumed last."""
+
+    __slots__ = ("text", "toks", "i")
 
     def __init__(self, text: str):
-        self.tk = _Tokenizer(text)
+        self.text = text
+        self.toks = _TOKEN.findall(text)
+        self.toks.append("")
+        self.i = 0
+
+    def error(self, message: str, i: int, after: bool = True):
+        """Raise at the end of token `i`, or at its start."""
+        text, pos = self.text, 0
+        for tok in self.toks[: i + 1]:
+            while text[pos : pos + 1].isspace():
+                pos += 1
+            start = pos
+            pos += len(tok)
+        raise ParseError(message, pos if after else start, text)
+
+    def take(self) -> tuple:
+        """Consume one token: (kind, value), the kind being "int",
+        "ident", the operator itself, or "" at the end of input."""
+        i = self.i
+        tok = self.toks[i]
+        self.i = i + 1
+        if tok in _PUNCT or not tok:
+            return tok, tok
+        c = tok[0]
+        if c.isalpha():
+            return "ident", tok
+        if c.isdigit():
+            if not tok.isdigit():
+                n = next(k for k, ch in enumerate(tok) if not ch.isdigit())
+                self.toks[i : i + 1] = tok[:n], tok[n:]
+                tok = tok[:n]
+            return "int", int(tok)
+        self.error(f"unexpected character {c!r}", i, after=False)
+
+    def close(self, message: str) -> None:
+        if self.toks[self.i] == ")":
+            self.i += 1
+        else:
+            self.take()
+            self.error(message, self.i - 1)
 
     def parse(self) -> Expr:
         e = self.add()
-        if self.tk.peek() is not None:
-            self.tk.error("trailing input")
+        if self.toks[self.i]:
+            self.error("trailing input", self.i, after=False)
         return e
 
     def add(self) -> Expr:
+        toks = self.toks
         e = self.mul()
+        ops = None  # the operands of the sum so far, once it has two
         while True:
-            ch = self.tk.peek()
-            if ch == "+":
-                self.tk.next_token()
-                e = _add2(e, self.mul())
-            elif ch == "-":
-                self.tk.next_token()
-                e = _add2(e, _neg(self.mul()))
+            t = toks[self.i]
+            if t == "+":
+                self.i += 1
+                b = self.mul()
+            elif t == "-":
+                self.i += 1
+                b = _neg(self.mul())
             else:
-                return e
+                return e if ops is None else Expr("add", tuple(ops))
+            if ops is None:
+                if e.is_const_zero():
+                    e = b
+                elif not b.is_const_zero():
+                    ops = [*_operands(e, "add"), *_operands(b, "add")]
+            elif not b.is_const_zero():
+                ops += _operands(b, "add")
 
     def mul(self) -> Expr:
+        toks = self.toks
         e = self.unary()
+        ops = None  # the factors of the product so far, once it has two
         while True:
-            ch = self.tk.peek()
-            if ch == "*":
-                self.tk.next_token()
-                e = _mul2(e, self.unary())
-            elif ch == "/":
-                self.tk.next_token()
+            t = toks[self.i]
+            if t == "*":
+                self.i += 1
+                b = self.unary()
+                if ops is None:
+                    if _is_one(e):
+                        e = b
+                    elif not _is_one(b):
+                        ops = [*_operands(e, "mul"), *_operands(b, "mul")]
+                elif not _is_one(b):
+                    ops += _operands(b, "mul")
+            elif t == "/":
+                self.i += 1
+                if ops is not None:
+                    e, ops = Expr("mul", tuple(ops)), None
                 e = Expr("div", (e, self.unary()))
             else:
-                return e
+                return e if ops is None else Expr("mul", tuple(ops))
 
     def unary(self) -> Expr:
-        if self.tk.peek() == "-":
-            self.tk.next_token()
-            return _neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
+        toks = self.toks
+        negations = 0
+        while toks[self.i] == "-":
+            self.i += 1
+            negations += 1
         e = self.atom()
-        if self.tk.peek() == "^":
-            self.tk.next_token()
+        if toks[self.i] == "^":
+            self.i += 1
             sign = 1
-            if self.tk.peek() == "-":
-                self.tk.next_token()
+            if toks[self.i] == "-":
+                self.i += 1
                 sign = -1
-            kind, val = self.tk.next_token()
+            kind, val = self.take()
             if kind == "int":
-                return Expr("pow", (e, sign * val))
-            if kind == "(":
+                e = Expr("pow", (e, sign * val))
+            elif kind == "(":
                 inner = self.add()
-                k2, _ = self.tk.next_token()
-                if k2 != ")":
-                    self.tk.error("expected ')' in exponent")
+                self.close("expected ')' in exponent")
                 c = inner.const_value()
                 if c is None or c.denominator != 1:
-                    self.tk.error("exponent must be an integer")
-                return Expr("pow", (e, sign * int(c)))
-            self.tk.error("exponent must be an integer")
-
+                    self.error("exponent must be an integer", self.i - 1)
+                e = Expr("pow", (e, sign * int(c)))
+            else:
+                self.error("exponent must be an integer", self.i - 1)
+        for _ in range(negations):
+            e = _neg(e)
         return e
 
     def atom(self) -> Expr:
-        kind, val = self.tk.next_token()
+        kind, val = self.take()
         if kind == "int":
-            return Expr("const", (Fraction(val),))
+            return _int_leaf(val)
         if kind == "ident":
-            if self.tk.peek() == "(":
-                self.tk.next_token()
-                args = [self.add()]
-                while self.tk.peek() == ",":
-                    self.tk.next_token()
-                    args.append(self.add())
-                k2, _ = self.tk.next_token()
-                if k2 != ")":
-                    self.tk.error("expected ')' after function arguments")
-                if val in KNOWN_FUNCS and len(args) != 1:
-                    self.tk.error(f"{val} takes exactly one argument")
-                return Expr("func", (val,) + tuple(args))
-            return Expr("var", (val,))
+            toks = self.toks
+            if toks[self.i] != "(":
+                return _var_atom(val)
+            self.i += 1
+            args = [self.add()]
+            while toks[self.i] == ",":
+                self.i += 1
+                args.append(self.add())
+            self.close("expected ')' after function arguments")
+            if val in KNOWN_FUNCS and len(args) != 1:
+                self.error(f"{val} takes exactly one argument", self.i - 1)
+            return Expr("func", (val, *args))
         if kind == "(":
             e = self.add()
-            k2, _ = self.tk.next_token()
-            if k2 != ")":
-                self.tk.error("expected ')'")
+            self.close("expected ')'")
             return e
-        self.tk.error(f"unexpected token {val!r}" if kind else "unexpected end of input")
+        self.error(f"unexpected token {val!r}" if kind else "unexpected end of input", self.i - 1)
 
 
 def parse(text: str) -> Expr:

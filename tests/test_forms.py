@@ -329,6 +329,53 @@ class TestLie:
         assert _lie_derivative(Y, sx.var("z1")).is_const_zero()
 
 
+class TestComputedResults:
+    """The calculus builds its results without the validating
+    constructors: each must equal `DiffForm(...)` or `VecField(...)` of the
+    same terms, and d and the bracket, which skip the coordinates a
+    coefficient lacks, must equal the raw sums over every coordinate."""
+
+    def test_equal_to_validated_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        chart = fm.Chart(["x", "y", "z", "w"])
+        x, y, z = sx.variables("x y z")
+        pool = [sx.ZERO, sx.ONE, sx.num(-2), x, y * z, x * x - y, 1 / (x + 2), y / (z - 3) + x]
+        pool += [sx.func("B", x, y), sx.sin(z) * x, sx.ln(y * y + 1), sx.func("C", x / (y + 1)) * z]
+        coeffs = st.sampled_from([sx.canon(c) for c in pool])
+
+        def forms(degree):
+            indices = st.sampled_from(list(itertools.combinations(range(4), degree)))
+            return st.dictionaries(indices, coeffs, max_size=4).map(lambda t: fm.DiffForm(chart, degree, t))
+
+        fields = st.lists(coeffs, min_size=4, max_size=4).map(lambda c: fm.VecField(chart, c))
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(forms(1), forms(2), fields, fields, coeffs)
+        def check(a, b, X, Y, s):
+            computed = [fm.wedge(a, b), fm.interior(X, b), fm.ext_d(a), fm.ext_d(b), fm.hodge_star(b)]
+            computed += [a + a, a - a, b * s, -b, fm.wedge(a, a)]
+            for r in computed:
+                want = fm.DiffForm(r.chart, r.degree, r.terms)
+                assert r == want and list(r.terms) == list(want.terms)
+                assert all(c._canon is c for c in r.terms.values())
+            for f in (a, b):
+                _same_form(fm.ext_d(f), _raw_ext_d(f))
+            for V in (fm.lie_bracket(X, Y), X + Y, X - Y, X * s):
+                assert V == fm.VecField(V.chart, V.components)
+                assert all(c._canon is c for c in V.components)
+            _same_field(fm.lie_bracket(X, Y), _raw_lie_bracket(X, Y))
+
+        check()
+
+    def test_zero_sums_are_dropped(self):
+        chart = fm.Chart(["x", "y"])
+        r = sx.canon(sx.var("x") / (sx.var("y") + 1))._rat
+        got = fm._collect(chart, 1, [((0,), r), ((1,), sx._RAT_ZERO), ((0,), sx._rat_neg(r)), ((1,), r)])
+        assert got.terms == {(1,): sx._rat_to_expr(r)}
+        assert got == fm.DiffForm(chart, 1, {(0,): sx.ZERO, (1,): sx._rat_to_expr(r)})
+
+
 class TestHodge:
     def test_r3_basis(self):
         e3 = fm.Chart(["x1", "x2", "x3"])

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -253,6 +254,34 @@ class TestFrobenius:
         res = ids.frobenius_check(ids.Distribution(chart, basis, 3, None, cert))
         assert res.verdict == "not_integrable"
         assert res.witness_pair == (0, 2)
+
+    def test_numeric_fallback_labels_one_point(self, chart5, monkeypatch):
+        # only the witness, the first point of the largest residual, is
+        # formatted: none for a pair that holds numerically, one for a pair
+        # whose bracket escapes (the zero tests format their own witnesses)
+        calls = []
+        point_label = sx.point_label
+
+        def counting(symbols, values):
+            if sys._getframe(1).f_code is ids.frobenius_check.__code__:
+                calls.append(values)
+            return point_label(symbols, values)
+
+        monkeypatch.setattr(sx, "point_label", counting)
+        res = ids.frobenius_check(ids.annihilator(example1_eta(chart5)))
+        assert res.verdict == "not_integrable" and len(calls) == 1
+        calls.clear()
+        chart = fm.Chart(["x", "y", "z", "w"])
+        x, y = sx.var("x"), sx.var("y")
+        e = sx.sin(x) ** 2 + sx.cos(x) ** 2 - 1
+        basis = (
+            fm.VecField(chart, [sx.ONE, sx.ZERO, sx.ZERO, y * e]),
+            fm.coord_field(chart, "y"),
+            fm.VecField(chart, [sx.ZERO, sx.ZERO, sx.ONE, x]),
+        )
+        cert = la.RankCertificate(3, 0, None, 0, [])
+        res = ids.frobenius_check(ids.Distribution(chart, basis, 3, None, cert))
+        assert res.verdict == "not_integrable" and res.witness_pair == (0, 2) and len(calls) == 1
 
     def test_pointwise_solve_oracle(self, chart5):
         # independent oracle for span membership: least squares at samples

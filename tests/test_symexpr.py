@@ -158,6 +158,56 @@ class TestDiff:
 
         check()
 
+    def test_absent_variable_is_exactly_zero_property(self):
+        # the variables of a payload, atoms' arguments included, bound every
+        # variable whose derivative can be nonzero; by any other the
+        # derivative is the ZERO node, on the payload route and on the tree
+        # route alike
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        leaves = st.one_of(
+            st.sampled_from([x, y, z]),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4).map(sx.num),
+        )
+
+        def extend(kids):
+            pairs = st.tuples(kids, kids)
+            return st.one_of(
+                pairs.map(lambda t: t[0] + t[1]),
+                pairs.map(lambda t: t[0] * t[1]),
+                pairs.map(lambda t: t[0] / t[1]),
+                st.tuples(kids, st.integers(-2, 3)).map(lambda t: t[0] ** t[1]),
+                kids.map(lambda k: sx.func("B", k, sx.func("C", y))),
+                kids.map(lambda k: sx.ln(k * k + 1)),
+                kids.map(sx.sin),
+            )
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(st.recursive(leaves, extend, max_leaves=8))
+        def check(e):
+            try:
+                c = sx.canon(e)
+            except DivisionByZeroError:
+                hypothesis.assume(False)
+            names = sx._rat_vars(c._rat)
+            assert names == _tree_vars(c) and sx.free_vars(c) == set(names)
+            for v in {"x", "y", "z", "w"} - names:
+                assert sx.diff(c, v) is sx.ZERO
+                assert sx._rat_is_zero(sx._rat_diff(c._rat, v))
+                if e._canon is not e:
+                    assert sx.diff(e, v) is sx.ZERO
+
+        check()
+
+    def test_free_vars_copies_the_cached_set(self):
+        c = sx.canon(x * sx.func("B", y, z) + 1 / (x + 2))
+        got = sx.free_vars(c)
+        assert got == {"x", "y", "z"} and type(got) is set
+        got.add("w")
+        assert sx.free_vars(c) == {"x", "y", "z"}
+        # a raw tree unions the cached sets of its canonical parts
+        assert sx.free_vars(c * sx.var("w")) == {"w", "x", "y", "z"}
+
     def test_canonical_polynomial_is_not_re_expanded(self, monkeypatch):
         # 50 terms, one of them over an opaque atom no other test uses: the
         # derivative reads the payload, so only the atom's own derivative
@@ -443,6 +493,87 @@ class TestParser:
         with pytest.raises(ParseError):
             sx.parse("sin(x, y)")
 
+    def test_leaves_are_shared(self):
+        a, b = sx.parse("x*y + 2*x - 7*x^2"), sx.parse("2*(x + y) - 1")
+        leaves = {}
+        for e in (a, b):
+            for n in _nodes(e):
+                if n.op in ("var", "const"):
+                    assert leaves.setdefault(n.key(), n) is n
+        assert {k[0] for k in leaves} == {"v", "c"}
+        # a leaf is its own canonical form and holds its payload
+        for n in leaves.values():
+            assert n._canon is n and sx.canon(n) is n
+        assert sx.parse("0") is sx.ZERO and sx.parse("1") is sx.ONE
+        # the integers held are bounded by their magnitude
+        assert sx.parse("1023") is sx.parse("1023")
+        assert sx.parse("1024") is not sx.parse("1024")
+        assert sx.parse("1024") == sx.parse("1024")
+        # every negation has the one -1 factor
+        negs = [n.args[0] for n in _nodes(sx.parse("-x - y*z + (-3)^2")) if n.op == "mul"]
+        assert len(negs) == 3 and all(c is negs[0] for c in negs)
+
+    def test_matches_reference_parser_on_pinned_texts(self):
+        texts = [
+            "3/2*x^2 - -y", "-x^2", "--x", "x - -1", "0 + 0", "0*x + 1*y", "x*1*y/1*z",
+            "a + (b + c) - (d - e)", "(a + b) + c", "a*(b*c)*-d", "(a*b)*c", "(a*b)/c*d",
+            "x^-2", "x^(-2)", "x^(2*3 - 1)", "-x^-(3)",
+            "sin(x)*cos(y) + exp(0) + ln(x)", "B11(x1, x2, z1)", "F(x, G(y, 1/2), -3)",
+            " x +\t2 * y ", "Dz1_x2 * x2", "٣*x + ١٢", "é + x", "x\x1c+ y",
+            # errors: characters, tokens, exponents, brackets, arity, trailing input
+            "", "   ", "x + * y", "x @ y", "@", "x +", "(x", "(x + y", "x)", "x y", "2x", "2_x",
+            "_x", "x ½", "½", "x^", "x^y", "x^(y)", "x^(1/2)", "x^1.5", "x^(1", "x^(1 y)", "x^-",
+            "sin(x, y)", "ln()", "F(x,", "F(x y)", "F(x; y)", "sin(x", "x ^ 2 ^ 3", "()", "(,)",
+            "x^²", "²", "x + ²", "(x ²", "x^(1/0)", "1/0", "x^(0/0)",
+        ]
+        for text in texts:
+            assert _outcome(sx.parse, text) == _outcome(_ref_parse, text), text
+
+    def test_matches_reference_parser_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        space = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
+        names = st.sampled_from(["x", "y", "z1", "Dz1_x2", "é", "B", "sin", "ln"])
+        ints = st.sampled_from(["0", "1", "2", "7", "12", "007", "1023", "1024", "99999", "٣", "١٢"])
+
+        def extend(kids):
+            binary = st.tuples(kids, space, st.sampled_from("+-*/"), kids)
+            power = st.tuples(kids, st.sampled_from(["", "-"]), ints)
+            call = st.tuples(st.sampled_from(["sin", "exp", "F", "G1"]), st.lists(kids, min_size=1, max_size=3))
+            return st.one_of(
+                binary.map(lambda t: f"{t[0]}{t[1]}{t[2]}{t[1]}{t[3]}"),
+                kids.map(lambda k: f"-{k}"),
+                kids.map(lambda k: f"({k})"),
+                power.map(lambda t: f"{t[0]}^{t[1]}{t[2]}"),
+                st.tuples(kids, kids).map(lambda t: f"{t[0]}^({t[1]})"),
+                call.map(lambda t: f"{t[0]}({', '.join(t[1])})"),
+            )
+
+        valid = st.recursive(st.one_of(names, ints), extend, max_leaves=8)
+        noise = st.sampled_from(list("+-*/^(),_@.;x2 ") + ["²", "½", "٣", "\x1c", "Ⅻ", "sin(", ")", "2x"])
+
+        @st.composite
+        def texts(draw):
+            text = draw(valid)
+            for _ in range(draw(st.integers(0, 2))):
+                at = draw(st.integers(0, len(text)))
+                edit = draw(st.sampled_from(["insert", "delete", "cut"]))
+                if edit == "insert":
+                    text = text[:at] + draw(noise) + text[at:]
+                elif edit == "delete":
+                    text = text[:at] + text[at + 1 :]
+                else:
+                    text = text[:at]
+            return text
+
+        @hypothesis.settings(max_examples=600, deadline=None, database=None)
+        @hypothesis.given(texts())
+        def check(text):
+            assert _outcome(sx.parse, text) == _outcome(_ref_parse, text)
+
+        check()
+
+
     def test_roundtrip_on_corpus(self):
         rng = random.Random(17)
         for _ in range(40):
@@ -452,6 +583,177 @@ class TestParser:
     def test_roundtrip_rational_function(self):
         e = sx.canon((x + 1) / (y**2 + 2))
         assert sx.canon(sx.parse(str(e))) == e
+
+
+def _nodes(e):
+    yield e
+    if e.op in ("add", "mul", "div"):
+        for a in e.args:
+            yield from _nodes(a)
+    elif e.op == "pow":
+        yield from _nodes(e.args[0])
+    elif e.op == "func":
+        for a in e.args[1:]:
+            yield from _nodes(a)
+
+
+def _tree_vars(c):
+    """Variable names of the built tree of `c`, atoms' arguments included."""
+    return frozenset(n.args[0] for n in _nodes(c) if n.op == "var")
+
+
+def _outcome(parse, text):
+    """The parse tree's key, or the error: a ParseError's message and
+    position, or another exception's type and message."""
+    try:
+        return "tree", parse(text).key()
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.position
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+# The character scanner and parser that `sx.parse` replaced, kept as the
+# reference for its trees and its errors.
+
+
+class _RefTokenizer:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message):
+        raise ParseError(message, self.pos, self.text)
+
+    def peek(self):
+        t = self.text
+        n = len(t)
+        p = self.pos
+        while p < n and t[p].isspace():
+            p += 1
+        self.pos = p
+        if p >= n:
+            return None
+        return t[p]
+
+    def next_token(self):
+        ch = self.peek()
+        if ch is None:
+            return None, None
+        p = self.pos
+        t = self.text
+        if ch.isdigit():
+            q = p
+            while q < len(t) and t[q].isdigit():
+                q += 1
+            self.pos = q
+            return "int", int(t[p:q])
+        if ch.isalpha():
+            q = p
+            while q < len(t) and (t[q].isalnum() or t[q] == "_"):
+                q += 1
+            self.pos = q
+            return "ident", t[p:q]
+        if ch in "+-*/^(),":
+            self.pos = p + 1
+            return ch, ch
+        self.error(f"unexpected character {ch!r}")
+
+
+class _RefParser:
+    def __init__(self, text: str):
+        self.tk = _RefTokenizer(text)
+
+    def parse(self):
+        e = self.add()
+        if self.tk.peek() is not None:
+            self.tk.error("trailing input")
+        return e
+
+    def add(self):
+        e = self.mul()
+        while True:
+            ch = self.tk.peek()
+            if ch == "+":
+                self.tk.next_token()
+                e = sx._add2(e, self.mul())
+            elif ch == "-":
+                self.tk.next_token()
+                e = sx._add2(e, sx._neg(self.mul()))
+            else:
+                return e
+
+    def mul(self):
+        e = self.unary()
+        while True:
+            ch = self.tk.peek()
+            if ch == "*":
+                self.tk.next_token()
+                e = sx._mul2(e, self.unary())
+            elif ch == "/":
+                self.tk.next_token()
+                e = sx.Expr("div", (e, self.unary()))
+            else:
+                return e
+
+    def unary(self):
+        if self.tk.peek() == "-":
+            self.tk.next_token()
+            return sx._neg(self.unary())
+        return self.power()
+
+    def power(self):
+        e = self.atom()
+        if self.tk.peek() == "^":
+            self.tk.next_token()
+            sign = 1
+            if self.tk.peek() == "-":
+                self.tk.next_token()
+                sign = -1
+            kind, val = self.tk.next_token()
+            if kind == "int":
+                return sx.Expr("pow", (e, sign * val))
+            if kind == "(":
+                inner = self.add()
+                k2, _ = self.tk.next_token()
+                if k2 != ")":
+                    self.tk.error("expected ')' in exponent")
+                c = inner.const_value()
+                if c is None or c.denominator != 1:
+                    self.tk.error("exponent must be an integer")
+                return sx.Expr("pow", (e, sign * int(c)))
+            self.tk.error("exponent must be an integer")
+        return e
+
+    def atom(self):
+        kind, val = self.tk.next_token()
+        if kind == "int":
+            return sx.Expr("const", (Fraction(val),))
+        if kind == "ident":
+            if self.tk.peek() == "(":
+                self.tk.next_token()
+                args = [self.add()]
+                while self.tk.peek() == ",":
+                    self.tk.next_token()
+                    args.append(self.add())
+                k2, _ = self.tk.next_token()
+                if k2 != ")":
+                    self.tk.error("expected ')' after function arguments")
+                if val in sx.KNOWN_FUNCS and len(args) != 1:
+                    self.tk.error(f"{val} takes exactly one argument")
+                return sx.Expr("func", (val,) + tuple(args))
+            return sx.Expr("var", (val,))
+        if kind == "(":
+            e = self.add()
+            k2, _ = self.tk.next_token()
+            if k2 != ")":
+                self.tk.error("expected ')'")
+            return e
+        self.tk.error(f"unexpected token {val!r}" if kind else "unexpected end of input")
+
+
+def _ref_parse(text):
+    return _RefParser(text).parse()
 
 
 def _canon_corpus():
