@@ -12,9 +12,10 @@ and field arithmetic hand `(index, payload)` contributions to `_collect`,
 which folds each index's contributions with `_rat_add` left to right in
 arrival order and builds one canonical node per index whose sum is not
 zero; no expression tree is built on the way.  d and the Lie bracket
-differentiate payloads (`sx._rat_diff`, or `sx.diff` where an atom's
-derivative has a denominator) and skip each coordinate that a
-coefficient's variable set lacks, whose derivative is zero.  Computed
+differentiate payloads with `sx._diff_payload`, the payload of `sx.diff`
+without its node, by the coordinates that `sx._diff_vars` keeps: every
+one, except those missing from a coefficient whose atoms are all
+variables.  Computed
 forms and fields are built by `DiffForm._make` and `VecField._make`,
 which take their canonical terms as they are; `__init__`, which checks
 indices and canonicalizes coefficients, is for input.  Products are
@@ -499,26 +500,22 @@ def wedge_all(factors: Sequence[DiffForm]) -> DiffForm:
     return acc
 
 
-def _derivative(c: Expr, name: str) -> sx._Rat:
-    """The payload of `sx.diff(c, name)` for a canonical `c`, without its
-    node when the payload route takes it."""
-    r = sx._rat_diff(c._rat, name)
-    return r if r is not None else sx.diff(c, name)._rat
-
-
 def ext_d(a: DiffForm) -> DiffForm:
-    """Exterior derivative: linear, Leibniz, d(d(a)) = 0."""
+    """Exterior derivative: linear, Leibniz, d(d(a)) = 0.
+
+    Each coefficient is differentiated on its payload, as `sx.diff` would,
+    by each coordinate outside its index that `sx._diff_vars` keeps."""
     chart = a.chart
     contributions = []
     for I, c in a.terms.items():
-        names = sx._rat_vars(c._rat)  # a coordinate not in c has derivative zero
+        names = sx._diff_vars(c, chart._index)
         for i, name in enumerate(chart.coords):
             if name not in names:
                 continue
             m = _merge_indices((i,), I)
             if m is None:
                 continue
-            dc = _derivative(c, name)
+            dc = sx._diff_payload(c, name)
             if not sx._rat_is_zero(dc):
                 contributions.append((m[1], _signed(m[0], dc)))
     return _collect(chart, a.degree + 1, contributions)
@@ -597,21 +594,24 @@ def pullback(phi: SectionMap, a: DiffForm) -> DiffForm:
 
 
 def lie_bracket(X: VecField, Y: VecField) -> VecField:
-    """[X, Y]^i = X(Y^i) - Y(X^i)."""
+    """[X, Y]^i = X(Y^i) - Y(X^i).
+
+    A component is differentiated on its payload, as `sx.diff` would, by
+    each coordinate that `sx._diff_vars` keeps and whose component in the
+    other field is not zero."""
     _check_chart(X, Y)
-    coords = X.chart.coords
+    coords, every = X.chart.coords, X.chart._index
     xs, ys = X.components, Y.components
     comps = []
     for xi, yi in zip(xs, ys):
-        # a coordinate not in a component has derivative zero
-        x_names, y_names = sx._rat_vars(xi._rat), sx._rat_vars(yi._rat)
+        x_names, y_names = sx._diff_vars(xi, every), sx._diff_vars(yi, every)
         terms = []
         for xj, yj, cj in zip(xs, ys, coords):
             # X^j dY^i/dx^j - Y^j dX^i/dx^j, term by term in this order
             if cj in y_names and not xj.is_const_zero():
-                terms.append(sx._rat_mul(xj._rat, _derivative(yi, cj)))
+                terms.append(sx._rat_mul(xj._rat, sx._diff_payload(yi, cj)))
             if cj in x_names and not yj.is_const_zero():
-                terms.append(sx._rat_neg(sx._rat_mul(yj._rat, _derivative(xi, cj))))
+                terms.append(sx._rat_neg(sx._rat_mul(yj._rat, sx._diff_payload(xi, cj))))
         comps.append(_sum(terms))
     return VecField._make(X.chart, tuple(comps))
 

@@ -27,9 +27,10 @@ canonical operand whole (they splice only raw sums and products).
 `free_vars` of a canonical node is a copy of its payload's variable set
 (`_rat_vars`: the union over the payload's distinct atoms, cached on the
 payload).  The exterior calculus of `forms` computes on payloads directly
-(`_rat_mul`, `_rat_neg`, `_rat_diff`, and `_rat_add` in the order of the
-raw sum it stands for), so a chain of form operations neither builds nor
-re-expands a coefficient tree.
+(`_rat_mul`, `_rat_neg`, `_rat_add` in the order of the raw sum it stands
+for, and `_diff_payload`, the payload of `diff` without its node, by the
+variables `_diff_vars` keeps), so a chain of form operations neither
+builds nor re-expands a coefficient tree.
 `diff` of a canonical form works on its payload (the quotient rule over
 polynomial derivatives, each atom's derivative canonicalized once and
 cached); a raw tree, or a form with an atom whose derivative has a
@@ -42,9 +43,8 @@ images of its atoms in the order of its tree.
 and descends over the list.  Its trees share their leaves (an `Expr` is
 immutable): a variable is the variable's registry atom, an integer below
 1024 one cached constant, each its own canonical form holding its
-payload, and every negation multiplies by one shared -1.  A sum or a
-product is built once, from the operands that the left fold of `+` or
-`*` would splice.  Floats appear only in
+payload, and every negation multiplies by one shared -1; sums and
+products are built as `+` and `*` build them.  Floats appear only in
 evaluation and sampling, which this module owns for the whole package:
 `compile_expr` turns the payload of a canonical form into a float
 function once (the one evaluator: one set of closures, on floats or on
@@ -520,8 +520,9 @@ def _terms_divide_mono(terms: dict, by: tuple) -> dict:
 
 class _Rat:
     # vars: the names of the variables in the quotient, atoms' arguments
-    # included, once `_rat_vars` has read them
-    __slots__ = ("num", "den", "vars")
+    # included, and only_vars: whether every atom is a variable; both set
+    # by `_rat_vars`, which reads them
+    __slots__ = ("num", "den", "vars", "only_vars")
 
     def __init__(self, num: tuple, den: tuple):
         self.num = num
@@ -766,14 +767,20 @@ def diff(e: Expr, v) -> Expr:
     else:
         vname = v
     if e._canon is e:
-        rat = _rat_diff(e._rat, vname)
-        if rat is not None:
-            return _rat_to_expr(rat)
-    # A raw input, or an atom derivative with a denominator (ln, atoms over
-    # rational arguments): without a polynomial gcd the quotient canon
-    # returns depends on the order the tree sums in, and only the tree of
-    # _diff reproduces that order.
+        return _rat_to_expr(_diff_payload(e, vname))
     return canon(_diff(e, vname))
+
+
+def _diff_payload(e: Expr, v: str) -> _Rat:
+    """The payload of `diff(e, v)` for a canonical `e`, without its node."""
+    rat = _rat_diff(e._rat, v)
+    if rat is not None:
+        return rat
+    # An atom derivative with a denominator (ln, atoms over rational
+    # arguments): without a polynomial gcd the quotient canon returns
+    # depends on the order the tree sums in, and only the tree of _diff
+    # reproduces that order.
+    return _canon(_diff(e, v))._rat
 
 
 def _rat_diff(r: _Rat, v: str) -> Optional[_Rat]:
@@ -954,8 +961,6 @@ def _atom_subst(a: tuple, mapping: Mapping[str, Expr], images: dict) -> _Rat:
 
 
 def free_vars(e: Expr) -> set[str]:
-    if e._canon is e:
-        return set(_rat_vars(e._rat))
     out: set[str] = set()
     _collect_vars(e, out)
     return out
@@ -984,8 +989,21 @@ def _rat_vars(r: _Rat) -> frozenset:
     names = r.vars
     if names is None:
         powers = set().union(*r.num[2], *r.den[2])  # the distinct (atom, exponent) pairs
-        names = r.vars = frozenset().union(*map(_atom_vars, {a for a, _ in powers}))
+        atoms = {a for a, _ in powers}
+        names = r.vars = frozenset().union(*map(_atom_vars, atoms))
+        r.only_vars = all(a[0] == "v" for a in atoms)
     return names
+
+
+def _diff_vars(e: Expr, names):
+    """The members of the collection `names` by which a canonical `e` is
+    to be differentiated: the variables of `e` when all its atoms are
+    variables (its derivative by any other is zero), else all of `names`,
+    so that an atom derivative that cannot be formed (ln(0)) raises as in
+    `diff`."""
+    r = e._rat
+    held = _rat_vars(r)
+    return held if r.only_vars else names
 
 
 # atom key -> names of the variables in the atom
@@ -1436,10 +1454,9 @@ def _int_leaf(v: int) -> Expr:
 class _Parser:
     """Recursive descent over the token list of one text, for
     +,- < *,/ < unary - < ^ (integer exponents).  Variables are their
-    registry atoms and small integers shared leaves; a sum or a product
-    is built once, as the left fold of `_add2` or `_mul2` over its
-    operands would build it, without the partial sums.  The end of input
-    is the empty token.  A ParseError carries the position of a token's
+    registry atoms and small integers shared leaves; sums and products
+    are the left folds of `_add2` and `_mul2`.  The end of input is the
+    empty token.  A ParseError carries the position of a token's
     first character (an unexpected character, trailing input) or the
     position just past the token consumed last."""
 
@@ -1496,48 +1513,30 @@ class _Parser:
     def add(self) -> Expr:
         toks = self.toks
         e = self.mul()
-        ops = None  # the operands of the sum so far, once it has two
         while True:
             t = toks[self.i]
             if t == "+":
                 self.i += 1
-                b = self.mul()
+                e = _add2(e, self.mul())
             elif t == "-":
                 self.i += 1
-                b = _neg(self.mul())
+                e = _add2(e, _neg(self.mul()))
             else:
-                return e if ops is None else Expr("add", tuple(ops))
-            if ops is None:
-                if e.is_const_zero():
-                    e = b
-                elif not b.is_const_zero():
-                    ops = [*_operands(e, "add"), *_operands(b, "add")]
-            elif not b.is_const_zero():
-                ops += _operands(b, "add")
+                return e
 
     def mul(self) -> Expr:
         toks = self.toks
         e = self.unary()
-        ops = None  # the factors of the product so far, once it has two
         while True:
             t = toks[self.i]
             if t == "*":
                 self.i += 1
-                b = self.unary()
-                if ops is None:
-                    if _is_one(e):
-                        e = b
-                    elif not _is_one(b):
-                        ops = [*_operands(e, "mul"), *_operands(b, "mul")]
-                elif not _is_one(b):
-                    ops += _operands(b, "mul")
+                e = _mul2(e, self.unary())
             elif t == "/":
                 self.i += 1
-                if ops is not None:
-                    e, ops = Expr("mul", tuple(ops)), None
                 e = Expr("div", (e, self.unary()))
             else:
-                return e if ops is None else Expr("mul", tuple(ops))
+                return e
 
     def unary(self) -> Expr:
         toks = self.toks

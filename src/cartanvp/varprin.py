@@ -316,13 +316,12 @@ def _critical_equations(p: VariationalProblem) -> CriticalSystem:
             for crow in fs.C:
                 P.append([sx.canon(c) for c in crow])
         deltas = tuple(_signed_minor(P, a) for a in range(nz))
-        # the contraction of eta with each pivot's coordinate field, which
-        # p.psi holds already when the vertical frame is the coordinate one
-        if p.vertical_basis == _default_vertical_basis(chart):
-            psis = [p.psi[z - k] for z in fs.z_order]
-        else:
-            psis = [interior(coord_field(chart, chart.coords[z]), p.eta) for z in fs.z_order]
-        pb = tuple(_omega_coefficient(formal_jet_pullback(p, psi)) for psi in psis)
+        pb = []
+        for i in range(nz):
+            V = coord_field(chart, chart.coords[fs.z_order[i]])
+            psi = interior(V, p.eta)
+            pb.append(_omega_coefficient(formal_jet_pullback(p, psi)))
+        pb = tuple(pb)
         ratio = _assert_proportional(pb, deltas)
         jets = _jet_names_of(deltas + pb, chart)
         return CriticalSystem(deltas, jets, tuple(tuple(r) for r in P), pb, "minors", ratio)

@@ -7,7 +7,7 @@ from cartanvp import forms as fm
 from cartanvp import ideals as ids
 from cartanvp import liouville as lv
 from cartanvp import symexpr as sx
-from cartanvp.errors import ChartMismatchError
+from cartanvp.errors import ChartMismatchError, DivisionByZeroError
 from conftest import rand_field, rand_form, rand_poly
 
 
@@ -332,8 +332,8 @@ class TestLie:
 class TestComputedResults:
     """The calculus builds its results without the validating
     constructors: each must equal `DiffForm(...)` or `VecField(...)` of the
-    same terms, and d and the bracket, which skip the coordinates a
-    coefficient lacks, must equal the raw sums over every coordinate."""
+    same terms, and d and the bracket, which differentiate payloads, must
+    equal the raw sums over every coordinate."""
 
     def test_equal_to_validated_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -374,6 +374,20 @@ class TestComputedResults:
         got = fm._collect(chart, 1, [((0,), r), ((1,), sx._RAT_ZERO), ((0,), sx._rat_neg(r)), ((1,), r)])
         assert got.terms == {(1,): sx._rat_to_expr(r)}
         assert got == fm.DiffForm(chart, 1, {(0,): sx.ZERO, (1,): sx._rat_to_expr(r)})
+
+    def test_underivable_atom_raises_as_diff_does(self):
+        # ln(x - x) is ln(0), an atom of no variable whose derivative, 1/0
+        # times zero, cannot be formed: d and the bracket raise as diff does
+        chart = fm.Chart(["x", "y"])
+        c = sx.canon(sx.parse("ln(x - x)"))
+        with pytest.raises(DivisionByZeroError):
+            sx.diff(c, "y")
+        with pytest.raises(DivisionByZeroError):
+            fm.ext_d(fm.DiffForm(chart, 0, {(): c}))
+        with pytest.raises(DivisionByZeroError):
+            fm.lie_bracket(fm.coord_field(chart, "y"), fm.VecField(chart, [c, sx.ZERO]))
+        # a coefficient at every index is differentiated by no coordinate
+        assert fm.ext_d(fm.DiffForm(chart, 2, {(0, 1): c})).is_zero_form()
 
 
 class TestHodge:

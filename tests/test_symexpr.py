@@ -194,6 +194,7 @@ class TestDiff:
             for v in {"x", "y", "z", "w"} - names:
                 assert sx.diff(c, v) is sx.ZERO
                 assert sx._rat_is_zero(sx._rat_diff(c._rat, v))
+                assert sx._rat_is_zero(sx._diff_payload(c, v))
                 if e._canon is not e:
                     assert sx.diff(e, v) is sx.ZERO
 
