@@ -84,7 +84,10 @@ class SampledPatch:
 
     def to_csv(self) -> str:
         """One row per node: base coords, fiber coords, per-equation
-        residuals; first line carries the provenance JSON."""
+        residuals; first line carries the provenance JSON.  Each value is
+        the `repr` of its Python float, formed once per distinct bit
+        pattern of the node table (so -0.0 and 0.0, and NaNs with distinct
+        payloads, each keep their own text)."""
         lines = ["# " + json.dumps(self.provenance, sort_keys=True)]
         n_eq = self.residuals.shape[-1] if self.residuals.size else 0
         header = list(self.chart.base) + list(self.chart.fiber) + [
@@ -93,9 +96,13 @@ class SampledPatch:
         lines.append(",".join(header))
         nodes = math.prod(self.lattice_shape())
         cols = [self.chart.index(name) for name in header[: self.chart.dim]]
-        points = self.points.reshape(nodes, self.chart.dim)[:, cols].tolist()
-        residuals = self.residuals.reshape(nodes, n_eq).tolist()
-        lines.extend(",".join(map(repr, pt + res)) for pt, res in zip(points, residuals))
+        table = np.concatenate(
+            [self.points.reshape(nodes, self.chart.dim)[:, cols], self.residuals.reshape(nodes, n_eq)],
+            axis=1, dtype=np.float64,
+        )
+        bits, inverse = np.unique(table.view(np.int64).ravel(), return_inverse=True)
+        texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        lines.extend(map(",".join, texts[inverse.reshape(table.shape)].tolist()))
         return "\n".join(lines) + "\n"
 
 
@@ -322,17 +329,16 @@ def _transversal_fields(
     axes: Sequence[str],
 ) -> list[VecField]:
     """Combinations of the basis whose base components are coordinate unit
-    vectors along the requested axes (the transversal part of D).  The
-    base components are the unit vector itself, which `solve_linear` has
-    checked canonically (A u = target); only the fiber components are
-    summed."""
+    vectors along the requested axes (the transversal part of D), all
+    solved from one elimination (`solve_columns`).  The base components
+    are the unit vector itself, which `solve_columns` has checked
+    canonically (A u = target); only the fiber components are summed."""
     chart = p.chart
     k = chart.k
     A = [[Y.components[i] for Y in D.basis] for i in range(k)]
+    targets = [[sx.ONE if b == ax else sx.ZERO for b in chart.base] for ax in axes]
     out = []
-    for ax in axes:
-        target = [sx.ONE if b == ax else sx.ZERO for b in chart.base]
-        sol = la.solve_linear(A, target, box=p.box, seed=p.seed)
+    for ax, target, sol in zip(axes, targets, la.solve_columns(A, targets, box=p.box, seed=p.seed)):
         if sol is None:
             raise NonTransversalDistributionError(
                 f"no combination of the distribution matches the {ax} direction"

@@ -18,12 +18,14 @@ terms as `int`s, and a sum takes one gcd.  A `Fraction` is formed only
 where a coefficient is read, and every constant of an `Expr` is a
 `Fraction`.  A canonical node is its quotient, the payload: `canon`,
 `diff` and `subst` return nodes that hold only the payload, and a node's
-tree is built from it on the first structural read (`op`/`args`:
-printing, `key`/`hash`, raw-tree walks).  Zero and unit tests, `==`
-between canonical nodes, `const_value`, `free_vars`, `opaque_atoms`,
-`numer_denom`, `poly_terms`, `poly_content` and `compile_expr` answer
-from the payload, and `+` and `*` keep a
-canonical operand whole (they splice only raw sums and products).
+tree is built from it on the first read of `op`/`args` (`key`/`hash`,
+the product-rule tree of `_diff`, raw-tree walks).  Zero and unit tests,
+`==` between canonical nodes, `const_value`, `free_vars`,
+`opaque_atoms`, `numer_denom`, `poly_terms`, `poly_content`,
+`compile_expr` and printing answer from the payload (the text is
+written from the sorted terms, each coefficient a reduced int pair, and
+the text of each atom is cached by its registry key), and `+` and `*`
+keep a canonical operand whole (they splice only raw sums and products).
 `free_vars` of a canonical node is a copy of its payload's variable set
 (`_rat_vars`: the union over the payload's distinct atoms, cached on the
 payload).  The exterior calculus of `forms` computes on payloads directly
@@ -134,10 +136,10 @@ class Expr:
 
     A canonical node (the output of `canon`, `diff`, `subst`) is its
     payload, the `_Rat` quotient: `is_const_zero`, `const_value`, `==`
-    between canonical nodes, `free_vars`, `opaque_atoms`, `compile_expr`
-    and the arithmetic read that.  Its `op` and `args` stay unset until
-    something reads them (printing, `key`/`hash`, the tree walks); the
-    first read builds the tree from the payload, once.
+    between canonical nodes, `free_vars`, `opaque_atoms`, `compile_expr`,
+    `str` and the arithmetic read that.  Its `op` and `args` stay unset
+    until something reads them (`key`/`hash`, the tree walks); the first
+    read builds the tree from the payload, once.
     """
 
     # op, args: unset on a canonical node until its tree is first read;
@@ -359,7 +361,8 @@ def func(name: str, *args) -> Expr:
 # (0, 1, {}).  Each rational polynomial has exactly one triple, so `==` on
 # polys is equality of the polynomials they mean.  No payload holds a
 # `Fraction`: a coefficient is formed as content times int where it is
-# read (`const_value`, `poly_terms`, printing), and its float is the
+# read (`const_value`, `poly_terms`; printing forms it as a reduced int
+# pair), and its float is the
 # correctly rounded int quotient, as `float` of that `Fraction` is.
 # monomial = sorted tuple of (atom_key, exponent).  Atom keys index
 # _ATOM_REGISTRY which holds the canonical Expr of each atom (a var or a
@@ -1369,10 +1372,13 @@ def is_zero(
 # printing
 
 
-_PREC = {"add": 10, "mul": 20, "div": 20, "pow": 40, "const": 100, "var": 100, "func": 100}
-
-
 def _format(e: Expr, parent_prec: int) -> str:
+    """Infix text of `e` in an operand position of binding `parent_prec`
+    (0 alone or as an argument, 10 summand, 21 factor, 30 side of a
+    quotient, 41 power base): a raw tree is walked, a canonical node is
+    written from its payload."""
+    if e._canon is e:
+        return _rat_format(e._rat, parent_prec)
     op = e.op
     if op == "const":
         c = e.args[0]
@@ -1423,6 +1429,66 @@ def _format(e: Expr, parent_prec: int) -> str:
     raise AssertionError(op)
 
 
+# The payload printer: `_format` of a canonical node's tree (numerator
+# over denominator, terms in descending `_mono_order`, each term its
+# coefficient, then its atoms and their powers), written straight from the
+# payload with the same precedence, sign and parenthesis rules; each
+# coefficient is a reduced int pair.
+
+
+# atom key -> the text of the registry atom (its name, or its call)
+_ATOM_TEXT: dict[tuple, str] = {}
+
+
+def _atom_text(a: tuple) -> str:
+    text = _ATOM_TEXT.get(a)
+    if text is None:
+        if a[0] == "v":
+            text = a[1]
+        else:  # registry atoms have canonical arguments
+            text = f"{a[1]}({', '.join(_format(x, 0) for x in _ATOM_REGISTRY[a].args[1:])})"
+        _ATOM_TEXT[a] = text
+    return text
+
+
+def _rat_format(rat: _Rat, prec: int) -> str:
+    if rat.den is _ONE_POLY:
+        return _poly_format(rat.num, prec)
+    out = f"{_poly_format(rat.num, 30)}/{_poly_format(rat.den, 30)}"
+    return f"({out})" if prec > 20 else out
+
+
+def _poly_format(poly: tuple, prec: int) -> str:
+    p, q, terms = poly
+    if len(terms) == 1:
+        ((mono, c),) = terms.items()
+        return _term_format(mono, c, p, q, prec)
+    if not terms:
+        return "0"
+    first, *rest = [
+        _term_format(mono, c, p, q, 10) for mono, c in sorted(terms.items(), key=_mono_order, reverse=True)
+    ]
+    out = first + "".join(f" - {s[1:]}" if s[0] == "-" else f" + {s}" for s in rest)
+    return f"({out})" if prec > 10 else out
+
+
+def _term_format(mono: tuple, c: int, p: int, q: int, prec: int) -> str:
+    """The term of coefficient p/q * c (p/q in lowest terms, q > 0)."""
+    g = gcd(c, q)
+    n, d = p * (c // g), q // g
+    if not mono:
+        s = str(n) if d == 1 else f"{n}/{d}"
+        return f"({s})" if (n < 0 and prec > 10) or (d != 1 and prec >= 40) else s
+    out = "*".join(_atom_text(a) if e == 1 else f"{_atom_text(a)}^{e}" for a, e in mono)
+    if d != 1 or (n != 1 and n != -1):
+        out = f"{n}*{out}" if d == 1 else f"{n}/{d}*{out}"
+    elif n == -1:
+        out = f"-{out}"
+    elif len(mono) == 1:  # one atom or one power: no product to bracket
+        return out
+    return f"({out})" if prec > 20 else out
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -1430,9 +1496,10 @@ def _format(e: Expr, parent_prec: int) -> str:
 # One match per token: a word (`\w+`: the characters `str.isalnum` accepts,
 # and "_"), an operator or bracket, or any other character; the whitespace
 # before it (`\s`: `str.isspace`) is skipped.  A word is an identifier when
-# it starts with a letter (`str.isalpha`); one that starts with a digit
-# (`str.isdigit`) is split where its digits end when the parser consumes
-# it, and `int` reads the digits.
+# it starts with a letter (`str.isalpha`); one that starts with a decimal
+# digit (`str.isdecimal`, the digits `int` reads) is split where those
+# digits end when the parser consumes it.  Any other first character,
+# such as a superscript digit, is an unexpected character.
 _TOKEN = re.compile(r"\s*(\w+|[-+*/^(),]|\S)")
 _PUNCT = frozenset("+-*/^(),")
 
@@ -1489,9 +1556,9 @@ class _Parser:
         c = tok[0]
         if c.isalpha():
             return "ident", tok
-        if c.isdigit():
-            if not tok.isdigit():
-                n = next(k for k, ch in enumerate(tok) if not ch.isdigit())
+        if c.isdecimal():
+            if not tok.isdecimal():
+                n = next(k for k, ch in enumerate(tok) if not ch.isdecimal())
                 self.toks[i : i + 1] = tok[:n], tok[n:]
                 tok = tok[:n]
             return "int", int(tok)

@@ -127,6 +127,16 @@ class TestEl:
         report = json.loads(out)
         assert report["position"] is not None
 
+    @pytest.mark.parametrize("coeff, position", [("x1^²", 3), ("2²", 1), ("x1 + ²", 5)])
+    def test_non_decimal_digit_is_parse_error(self, tmp_path, coeff, position):
+        spec = fx.load("example1")
+        spec["factors"][0][0]["coeff"] = coeff
+        path = tmp_path / "bad3.json"
+        path.write_text(json.dumps(spec))
+        code, out = run(["el", "--spec", str(path)])
+        assert code == 2
+        assert json.loads(out)["position"] == position
+
 
 class TestAnnihilatorFrobenius:
     def test_annihilator(self, example1_spec):

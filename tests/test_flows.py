@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -281,6 +282,24 @@ class TestSweep:
                 step=1e-2,
             )
 
+    def test_transversal_fields_from_one_elimination(self, monkeypatch):
+        # every axis is solved from one elimination, and each field is the
+        # one a per-axis solve gives
+        p = fx.problem("example1", instance="constant")
+        D = p.annihilator
+        per_axis = [flows._transversal_fields(p, D, [ax])[0] for ax in p.chart.base]
+        calls = 0
+        eliminate = la.gauss_eliminate
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return eliminate(*args, **kwargs)
+
+        monkeypatch.setattr(la, "gauss_eliminate", counting)
+        assert flows._transversal_fields(p, D, list(p.chart.base)) == per_axis
+        assert calls == 1
+
     def test_non_transversal_distribution(self):
         p = fx.problem("example1", instance="constant")
         vertical = fm.VecField(p.chart, [sx.ZERO, sx.ZERO, sx.ONE, sx.ZERO, sx.ZERO])
@@ -352,6 +371,74 @@ class TestSweep:
         assert lines[0].startswith("# {")
         assert lines[1].split(",")[:2] == ["x1", "x2"]
         assert len(lines) == 2 + 9
+
+
+def _csv_reference(patch):
+    """`SampledPatch.to_csv` as one `repr` per printed float."""
+    lines = ["# " + json.dumps(patch.provenance, sort_keys=True)]
+    n_eq = patch.residuals.shape[-1] if patch.residuals.size else 0
+    header = list(patch.chart.base) + list(patch.chart.fiber) + [f"residual_{i + 1}" for i in range(n_eq)]
+    lines.append(",".join(header))
+    nodes = math.prod(patch.lattice_shape())
+    cols = [patch.chart.index(name) for name in header[: patch.chart.dim]]
+    points = patch.points.reshape(nodes, patch.chart.dim)[:, cols].tolist()
+    residuals = patch.residuals.reshape(nodes, n_eq).tolist()
+    lines.extend(",".join(map(repr, pt + res)) for pt, res in zip(points, residuals))
+    return "\n".join(lines) + "\n"
+
+
+def _floats_of_bits(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+# bit patterns the CSV must keep apart: both zeros, both infinities, NaNs
+# with distinct payloads and signs, subnormals, the extremes, and a float
+# next to its neighbours
+_SPECIAL_BITS = [
+    0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+    0x7FFFFFFFFFFFFFFF, 0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x0010000000000000,
+    0x7FEFFFFFFFFFFFFF, 0x3FF0000000000000, 0x3FF0000000000001, 0x3FEFFFFFFFFFFFFF,
+]
+
+
+class TestCsv:
+    def test_matches_per_float_repr_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        bits = st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(0, 2**64 - 1),
+                         st.floats(allow_nan=False, width=64).map(lambda f: int(np.float64(f).view(np.uint64))))
+
+        @st.composite
+        def patches(draw):
+            k = draw(st.integers(1, 3))
+            base = [f"x{i + 1}" for i in range(k)]
+            fiber = [f"z{i + 1}" for i in range(draw(st.integers(1, 3)))]
+            chart = fm.BundleChart(base, fiber)
+            counts = [draw(st.integers(1, 4)) for _ in base]
+            n_eq = draw(st.integers(0, 3))
+            pool = draw(st.lists(bits, min_size=1, max_size=8))  # few values, so repeats
+            cells = math.prod(counts) * (chart.dim + n_eq)
+            table = _floats_of_bits([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(cells)])
+            points, residuals = np.split(table.reshape(math.prod(counts), -1), [chart.dim], axis=1)
+            axes = {b: flows.GridAxis(0.0, 1.0, c) for b, c in zip(base, counts)}
+            return flows.SampledPatch(chart, axes, points.reshape(*counts, chart.dim),
+                                      residuals.reshape(*counts, n_eq), {"seed_axes": []})
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(patches())
+        def check(patch):
+            assert patch.to_csv() == _csv_reference(patch)
+
+        check()
+
+    def test_signed_zeros_and_nan_payloads_keep_their_text(self):
+        chart = fm.BundleChart(["x"], ["z", "w"])
+        points = _floats_of_bits([0x8000000000000000, 0, 0x7FF8000000000001, 0x0000000000000001,
+                                  0xFFF8000000000000, 0x8000000000000000]).reshape(2, 3)
+        patch = flows.SampledPatch(chart, {"x": flows.GridAxis(0.0, 1.0, 2)}, points, np.zeros((2, 0)), {})
+        assert patch.to_csv().splitlines()[1:] == ["x,z,w", "-0.0,0.0,nan", "5e-324,nan,-0.0"]
+        assert patch.to_csv() == _csv_reference(patch)
 
 
 # ---------------------------------------------------------------------------

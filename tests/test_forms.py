@@ -272,7 +272,8 @@ class TestAccumulation:
     def test_identities_build_no_coefficient_trees(self, rng, chart6w, monkeypatch):
         # forms work reads canonical coefficients through their payloads:
         # d∘d, the interior antiderivation rule and pullback-commutes-with-d
-        # on 6 coordinates build no expression tree until one is printed
+        # on 6 coordinates build no expression tree, and neither does
+        # printing a coefficient
         builds = 0
         build_tree = sx._build_tree
 
@@ -293,9 +294,8 @@ class TestAccumulation:
         phi = fm.SectionMap(chart6w, {n: rand_poly(rng, base) for n in chart6w.fiber})
         pulled = fm.pullback(phi, fm.ext_d(a))
         assert pulled == fm.ext_d(fm.pullback(phi, a)) and not pulled.is_zero_form()
-        assert builds == 0
         str(next(iter(lhs.terms.values())))
-        assert builds > 0
+        assert builds == 0
 
 
 class TestLie:

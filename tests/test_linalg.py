@@ -44,6 +44,22 @@ class TestSolveLinear:
         assert la.solve_linear([[e]], [sx.ONE]) is None
 
 
+    def test_columns_match_single_solves(self):
+        # one elimination of A augmented by every right-hand side gives each
+        # column's solve_linear result, inconsistent and unchecked columns
+        # included
+        e = sx.sin(x) ** 2 + sx.cos(x) ** 2 - 1
+        cases = [
+            ([[sx.ONE, x], [sx.num(2), 2 * x]], [[sx.ONE, sx.num(2)], [sx.ONE, sx.num(3)], [x, 2 * x], [sx.ZERO, sx.ZERO]]),
+            ([[sx.ONE, x, sx.ZERO], [sx.ZERO, sx.ZERO, y + 2]], [[x * y, sx.ONE], [sx.ONE, sx.ZERO], [sx.ZERO, y]]),
+            ([[e]], [[sx.ONE], [sx.ZERO]]),
+        ]
+        for A, B in cases:
+            got = la.solve_columns(A, B)
+            assert got == [la.solve_linear(A, b) for b in B]
+        assert [u is None for u in la.solve_columns(*cases[0])] == [False, True, False, False]
+        assert la.solve_columns(*cases[2]) == [None, [sx.ZERO]]
+
 # ---------------------------------------------------------------------------
 # stacked certification against a per-point loop
 

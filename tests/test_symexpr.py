@@ -370,7 +370,8 @@ class TestCompiled:
     def test_compiling_builds_no_tree(self, monkeypatch):
         # the closures read the payload: compiling and calling a quotient
         # with sums, powers, sin/ln and nested opaque atoms, on floats and
-        # on columns, and the RK4 step of a product field build no tree
+        # on columns, the RK4 step of a product field and printing build no
+        # tree
         B = sx.func("B", x, sx.func("C", y + 1))
         e = sx.canon((x**2 * B - 2 * sx.sin(x * y + 1) + 3) / (4 + y**2 + sx.ln(2 + x**2) ** 2))
         symbols, points = sx.sample_points([e], seed=5, count=3)
@@ -390,9 +391,8 @@ class TestCompiled:
         scalar = [f(vals) for vals in rows]
         assert np.array_equal(f(list(np.array(rows).T)), scalar)
         flows._compile_step(X)([0.5, 0.25], 0.1, 0.05, 0.1 / 6)
-        assert builds == 0
         str(e)
-        assert builds > 0
+        assert builds == 0
 
     @pytest.mark.parametrize(
         "expr, column, error",
@@ -528,7 +528,7 @@ class TestParser:
             "x^²", "²", "x + ²", "(x ²", "x^(1/0)", "1/0", "x^(0/0)",
         ]
         for text in texts:
-            assert _outcome(sx.parse, text) == _outcome(_ref_parse, text), text
+            _assert_matches_reference(text)
 
     def test_matches_reference_parser_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -570,7 +570,7 @@ class TestParser:
         @hypothesis.settings(max_examples=600, deadline=None, database=None)
         @hypothesis.given(texts())
         def check(text):
-            assert _outcome(sx.parse, text) == _outcome(_ref_parse, text)
+            _assert_matches_reference(text)
 
         check()
 
@@ -612,6 +612,25 @@ def _outcome(parse, text):
         return "ParseError", str(exc), exc.position
     except Exception as exc:
         return type(exc).__name__, str(exc)
+
+
+def _assert_matches_reference(text):
+    """`sx.parse` gives the reference parser's tree or error, except where
+    the reference lets `int` fail on a digit run that holds a non-decimal
+    digit (`x^²`, `2²`): there it raises a ParseError at that digit."""
+    ref = _RefParser(text)
+    got, want = _outcome(sx.parse, text), _outcome(lambda _: ref.parse(), text)
+    if want[0] != "ValueError" or not want[1].startswith("invalid literal for int()"):
+        assert got == want, text
+        return
+    # the reference's tokenizer stopped at the end of the failing run
+    end = start = ref.tk.pos
+    while start and text[start - 1].isdigit():
+        start -= 1
+    at = next(i for i in range(start, end) if not text[i].isdecimal())
+    messages = [f"unexpected character {text[at]!r}", "trailing input"]
+    assert got[0] == "ParseError" and got[2] == at, text
+    assert got[1] in [f"{m} (at position {at})" for m in messages], text
 
 
 # The character scanner and parser that `sx.parse` replaced, kept as the
@@ -751,10 +770,6 @@ class _RefParser:
                 self.tk.error("expected ')'")
             return e
         self.tk.error(f"unexpected token {val!r}" if kind else "unexpected end of input")
-
-
-def _ref_parse(text):
-    return _RefParser(text).parse()
 
 
 def _canon_corpus():
@@ -928,6 +943,45 @@ class TestCanonicalCore:
         got = [str(sx.canon(e)) for e in _canon_corpus()]
         assert len(got) == len(want) == 200
         assert got == want
+
+    def test_payload_printer_matches_tree_printer_property(self):
+        # a canonical node is printed from its payload; the text must be the
+        # tree printer's text of its built tree in every operand position
+        # (top level, summand, factor, numerator or denominator, power base)
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        leaves = st.one_of(
+            st.sampled_from([x, y, z]),
+            st.fractions(min_value=-7, max_value=7, max_denominator=6).map(sx.num),
+        )
+
+        def extend(kids):
+            pairs = st.tuples(kids, kids)
+            return st.one_of(
+                pairs.map(lambda t: t[0] + t[1]),
+                pairs.map(lambda t: t[0] - t[1]),
+                pairs.map(lambda t: t[0] * t[1]),
+                pairs.map(lambda t: t[0] / t[1]),
+                st.tuples(kids, st.integers(-2, 3)).map(lambda t: t[0] ** t[1]),
+                pairs.map(lambda t: sx.func("B", t[0], sx.func("C", t[1], x))),
+                pairs.map(lambda t: sx.func("D", t[0]) ** 2 / (t[1] - sx.func("B", y, t[0]))),
+                kids.map(sx.sin),
+                kids.map(lambda k: sx.ln(k * k + 1)),
+            )
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(st.recursive(leaves, extend, max_leaves=10))
+        def check(e):
+            try:
+                c = sx.canon(e)
+            except DivisionByZeroError:
+                hypothesis.assume(False)
+            texts = [sx._format(c, prec) for prec in (0, 10, 21, 30, 41)]
+            raw = _fresh(c)
+            assert texts == [sx._format(raw, prec) for prec in (0, 10, 21, 30, 41)]
+            assert str(c) == texts[0] == str(raw)
+
+        check()
 
     def test_cached_payload_and_idempotence_property(self):
         hypothesis = pytest.importorskip("hypothesis")

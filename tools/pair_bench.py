@@ -17,8 +17,10 @@ Each item is prepared, timed and checked on one side and then on the
 other; the side that goes first alternates from item to item, so that
 drift in the machine's speed falls on both.  The script prints the total
 timed seconds and the items per second of each side, the throughput
-ratio B/A, the items on which each side was faster, and the p50 and p90
-item latency of each side.  Like the benchmark worker it re-executes
+ratio B/A, the items on which each side was faster, the p50 and p90
+item latency of each side, and then, for each item kind (the item's
+`cmd`, else its `kind`: `analyze`, `el`, ..., or `constant`, `fixture`,
+`helix`), the timed seconds of each side and their ratio B/A.  Like the benchmark worker it re-executes
 itself with `PYTHONHASHSEED=0` and one BLAS thread.  Timing both sides
 in one process removes most of the spread between processes: on a
 2-vCPU box, three A/A runs of forms-identities over 40 cycles (seeds 1-3)
@@ -116,11 +118,13 @@ def main(argv=None) -> int:
         for wl in sides:
             timed(wl, wl.warmup())
         times: tuple[list, list] = ([], [])
+        kinds: dict[str, list[int]] = {}  # item kind -> item indices
         n = 0
         for index in range(args.cycles):
             for item in sides[0].cycle(index):
                 for s in (0, 1) if n % 2 == 0 else (1, 0):
                     times[s].append(timed(sides[s], item))
+                kinds.setdefault(item.get("cmd") or item["kind"], []).append(n)
                 n += 1
 
     a, b = times
@@ -134,6 +138,9 @@ def main(argv=None) -> int:
         qa, qb = quantile(a, q), quantile(b, q)
         print(f"p{round(100 * q)}: A {1e3 * qa:.3f} ms, B {1e3 * qb:.3f} ms ({100 * (qb / qa - 1):+.1f}%)")
     print(f"median of per-item ratios B/A: {statistics.median(tb / ta for ta, tb in zip(a, b)):.3f}")
+    for kind, items in kinds.items():
+        ka, kb = sum(a[i] for i in items), sum(b[i] for i in items)
+        print(f"{kind} ({len(items)} items): A {ka:.3f} s, B {kb:.3f} s, time B/A {kb / ka:.3f}")
     return 0
 
 
