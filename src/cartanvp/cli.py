@@ -6,7 +6,10 @@ liouville | example.  Input is the problem-spec JSON; output is JSON
 All randomness is seeded from the spec (default 0xC4A7), overridable by
 the CARTAN_VP_SEED environment variable and the --seed flag (flag wins);
 the effective seed is echoed in every report, and identical runs are
-byte-identical.
+byte-identical.  The problem computes its distributions on first read,
+so each command builds only those it reports: `analyze` and `example`
+the annihilator and its vertical part, `annihilator`, `frobenius` and
+`integrate` the annihilator, `el`, `verify` and `liouville` neither.
 """
 
 from __future__ import annotations
@@ -119,11 +122,19 @@ def _field_json(Y) -> dict:
     }
 
 
+def _field_text(record: dict) -> str:
+    """`VecField.display` of a field, built from its `_field_json` record
+    so that no component is printed twice."""
+    return " + ".join(f"({c}) d/d{name}" for name, c in record.items()) or "0"
+
+
 def cmd_analyze(args):
     p, spec, options = _problem(args)
     cls = p.classification
     fr = ids.frobenius_check(p.annihilator, box=options["box"], seed=options["seed"])
     verdict, witnesses = vp.check_proper(p)
+    basis = [_field_json(Y) for Y in p.annihilator.basis]
+    vertical = [_field_json(Y) for Y in witnesses]
     report = {
         "seed": options["seed"],
         "classification": {
@@ -136,8 +147,8 @@ def cmd_analyze(args):
             "h": cls.h,
             "vertical_dim": cls.vertical_dim,
         },
-        "annihilator_basis": [_field_json(Y) for Y in p.annihilator.basis],
-        "vertical_witnesses": [_field_json(Y) for Y in witnesses],
+        "annihilator_basis": basis,
+        "vertical_witnesses": vertical,
         "frobenius": {"verdict": fr.verdict, "detail": fr.detail},
         "rank_certificate": p.annihilator.certificate.to_record(),
     }
@@ -147,12 +158,10 @@ def cmd_analyze(args):
         + (f", h = {cls.h}" if cls.h is not None else ""),
         "annihilator basis:",
     ]
-    for Y in p.annihilator.basis:
-        lines.append("  " + Y.display())
-    if witnesses:
+    lines += ["  " + _field_text(r) for r in basis]
+    if vertical:
         lines.append("vertical annihilator witnesses:")
-        for Y in witnesses:
-            lines.append("  " + Y.display())
+        lines += ["  " + _field_text(r) for r in vertical]
     lines.append(f"frobenius: {fr.verdict}")
     return report, "\n".join(lines), 0
 
@@ -160,32 +169,33 @@ def cmd_analyze(args):
 def cmd_el(args):
     p, spec, options = _problem(args)
     system = vp.critical_equations(p)
+    equations = [str(d) for d in system.deltas]
     report = {
         "seed": options["seed"],
         "route": system.route,
         "jet_names": list(system.jet_names),
-        "equations": [str(d) for d in system.deltas],
+        "equations": equations,
         "minor_vs_pullback_constant": str(system.ratio),
     }
     if system.P is not None:
         report["P"] = [[str(e) for e in row] for row in system.P]
     lines = [f"critical-section equations ({system.route} route):"]
-    for a, d in enumerate(system.deltas, start=1):
+    for a, d in enumerate(equations, start=1):
         lines.append(f"  Delta_{a} = {d} = 0")
     return report, "\n".join(lines), 0
 
 
 def cmd_annihilator(args):
     p, spec, options = _problem(args)
+    basis = [_field_json(Y) for Y in p.annihilator.basis]
     report = {
         "seed": options["seed"],
         "rank": p.annihilator.rank,
-        "basis": [_field_json(Y) for Y in p.annihilator.basis],
+        "basis": basis,
         "certificate": p.annihilator.certificate.to_record(),
     }
     lines = [f"annihilator rank {p.annihilator.rank}:"]
-    for Y in p.annihilator.basis:
-        lines.append("  " + Y.display())
+    lines += ["  " + _field_text(r) for r in basis]
     return report, "\n".join(lines), 0
 
 
@@ -270,7 +280,7 @@ def cmd_liouville(args):
     setup = lv.build_setup(chart, omega, X, sigma=sigma)
     problem = lv.build_theta(setup, box=_parse_box(args.box), seed=seed)
     hodge_ok, hodge_sign = lv.verify_hodge_identity(setup)
-    W = vp.characteristic_field_maximal_degree(problem)
+    W = _field_json(vp.characteristic_field_maximal_degree(problem))
     report.update(
         {
             "sign_s": setup.sign_s,
@@ -278,7 +288,7 @@ def cmd_liouville(args):
             "Z_annihilates_eta": True,
             "hodge_identity": hodge_ok,
             "hodge_sign": hodge_sign,
-            "characteristic_field": _field_json(W),
+            "characteristic_field": W,
         }
     )
     lines = [
@@ -286,7 +296,7 @@ def cmd_liouville(args):
         f"sign s = {setup.sign_s}",
         f"theta = {setup.theta.display()}",
         f"hodge identity: {hodge_ok} (sign {hodge_sign})",
-        f"characteristic field: {W.display()}",
+        f"characteristic field: {_field_text(W)}",
     ]
     return report, "\n".join(lines), 0 if hodge_ok else 1
 

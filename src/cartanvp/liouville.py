@@ -193,7 +193,7 @@ def build_theta(setup: LiouvilleSetup, box=None, seed=sx.DEFAULT_SEED) -> vp.Var
     eta = problem.eta
     if not interior(setup.Z, eta).is_zero_form():
         raise AssertionError("extended field is not characteristic")
-    if problem.classification.degree_case != vp.MAXIMAL_DEGREE:
+    if problem.degree_case != vp.MAXIMAL_DEGREE:
         raise AssertionError("expected a maximal-degree problem")
     return problem
 

@@ -13,7 +13,8 @@ the two routes is computed and reported; it is 1 for these conventions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -84,23 +85,73 @@ class Classification:
 
 @dataclass(frozen=True)
 class VariationalProblem:
+    """A problem as `build_problem` assembles it: chart, theta, eta, the
+    normalized factors and the contraction forms.  The annihilator, the
+    vertical annihilator, the classification and the critical system are
+    computed on first read and kept on the problem (`cached_property`
+    writes the instance dict, which a frozen dataclass leaves open), so a
+    command builds only the distributions it reports."""
+
     chart: BundleChart
     theta: Optional[DiffForm]
     eta: DiffForm
     factors: Optional[dc.FactorSet]
     vertical_basis: tuple[VecField, ...]
     psi: tuple[DiffForm, ...]
-    classification: Classification
-    annihilator: ids.Distribution = field(compare=False)
-    vertical_annihilator: ids.Distribution = field(compare=False)
     box: object = None
     seed: int = DEFAULT_SEED
-    # the result of `critical_equations`, filled on its first success
-    _critical: Optional[CriticalSystem] = field(default=None, init=False, repr=False, compare=False)
 
     def ideal(self) -> ids.CartanIdeal:
         gens = tuple(p for p in self.psi if not p.is_zero_form())
         return ids.CartanIdeal(self.chart, gens)
+
+    @property
+    def degree_case(self) -> str:
+        return _degree_case(self.chart.dim, self.chart.k)
+
+    @cached_property
+    def annihilator(self) -> ids.Distribution:
+        if self.factors is not None:
+            # joint factor kernel: same module as the eta annihilator, but
+            # the basis lands in the factors' normal form
+            return ids.annihilator_from_factors(
+                self.chart, self.factors.alphas, box=self.box, seed=self.seed
+            )
+        return ids.annihilator(self.eta, box=self.box, seed=self.seed)
+
+    @cached_property
+    def vertical_annihilator(self) -> ids.Distribution:
+        if self.factors is not None:
+            return ids.annihilator_from_factors(
+                self.chart, self.factors.alphas, box=self.box, seed=self.seed, vertical_only=True
+            )
+        return ids.vertical_annihilator(self.eta, box=self.box, seed=self.seed)
+
+    @cached_property
+    def classification(self) -> Classification:
+        ann, vert = self.annihilator, self.vertical_annihilator
+        n, k = self.chart.dim, self.chart.k
+        if vert.rank > 0:
+            proper = "not_proper"
+        elif vert.uncertain:
+            proper = "unknown"
+        else:
+            proper = "proper"
+        return Classification(
+            n=n,
+            k=k,
+            degree_case=self.degree_case,
+            proper=proper,
+            q=ann.rank,
+            vertical_dim=vert.rank,
+            r=ann.rank - vert.rank,
+            h=2 * k + 1 - n if 0 <= 2 * k + 1 - n <= k - 1 else None,
+            expected_annihilator_dim=n - k - 1 if self.factors is not None else None,
+        )
+
+    @cached_property
+    def critical_system(self) -> CriticalSystem:
+        return _critical_equations(self)
 
 
 @dataclass(frozen=True)
@@ -147,8 +198,9 @@ def build_problem(
     """Assemble the variational problem from theta or from factor input.
 
     eta is d(theta) or the wedge of the factors; the contraction forms are
-    taken against the vertical basis (coordinate fiber fields by default);
-    the classification record is filled from the sampled annihilator.
+    taken against the vertical basis (coordinate fiber fields by default).
+    No distribution is built here: the annihilator, the vertical
+    annihilator and the classification are computed on first read.
     """
     if theta is None and factors is None:
         raise ValueError("need theta or factors")
@@ -175,37 +227,6 @@ def build_problem(
         raise ZeroEtaError("eta vanishes identically")
     vb = tuple(vertical_basis) if vertical_basis is not None else _default_vertical_basis(chart)
     psi = tuple(interior(V, eta) for V in vb)
-    if fs is not None:
-        # joint factor kernel: same module as the eta annihilator, but the
-        # basis lands in the factors' normal form
-        ann = ids.annihilator_from_factors(chart, fs.alphas, box=box, seed=seed)
-        vert = ids.annihilator_from_factors(
-            chart, fs.alphas, box=box, seed=seed, vertical_only=True
-        )
-    else:
-        ann = ids.annihilator(eta, box=box, seed=seed)
-        vert = ids.vertical_annihilator(eta, box=box, seed=seed)
-    n, k = chart.dim, chart.k
-    case = _degree_case(n, k)
-    h = 2 * k + 1 - n if 0 <= 2 * k + 1 - n <= k - 1 else None
-    expected_q = n - k - 1 if fs is not None else None
-    if vert.rank > 0:
-        proper = "not_proper"
-    elif vert.uncertain:
-        proper = "unknown"
-    else:
-        proper = "proper"
-    classification = Classification(
-        n=n,
-        k=k,
-        degree_case=case,
-        proper=proper,
-        q=ann.rank,
-        vertical_dim=vert.rank,
-        r=ann.rank - vert.rank,
-        h=h,
-        expected_annihilator_dim=expected_q,
-    )
     return VariationalProblem(
         chart=chart,
         theta=theta,
@@ -213,9 +234,6 @@ def build_problem(
         factors=fs,
         vertical_basis=vb,
         psi=psi,
-        classification=classification,
-        annihilator=ann,
-        vertical_annihilator=vert,
         box=box,
         seed=seed,
     )
@@ -289,9 +307,7 @@ def critical_equations(p: VariationalProblem) -> CriticalSystem:
     pulled-back contraction forms is computed independently and must agree
     canonically (ratio reported).
     """
-    if p._critical is None:
-        object.__setattr__(p, "_critical", _critical_equations(p))
-    return p._critical
+    return p.critical_system
 
 
 def _critical_equations(p: VariationalProblem) -> CriticalSystem:
@@ -325,7 +341,7 @@ def _critical_equations(p: VariationalProblem) -> CriticalSystem:
         ratio = _assert_proportional(pb, deltas)
         jets = _jet_names_of(deltas + pb, chart)
         return CriticalSystem(deltas, jets, tuple(tuple(r) for r in P), pb, "minors", ratio)
-    if p.classification.degree_case == MAXIMAL_DEGREE:
+    if p.degree_case == MAXIMAL_DEGREE:
         A, f, g = maximal_degree_data(p)
         zname, wname = chart.fiber[0], chart.fiber[1]
         d1 = sx.ZERO
@@ -382,7 +398,7 @@ def maximal_degree_data(p: VariationalProblem) -> tuple[list[Expr], Expr, Expr]:
     The field (A, f, g) is (-1)^(n-1) times the dual of the Hodge star of
     eta, so all three are read off one `hodge_star` call."""
     chart = p.chart
-    if p.classification.degree_case != MAXIMAL_DEGREE or len(chart.fiber) != 2:
+    if p.degree_case != MAXIMAL_DEGREE or len(chart.fiber) != 2:
         raise NormalFormRequiredError("not a maximal-degree problem (fiber must be z, w)")
     star = hodge_star(p.eta)
     if chart.dim % 2 == 0:

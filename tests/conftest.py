@@ -41,6 +41,19 @@ def rand_field(rng, chart):
     )
 
 
+# the action form of the planar rotation field, given as theta: the
+# problem spec of the route through the contraction matrix
+ROTATION_THETA = {
+    "chart": {"base": ["t"], "fiber_z": ["x", "y"], "fiber_w": []},
+    "theta": [
+        {"coeff": "-1/2*y", "index": ["x"]},
+        {"coeff": "1/2*x", "index": ["y"]},
+        {"coeff": "-1/2*x^2 - 1/2*y^2", "index": ["t"]},
+    ],
+    "options": {"seed": 50343},
+}
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC4A7)

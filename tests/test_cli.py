@@ -6,6 +6,10 @@ import pytest
 from cartanvp import cli
 from cartanvp import flows
 from cartanvp import fixtures as fx
+from cartanvp import ideals as ids
+from cartanvp import specio
+from cartanvp import varprin as vp
+from conftest import ROTATION_THETA
 
 
 @pytest.fixture
@@ -419,3 +423,180 @@ class TestExample:
         code, out = run(["example", "example3", "--format", "text"])
         assert code == 0
         assert "discrepancy" in out
+
+
+def _pinned(text):
+    """example1's opaque atoms are applied to the whole chart; `@` stands
+    for that argument list."""
+    return text.replace("@", "(x1, x2, z1, z2, z3)")
+
+
+EXAMPLE1_BASIS_TEXT = [
+    _pinned("  (1) d/dx1 + (-B11@) d/dz1 + (-B21@) d/dz2 + (-B31@) d/dz3"),
+    _pinned("  (1) d/dx2 + (-B12@) d/dz1 + (-B22@) d/dz2 + (-B32@) d/dz3"),
+]
+
+EXAMPLE1_EL_TEXT = [
+    "critical-section equations (minors route):",
+    _pinned(
+        "  Delta_1 = -Dz2_x2*Dz3_x1 + Dz2_x1*Dz3_x2 + B32@*Dz2_x1 - B31@*Dz2_x2"
+        " - B22@*Dz3_x1 - B22@*B31@ + B21@*Dz3_x2 + B21@*B32@ = 0"
+    ),
+    _pinned(
+        "  Delta_2 = Dz1_x2*Dz3_x1 - Dz1_x1*Dz3_x2 - B32@*Dz1_x1 + B31@*Dz1_x2"
+        " + B12@*Dz3_x1 + B12@*B31@ - B11@*Dz3_x2 - B11@*B32@ = 0"
+    ),
+    _pinned(
+        "  Delta_3 = -Dz1_x2*Dz2_x1 + Dz1_x1*Dz2_x2 + B22@*Dz1_x1 - B21@*Dz1_x2"
+        " - B12@*Dz2_x1 - B12@*B21@ + B11@*Dz2_x2 + B11@*B22@ = 0"
+    ),
+]
+
+
+class TestTextFormat:
+    def test_example1_text_pinned(self, example1_spec):
+        outputs = {
+            c: run([c, "--spec", example1_spec, "--format", "text"])
+            for c in ("analyze", "el", "annihilator")
+        }
+        assert outputs["analyze"] == (0, "\n".join([
+            "case: maximally_characteristic   proper: proper",
+            "n = 5, k = 2, q = 2, r = 2, h = 0",
+            "annihilator basis:",
+            *EXAMPLE1_BASIS_TEXT,
+            "frobenius: not_integrable",
+        ]) + "\n")
+        assert outputs["el"] == (0, "\n".join(EXAMPLE1_EL_TEXT) + "\n")
+        assert outputs["annihilator"] == (
+            0, "\n".join(["annihilator rank 2:", *EXAMPLE1_BASIS_TEXT]) + "\n"
+        )
+
+    def test_field_lines_are_displays(self, tmp_path):
+        # example3 is not proper, so its analyze text lists vertical witnesses
+        spec = fx.load("example3")
+        path = tmp_path / "example3.json"
+        path.write_text(json.dumps(spec))
+        code, out = run(["analyze", "--spec", str(path), "--format", "text"])
+        p = specio.problem_from_spec(spec)
+        _, witnesses = vp.check_proper(p)
+        assert code == 0 and witnesses
+        lines = out.splitlines()
+        at = lines.index("vertical annihilator witnesses:")
+        assert lines[3:at] == ["  " + Y.display() for Y in p.annihilator.basis]
+        assert lines[at + 1:-1] == ["  " + Y.display() for Y in witnesses]
+
+
+
+class TestDistributionsBuilt:
+    """Each command builds only the distributions it reports: the full
+    annihilator, the vertical one, or neither."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+
+        def counting(f, vertical):
+            def wrapper(*args, **kwargs):
+                calls.append("vertical" if vertical or kwargs.get("vertical_only") else "full")
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(ids, "annihilator", counting(ids.annihilator, False))
+        monkeypatch.setattr(ids, "vertical_annihilator", counting(ids.vertical_annihilator, True))
+        monkeypatch.setattr(
+            ids, "annihilator_from_factors", counting(ids.annihilator_from_factors, False)
+        )
+        return calls
+
+    @pytest.fixture(params=["example1", "rotation"])
+    def problem_argv(self, request, tmp_path):
+        """The spec arguments, and the extra arguments of integrate and verify."""
+        if request.param == "example1":
+            spec, extra = fx.load("example1"), ["--instance", "constant"]
+            seed = {"components": {"z1": "0", "z2": "0", "z3": "0"},
+                    "grid": {"x1": [0.0, 0.1, 2], "x2": [0.0, 0.1, 2]}}
+        else:
+            spec, extra = ROTATION_THETA, ["--tol", "0.01"]
+            seed = {"components": {"x": "1", "y": "0"}, "grid": {"t": [0.0, 0.1, 3]}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        spath = tmp_path / "seed.json"
+        spath.write_text(json.dumps(seed))
+        return ["--spec", str(path)], {
+            "integrate": ["--section", str(spath), *extra],
+            "verify": ["--section", str(spath)],
+        }
+
+    @pytest.mark.parametrize(
+        ("command", "want"),
+        [
+            ("el", []),
+            ("verify", []),
+            ("annihilator", ["full"]),
+            ("frobenius", ["full"]),
+            ("integrate", ["full"]),
+            ("analyze", ["full", "vertical"]),
+        ],
+    )
+    def test_problem_commands(self, built, problem_argv, command, want):
+        spec_args, extra = problem_argv
+        code, out = run([command, *spec_args, *extra.get(command, [])])
+        assert "error" not in json.loads(out) and code in (0, 1)
+        assert built == want
+
+    def test_liouville(self, built, tmp_path):
+        spec = {
+            "phase": ["x", "y"],
+            "omega": [{"coeff": "1", "index": ["x", "y"]}],
+            "field": {"x": "-y", "y": "x"},
+        }
+        path = tmp_path / "liouville.json"
+        path.write_text(json.dumps(spec))
+        assert run(["liouville", "--spec", str(path)])[0] == 0
+        assert built == []
+
+    def test_example(self, built):
+        assert run(["example", "example1"])[0] == 0
+        assert built == ["full", "vertical"]
+
+
+class TestElWithoutAnnihilator:
+    """`el` reads only eta, so a problem whose annihilator rank cannot be
+    certified at the samples still gets its equations; the commands that
+    report the annihilator fail as before."""
+
+    SPEC = {
+        "chart": {"base": ["t"], "fiber_z": ["x", "y"], "fiber_w": []},
+        "theta": [
+            {"coeff": "-1/10000000000000*y", "index": ["x"]},
+            {"coeff": "1/10000000000000*x", "index": ["y"]},
+            {"coeff": "-1/2*x^2 - 1/2*y^2", "index": ["t"]},
+        ],
+        "options": {"seed": 50343},
+    }
+
+    @pytest.fixture
+    def spec_path(self, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(self.SPEC))
+        return str(path)
+
+    def test_el_lists_equations(self, spec_path):
+        code, out = run(["el", "--spec", spec_path])
+        assert code == 0
+        report = json.loads(out)
+        assert report["route"] == "maximal_degree"
+        assert report["equations"] == [
+            "-x + 1/5000000000000*Dy_t",
+            "-y - 1/5000000000000*Dx_t",
+        ]
+
+    @pytest.mark.parametrize("command", ["analyze", "annihilator", "frobenius"])
+    def test_annihilator_commands_fail(self, spec_path, command):
+        code, out = run([command, "--spec", spec_path])
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "annihilator system: sampled rank differs from symbolic rank 2 (sampled [0, 2])",
+            "kind": "NonConstantRankError",
+        }

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from cartanvp import fixtures as fx
 from cartanvp import forms as fm
 from cartanvp import ideals as ids
+from cartanvp import specio
 from cartanvp import symexpr as sx
 from cartanvp import varprin as vp
 from cartanvp.errors import (
@@ -14,7 +16,7 @@ from cartanvp.errors import (
     NormalFormRequiredError,
     ZeroEtaError,
 )
-from conftest import rand_poly
+from conftest import ROTATION_THETA, rand_poly
 
 
 def opaque(chart, name):
@@ -100,6 +102,49 @@ class TestBuildProblem:
         p = example1_problem(chart5)
         for V, psi in zip(p.vertical_basis, p.psi):
             assert fm.interior(V, p.eta) == psi
+
+
+LAZY_CASES = [
+    (name, instance)
+    for name in fx.FIXTURE_NAMES
+    for instance in [None, *fx.load(name).get("instances", {})]
+] + [("rotation", None)]
+
+
+class TestDistributionsOnFirstRead:
+    @pytest.mark.parametrize(("name", "instance"), LAZY_CASES)
+    def test_match_direct_calls(self, name, instance):
+        spec = ROTATION_THETA if name == "rotation" else fx.load(name)
+        p = specio.problem_from_spec(
+            spec, instance=specio.instance_from_spec(spec, instance) if instance else None
+        )
+        kw = {"box": p.box, "seed": p.seed}
+        if p.factors is not None:
+            ann = ids.annihilator_from_factors(p.chart, p.factors.alphas, **kw)
+            vert = ids.annihilator_from_factors(p.chart, p.factors.alphas, vertical_only=True, **kw)
+        else:
+            ann = ids.annihilator(p.eta, **kw)
+            vert = ids.vertical_annihilator(p.eta, **kw)
+        # classification first: it reads both distributions
+        c = p.classification
+        for lazy, direct in ((p.annihilator, ann), (p.vertical_annihilator, vert)):
+            assert [Y.display() for Y in lazy.basis] == [Y.display() for Y in direct.basis]
+            assert lazy.certificate.to_record() == direct.certificate.to_record()
+            assert lazy.rank == direct.rank and lazy.uncertain == direct.uncertain
+        n, k = p.chart.dim, p.chart.k
+        proper = "not_proper" if vert.rank else "unknown" if vert.uncertain else "proper"
+        assert c == vp.Classification(
+            n=n,
+            k=k,
+            degree_case=vp._degree_case(n, k),
+            proper=proper,
+            q=ann.rank,
+            vertical_dim=vert.rank,
+            r=ann.rank - vert.rank,
+            h=2 * k + 1 - n if 0 <= 2 * k + 1 - n <= k - 1 else None,
+            expected_annihilator_dim=n - k - 1 if p.factors is not None else None,
+        )
+        assert p.degree_case == c.degree_case
 
 
 class TestCheckProper:

@@ -2,13 +2,18 @@
 benchmark worker runs them, and print the top entries.
 
     python3 tools/profile_workload.py --workload forms-identities --seed 1 \
-        --cycles 0-3 [--top 25] [--calls diff _to_rat _compile] [--sample]
+        --cycles 0-3 [--top 25] [--calls diff _to_rat _compile] [--sample] \
+        [--kind el]
 
 Each item is prepared, called and checked before the next one is
 prepared, as in `perfbench/worker.py`; only the call is profiled.  (The
 workloads write every spec to the same file names, so preparing all
 items first would make every CLI item run the last spec written.)  The
-worker's warm-up item runs first, unprofiled.  The script re-executes
+worker's warm-up item runs first, unprofiled.  With `--kind K` every
+item still runs, but only those whose `cmd`, or else `kind`, is K are
+profiled (the item kinds `tools/pair_bench.py` prints: `analyze`, `el`,
+..., or `constant`, `fixture`, `helix`), so the figures are per command
+while the process state matches a full run.  The script re-executes
 itself with `PYTHONHASHSEED=0` and one BLAS thread, like the worker.
 It prints the top `--top` entries by self time and by cumulative time,
 then the call counts (primitive and total) of every function named in
@@ -114,9 +119,10 @@ class Sampler:
             print(f"{100 * n / self.samples:6.1f}%  {n:>7d}  {name}")
 
 
-def run_item(prof, wl, item: dict) -> None:
+def run_item(prof, wl, item: dict, profiled: bool) -> None:
     call = wl.prepare(item)
-    prof.enable()
+    if profiled:
+        prof.enable()
     try:
         out = call()
     finally:
@@ -132,6 +138,7 @@ def main(argv=None) -> int:
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--calls", nargs="*", default=[], help="function names to count calls of")
     ap.add_argument("--sample", action="store_true", help="statistical profile by SIGPROF stack samples")
+    ap.add_argument("--kind", help="profile only items whose cmd, else kind, is this")
     args = ap.parse_args(argv)
     if args.sample and args.calls:
         ap.error("--calls counts calls under cProfile; leave out --sample")
@@ -143,20 +150,27 @@ def main(argv=None) -> int:
     from workloads import WORKLOADS
 
     prof = Sampler() if args.sample else cProfile.Profile()
-    items = failed = 0
+    items = failed = profiled = 0
     with tempfile.TemporaryDirectory() as tmp:
         wl = WORKLOADS[args.workload](args.seed, Path(tmp), ROOT)
         wl.prepare(wl.warmup())()
         for index in args.cycles:
             for item in wl.cycle(index):
                 items += 1
+                wanted = args.kind is None or (item.get("cmd") or item["kind"]) == args.kind
+                profiled += wanted
                 try:
-                    run_item(prof, wl, item)
+                    run_item(prof, wl, item, wanted)
                 except Exception as exc:  # a failed item, as in the worker
                     failed += 1
                     print(f"failed: {item.get('label')}: {type(exc).__name__}: {exc}"[:300], file=sys.stderr)
 
     head = f"{args.workload} seed {args.seed} cycles {args.cycles.start}-{args.cycles.stop - 1}: {items} items, {failed} failed"
+    if args.kind is not None:
+        head += f", {profiled} of kind {args.kind} profiled"
+        if not profiled:
+            print(head)
+            return 1
     if args.sample:
         prof.stop()
         print(f"{head}, {prof.samples} samples")
