@@ -2,9 +2,9 @@
 
 For the planar rotation field the engine checks volume preservation,
 builds the primitives by the radial homotopy operator, assembles the
-action form with the empirically resolved orientation sign, and verifies
-both the characteristic property of the extended field and the star
-identity for its dual one-form.  The characteristics are helices, which
+action form with the orientation sign fixed by the parity of the phase
+dimension, and verifies both the characteristic property of the extended
+field and the star identity for its dual one-form.  The characteristics are helices, which
 the sweep machinery reproduces numerically.
 """
 

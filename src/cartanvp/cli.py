@@ -277,7 +277,8 @@ def cmd_liouville(args):
     sigma = (
         specio.form_from_records(chart, spec["sigma"], {}) if "sigma" in spec else None
     )
-    setup = lv.build_setup(chart, omega, X, sigma=sigma)
+    # is_liouville above is the one closedness check of this item
+    setup = lv._assemble(chart, omega, X, sigma, "t", preserved=True)
     problem = lv.build_theta(setup, box=_parse_box(args.box), seed=seed)
     hodge_ok, hodge_sign = lv.verify_hodge_identity(setup)
     W = _field_json(vp.characteristic_field_maximal_degree(problem))

@@ -4,7 +4,7 @@ Handles the three point conditions on the factor set (independence,
 constant transversal-annihilator dimension, trivial vertical annihilator),
 row-reduction of the fiber block (by `linalg.gauss_eliminate`) to the two
 normal forms (identity pivot block with residual base rows, or identity
-block with a residual w-column block), and the hatted wedge products chi_s.
+block with a residual w-column block).
 
 Decomposability of a raw form is never detected; callers supply factors.
 """
@@ -17,10 +17,10 @@ from typing import Optional
 from . import linalg as la
 from . import symexpr as sx
 from .errors import DegreeMismatchError, RankDeficientLError
-from .forms import BundleChart, DiffForm, _perm_sign, coord_field, interior, wedge_all, zero_form
+from .forms import BundleChart, DiffForm, _perm_sign, wedge_all
 from .symexpr import DEFAULT_SEED, Expr
 
-__all__ = ["FactorSet", "Def8Verdict", "classify", "normalize", "chi_forms"]
+__all__ = ["FactorSet", "Def8Verdict", "classify", "normalize"]
 
 
 @dataclass(frozen=True)
@@ -181,38 +181,3 @@ def normalize(fs: FactorSet, box=None, seed: int = DEFAULT_SEED) -> FactorSet:
         multiplier=multiplier,
         pivot_permutation=tuple(pivots_sorted),
     )
-
-
-def chi_forms(fs: FactorSet) -> list[DiffForm]:
-    """chi_s = (-1)^(s-1) * wedge of all factors but the s-th.
-
-    Self-checks the contraction identities: d/dz^a -| eta = chi_a on the
-    pivot coordinates, and d/dw^m -| eta = sum_j G_{jm} chi_j on the
-    residual block.
-    """
-    if not fs.normalized:
-        raise ValueError("chi forms are defined for a normalized factor set")
-    ch = fs.chart
-    alphas = fs.alphas
-    eta = fs.eta()
-    out = []
-    for s in range(1, len(alphas) + 1):
-        rest = [alphas[i] for i in range(len(alphas)) if i != s - 1]
-        chi = wedge_all(rest) if rest else zero_form(ch, 0)
-        if (s - 1) % 2:
-            chi = -chi
-        out.append(chi)
-    for row, col in enumerate(fs.z_order):
-        lhs = interior(coord_field(ch, ch.coords[col]), eta)
-        if lhs != out[row]:
-            raise AssertionError("contraction identity fails on a pivot coordinate")
-    if fs.G is not None:
-        wcols = [j for j in range(ch.k, ch.dim) if j not in fs.z_order]
-        for m, col in enumerate(wcols):
-            lhs = interior(coord_field(ch, ch.coords[col]), eta)
-            rhs = zero_form(ch, ch.k)
-            for jrow in range(len(fs.z_order)):
-                rhs = rhs + out[jrow] * fs.G[jrow][m]
-            if lhs != rhs:
-                raise AssertionError("residual-block contraction identity fails")
-    return out

@@ -1,4 +1,8 @@
-"""Cartan ideals, characteristic distributions, and Frobenius checks.
+"""Annihilators, characteristic distributions, and Frobenius checks.
+
+The variational ideal itself is the tuple of contraction forms `psi` of a
+`varprin.VariationalProblem`; this module solves the contraction systems
+of eta, of the one-form factors, or of forms of one degree such as `psi`.
 
 A distribution's rank is certified by sampling, never proved: the
 certificate records the seed, sample points, and per-point numeric ranks.
@@ -15,77 +19,27 @@ import numpy as np
 
 from . import linalg as la
 from . import symexpr as sx
-from .errors import (
-    ChartMismatchError,
-    NonConstantRankError,
-    NotClosedError,
-    UnequalGeneratorDegreesError,
-)
+from .errors import ChartMismatchError, UnequalGeneratorDegreesError
 from .forms import (
     BundleChart,
     Chart,
     DiffForm,
     VecField,
-    SectionMap,
-    _merge_indices,
     coord_field,
-    d_coord,
-    ext_d,
     interior,
     lie_bracket,
-    pullback,
-    wedge,
 )
 from .symexpr import DEFAULT_SEED, Expr
 
 __all__ = [
-    "CartanIdeal",
     "Distribution",
     "FrobeniusResult",
-    "IntegralSectionReport",
-    "complete_to_differential",
-    "is_integral_section",
     "annihilator",
     "characteristic_distribution",
     "frobenius_check",
-    "complete_ideal_generators",
     "contraction_matrix",
-    "reduce_mod_generators",
     "span_equal",
 ]
-
-
-@dataclass(frozen=True)
-class CartanIdeal:
-    """Finitely generated Cartan ideal; `closed` is verified, not assumed."""
-
-    chart: Chart
-    generators: tuple[DiffForm, ...]
-    closed: bool = False
-
-    def __post_init__(self):
-        for g in self.generators:
-            if g.chart != self.chart:
-                raise ChartMismatchError("generator lives on a different chart")
-            if g.is_zero_form():
-                raise ValueError("zero form cannot generate")
-            if g.degree < 1:
-                raise ValueError("generators must have degree >= 1")
-        if self.closed:
-            for g in self.generators:
-                dg = ext_d(g)
-                if dg.is_zero_form():
-                    continue
-                if any(dg == h for h in self.generators):
-                    continue
-                if not reduce_mod_generators(dg, list(self.generators)).is_zero_form():
-                    raise NotClosedError(
-                        "ideal marked closed, but a generator's differential "
-                        "does not reduce to zero"
-                    )
-
-    def degrees(self) -> list[int]:
-        return [g.degree for g in self.generators]
 
 
 @dataclass(frozen=True)
@@ -105,100 +59,11 @@ class Distribution:
 
 
 @dataclass(frozen=True)
-class IntegralSectionReport:
-    ok: bool
-    residuals: tuple[tuple[int, DiffForm], ...]  # generator position -> pulled-back form
-
-
-@dataclass(frozen=True)
 class FrobeniusResult:
     verdict: str  # "integrable" | "not_integrable" | "unknown"
     witness_pair: Optional[tuple[int, int]] = None
     witness_point: Optional[dict] = None
     detail: str = ""
-
-
-# ---------------------------------------------------------------------------
-# ideal reduction (top multi-index matching; no Groebner completion)
-
-_INDEX_CACHE: dict = {}
-
-
-def _index_key(idx: tuple, n: int) -> tuple:
-    # reversed exponent-vector encoding: lex order on it is multiplicative,
-    # and ranking the later (fiber) coordinates first makes variational
-    # generators lead with their monic dz blocks
-    v = [0] * n
-    for i in idx:
-        v[n - 1 - i] = 1
-    return tuple(v)
-
-
-def _leading_index(form: DiffForm) -> tuple:
-    n = form.chart.dim
-    return max(form.terms, key=lambda idx: _index_key(idx, n))
-
-
-def reduce_mod_generators(f: DiffForm, generators: Sequence[DiffForm]) -> DiffForm:
-    """Remainder of f after top-index reduction modulo wedge multiples of
-    the generators; a zero remainder certifies ideal membership.
-
-    Quotient coefficients must divide exactly (no denominators appear):
-    multiples by functions that are not globally smooth, such as 1/x, are
-    not membership witnesses.  Incomplete reductions simply return the
-    remainder; no completion is attempted.
-    """
-    chart = f.chart
-    current = f
-    while not current.is_zero_form():
-        K = _leading_index(current)
-        cK = current.terms[K]
-        reduced = False
-        for g in generators:
-            if g.degree > len(K):
-                continue
-            Jg = _leading_index(g)
-            if not set(Jg) <= set(K):
-                continue
-            C = tuple(i for i in K if i not in Jg)
-            sign_merge, _ = _merge_indices(C, Jg)
-            quotient, den = sx.numer_denom(cK / (g.terms[Jg] * sx.num(sign_merge)))
-            if den != sx.ONE:
-                continue
-            rho = DiffForm(chart, len(C), {C: quotient})
-            current = current - wedge(rho, g)
-            reduced = True
-            break
-        if not reduced:
-            return current
-    return current
-
-
-def complete_to_differential(J: CartanIdeal) -> CartanIdeal:
-    """Complete to a differential ideal by adjoining the exterior
-    derivatives that fail the membership reduction; idempotent."""
-    gens = list(J.generators)
-    added = []
-    for g in J.generators:
-        dg = ext_d(g)
-        if dg.is_zero_form():
-            continue
-        if reduce_mod_generators(dg, gens + added).is_zero_form():
-            continue
-        added.append(dg)
-    return CartanIdeal(J.chart, tuple(gens + added), closed=True)
-
-
-def is_integral_section(J: CartanIdeal, phi: SectionMap) -> IntegralSectionReport:
-    """Section test per generator pullback; lists nonzero residual forms."""
-    if phi.chart != J.chart:
-        raise ChartMismatchError("section and ideal live on different charts")
-    residuals = []
-    for pos, g in enumerate(J.generators):
-        pb = pullback(phi, g)
-        if not pb.is_zero_form():
-            residuals.append((pos, pb))
-    return IntegralSectionReport(not residuals, tuple(residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +159,23 @@ def annihilator(eta: DiffForm, box=None, seed: int = DEFAULT_SEED) -> Distributi
 
 
 def characteristic_distribution(
-    J: CartanIdeal, box=None, seed: int = DEFAULT_SEED
+    forms: Sequence[DiffForm], box=None, seed: int = DEFAULT_SEED
 ) -> Distribution:
-    """Joint kernel of contraction with the generators; valid when all
-    generators share the lowest degree."""
-    degs = set(J.degrees())
+    """Joint kernel of contraction with forms of one degree on one chart,
+    such as the contraction forms `psi` of a variational problem."""
+    degs = {g.degree for g in forms}
     if len(degs) != 1:
         raise UnequalGeneratorDegreesError(
             f"generators must share one degree, got {sorted(degs)}"
         )
+    chart = forms[0].chart
+    if any(g.chart != chart for g in forms):
+        raise ChartMismatchError("generator lives on a different chart")
     mat: list[list[Expr]] = []
-    for g in J.generators:
+    for g in forms:
         _, part = contraction_matrix(g)
         mat.extend(part)
-    return _distribution_from_matrix(mat, J.chart, box, seed, "characteristic system")
+    return _distribution_from_matrix(mat, chart, box, seed, "characteristic system")
 
 
 def vertical_annihilator(
@@ -391,30 +259,6 @@ def frobenius_check(D: Distribution, box=None, seed: int = DEFAULT_SEED) -> Frob
             "unknown", detail="bracket membership holds numerically but not canonically"
         )
     return FrobeniusResult("integrable")
-
-
-def complete_ideal_generators(
-    D: Distribution, box=None, seed: int = DEFAULT_SEED
-) -> list[DiffForm]:
-    """One-forms whose joint kernel is exactly the span of D, built from
-    the Euclidean-orthogonal complement of the basis."""
-    box = box if box is not None else D.box
-    chart = D.chart
-    if not D.basis:
-        return [d_coord(chart, name) for name in chart.coords]
-    mat = [list(Y.components) for Y in D.basis]
-    kernel = la.nullspace(mat, box=box, seed=seed)
-    out = []
-    for vec in kernel:
-        alpha = DiffForm(chart, 1, {(i,): v for i, v in enumerate(vec)})
-        if not all(interior(Y, alpha).is_zero_form() for Y in D.basis):
-            raise AssertionError("complement one-form fails to annihilate the basis")
-        out.append(alpha)
-    if len(out) != chart.dim - D.rank:
-        raise NonConstantRankError(
-            f"expected {chart.dim - D.rank} complement forms, got {len(out)}"
-        )
-    return out
 
 
 def span_equal(

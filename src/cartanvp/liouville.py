@@ -3,10 +3,11 @@
 Given a phase-space field X preserving a volume form, the action form is
 assembled from a primitive of the volume and a primitive of the
 contraction (built exactly by the radial homotopy operator on polynomial
-coefficients), with the orientation sign resolved empirically: the sign
-that makes the extended field annihilate the two-step differential is
-kept and recorded.  The Hodge identity between that differential and the
-star of the dual one-form is then checked canonically.
+coefficients), with the orientation sign s = nP mod 2 on a phase space of
+dimension nP: iota_Z(omega + (-1)^s iota_X omega ^ dt) equals
+(1 + (-1)^(s+nP-1)) iota_X omega, so that sign, and for X != 0 only that
+one, makes the extended field Z annihilate the two-step differential.
+That and the Hodge identity with the star of Z's dual are checked.
 """
 
 from __future__ import annotations
@@ -89,12 +90,17 @@ def homotopy_antiderivative(beta: DiffForm) -> DiffForm:
     radial integral 1/(q+d); d(gamma) = beta whenever beta is closed
     (checked first).
     """
-    chart = beta.chart
-    q = beta.degree
-    if q < 1:
+    if beta.degree < 1:
         raise ValueError("need a form of degree at least 1")
     if not ext_d(beta).is_zero_form():
         raise NotClosedError("the form is not closed")
+    return _radial_primitive(beta)
+
+
+def _radial_primitive(beta: DiffForm) -> DiffForm:
+    # `homotopy_antiderivative` once beta is known to be closed
+    chart = beta.chart
+    q = beta.degree
     scaled = []
     for I, c in beta.terms.items():
         _require_polynomial(c)
@@ -118,50 +124,39 @@ def build_setup(
 
     sigma defaults to the homotopy primitive of omega; gamma is always the
     homotopy primitive of the contraction.  The orientation sign is
-    resolved by trying both parities and keeping the one under which the
-    extended field annihilates the two-step differential.
+    s = nP mod 2 (see the module docstring); that the extended field
+    annihilates the two-step differential is checked, not assumed.
     """
+    return _assemble(phase, omega, X, sigma, time_name, preserved=False)
+
+
+def _assemble(phase, omega, X, sigma, time_name, preserved: bool) -> LiouvilleSetup:
+    # `build_setup`; with `preserved` the caller has already found
+    # is_liouville(X, omega) true, so the contraction is not checked again
     chart = phase if isinstance(phase, Chart) else Chart(tuple(phase))
     nP = chart.dim
     if nP < 2:
         raise ValueError("phase space must be at least two-dimensional")
-    if not is_liouville(X, omega):
+    if not preserved and not is_liouville(X, omega):
         raise NotClosedError("the field does not preserve the volume form")
     if sigma is None:
         sigma = homotopy_antiderivative(omega)
     elif ext_d(sigma) != omega:
         raise ValueError("sigma is not a primitive of omega")
-    gamma = homotopy_antiderivative(interior(X, omega))
+    gamma = _radial_primitive(interior(X, omega))
 
     base = (time_name,) + chart.coords[: nP - 2]
     fiber = chart.coords[nP - 2 :]
     ext = BundleChart(base, fiber)
-    sigma_M = _lift(sigma, ext)
-    gamma_M = _lift(gamma, ext)
     dt = d_coord(ext, time_name)
-    Z = VecField(
-        ext,
-        [sx.ONE] + [X.components[chart.index(c)] for c in chart.coords],
-    )
-    chosen = None
-    for s in (0, 1):
-        theta = sigma_M + wedge(gamma_M, dt) * sx.num((-1) ** s)
-        eta = ext_d(theta)
-        if eta.is_zero_form():
-            continue
-        if interior(Z, eta).is_zero_form():
-            chosen = (s, theta)
-            break
-    if chosen is None:
-        # X = 0 leaves gamma = 0; fall back to the orientation parity
-        s = (nP) % 2
-        theta = sigma_M + wedge(gamma_M, dt) * sx.num((-1) ** s)
-        if ext_d(theta).is_zero_form():
-            raise ZeroEtaError("the assembled action form is closed")
-        if not interior(Z, ext_d(theta)).is_zero_form():
-            raise AssertionError("no orientation sign makes Z characteristic")
-        chosen = (s, theta)
-    s, theta = chosen
+    Z = VecField(ext, [sx.ONE, *X.components])
+    s = nP % 2
+    theta = _lift(sigma, ext) + wedge(_lift(gamma, ext), dt) * sx.num((-1) ** s)
+    eta = ext_d(theta)
+    if eta.is_zero_form():
+        raise ZeroEtaError("the assembled action form is closed")
+    if not interior(Z, eta).is_zero_form():
+        raise AssertionError("the orientation sign nP mod 2 leaves Z non-characteristic")
     if not interior(Z, dt).terms.get((), sx.ZERO) == sx.ONE:
         raise AssertionError("Z fails the time normalization")
     return LiouvilleSetup(

@@ -101,10 +101,6 @@ class VariationalProblem:
     box: object = None
     seed: int = DEFAULT_SEED
 
-    def ideal(self) -> ids.CartanIdeal:
-        gens = tuple(p for p in self.psi if not p.is_zero_form())
-        return ids.CartanIdeal(self.chart, gens)
-
     @property
     def degree_case(self) -> str:
         return _degree_case(self.chart.dim, self.chart.k)

@@ -41,6 +41,16 @@ def rand_field(rng, chart):
     )
 
 
+def chi_forms(alphas):
+    """The hatted wedges of one-form factors: chi_s is (-1)^(s-1) times the
+    wedge of all factors but the s-th (s counted from 1)."""
+    out = []
+    for s in range(len(alphas)):
+        chi = fm.wedge_all([a for i, a in enumerate(alphas) if i != s])
+        out.append(-chi if s % 2 else chi)
+    return out
+
+
 # the action form of the planar rotation field, given as theta: the
 # problem spec of the route through the contraction matrix
 ROTATION_THETA = {

@@ -17,7 +17,7 @@ from cartanvp import forms as fm
 from cartanvp import ideals as ids
 from cartanvp import symexpr as sx
 from cartanvp import varprin as vp
-from conftest import rand_field, rand_form, rand_poly
+from conftest import chi_forms, rand_field, rand_form, rand_poly
 
 
 def _report(num, label, ok, elapsed, budget):
@@ -100,7 +100,7 @@ def test_criterion_4_structural_identities():
             chart, tuple(alphas), normalized=True, z_order=(2, 3, 4),
             B=tuple(tuple(a.terms.get((j,), sx.ZERO) for j in range(2)) for a in alphas),
         )
-        chis = dc.chi_forms(fs)  # asserts the identity internally
+        chis = chi_forms(fs.alphas)
         eta = fs.eta()
         for row, col in enumerate(fs.z_order):
             ok = ok and fm.interior(fm.coord_field(chart, chart.coords[col]), eta) == chis[row]
@@ -117,8 +117,10 @@ def test_criterion_4_structural_identities():
             alpha = alpha + fm.d_coord(chart_w, "w") * rand_poly(rng, names_w, degree=1, terms=2)
             alphas.append(alpha)
         fs = dc.normalize(dc.FactorSet(chart_w, tuple(alphas)))
-        chis = dc.chi_forms(fs)
+        chis = chi_forms(fs.alphas)
         eta = fs.eta()
+        for row, col in enumerate(fs.z_order):
+            ok = ok and fm.interior(fm.coord_field(chart_w, chart_w.coords[col]), eta) == chis[row]
         lhs = fm.interior(fm.coord_field(chart_w, "w"), eta)
         rhs = fm.zero_form(chart_w, 2)
         for j in range(3):
@@ -167,8 +169,7 @@ def test_criterion_5_characteristic_equals_annihilator():
         p = fx.problem(name)
         n, k = p.classification.n, p.classification.k
         D_eta = ids.annihilator(p.eta, box=p.box, seed=p.seed)
-        J = p.ideal()
-        D_char = ids.characteristic_distribution(J, box=p.box, seed=p.seed)
+        D_char = ids.characteristic_distribution(p.psi, box=p.box, seed=p.seed)
         ok = ok and D_eta.rank == D_char.rank == n - k - 1
         ok = ok and ids.span_equal(list(D_eta.basis), list(D_char.basis), seed=p.seed)
     _report(5, "characteristic distribution matches the annihilator", ok, time.perf_counter() - t0, 60.0)

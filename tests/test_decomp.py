@@ -10,7 +10,7 @@ from cartanvp import ideals as ids
 from cartanvp import linalg as la
 from cartanvp import symexpr as sx
 from cartanvp.errors import RankDeficientLError
-from conftest import rand_poly
+from conftest import chi_forms, rand_poly
 
 
 def opaque(chart, name):
@@ -239,9 +239,10 @@ class TestChiForms:
         a1 = fm.d_coord(chart, "z1") + fm.d_coord(chart, "x1") * opaque(chart, "B11")
         a2 = fm.d_coord(chart, "x1") * opaque(chart, "C1")
         fs = dc.normalize(dc.FactorSet(chart, (a1, a2)))
-        chis = dc.chi_forms(fs)
+        chis = chi_forms(fs.alphas)
         assert chis[0] == a2
         assert chis[1] == a1 * sx.num(-1)
+        assert fm.interior(fm.coord_field(chart, "z1"), fs.eta()) == chis[0]
 
     def test_example2_relations(self):
         chart = fm.BundleChart(["x1", "x2", "x3"], ["z1", "z2", "z3"])
@@ -255,10 +256,12 @@ class TestChiForms:
         for k in (1, 2, 3):
             alpha4 = alpha4 + fm.d_coord(chart, f"x{k}") * opaque(chart, f"C{k}")
         fs = dc.normalize(dc.FactorSet(chart, tuple(alphas + [alpha4])))
-        chis = dc.chi_forms(fs)
+        chis = chi_forms(fs.alphas)
         eta = fs.eta()
-        # the contraction identity is checked inside chi_forms; pin the
-        # printed sign pattern here as well
+        # the contraction identity on every pivot coordinate, and the
+        # printed sign pattern
+        for row, col in enumerate(fs.z_order):
+            assert fm.interior(fm.coord_field(chart, chart.coords[col]), eta) == chis[row]
         assert chis[0] == fm.wedge_all([fs.alphas[1], fs.alphas[2], fs.alphas[3]])
         assert chis[1] == fm.wedge_all([fs.alphas[0], fs.alphas[2], fs.alphas[3]]) * sx.num(-1)
         assert fm.interior(fm.coord_field(chart, "z2"), eta) == chis[1]
@@ -272,7 +275,7 @@ class TestChiForms:
                 chart, fs.alphas, normalized=True, z_order=(2, 3, 4),
                 B=tuple(tuple(a.terms.get((j,), sx.ZERO) for j in range(2)) for a in fs.alphas),
             )
-            chis = dc.chi_forms(fs)
+            chis = chi_forms(fs.alphas)
             eta = fs.eta()
             for row, col in enumerate(fs.z_order):
                 name = chart.coords[col]
@@ -282,8 +285,11 @@ class TestChiForms:
         rng = random.Random(23)
         for _ in range(50):
             fs = dc.normalize(random_normalized_factorset(rng, chart6w, s=1))
-            chis = dc.chi_forms(fs)
+            chis = chi_forms(fs.alphas)
             eta = fs.eta()
+            for row, col in enumerate(fs.z_order):
+                name = chart6w.coords[col]
+                assert fm.interior(fm.coord_field(chart6w, name), eta) == chis[row]
             # residual-block contraction identity
             lhs = fm.interior(fm.coord_field(chart6w, "w"), eta)
             rhs = fm.zero_form(chart6w, 2)

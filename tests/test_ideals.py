@@ -8,7 +8,7 @@ from cartanvp import forms as fm
 from cartanvp import ideals as ids
 from cartanvp import linalg as la
 from cartanvp import symexpr as sx
-from cartanvp.errors import NonConstantRankError, UnequalGeneratorDegreesError
+from cartanvp.errors import ChartMismatchError, NonConstantRankError, UnequalGeneratorDegreesError
 
 
 def opaque(chart, name):
@@ -24,92 +24,6 @@ def example1_eta(chart, constant=False):
             alpha = alpha + fm.d_coord(chart, f"x{j}") * coeff
         alphas.append(alpha)
     return fm.wedge_all(alphas)
-
-
-class TestCompletion:
-    def test_exact_generator_unchanged(self, chart5):
-        F = fm.DiffForm(chart5, 0, {(): sx.var("x1") * sx.var("z1")})
-        J = ids.CartanIdeal(chart5, (fm.ext_d(F),))
-        out = ids.complete_to_differential(J)
-        assert out.closed and len(out.generators) == 1
-
-    def test_gains_differential(self, chart5):
-        g = fm.DiffForm(chart5, 1, {(chart5.index("z1"),): sx.var("x1")})
-        J = ids.CartanIdeal(chart5, (g,))
-        out = ids.complete_to_differential(J)
-        assert out.closed and len(out.generators) == 2
-        assert out.generators[1] == fm.ext_d(g)
-
-    def test_closed_flag_is_verified(self, chart5):
-        from cartanvp.errors import NotClosedError
-
-        g = fm.DiffForm(chart5, 1, {(chart5.index("z1"),): sx.var("x1")})
-        with pytest.raises(NotClosedError):
-            ids.CartanIdeal(chart5, (g,), closed=True)
-
-    def test_idempotent(self, chart5):
-        g = fm.DiffForm(chart5, 1, {(chart5.index("z1"),): sx.var("x1")})
-        out1 = ids.complete_to_differential(ids.CartanIdeal(chart5, (g,)))
-        out2 = ids.complete_to_differential(out1)
-        assert out1.generators == out2.generators
-
-    def test_variational_ideal_of_example1(self, chart5):
-        # d(psi_a) reduces modulo the generators when the coefficients are
-        # constants; with generic coefficients new generators appear
-        eta_const = example1_eta(chart5, constant=True)
-        psis = tuple(
-            fm.interior(fm.coord_field(chart5, f"z{a}"), eta_const) for a in (1, 2, 3)
-        )
-        J = ids.CartanIdeal(chart5, psis)
-        assert len(ids.complete_to_differential(J).generators) == 3
-
-        eta_gen = example1_eta(chart5, constant=False)
-        psis_gen = tuple(
-            fm.interior(fm.coord_field(chart5, f"z{a}"), eta_gen) for a in (1, 2, 3)
-        )
-        out = ids.complete_to_differential(ids.CartanIdeal(chart5, psis_gen))
-        assert out.closed
-        assert len(out.generators) >= 3
-
-
-class TestIntegralSection:
-    def test_constant_section_against_dz(self, chart5):
-        J = ids.CartanIdeal(chart5, (fm.d_coord(chart5, "z1"),))
-        phi = fm.SectionMap(chart5, {"z1": sx.num(2), "z2": sx.ZERO, "z3": sx.ZERO})
-        assert ids.is_integral_section(J, phi).ok
-
-    def test_residual_reported(self, chart5):
-        g = fm.wedge(fm.d_coord(chart5, "z1"), fm.d_coord(chart5, "x2"))
-        J = ids.CartanIdeal(chart5, (g,))
-        phi = fm.SectionMap(chart5, {"z1": sx.var("x1"), "z2": sx.ZERO, "z3": sx.ZERO})
-        rep = ids.is_integral_section(J, phi)
-        assert not rep.ok
-        pos, resid = rep.residuals[0]
-        assert pos == 0
-        base = chart5.base_only()
-        assert resid == fm.wedge(fm.d_coord(base, "x1"), fm.d_coord(base, "x2"))
-
-    def test_affine_solution_of_constant_instance(self, chart5):
-        # oracle: the linear transport system integrates to z = -B x
-        Bv = {(1, 1): "1/2", (1, 2): "-1", (2, 1): "3", (2, 2): "1/5", (3, 1): "0", (3, 2): "2"}
-        alphas = []
-        for a in (1, 2, 3):
-            alpha = fm.d_coord(chart5, f"z{a}")
-            for j in (1, 2):
-                alpha = alpha + fm.d_coord(chart5, f"x{j}") * sx.parse(Bv[(a, j)])
-            alphas.append(alpha)
-        eta = fm.wedge_all(alphas)
-        psis = tuple(fm.interior(fm.coord_field(chart5, f"z{a}"), eta) for a in (1, 2, 3))
-        J = ids.CartanIdeal(chart5, psis)
-        x1, x2 = sx.var("x1"), sx.var("x2")
-        phi = fm.SectionMap(
-            chart5,
-            {
-                f"z{a}": sx.canon(-sx.parse(Bv[(a, 1)]) * x1 - sx.parse(Bv[(a, 2)]) * x2)
-                for a in (1, 2, 3)
-            },
-        )
-        assert ids.is_integral_section(J, phi).ok
 
 
 class TestAnnihilator:
@@ -168,7 +82,7 @@ class TestCharacteristicDistribution:
     def test_agrees_with_annihilator_on_example1(self, chart5):
         eta = example1_eta(chart5)
         psis = tuple(fm.interior(fm.coord_field(chart5, f"z{a}"), eta) for a in (1, 2, 3))
-        D1 = ids.characteristic_distribution(ids.CartanIdeal(chart5, psis))
+        D1 = ids.characteristic_distribution(psis)
         D2 = ids.annihilator(eta)
         assert D1.rank == D2.rank == 2
         assert ids.span_equal(list(D1.basis), list(D2.basis))
@@ -176,7 +90,7 @@ class TestCharacteristicDistribution:
     def test_single_generator_in_r3(self):
         chart = fm.BundleChart(["x1"], ["z1", "z2"])
         g = fm.wedge(fm.d_coord(chart, "z1"), fm.d_coord(chart, "x1"))
-        D = ids.characteristic_distribution(ids.CartanIdeal(chart, (g,)))
+        D = ids.characteristic_distribution((g,))
         assert D.rank == 1
         assert ids.span_equal(list(D.basis), [fm.coord_field(chart, "z2")])
         # oracle: pointwise numeric nullspace at 20 samples
@@ -192,7 +106,7 @@ class TestCharacteristicDistribution:
         chart = fm.BundleChart(["x1", "x2"], ["z1"])
         g = fm.wedge(fm.d_coord(chart, "z1"), fm.d_coord(chart, "x2")) * sx.var("x1")
         with pytest.raises(NonConstantRankError) as err:
-            ids.characteristic_distribution(ids.CartanIdeal(chart, (g,)))
+            ids.characteristic_distribution((g,))
         assert err.value.witnesses
         # the box center sits on the degeneracy locus x1 = 0
         assert any(abs(w.get("x1", 1.0)) < 1e-12 for w in err.value.witnesses)
@@ -201,7 +115,14 @@ class TestCharacteristicDistribution:
         g1 = fm.d_coord(chart5, "z1")
         g2 = fm.wedge(fm.d_coord(chart5, "z1"), fm.d_coord(chart5, "z2"))
         with pytest.raises(UnequalGeneratorDegreesError):
-            ids.characteristic_distribution(ids.CartanIdeal(chart5, (g1, g2)))
+            ids.characteristic_distribution((g1, g2))
+
+    def test_chart_mismatch_rejected(self, chart5):
+        other = fm.BundleChart(["x1", "x2"], ["z1", "z2", "w"])
+        g1 = fm.wedge(fm.d_coord(chart5, "z1"), fm.d_coord(chart5, "x1"))
+        g2 = fm.wedge(fm.d_coord(other, "z1"), fm.d_coord(other, "x1"))
+        with pytest.raises(ChartMismatchError):
+            ids.characteristic_distribution((g1, g2))
 
 
 class TestFrobenius:
@@ -298,41 +219,3 @@ class TestFrobenius:
             coef, *_ = np.linalg.lstsq(A, b, rcond=None)
             worst = max(worst, float(np.linalg.norm(A @ coef - b)))
         assert worst > 1e-9  # generic coefficients: bracket escapes the span
-
-
-class TestCompleteIdealGenerators:
-    def test_single_axis(self):
-        chart = fm.Chart(["x1", "x2", "x3"])
-        cert = la.RankCertificate(1, 0, None, 0, [])
-        D = ids.Distribution(chart, (fm.coord_field(chart, "x1"),), 1, None, cert)
-        out = ids.complete_ideal_generators(D)
-        assert out == [fm.d_coord(chart, "x2"), fm.d_coord(chart, "x3")]
-
-    def test_example1_kernel(self, chart5):
-        D = ids.annihilator(example1_eta(chart5))
-        out = ids.complete_ideal_generators(D)
-        assert len(out) == 3
-        for alpha in out:
-            for Y in D.basis:
-                assert fm.interior(Y, alpha).is_zero_form()
-
-    def test_full_rank_distribution(self):
-        chart = fm.Chart(["x1", "x2"])
-        cert = la.RankCertificate(2, 0, None, 0, [])
-        D = ids.Distribution(
-            chart, (fm.coord_field(chart, "x1"), fm.coord_field(chart, "x2")), 2, None, cert
-        )
-        assert ids.complete_ideal_generators(D) == []
-
-
-class TestReduction:
-    def test_member_reduces_to_zero(self, chart5):
-        g = example1_eta(chart5)
-        rho = fm.d_coord(chart5, "x1") * sx.var("z2")
-        f = fm.wedge(rho, g)
-        assert ids.reduce_mod_generators(f, [g]).is_zero_form()
-
-    def test_nonmember_leaves_remainder(self, chart5):
-        g = fm.wedge(fm.d_coord(chart5, "z1"), fm.d_coord(chart5, "z2"))
-        f = fm.wedge(fm.d_coord(chart5, "x1"), fm.d_coord(chart5, "x2"))
-        assert not ids.reduce_mod_generators(f, [g]).is_zero_form()

@@ -1,4 +1,7 @@
 
+import itertools
+import random
+
 import pytest
 
 from cartanvp import forms as fm
@@ -7,6 +10,7 @@ from cartanvp import liouville as lv
 from cartanvp import symexpr as sx
 from cartanvp import varprin as vp
 from cartanvp.errors import NonPolynomialCoefficientError, NotClosedError
+from conftest import rand_poly
 
 x, y = sx.variables("x y")
 
@@ -182,3 +186,33 @@ class TestHodge:
         ok, _ = lv.verify_hodge_identity(flipped)
         assert not ok
         assert not fm.interior(flipped.Z, flipped.eta()).is_zero_form()
+
+
+def divergence_free_field(rng, P):
+    """X = sum over coordinate pairs i < j of (d_j H) d/dx^i - (d_i H) d/dx^j,
+    one random polynomial H per pair: each pair adds d_i d_j H - d_j d_i H
+    to the divergence."""
+    names = list(P.coords)
+    comps = [sx.ZERO] * P.dim
+    for i, j in itertools.combinations(range(P.dim), 2):
+        H = rand_poly(rng, names, degree=3, terms=2)
+        comps[i] = comps[i] + sx.diff(H, names[j])
+        comps[j] = comps[j] - sx.diff(H, names[i])
+    return fm.VecField(P, [sx.canon(c) for c in comps])
+
+
+class TestOrientationSign:
+    @pytest.mark.parametrize("nP", [2, 3, 4, 5])
+    def test_sign_is_phase_dimension_parity(self, nP):
+        # iota_Z(omega + (-1)^s iota_X omega ^ dt) = (1 + (-1)^(s+nP-1)) iota_X omega,
+        # so s = nP mod 2 for every field, the zero field included
+        rng = random.Random(1000 + nP)
+        P = fm.Chart([f"x{i}" for i in range(1, nP + 1)])
+        fields = [fm.VecField(P, [sx.ZERO] * nP)]
+        fields += [divergence_free_field(rng, P) for _ in range(2)]
+        for X in fields:
+            for omega in (fm.volume_form(P), -fm.volume_form(P)):
+                assert lv.is_liouville(X, omega)
+                setup = lv.build_setup(P, omega, X)
+                assert setup.sign_s == nP % 2
+                assert fm.interior(setup.Z, setup.eta()).is_zero_form()

@@ -17,8 +17,9 @@ on a pole, in the first and in the second axis); `analyze`, `el` and
 factors carry quotients over distinct denominators;
 `analyze`, `annihilator`, `frobenius` and `el` on the rotation action
 form (the route through the contraction matrix of a given theta);
-`liouville` on the rotation spec and on a divergence-free field on four
-coordinates; `el` on a k = 3
+`liouville` on the rotation spec, on a divergence-free field on three
+coordinates (odd phase dimension, so the orientation sign is 1) and on
+one on four coordinates; `el` on a k = 3
 intermediate and a k = 4 maximally characteristic polynomial spec (the
 pullback route at scale); demos 01-05.
 """
@@ -51,6 +52,13 @@ INPUTS = {
         "phase": ["x", "y"],
         "omega": [{"coeff": "1", "index": ["x", "y"]}],
         "field": {"x": "-y", "y": "x"},
+    },
+    # a divergence-free field on three coordinates: an odd phase dimension
+    # gives the orientation sign s = 1
+    "liouville-3d.json": {
+        "phase": ["x", "y", "z"],
+        "omega": [{"coeff": "1", "index": ["x", "y", "z"]}],
+        "field": {"x": "x*y + z^2", "y": "-1/2*y^2 + z", "z": "x^2 + y"},
     },
     # a divergence-free field on four coordinates: the homotopy runs on
     # 3-forms with monomials of degree 1-3, and the lift to the extended
@@ -231,6 +239,7 @@ def entries() -> list[list[str]]:
         ["cartanvp", "el", "--spec", "quotients-k2.json"],
         ["cartanvp", "verify", "--spec", "quotients-k2.json", "--section", "quotients-section.json"],
         ["cartanvp", "liouville", "--spec", "rotation-liouville.json"],
+        ["cartanvp", "liouville", "--spec", "liouville-3d.json"],
         ["cartanvp", "liouville", "--spec", "liouville-4d.json"],
         ["cartanvp", "el", "--spec", "swell-k3-intermediate-0.json"],
         ["cartanvp", "el", "--spec", "swell-k4-maximally-characteristic-0.json"],
