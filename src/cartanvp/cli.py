@@ -27,7 +27,7 @@ from . import ideals as ids
 from . import liouville as lv
 from . import specio
 from . import varprin as vp
-from .errors import CartanVPError, ParseError
+from .errors import CartanVPError, NotClosedError, ParseError
 from .forms import Chart, form_to_spec
 from .symexpr import DEFAULT_SEED
 
@@ -270,15 +270,14 @@ def cmd_liouville(args):
     chart = Chart(tuple(spec["phase"]))
     omega = specio.form_from_records(chart, spec["omega"], {})
     X = specio.field_from_spec(chart, spec["field"])
-    liou = lv.is_liouville(X, omega)
-    report = {"seed": seed, "is_liouville": liou}
-    if not liou:
-        return report, "is_liouville: false", 1
     sigma = (
         specio.form_from_records(chart, spec["sigma"], {}) if "sigma" in spec else None
     )
-    # is_liouville above is the one closedness check of this item
-    setup = lv._assemble(chart, omega, X, sigma, "t", preserved=True)
+    try:
+        setup = lv.build_setup(chart, omega, X, sigma)
+    except NotClosedError:
+        return {"seed": seed, "is_liouville": False}, "is_liouville: false", 1
+    report = {"seed": seed, "is_liouville": True}
     problem = lv.build_theta(setup, box=_parse_box(args.box), seed=seed)
     hodge_ok, hodge_sign = lv.verify_hodge_identity(setup)
     W = _field_json(vp.characteristic_field_maximal_degree(problem))

@@ -329,21 +329,22 @@ def _transversal_fields(
     axes: Sequence[str],
 ) -> list[VecField]:
     """Combinations of the basis whose base components are coordinate unit
-    vectors along the requested axes (the transversal part of D), all
-    solved from one elimination (`solve_columns`).  The base components
-    are the unit vector itself, which `solve_columns` has checked
-    canonically (A u = target); only the fiber components are summed."""
+    vectors along the requested axes (the transversal part of D), each
+    read off the basis anchors over the base columns
+    (`ideals.combination`, no elimination): a field anchored on a fiber
+    column takes no part.  The base components are the unit vector
+    itself, which `combination` has checked canonically; only the fiber
+    components are summed."""
     chart = p.chart
     k = chart.k
-    A = [[Y.components[i] for Y in D.basis] for i in range(k)]
-    targets = [[sx.ONE if b == ax else sx.ZERO for b in chart.base] for ax in axes]
     out = []
-    for ax, target, sol in zip(axes, targets, la.solve_columns(A, targets, box=p.box, seed=p.seed)):
+    for ax in axes:
+        comps = [sx.ONE if b == ax else sx.ZERO for b in chart.base] + [sx.ZERO] * (chart.dim - k)
+        sol = ids.combination(D, comps, range(k))
         if sol is None:
             raise NonTransversalDistributionError(
                 f"no combination of the distribution matches the {ax} direction"
             )
-        comps = target + [sx.ZERO] * (chart.dim - k)
         for u, Y in zip(sol, D.basis):
             for i in range(k, chart.dim):
                 comps[i] = comps[i] + u * Y.components[i]

@@ -36,6 +36,7 @@ __all__ = [
     "FrobeniusResult",
     "annihilator",
     "characteristic_distribution",
+    "combination",
     "frobenius_check",
     "contraction_matrix",
     "span_equal",
@@ -44,7 +45,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Distribution:
-    """Module of vector fields with a sampled constant-rank certificate."""
+    """Module of vector fields with a sampled constant-rank certificate.
+
+    The basis is in normal form: each field has an anchor, the first
+    chart column where that field alone is canonically nonzero (a kernel
+    basis is anchored on its free columns), so span membership is read
+    off the anchors by `combination`."""
 
     chart: Chart
     basis: tuple[VecField, ...]
@@ -52,10 +58,17 @@ class Distribution:
     box: object
     certificate: la.RankCertificate = field(compare=False)
     uncertain: bool = False  # elimination met uncertifiable pivots
+    anchors: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         if len(self.basis) != self.rank:
             raise ValueError("rank must equal the number of basis fields")
+        nonzero = [[not c.is_const_zero() for c in Y.components] for Y in self.basis]
+        alone = [sum(col) == 1 for col in zip(*nonzero)]
+        anchors = tuple(next((a for a, nz in enumerate(own) if nz and alone[a]), None) for own in nonzero)
+        if None in anchors:
+            raise ValueError("a basis field has no column where it alone is nonzero")
+        object.__setattr__(self, "anchors", anchors)
 
 
 @dataclass(frozen=True)
@@ -208,16 +221,41 @@ def annihilator_from_factors(
 
 
 # ---------------------------------------------------------------------------
-# Frobenius integrability
+# span membership and Frobenius integrability
+
+
+def combination(D: Distribution, target: Sequence[Expr], cols: Sequence[int]) -> Optional[list[Expr]]:
+    """Coefficients u with sum_c u_c Y_c = `target` on the chart columns
+    `cols`, or None when there are none of this form.
+
+    u_c is forced on the anchor a_c of Y_c, target[a_c] / Y_c[a_c], when
+    a_c lies in `cols`, and is 0 otherwise; the combination is then
+    checked canonically on every column of `cols`.  Over all columns the
+    forced u is the only candidate, so None means `target` is not in the
+    span wherever the canonical zero test is exact."""
+    inside = set(cols)
+    u = [
+        sx.canon(target[a] / Y.components[a]) if a in inside else sx.ZERO
+        for Y, a in zip(D.basis, D.anchors)
+    ]
+    for i in cols:
+        acc = target[i]
+        for uc, Y in zip(u, D.basis):
+            acc = acc - uc * Y.components[i]
+        if not sx.canon(acc).is_const_zero():
+            return None
+    return u
 
 
 def frobenius_check(D: Distribution, box=None, seed: int = DEFAULT_SEED) -> FrobeniusResult:
     """Bracket-closure test for a rank-certified distribution.
 
-    Symbolic span membership first; a pair whose bracket stays outside the
-    span symbolically is then tested numerically at the certification
-    samples: residual above 1e-9 somewhere -> not integrable (witness
-    point), everywhere below -> unknown (numerically integrable only).
+    Symbolic span membership first, read off the basis anchors with no
+    elimination (`combination` over all columns); a pair whose bracket
+    stays outside the span symbolically is then tested numerically at the
+    certification samples: residual above 1e-9 somewhere -> not
+    integrable (witness point), everywhere below -> unknown (numerically
+    integrable only).
     """
     box = box if box is not None else D.box
     basis = D.basis
@@ -228,7 +266,7 @@ def frobenius_check(D: Distribution, box=None, seed: int = DEFAULT_SEED) -> Frob
             Z = lie_bracket(basis[i], basis[j])
             if Z.is_zero_field():
                 continue
-            if la.solve_linear(A, Z.components, box=box, seed=seed) is not None:
+            if combination(D, Z.components, range(D.chart.dim)) is not None:
                 continue
             # numeric fallback: least squares at fresh sample points
             exprs = [e for Y in basis for e in Y.components] + list(Z.components)

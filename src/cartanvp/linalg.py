@@ -228,42 +228,6 @@ def kernel_basis(elim: Elimination) -> list[list[Expr]]:
     return basis
 
 
-def solve_linear(A, b, box=None, seed: int = DEFAULT_SEED) -> Optional[list[Expr]]:
-    """One solution of A u = b over the expression field, returned only
-    when A u = b holds canonically; None when elimination finds the
-    system inconsistent or the solution fails that check.  Free unknowns
-    are 0.  The one-column case of `solve_columns`."""
-    return solve_columns(A, [b], box=box, seed=seed)[0]
-
-
-def solve_columns(A, B, box=None, seed: int = DEFAULT_SEED) -> list[Optional[list[Expr]]]:
-    """`solve_linear` of A against each right-hand side of `B`, from one
-    elimination of A augmented by every column of `B`: only A's columns
-    pivot, so each solution is the one a single-column elimination
-    gives when the columns of `B` add no sample symbols (constants)."""
-    n = len(A[0]) if A else 0
-    aug = [list(row) + [b[i] for b in B] for i, row in enumerate(A)]
-    elim = gauss_eliminate(aug, box=box, seed=seed, col_groups=[range(n)])
-    # rows whose A part vanished: consistent only with a zero right-hand side
-    zero_rows = [row for row in elim.rows if all(e.is_const_zero() for e in row[:n])]
-    out: list[Optional[list[Expr]]] = []
-    for col, b in enumerate(B, start=n):
-        sol: Optional[list[Expr]] = None
-        if all(row[col].is_const_zero() for row in zero_rows):
-            sol = [sx.ZERO] * n
-            for ri, pj in elim.pivots:
-                sol[pj] = elim.rows[ri][col]
-            for row, bi in zip(A, b):
-                acc = sx.ZERO
-                for u, a in zip(sol, row):
-                    acc = acc + u * a
-                if not sx.canon(acc - bi).is_const_zero():
-                    sol = None
-                    break
-        out.append(sol)
-    return out
-
-
 def determinant(mat) -> Expr:
     """Laplace expansion along the first row; exact, for small matrices."""
     n = len(mat)

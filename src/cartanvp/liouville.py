@@ -12,12 +12,12 @@ That and the Hodge identity with the star of Z's dual are checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import symexpr as sx
 from . import varprin as vp
-from .errors import NonPolynomialCoefficientError, NotClosedError, ZeroEtaError
+from .errors import NonPolynomialCoefficientError, NotClosedError
 from .forms import (
     BundleChart,
     Chart,
@@ -54,11 +54,15 @@ class LiouvilleSetup:
     extended: BundleChart  # time coordinate prepended
     time_name: str
     sign_s: int  # exponent of (-1) in front of gamma ^ dt
-    theta: DiffForm
+    problem: vp.VariationalProblem  # of theta, default box and seed
     Z: VecField  # d/dt + X on the extended chart
 
+    @property
+    def theta(self) -> DiffForm:
+        return self.problem.theta
+
     def eta(self) -> DiffForm:
-        return ext_d(self.theta)
+        return self.problem.eta
 
 
 def is_liouville(X: VecField, omega: DiffForm) -> bool:
@@ -122,23 +126,19 @@ def build_setup(
 ) -> LiouvilleSetup:
     """Assemble the action form for a volume-preserving field.
 
-    sigma defaults to the homotopy primitive of omega; gamma is always the
-    homotopy primitive of the contraction.  The orientation sign is
-    s = nP mod 2 (see the module docstring); that the extended field
-    annihilates the two-step differential is checked, not assumed.
+    Raises NotClosedError when X does not preserve omega.  sigma defaults
+    to the homotopy primitive of omega; gamma is always the homotopy
+    primitive of the contraction.  The orientation sign is s = nP mod 2
+    (see the module docstring); that the extended field annihilates the
+    two-step differential is checked, not assumed, on the eta of the one
+    variational problem built here.
     """
-    return _assemble(phase, omega, X, sigma, time_name, preserved=False)
-
-
-def _assemble(phase, omega, X, sigma, time_name, preserved: bool) -> LiouvilleSetup:
-    # `build_setup`; with `preserved` the caller has already found
-    # is_liouville(X, omega) true, so the contraction is not checked again
     chart = phase if isinstance(phase, Chart) else Chart(tuple(phase))
+    if not is_liouville(X, omega):
+        raise NotClosedError("the field does not preserve the volume form")
     nP = chart.dim
     if nP < 2:
         raise ValueError("phase space must be at least two-dimensional")
-    if not preserved and not is_liouville(X, omega):
-        raise NotClosedError("the field does not preserve the volume form")
     if sigma is None:
         sigma = homotopy_antiderivative(omega)
     elif ext_d(sigma) != omega:
@@ -152,10 +152,8 @@ def _assemble(phase, omega, X, sigma, time_name, preserved: bool) -> LiouvilleSe
     Z = VecField(ext, [sx.ONE, *X.components])
     s = nP % 2
     theta = _lift(sigma, ext) + wedge(_lift(gamma, ext), dt) * sx.num((-1) ** s)
-    eta = ext_d(theta)
-    if eta.is_zero_form():
-        raise ZeroEtaError("the assembled action form is closed")
-    if not interior(Z, eta).is_zero_form():
+    problem = vp.build_problem(ext, theta=theta)
+    if not interior(Z, problem.eta).is_zero_form():
         raise AssertionError("the orientation sign nP mod 2 leaves Z non-characteristic")
     if not interior(Z, dt).terms.get((), sx.ZERO) == sx.ONE:
         raise AssertionError("Z fails the time normalization")
@@ -168,7 +166,7 @@ def _assemble(phase, omega, X, sigma, time_name, preserved: bool) -> LiouvilleSe
         extended=ext,
         time_name=time_name,
         sign_s=s,
-        theta=theta,
+        problem=problem,
         Z=Z,
     )
 
@@ -182,15 +180,10 @@ def _lift(form: DiffForm, ext: BundleChart) -> DiffForm:
 
 
 def build_theta(setup: LiouvilleSetup, box=None, seed=sx.DEFAULT_SEED) -> vp.VariationalProblem:
-    """The maximal-degree variational problem of the assembled action form;
-    asserts that the extended field is characteristic and normalized."""
-    problem = vp.build_problem(setup.extended, theta=setup.theta, box=box, seed=seed)
-    eta = problem.eta
-    if not interior(setup.Z, eta).is_zero_form():
-        raise AssertionError("extended field is not characteristic")
-    if problem.degree_case != vp.MAXIMAL_DEGREE:
-        raise AssertionError("expected a maximal-degree problem")
-    return problem
+    """The maximal-degree variational problem of the assembled action form
+    (the setup's problem, on `box` and `seed`); `build_setup` has checked
+    that the extended field is characteristic and normalized."""
+    return replace(setup.problem, box=box, seed=seed)
 
 
 def verify_hodge_identity(setup: LiouvilleSetup) -> tuple[bool, int]:

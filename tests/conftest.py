@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cartanvp import forms as fm
+from cartanvp import linalg as la
 from cartanvp import symexpr as sx
 
 
@@ -18,6 +19,21 @@ def rand_poly(rng, names, degree=2, terms=3, coeff_range=4):
             term = term * sx.var(rng.choice(names))
         acc = acc + term
     return acc
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The argument tuples of every `linalg.gauss_eliminate` call made
+    while the test runs (clear it to start counting later)."""
+    calls = []
+    eliminate = la.gauss_eliminate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(la, "gauss_eliminate", counting)
+    return calls
 
 
 def rand_form(rng, chart, degree, coeff_terms=2):

@@ -1,9 +1,11 @@
 import json
 import os
+import sys
 
 import pytest
 
 from cartanvp import cli
+from cartanvp import forms as fm
 from cartanvp import flows
 from cartanvp import fixtures as fx
 from cartanvp import ideals as ids
@@ -334,6 +336,33 @@ class TestLiouville:
         code, out = run(["liouville", "--spec", str(path)])
         assert code == 1
         assert json.loads(out)["is_liouville"] is False
+
+    def test_theta_differentiated_once(self, tmp_path, monkeypatch):
+        # one run forms d(theta) once: the setup keeps its problem, whose
+        # eta the characteristic, Hodge and report steps all read
+        spec = {
+            "phase": ["x", "y", "z"],
+            "omega": [{"coeff": "1", "index": ["x", "y", "z"]}],
+            "field": {"x": "x*y + z^2", "y": "-1/2*y^2 + z", "z": "x^2 + y"},
+        }
+        path = tmp_path / "liouville-3d.json"
+        path.write_text(json.dumps(spec))
+        ext_d = fm.ext_d
+        thetas = []
+
+        def counting(form):
+            # theta is the one form of degree k on the extended bundle chart
+            if isinstance(form.chart, fm.BundleChart) and form.degree == form.chart.k:
+                thetas.append(form)
+            return ext_d(form)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cartanvp") and getattr(module, "ext_d", None) is ext_d:
+                monkeypatch.setattr(module, "ext_d", counting)
+        code, out = run(["liouville", "--spec", str(path)])
+        assert code == 0
+        assert len(thetas) == 1
+        assert fm.form_to_spec(thetas[0]) == json.loads(out)["theta"]
 
     def test_supplied_sigma(self, tmp_path):
         spec = {

@@ -282,23 +282,20 @@ class TestSweep:
                 step=1e-2,
             )
 
-    def test_transversal_fields_from_one_elimination(self, monkeypatch):
-        # every axis is solved from one elimination, and each field is the
-        # one a per-axis solve gives
+    def test_transversal_fields_from_one_elimination(self, eliminations):
+        # no elimination at all: every axis is read off the basis anchors,
+        # and each field is the one a per-axis call gives, the basis field
+        # of that axis scaled to a unit base component
         p = fx.problem("example1", instance="constant")
         D = p.annihilator
-        per_axis = [flows._transversal_fields(p, D, [ax])[0] for ax in p.chart.base]
-        calls = 0
-        eliminate = la.gauss_eliminate
-
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return eliminate(*args, **kwargs)
-
-        monkeypatch.setattr(la, "gauss_eliminate", counting)
-        assert flows._transversal_fields(p, D, list(p.chart.base)) == per_axis
-        assert calls == 1
+        eliminations.clear()
+        fields = flows._transversal_fields(p, D, list(p.chart.base))
+        assert fields == [flows._transversal_fields(p, D, [ax])[0] for ax in p.chart.base]
+        assert [[str(c) for c in X.components] for X in fields] == [
+            ["1", "0", "-1/2", "-2", "1"],
+            ["0", "1", "1/3", "-1/5", "-3/4"],
+        ]
+        assert eliminations == []
 
     def test_non_transversal_distribution(self):
         p = fx.problem("example1", instance="constant")
@@ -306,6 +303,25 @@ class TestSweep:
         cert = la.RankCertificate(1, 0, None, 0, [])
         D = ids.Distribution(p.chart, (vertical,), 1, None, cert)
         with pytest.raises(NonTransversalDistributionError):
+            flows.sweep_section(
+                p,
+                D,
+                {"z1": 0, "z2": 0, "z3": 0},
+                grid={"x1": (0.0, 1.0, 3), "x2": (0.0, 1.0, 3)},
+                step=1e-2,
+            )
+
+    def test_field_anchored_on_the_fiber_takes_no_part(self):
+        # d/dx1 + d/dz1 is nonzero alone only on z1, so it takes no part in
+        # the base-column solve, although with d/dx1 + d/dx2 + d/dz2 it
+        # spans both base directions
+        p = fx.problem("example1", instance="constant")
+        one, zero = sx.ONE, sx.ZERO
+        Y1 = fm.VecField(p.chart, [one, zero, one, zero, zero])
+        Y2 = fm.VecField(p.chart, [one, one, zero, one, zero])
+        D = ids.Distribution(p.chart, (Y1, Y2), 2, None, la.RankCertificate(2, 0, None, 0, []))
+        assert D.anchors == (2, 1)
+        with pytest.raises(NonTransversalDistributionError, match="x1 direction"):
             flows.sweep_section(
                 p,
                 D,

@@ -4,11 +4,13 @@ import sys
 import numpy as np
 import pytest
 
+from cartanvp import fixtures as fx
 from cartanvp import forms as fm
 from cartanvp import ideals as ids
 from cartanvp import linalg as la
 from cartanvp import symexpr as sx
 from cartanvp.errors import ChartMismatchError, NonConstantRankError, UnequalGeneratorDegreesError
+from conftest import rand_poly
 
 
 def opaque(chart, name):
@@ -24,6 +26,19 @@ def example1_eta(chart, constant=False):
             alpha = alpha + fm.d_coord(chart, f"x{j}") * coeff
         alphas.append(alpha)
     return fm.wedge_all(alphas)
+
+
+def example1_closed_alphas(chart):
+    """Example 1 factors with polynomial coefficients that satisfy the
+    closure condition."""
+    x1, x2 = sx.var("x1"), sx.var("x2")
+    alphas = []
+    for a in (1, 2, 3):
+        B1, B2 = x2 * a, x1 * a  # Y1(B2) = Y2(B1) termwise
+        alphas.append(
+            fm.d_coord(chart, f"z{a}") + fm.d_coord(chart, "x1") * B1 + fm.d_coord(chart, "x2") * B2
+        )
+    return alphas
 
 
 class TestAnnihilator:
@@ -148,16 +163,7 @@ class TestFrobenius:
         assert res.witness_pair == (0, 1) and res.witness_point is not None
 
         # polynomial coefficients satisfying the closure condition
-        x1, x2 = sx.var("x1"), sx.var("x2")
-        alphas = []
-        for a in (1, 2, 3):
-            B1, B2 = x2 * a, x1 * a  # Y1(B2) = Y2(B1) termwise
-            alphas.append(
-                fm.d_coord(chart5, f"z{a}")
-                + fm.d_coord(chart5, "x1") * B1
-                + fm.d_coord(chart5, "x2") * B2
-            )
-        D2 = ids.annihilator(fm.wedge_all(alphas))
+        D2 = ids.annihilator(fm.wedge_all(example1_closed_alphas(chart5)))
         assert ids.frobenius_check(D2).verdict == "integrable"
 
     def test_numeric_only_pair_leaves_later_pairs_symbolic(self):
@@ -219,3 +225,78 @@ class TestFrobenius:
             coef, *_ = np.linalg.lstsq(A, b, rcond=None)
             worst = max(worst, float(np.linalg.norm(A @ coef - b)))
         assert worst > 1e-9  # generic coefficients: bracket escapes the span
+
+
+def _solve_by_elimination(A, b):
+    """Oracle for span membership: one solution of A u = b from a
+    Gauss-Jordan of [A | b] in which only A's columns pivot (free unknowns
+    0), or None when a row whose A part vanished keeps a nonzero b."""
+    n = len(A[0])
+    elim = la.gauss_eliminate([list(row) + [bi] for row, bi in zip(A, b)], col_groups=[range(n)])
+    if any(all(e.is_const_zero() for e in row[:n]) and not row[n].is_const_zero() for row in elim.rows):
+        return None
+    u = [sx.ZERO] * n
+    for ri, pj in elim.pivots:
+        u[pj] = elim.rows[ri][n]
+    return u
+
+
+class TestSpanMembership:
+    def test_anchors(self, chart5):
+        # a kernel basis is anchored on its free columns
+        D = ids.annihilator(fm.wedge_all([fm.d_coord(chart5, n) for n in ("z1", "z2", "z3")]))
+        assert D.anchors == (0, 1)
+        # d/dx + x d/dy and d/dx - d/dy are both nonzero on every column
+        chart = fm.Chart(["x", "y"])
+        fields = (fm.VecField(chart, [sx.ONE, sx.var("x")]), fm.VecField(chart, [sx.ONE, sx.num(-1)]))
+        with pytest.raises(ValueError, match="alone"):
+            ids.Distribution(chart, fields, 2, None, la.RankCertificate(2, 0, None, 0, []))
+
+    def test_frobenius_runs_no_elimination(self, chart5, eliminations):
+        generic = ids.annihilator(example1_eta(chart5))
+        closed = ids.annihilator(fm.wedge_all(example1_closed_alphas(chart5)))
+        constant = fx.problem("example1", instance="constant").annihilator
+        eliminations.clear()
+        assert ids.frobenius_check(generic).verdict == "not_integrable"
+        assert ids.frobenius_check(closed).verdict == "integrable"
+        assert ids.frobenius_check(constant).verdict == "integrable"
+        assert eliminations == []
+
+    def test_combination_matches_elimination(self):
+        # nullspace bases of seeded polynomial matrices; targets in the span
+        # (a polynomial combination of the basis) and off it (a random
+        # vector); over all columns the anchors decide exactly what the
+        # elimination decides, and over fewer columns an answer still
+        # matches the target there
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        chart = fm.Chart(["x", "y", "z"])
+        names = list(chart.coords)
+        cert = la.RankCertificate(0, 0, None, 0, [])
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(st.integers(0, 10**6), st.integers(1, 2), st.booleans())
+        def check(seed, rows, in_span):
+            rng = random.Random(seed)
+            mat = [[rand_poly(rng, names, degree=1, terms=2) for _ in names] for _ in range(rows)]
+            basis = tuple(fm.VecField(chart, v) for v in la.nullspace(mat))
+            D = ids.Distribution(chart, basis, len(basis), None, cert)
+            if in_span:
+                w = [rand_poly(rng, names, degree=1, terms=2) for _ in basis]
+                target = [sx.canon(sum((wc * Y.components[i] for wc, Y in zip(w, basis)), sx.ZERO)) for i in range(3)]
+            else:
+                target = [sx.canon(rand_poly(rng, names, degree=2, terms=2)) for _ in names]
+            got = ids.combination(D, target, range(3))
+            want = _solve_by_elimination([[Y.components[i] for Y in basis] for i in range(3)], target)
+            assert (got is None) == (want is None)
+            if in_span:
+                assert got is not None
+            if got is not None:
+                assert all(sx.canon(a - b).is_const_zero() for a, b in zip(got, want))
+            part = ids.combination(D, target, [0, 1])
+            if part is not None:
+                for i in (0, 1):
+                    acc = sum((u * Y.components[i] for u, Y in zip(part, basis)), sx.ZERO)
+                    assert sx.canon(acc - target[i]).is_const_zero()
+
+        check()

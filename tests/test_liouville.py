@@ -1,3 +1,4 @@
+import dataclasses
 
 import itertools
 import random
@@ -167,21 +168,11 @@ class TestHodge:
         P, omega = plane()
         X = fm.VecField(P, [-1 * y, x])
         setup = lv.build_setup(P, omega, X)
-        flipped = lv.LiouvilleSetup(
-            phase=setup.phase,
-            omega=setup.omega,
-            sigma=setup.sigma,
-            X=setup.X,
-            gamma=setup.gamma,
-            extended=setup.extended,
-            time_name=setup.time_name,
-            sign_s=1 - setup.sign_s,
-            theta=lv._lift(setup.sigma, setup.extended)
-            + fm.wedge(
-                lv._lift(setup.gamma, setup.extended), fm.d_coord(setup.extended, "t")
-            )
-            * sx.num((-1) ** (1 - setup.sign_s)),
-            Z=setup.Z,
+        theta = lv._lift(setup.sigma, setup.extended) + fm.wedge(
+            lv._lift(setup.gamma, setup.extended), fm.d_coord(setup.extended, "t")
+        ) * sx.num((-1) ** (1 - setup.sign_s))
+        flipped = dataclasses.replace(
+            setup, sign_s=1 - setup.sign_s, problem=vp.build_problem(setup.extended, theta=theta)
         )
         ok, _ = lv.verify_hodge_identity(flipped)
         assert not ok

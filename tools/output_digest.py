@@ -21,7 +21,8 @@ form (the route through the contraction matrix of a given theta);
 coordinates (odd phase dimension, so the orientation sign is 1) and on
 one on four coordinates; `el` on a k = 3
 intermediate and a k = 4 maximally characteristic polynomial spec (the
-pullback route at scale); demos 01-05.
+pullback route at scale); `analyze` on a k = 6 intermediate opaque spec
+(Frobenius at scale); demos 01-05.
 """
 
 from __future__ import annotations
@@ -207,6 +208,24 @@ INPUTS = {
         "opaque": {},
         "options": {"seed": 13895},
     },
+    # factor_spec(random.Random("k6probe/intermediate/opaque/0"), 6,
+    # "intermediate", "opaque")["spec"]: Frobenius on rank-3 brackets of
+    # opaque atoms over nine coordinates
+    "k6probe-intermediate-opaque-0.json": {
+        "chart": {"base": ["x1", "x2", "x3", "x4", "x5", "x6"], "fiber_z": ["z1", "z2", "z3"], "fiber_w": []},
+        "factors": [
+            [{"coeff": "1", "index": ["z1"]}] + [{"coeff": f"B1{m}", "index": [f"x{m}"]} for m in range(1, 7)],
+            [{"coeff": "1", "index": ["x3"]}, {"coeff": "C25", "index": ["x5"]}, {"coeff": "C26", "index": ["x6"]}],
+            [{"coeff": "1", "index": ["x4"]}, {"coeff": "C35", "index": ["x5"]}, {"coeff": "C36", "index": ["x6"]}],
+            [{"coeff": "1", "index": ["x1"]}, {"coeff": "C45", "index": ["x5"]}, {"coeff": "C46", "index": ["x6"]}],
+            [{"coeff": "1", "index": ["x2"]}, {"coeff": "C15", "index": ["x5"]}, {"coeff": "C16", "index": ["x6"]}],
+            [{"coeff": "1", "index": ["z3"]}] + [{"coeff": f"B3{m}", "index": [f"x{m}"]} for m in range(1, 7)],
+            [{"coeff": "1", "index": ["z2"]}] + [{"coeff": f"B2{m}", "index": [f"x{m}"]} for m in range(1, 7)],
+        ],
+        "opaque": {f"{c}{i}{m}": "all" for c, rows, cols in (("B", "123", "123456"), ("C", "1234", "56"))
+                   for i in rows for m in cols},
+        "options": {"seed": 64107},
+    },
 }
 
 
@@ -243,6 +262,7 @@ def entries() -> list[list[str]]:
         ["cartanvp", "liouville", "--spec", "liouville-4d.json"],
         ["cartanvp", "el", "--spec", "swell-k3-intermediate-0.json"],
         ["cartanvp", "el", "--spec", "swell-k4-maximally-characteristic-0.json"],
+        ["cartanvp", "analyze", "--spec", "k6probe-intermediate-opaque-0.json"],
     ]
     runs += [["python", f"demos/{p.name}"] for p in sorted((ROOT / "demos").glob("0[1-5]_*.py"))]
     return runs
