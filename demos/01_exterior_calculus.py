@@ -16,10 +16,10 @@ x, y = sx.variables("x y")
 e = (x + y) ** 2 - (x**2 + 2 * x * y + y**2)
 print("binomial identity collapses:", sx.canon(e))
 
-# rational functions are reduced by monomial content only; equality testing
-# still sees through unreduced quotients via the difference
+# rational functions are reduced to lowest terms by a polynomial gcd, so
+# equal quotients have one canonical form
 r = (x**2 - 1) / (x - 1)
-print("content-reduced quotient:", sx.canon(r))
+print("reduced quotient:", sx.canon(r))
 print("difference against x + 1 is zero:", sx.is_zero(r - (x + 1)).verdict)
 
 # generic coefficient functions are opaque atoms with formal partials

@@ -9,24 +9,20 @@ Euclidean metric with orientation given by ascending coordinate order.
 The calculus computes on the `_Rat` payloads of canonical coefficients:
 wedge, interior, d, the Hodge star, pullbacks, the Lie bracket and form
 and field arithmetic hand `(index, payload)` contributions to `_collect`,
-which folds each index's contributions with `_rat_add` left to right in
-arrival order and builds one canonical node per index whose sum is not
-zero; no expression tree is built on the way.  d and the Lie bracket
-differentiate payloads with `sx._diff_payload`, the payload of `sx.diff`
+which sums each index's contributions with `_rat_add` and builds one
+canonical node per index whose sum is not zero; no expression tree is
+built on the way.  A payload is a quotient in lowest terms, so a sum does
+not depend on the order of its terms.  d and the Lie bracket
+differentiate payloads with `sx._rat_diff`, the payload of `sx.diff`
 without its node, by the coordinates that `sx._diff_vars` keeps: every
 one, except those missing from a coefficient whose atoms are all
 variables.  Computed
 forms and fields are built by `DiffForm._make` and `VecField._make`,
 which take their canonical terms as they are; `__init__`, which checks
-indices and canonicalizes coefficients, is for input.  Products are
-free of order (their normalization only rescales), sums are not: without
-a polynomial gcd the order of a sum of rational terms can change its
-canonical quotient, so every fold keeps the order of the raw sum it
-stands for.  `form_from_spec` alone sums raw
-parse trees, because a repeated index splices them into one sum, and
-canonicalizes that sum.  `_merge_indices` is the package's one sign rule
-for two ascending index tuples; `_perm_sign` serves unsorted input only,
-and every contraction elsewhere is a call of `interior`.
+indices and canonicalizes coefficients, is for input.  `_merge_indices`
+is the package's one sign rule for two ascending index tuples;
+`_perm_sign` serves unsorted input only, and every contraction elsewhere
+is a call of `interior`.
 """
 
 from __future__ import annotations
@@ -386,9 +382,8 @@ def _check_chart(a, b):
 
 
 def _fold(contributions: Iterable[tuple[tuple, sx._Rat]]) -> dict[tuple, sx._Rat]:
-    """Payload sum per index: each index's contributions added left to right
-    in arrival order, as `_to_rat` folds the raw sum they stand for (a zero
-    contribution is skipped, which is the identity)."""
+    """Payload sum per index (a zero contribution is skipped, which is the
+    identity)."""
     acc: dict[tuple, sx._Rat] = {}
     for K, r in contributions:
         if not sx._rat_is_zero(r):
@@ -404,7 +399,7 @@ def _collect(chart: Chart, degree: int, contributions: Iterable[tuple[tuple, sx.
 
 
 def _sum(rats: Iterable[sx._Rat]) -> Expr:
-    """Canonical node of a payload sum, added left to right."""
+    """Canonical node of a payload sum."""
     return sx._rat_to_expr(_fold(((), r) for r in rats).get((), sx._RAT_ZERO))
 
 
@@ -448,7 +443,6 @@ def form_from_spec(chart: Chart, spec: Iterable[Mapping]) -> DiffForm:
             continue
         c = coeff * sx.num(_perm_sign(positions))
         idx = tuple(sorted(positions))
-        # raw sums: a repeated index splices its parse trees into one sum
         terms[idx] = terms[idx] + c if idx in terms else c
     return DiffForm(chart, degree if degree is not None else 0, terms)
 
@@ -515,7 +509,7 @@ def ext_d(a: DiffForm) -> DiffForm:
             m = _merge_indices((i,), I)
             if m is None:
                 continue
-            dc = sx._diff_payload(c, name)
+            dc = sx._rat_diff(c._rat, name)
             if not sx._rat_is_zero(dc):
                 contributions.append((m[1], _signed(m[0], dc)))
     return _collect(chart, a.degree + 1, contributions)
@@ -609,9 +603,9 @@ def lie_bracket(X: VecField, Y: VecField) -> VecField:
         for xj, yj, cj in zip(xs, ys, coords):
             # X^j dY^i/dx^j - Y^j dX^i/dx^j, term by term in this order
             if cj in y_names and not xj.is_const_zero():
-                terms.append(sx._rat_mul(xj._rat, sx._diff_payload(yi, cj)))
+                terms.append(sx._rat_mul(xj._rat, sx._rat_diff(yi._rat, cj)))
             if cj in x_names and not yj.is_const_zero():
-                terms.append(sx._rat_neg(sx._rat_mul(yj._rat, sx._diff_payload(xi, cj))))
+                terms.append(sx._rat_neg(sx._rat_mul(yj._rat, sx._rat_diff(xi._rat, cj))))
         comps.append(_sum(terms))
     return VecField._make(X.chart, tuple(comps))
 

@@ -166,22 +166,15 @@ def gauss_eliminate(
 
 
 def clear_denominators(comps: list[Expr], anchor: Optional[int] = None) -> list[Expr]:
-    """Scale a vector by the product of distinct denominators, then divide
-    by the common rational content and normalize the sign; the result is a
+    """Scale a vector by the lcm of its denominators, then divide by the
+    common rational content and normalize the sign; the result is a
     function multiple of the input with polynomial entries.  The sign makes
     the `anchor` component (or else the first nonzero one) lead positive."""
-    parts = [sx.numer_denom(c) for c in comps]
-    distinct: list[Expr] = []
-    for _, d in parts:
-        if d != sx.ONE and all(d != q for q in distinct):
-            distinct.append(d)
-    cleared = []
-    for nu, de in parts:
-        factor = sx.ONE
-        for q in distinct:
-            if q != de:
-                factor = factor * q
-        cleared.append(sx.canon(nu * factor))
+    l = sx.ONE
+    for c in comps:
+        # lcm(l, d) is l times the denominator of the reduced l/d
+        l = l * sx.numer_denom(l / sx.numer_denom(c)[1])[1]
+    cleared = [sx.canon(c * l) for c in comps]
     content = sx.poly_content(cleared)
     if content is not None and content != 1:
         cleared = [sx.canon(c / sx.num(content)) for c in cleared]

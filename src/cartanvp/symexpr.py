@@ -521,6 +521,164 @@ def _terms_divide_mono(terms: dict, by: tuple) -> dict:
     return {_mono_divide(m, by): c for m, c in terms.items()}
 
 
+# Polynomial gcd by the recursive subresultant PRS (Collins 1967; Cohen,
+# A Course in Computational Algebraic Number Theory, Alg. 3.3.1), on term
+# dicts (the int `terms` of a poly; atoms are the indeterminates).
+# `_t_gcd` views its operands as polynomials in one atom x over the
+# polynomials in the others: the gcd of their contents (the gcds of their
+# coefficients in x, recursively) times the primitive part of the last
+# nonzero subresultant.  A "polynomial in x" is a dict exponent -> term
+# dict.  Every division is exact (`_t_exquo`); a gcd is determined up to
+# its sign.
+
+_T_ONE = {_EMPTY_MONO: 1}
+
+
+def _t_mul(a: dict, b: dict) -> dict:
+    return _p_mul((1, 1, a), (1, 1, b))[2]
+
+
+def _t_pow(a: dict, n: int) -> dict:
+    return _p_pow((1, 1, a), n)[2]
+
+
+def _t_sub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m, 0) - c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return out
+
+
+def _t_coeffs(a: dict, x: tuple) -> dict:
+    """The term dict `a` as a polynomial in the atom `x`."""
+    out: dict = {}
+    for m, c in a.items():
+        for i, (b, n) in enumerate(m):
+            if b == x:
+                out.setdefault(n, {})[m[:i] + m[i + 1 :]] = c
+                break
+        else:
+            out.setdefault(0, {})[m] = c
+    return out
+
+
+def _t_join(u: dict, x: tuple) -> dict:
+    """The term dict of the polynomial `u` in the atom `x`."""
+    return {_mono_mul(m, ((x, e),)) if e else m: c for e, t in u.items() for m, c in t.items()}
+
+
+def _t_degrees(a: dict) -> dict:
+    """atom -> its largest exponent in the term dict `a`."""
+    out: dict = {}
+    for m in a:
+        for x, n in m:
+            if out.get(x, 0) < n:
+                out[x] = n
+    return out
+
+
+def _t_gcd(a: dict, b: dict) -> dict:
+    """A gcd of the nonzero term dicts `a` and `b`."""
+    if len(a) == 1 or len(b) == 1:  # a monomial's divisors are monomials
+        return {_content_mono([a, b]): gcd(*a.values(), *b.values())}
+    da, db = _t_degrees(a), _t_degrees(b)
+    only = da.keys() ^ db.keys()
+    if only:  # an atom of one operand only: the gcd divides its coefficients there
+        x = min(only)
+        return _t_content([b, *_t_coeffs(a, x).values()] if x in da else [a, *_t_coeffs(b, x).values()])
+    # the fewest pseudo-remainder steps
+    x = min(da, key=lambda x: (min(da[x], db[x]), max(da[x], db[x]), x))
+    (ca, f), (cb, g) = _u_primitive(_t_coeffs(a, x)), _u_primitive(_t_coeffs(b, x))
+    if max(f) < max(g):
+        f, g = g, f
+    gs = hs = _T_ONE
+    while True:
+        delta = max(f) - max(g)
+        r = _u_prem(f, g)
+        if not r:
+            break
+        if max(r) == 0:  # coprime primitive parts
+            g = {0: _T_ONE}
+            break
+        div = _t_mul(gs, _t_pow(hs, delta))
+        f, g = g, {e: _t_exquo(t, div) for e, t in r.items()}
+        gs = f[max(f)]
+        if delta:
+            hs = _t_exquo(_t_pow(gs, delta), _t_pow(hs, delta - 1))
+    return _t_mul(_t_gcd(ca, cb), _t_join(_u_primitive(g)[1], x))
+
+
+def _t_content(polys: Iterable[dict]) -> dict:
+    """A gcd of the nonzero term dicts `polys`, the shortest first."""
+    polys = sorted(polys, key=len)
+    g = polys[0]
+    for p in polys[1:]:
+        if len(g) == 1 and _EMPTY_MONO in g and abs(g[_EMPTY_MONO]) == 1:
+            break
+        g = _t_gcd(g, p)
+    return g
+
+
+def _u_primitive(u: dict) -> tuple[dict, dict]:
+    """(content, primitive part) of the nonzero polynomial `u` in an atom."""
+    c = _t_content(u.values())
+    return c, {e: _t_exquo(t, c) for e, t in u.items()}
+
+
+def _u_prem(f: dict, g: dict) -> dict:
+    """The pseudo-remainder of `f` by `g`, polynomials in one atom:
+    lc(g)^(deg f - deg g + 1) f less a multiple of `g`, of degree below
+    that of `g`."""
+    dg = max(g)
+    lg = g[dg]
+    n = max(f) - dg + 1
+    while f and (df := max(f)) >= dg:
+        lf = f[df]
+        out = {e: _t_mul(t, lg) for e, t in f.items() if e != df}
+        for e, t in g.items():
+            if e != dg:
+                k = e + df - dg
+                s = _t_sub(out.get(k, {}), _t_mul(lf, t))
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+        f = out
+        n -= 1
+    if n and f:
+        k = _t_pow(lg, n)
+        f = {e: _t_mul(t, k) for e, t in f.items()}
+    return f
+
+
+def _t_exquo(a: dict, b: dict) -> dict:
+    """The term dict `a / b`, for `b` a divisor of `a`: long division in
+    the largest atom of `b`, each leading coefficient divided exactly."""
+    if len(b) == 1:
+        ((mb, cb),) = b.items()
+        return {_mono_divide(m, mb): c // cb for m, c in a.items()}
+    x = max(p[0] for m in b for p in m)
+    u, v = _t_coeffs(a, x), _t_coeffs(b, x)
+    dv = max(v)
+    lv = v[dv]
+    q = {}
+    while u:
+        du = max(u)
+        t = q[du - dv] = _t_exquo(u[du], lv)
+        for e, s in v.items():
+            k = e + du - dv
+            r = _t_sub(u.get(k, {}), _t_mul(t, s))
+            if r:
+                u[k] = r
+            else:
+                u.pop(k, None)
+    return _t_join(q, x)
+
+
 class _Rat:
     # vars: the names of the variables in the quotient, atoms' arguments
     # included, and only_vars: whether every atom is a variable; both set
@@ -571,8 +729,19 @@ def _var_atom(name: str, node: Optional[Expr] = None) -> Expr:
 
 
 def _rat_normalize(num: tuple, den: tuple) -> _Rat:
-    """num/den with the monomial content cancelled and the denominator
-    monic: its content is 1/l for its leading int coefficient l > 0."""
+    """num/den in lowest terms with the denominator monic: a common factor
+    of two sums is their `_t_gcd`, then `_rat_lowest`."""
+    if len(num[2]) > 1 and len(den[2]) > 1:
+        g = _t_gcd(num[2], den[2])
+        if len(g) > 1 or _EMPTY_MONO not in g:
+            num, den = _p_exquo(num, g), _p_exquo(den, g)
+    return _rat_lowest(num, den)
+
+
+def _rat_lowest(num: tuple, den: tuple) -> _Rat:
+    """num/den, whose only common factors are monomials, with the common
+    monomial cancelled and the denominator monic: its content is 1/l for
+    its leading int coefficient l > 0."""
     (np_, nq, N), (dp, dq, D) = num, den
     if not D:
         raise DivisionByZeroError("denominator is identically zero")
@@ -598,6 +767,26 @@ def _rat_normalize(num: tuple, den: tuple) -> _Rat:
     return _Rat(num, den)
 
 
+def _p_exquo(p: tuple, g: dict) -> tuple:
+    """The poly `p` divided by its primitive factor `g`, up to sign."""
+    return p[0], p[1], _t_exquo(p[2], g)
+
+
+def _t_common(a: dict, b: dict) -> Optional[dict]:
+    """A gcd of two sums that is not a constant, else None."""
+    if len(a) > 1 and len(b) > 1:
+        g = _t_gcd(a, b)
+        if len(g) > 1 or _EMPTY_MONO not in g:
+            return g
+    return None
+
+
+# Sums and products of reduced quotients (Henrici 1956): the gcd is taken
+# of the operands' parts, never of their products.  Of a/b + c/d, with
+# g = gcd(b, d), only g can share a factor with a(d/g) + c(b/g); of
+# (a/b)(c/d), only gcd(a, d) and gcd(c, b) cancel.
+
+
 def _rat_add(a: _Rat, b: _Rat) -> _Rat:
     # every denominator 1 is the shared _ONE_POLY; with two of them
     # _rat_normalize is the identity (empty content, leading coefficient 1)
@@ -605,9 +794,34 @@ def _rat_add(a: _Rat, b: _Rat) -> _Rat:
         return _Rat(_p_add(a.num, b.num), _ONE_POLY)
     if a.den == b.den:
         return _rat_normalize(_p_add(a.num, b.num), a.den)
-    return _rat_normalize(
-        _p_add(_p_mul(a.num, b.den), _p_mul(b.num, a.den)), _p_mul(a.den, b.den)
-    )
+    g = _t_common(a.den[2], b.den[2])
+    if g is None:
+        return _rat_lowest(
+            _p_add(_p_mul(a.num, b.den), _p_mul(b.num, a.den)), _p_mul(a.den, b.den)
+        )
+    da, db = _p_exquo(a.den, g), _p_exquo(b.den, g)
+    num = _p_add(_p_mul(a.num, db), _p_mul(b.num, da))
+    h = _t_common(num[2], g)
+    if h is not None:
+        num, g = _p_exquo(num, h), _t_exquo(g, h)
+    return _rat_lowest(num, _p_mul(_p_mul(da, db), (1, 1, g)))
+
+
+def _rat_mul(a: _Rat, b: _Rat) -> _Rat:
+    if a.den is _ONE_POLY and b.den is _ONE_POLY:
+        return _Rat(_p_mul(a.num, b.num), _ONE_POLY)
+    return _quotient_product(a.num, a.den, b.num, b.den)
+
+
+def _quotient_product(an: tuple, ad: tuple, bn: tuple, bd: tuple) -> _Rat:
+    """(an/ad)(bn/bd) for two quotients in lowest terms."""
+    g = _t_common(an[2], bd[2])
+    if g is not None:
+        an, bd = _p_exquo(an, g), _p_exquo(bd, g)
+    g = _t_common(bn[2], ad[2])
+    if g is not None:
+        bn, ad = _p_exquo(bn, g), _p_exquo(ad, g)
+    return _rat_lowest(_p_mul(an, bn), _p_mul(ad, bd))
 
 
 def _rat_neg(r: _Rat) -> _Rat:
@@ -616,22 +830,17 @@ def _rat_neg(r: _Rat) -> _Rat:
     return _Rat(_p_neg(r.num), r.den)
 
 
-def _rat_mul(a: _Rat, b: _Rat) -> _Rat:
-    if a.den is _ONE_POLY and b.den is _ONE_POLY:
-        return _Rat(_p_mul(a.num, b.num), _ONE_POLY)
-    return _rat_normalize(_p_mul(a.num, b.num), _p_mul(a.den, b.den))
-
-
 def _rat_div(a: _Rat, b: _Rat) -> _Rat:
-    return _rat_normalize(_p_mul(a.num, b.den), _p_mul(a.den, b.num))
+    return _quotient_product(a.num, a.den, b.den, b.num)
 
 
 def _rat_pow(a: _Rat, n: int) -> _Rat:
+    # powers of coprime polynomials are coprime
     if n == 0:
         return _RAT_ONE
     if n < 0:
-        return _rat_normalize(_p_pow(a.den, -n), _p_pow(a.num, -n))
-    return _rat_normalize(_p_pow(a.num, n), _p_pow(a.den, n))
+        return _rat_lowest(_p_pow(a.den, -n), _p_pow(a.num, -n))
+    return _rat_lowest(_p_pow(a.num, n), _p_pow(a.den, n))
 
 
 def _rat_radial_integral(r: _Rat, q: int) -> _Rat:
@@ -655,13 +864,7 @@ def _to_rat(e: Expr) -> _Rat:
     if op == "var":
         return _var_atom(e.args[0], e)._rat
     if op == "func":
-        name = e.args[0]
-        cargs = tuple(canon(a) for a in e.args[1:])
-        key = ("f", name, tuple(a.key() for a in cargs))
-        if key not in _ATOM_REGISTRY:
-            atom = _ATOM_REGISTRY[key] = Expr("func", (name,) + cargs)
-            object.__setattr__(atom, "_key", key)
-        return _rat_atom(key)
+        return _func_rat(e.args[0], tuple(canon(a) for a in e.args[1:]))
     if op == "add" or op == "mul":
         # the first operand stands for 0 + a or 1 * a, which normalize to a
         combine = _rat_add if op == "add" else _rat_mul
@@ -675,6 +878,15 @@ def _to_rat(e: Expr) -> _Rat:
     if op == "div":
         return _rat_div(_to_rat(e.args[0]), _to_rat(e.args[1]))
     raise AssertionError(f"unknown op {op}")
+
+
+def _func_rat(name: str, cargs: tuple) -> _Rat:
+    """The payload of the atom `name(*cargs)`, its arguments canonical."""
+    key = ("f", name, tuple(a.key() for a in cargs))
+    if key not in _ATOM_REGISTRY:
+        atom = _ATOM_REGISTRY[key] = Expr("func", (name,) + cargs)
+        object.__setattr__(atom, "_key", key)
+    return _rat_atom(key)
 
 
 def _mono_to_expr(mono: tuple, coeff: Fraction) -> Expr:
@@ -751,85 +963,81 @@ def _build_tree(e: Expr) -> None:
 # differentiation
 
 
-# (atom key, variable) -> payload of the atom's canonical derivative
+# (atom key, variable) -> payload of the atom's derivative
 _ATOM_DIFF: dict[tuple, _Rat] = {}
 
 
 def diff(e: Expr, v) -> Expr:
-    """Partial derivative with respect to variable `v`, canonicalized.
-
-    A canonical `e` is differentiated on its cached payload (N'D - ND'
-    over D^2, normalized) when every atom derivative it meets is a
-    polynomial; anything else goes through the product-rule tree `_diff`
-    and `canon`.  Both give the same canonical form where the payload
-    route is taken."""
+    """Partial derivative with respect to variable `v`, canonicalized: the
+    derivative of the payload of `canon(e)` (`_rat_diff`)."""
     if isinstance(v, Expr):
         if v.op != "var":
             raise ValueError("can only differentiate by a variable")
         vname = v.args[0]
     else:
         vname = v
-    if e._canon is e:
-        return _rat_to_expr(_diff_payload(e, vname))
-    return canon(_diff(e, vname))
+    return _rat_to_expr(_rat_diff(_canon(e)._rat, vname))
 
 
-def _diff_payload(e: Expr, v: str) -> _Rat:
-    """The payload of `diff(e, v)` for a canonical `e`, without its node."""
-    rat = _rat_diff(e._rat, v)
-    if rat is not None:
-        return rat
-    # An atom derivative with a denominator (ln, atoms over rational
-    # arguments): without a polynomial gcd the quotient canon returns
-    # depends on the order the tree sums in, and only the tree of _diff
-    # reproduces that order.
-    return _canon(_diff(e, v))._rat
-
-
-def _rat_diff(r: _Rat, v: str) -> Optional[_Rat]:
-    """Derivative of a payload by `v`, or None when some atom's derivative
-    carries a denominator."""
+def _rat_diff(r: _Rat, v: str) -> _Rat:
+    """Derivative of a payload by `v`: the quotient rule over `_p_diff`,
+    in lowest terms.  With g = gcd(D, D'), (N/D)' is (N'(D/g) - N(D'/g))
+    over D(D/g), and only g can share a factor with that numerator."""
     dn = _p_diff(r.num, v)
-    if dn is None:
-        return None
     if r.den is _ONE_POLY:
-        return _Rat(dn, _ONE_POLY)
-    dd = _p_diff(r.den, v)
-    if dd is None:
-        return None
-    if not dn[2] and not dd[2]:
-        return _RAT_ZERO
-    return _rat_normalize(
-        _p_add(_p_mul(dn, r.den), _p_neg(_p_mul(r.num, dd))), _p_mul(r.den, r.den)
-    )
+        return dn
+    D, dd = r.den, _p_diff(r.den, v)
+    if _rat_is_zero(dd):
+        return _rat_div(dn, _Rat(D, _ONE_POLY))
+    if dn.den is not _ONE_POLY or dd.den is not _ONE_POLY:
+        Dr = _Rat(D, _ONE_POLY)
+        return _rat_add(
+            _rat_div(dn, Dr), _rat_neg(_rat_div(_rat_mul(_Rat(r.num, _ONE_POLY), dd), _rat_mul(Dr, Dr)))
+        )
+    g = _t_common(D[2], dd.num[2])
+    if g is None:  # D and D' share at most a monomial
+        return _rat_lowest(_p_add(_p_mul(dn.num, D), _p_neg(_p_mul(r.num, dd.num))), _p_mul(D, D))
+    Dg = _p_exquo(D, g)
+    num = _p_add(_p_mul(dn.num, Dg), _p_neg(_p_mul(r.num, _p_exquo(dd.num, g))))
+    h = _t_common(num[2], g)
+    if h is not None:
+        num, g = _p_exquo(num, h), _t_exquo(g, h)
+    return _rat_lowest(num, _p_mul(_p_mul(Dg, Dg), (1, 1, g)))
 
 
-def _p_diff(p: tuple, v: str) -> Optional[tuple]:
+def _p_diff(p: tuple, v: str) -> _Rat:
     """Derivative of a polynomial payload by `v`: each atom of each monomial
-    lowered once, times its exponent and its derivative; None when some
-    atom's derivative carries a denominator."""
+    lowered once, times its exponent and its derivative.  The polynomial
+    atom derivatives are summed as ints; a quotient one (ln, atoms over
+    quotients) adds its term by `_rat` arithmetic."""
     cp, cq, terms = p
     out: dict = {}
     scale = 1  # out is the derivative times scale * cq / cp
+    quotients = _RAT_ZERO
     vkey = ("v", v)
     for mono, c in terms.items():
         for i, (a, n) in enumerate(mono):
             if a[0] == "v":
                 if a != vkey:
                     continue
-                dp, dq, da = _ONE_POLY
+                d = _RAT_ONE
             else:
                 d = _ATOM_DIFF.get((a, v))
                 if d is None:
-                    d = _ATOM_DIFF[a, v] = _canon(_diff(_ATOM_REGISTRY[a], v))._rat
-                if d.den is not _ONE_POLY:
-                    return None
-                dp, dq, da = d.num
-                if scale % dq:  # a new denominator of a content
-                    f = dq // gcd(scale, dq)
-                    out = {m: f * x for m, x in out.items()}
-                    scale *= f
+                    d = _ATOM_DIFF[a, v] = _atom_diff(a, v)
+                if _rat_is_zero(d):
+                    continue
+            dp, dq, da = d.num
             rest = mono[:i] + ((a, n - 1),) + mono[i + 1 :] if n > 1 else mono[:i] + mono[i + 1 :]
+            if d.den is not _ONE_POLY:
+                k = c * n
+                term = (*_p_const(k * cp, cq)[:2], {rest: 1 if k > 0 else -1})
+                quotients = _rat_add(quotients, _rat_mul(_Rat(term, _ONE_POLY), d))
+                continue
+            if scale % dq:  # a new denominator of a content
+                f = dq // gcd(scale, dq)
+                out = {m: f * x for m, x in out.items()}
+                scale *= f
             k = c * n * dp * (scale // dq)
             for m, c2 in da.items():
                 m = _mono_mul(rest, m)
@@ -839,66 +1047,32 @@ def _p_diff(p: tuple, v: str) -> Optional[tuple]:
                 else:
                     del out[m]
     g = gcd(cp, scale)
-    return _p_primitive(*_q_mul(cp // g, cq, 1, scale // g), out)
+    poly = _Rat(_p_primitive(*_q_mul(cp // g, cq, 1, scale // g), out), _ONE_POLY)
+    return poly if _rat_is_zero(quotients) else _rat_add(poly, quotients)
 
 
-def _diff(e: Expr, v: str) -> Expr:
-    op = e.op
-    if op == "const":
-        return ZERO
-    if op == "var":
-        return ONE if e.args[0] == v else ZERO
-    if op == "add":
-        return Expr("add", tuple(_diff(a, v) for a in e.args))
-    if op == "mul":
-        terms = []
-        args = e.args
-        for i in range(len(args)):
-            factors = args[:i] + (_diff(args[i], v),) + args[i + 1 :]
-            terms.append(Expr("mul", factors))
-        return Expr("add", tuple(terms))
-    if op == "pow":
-        base, n = e.args
-        if n == 0:
-            return ZERO
-        return Expr(
-            "mul",
-            (Expr("const", (Fraction(n),)), Expr("pow", (base, n - 1)), _diff(base, v)),
-        )
-    if op == "div":
-        a, b = e.args
-        return Expr(
-            "div",
-            (
-                _add2(Expr("mul", (_diff(a, v), b)), _neg(Expr("mul", (a, _diff(b, v))))),
-                Expr("pow", (b, 2)),
-            ),
-        )
-    if op == "func":
-        name = e.args[0]
-        args = e.args[1:]
+def _atom_diff(a: tuple, v: str) -> _Rat:
+    """Derivative of the function atom `a` by `v`, by the chain rule: the
+    outer derivative (cos, -sin, exp, 1/u, or the formal partial name@i
+    of an opaque atom) times that of each argument."""
+    name, args = a[1], _ATOM_REGISTRY[a].args[1:]  # registry atoms have canonical arguments
+    if name in KNOWN_FUNCS:
+        u = args[0]._rat
         if name == "sin":
-            outer = cos(args[0])
+            outer = _func_rat("cos", args)
         elif name == "cos":
-            outer = _neg(sin(args[0]))
+            outer = _rat_neg(_func_rat("sin", args))
         elif name == "exp":
-            outer = e
-        elif name == "ln":
-            outer = Expr("div", (ONE, args[0]))
+            outer = _rat_atom(a)
         else:
-            # opaque atom: formal partials name@i, one per argument slot
-            terms = []
-            for i, a in enumerate(args, start=1):
-                da = _diff(a, v)
-                if da.is_const_zero():
-                    continue
-                partial = Expr("func", (f"{name}@{i}",) + args)
-                terms.append(Expr("mul", (partial, da)))
-            if not terms:
-                return ZERO
-            return Expr("add", tuple(terms)) if len(terms) > 1 else terms[0]
-        return Expr("mul", (outer, _diff(args[0], v)))
-    raise AssertionError(f"unknown op {op}")
+            outer = _rat_div(_RAT_ONE, u)
+        return _rat_mul(outer, _rat_diff(u, v))
+    out = _RAT_ZERO
+    for i, x in enumerate(args, start=1):
+        dx = _rat_diff(x._rat, v)
+        if not _rat_is_zero(dx):
+            out = _rat_add(out, _rat_mul(_func_rat(f"{name}@{i}", args), dx))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -927,11 +1101,10 @@ def _subst(e: Expr, mapping: Mapping[str, Expr], images: dict) -> Expr:
 
 
 def _rat_subst(r: _Rat, mapping: Mapping[str, Expr], images: dict) -> _Rat:
-    """`_to_rat` of the substituted canonical tree of `r`, combined in that
-    tree's order without building it (the order decides the quotient when
-    denominators meet): numerator over denominator, terms descending, each
-    term its coefficient times its atoms' powers.  `images` caches the
-    payload of each atom's image."""
+    """The payload `r` with the variables of `mapping` replaced: numerator
+    over denominator, each a sum of terms, each term its coefficient times
+    its atoms' images' powers.  `images` caches the payload of each atom's
+    image."""
     num = _p_subst(r.num, mapping, images)
     if r.den is _ONE_POLY:
         return num
@@ -941,7 +1114,7 @@ def _rat_subst(r: _Rat, mapping: Mapping[str, Expr], images: dict) -> _Rat:
 def _p_subst(p: tuple, mapping: Mapping[str, Expr], images: dict) -> _Rat:
     acc = None
     cp, cq, terms = p
-    for mono, c in sorted(terms.items(), key=_mono_order, reverse=True):
+    for mono, c in terms.items():
         unit = c == 1 and cp == 1 and cq == 1 and mono
         term = None if unit else _Rat(_p_const(c * cp, cq), _ONE_POLY)
         for a, n in mono:
