@@ -229,7 +229,7 @@ def _f_elimination_item(p, system, seed) -> FixtureItem:
     atoms = {}
     for e in system.deltas:
         atoms.update(sx.opaque_atoms(e))
-    slot = {expr.args[0]: i for i, expr in enumerate(atoms.values())}  # name -> position
+    slot = {key[1]: i for i, key in enumerate(atoms)}  # name -> position
     worst_solvable = 0.0
     min_generic = float("inf")
     fs = p.factors

@@ -80,7 +80,7 @@ def is_liouville(X: VecField, omega: DiffForm) -> bool:
 
 def _require_polynomial(e: Expr):
     terms = sx.poly_terms(e)
-    if terms is None or any(atom.op != "var" for _, mono in terms for atom, _ in mono):
+    if terms is None or any(atom.key()[0] != "v" for _, mono in terms for atom, _ in mono):
         raise NonPolynomialCoefficientError(
             f"homotopy operator needs polynomial coefficients, got {e}"
         )

@@ -1,58 +1,45 @@
 """Exact symbolic scalar arithmetic.
 
-Expressions are immutable trees over rational constants, named variables,
-the four field operations, integer powers, and function atoms.  The known
+An `Expr` is a quotient of two polynomials over the rationals whose
+indeterminates are atoms: named variables and function atoms.  The known
 unary functions sin, cos, exp, ln carry differentiation rules; any other
 function name is an opaque atom (used for generic coefficient functions
-such as B11(x1, x2, z1)) whose derivatives are fresh opaque atoms.
+such as B11(x1, x2, z1)) whose derivatives are fresh opaque atoms name@i.
+A function atom is keyed by its name and the keys of its arguments, which
+are `Expr`s themselves.
 
-Canonicalization flattens an expression to a quotient of multivariate
-polynomials over the rationals, with function atoms treated as opaque
-generators.  The quotient is reduced by monomial content only and the
-denominator is normalized to leading coefficient one; the full polynomial
-gcd is still missing, so canonical forms are unique only up to it.
+Every `Expr` is canonical: the constructors, the operators, `diff`,
+`subst` and `parse` build its payload, a `_Rat` quotient in lowest terms
+with a monic denominator, and a node holds nothing else.  A common factor
+of two sums is their gcd (`_t_gcd`, the recursive subresultant PRS on the
+primitive int parts); sums and products of quotients take the gcd of
+their operands' parts only, never of a product (Henrici).  So each
+rational function of the atoms has one payload, `==` is its equality,
+and no result depends on the order in which it was summed.
 Coefficient arithmetic is exact and in `int`s: each polynomial is a
 positive rational content (two ints) times a primitive polynomial with
 `int` coefficients, so a product multiplies the contents once and the
 terms as `int`s, and a sum takes one gcd.  A `Fraction` is formed only
-where a coefficient is read, and every constant of an `Expr` is a
-`Fraction`.  A canonical node is its quotient, the payload: `canon`,
-`diff` and `subst` return nodes that hold only the payload, and a node's
-tree is built from it on the first read of `op`/`args` (`key`/`hash`,
-the product-rule tree of `_diff`, raw-tree walks).  Zero and unit tests,
-`==` between canonical nodes, `const_value`, `free_vars`,
-`opaque_atoms`, `numer_denom`, `poly_terms`, `poly_content`,
-`compile_expr` and printing answer from the payload (the text is
-written from the sorted terms, each coefficient a reduced int pair, and
-the text of each atom is cached by its registry key), and `+` and `*`
-keep a canonical operand whole (they splice only raw sums and products).
-`free_vars` of a canonical node is a copy of its payload's variable set
-(`_rat_vars`: the union over the payload's distinct atoms, cached on the
-payload).  The exterior calculus of `forms` computes on payloads directly
-(`_rat_mul`, `_rat_neg`, `_rat_add` in the order of the raw sum it stands
-for, and `_diff_payload`, the payload of `diff` without its node, by the
-variables `_diff_vars` keeps), so a chain of form operations neither
-builds nor re-expands a coefficient tree.
-`diff` of a canonical form works on its payload (the quotient rule over
-polynomial derivatives, each atom's derivative canonicalized once and
-cached); a raw tree, or a form with an atom whose derivative has a
-denominator (ln, atoms over rational arguments), is differentiated as a
-product-rule tree and canonicalized, because without the gcd the
-canonical quotient of such a derivative depends on the order the tree
-sums in.  For the same reason `subst` of a canonical form combines the
-images of its atoms in the order of its tree.
+where a coefficient is read (`const_value`, `poly_terms`).  `key` and
+printing write a payload's terms in descending `_mono_order`, numerator
+over denominator; the text of each atom is cached by its registry key.
+`free_vars` is a copy of the payload's variable set (`_rat_vars`: the
+union over the payload's distinct atoms, cached on the payload).  The
+exterior calculus of `forms` computes on payloads directly (`_rat_mul`,
+`_rat_neg`, `_rat_add` and `_rat_diff`, the payload of `diff`, by the
+variables `_diff_vars` keeps), so a chain of form operations builds no
+node in between.  `diff` is the quotient rule over polynomial
+derivatives, each atom's derivative formed once by `_rat` arithmetic and
+cached.
 `parse` reads its text in one regular-expression pass into a token list
-and descends over the list.  Its trees share their leaves (an `Expr` is
-immutable): a variable is the variable's registry atom, an integer below
-1024 one cached constant, each its own canonical form holding its
-payload, and every negation multiplies by one shared -1; sums and
-products are built as `+` and `*` build them.  Floats appear only in
-evaluation and sampling, which this module owns for the whole package:
-`compile_expr` turns the payload of a canonical form into a float
-function once (the one evaluator: one set of closures, on floats or on
-columns of floats with the same bits per row), and `sample_points` is
-the one seeded sampler of evaluation points, which are tuples of
-floats aligned with a symbol list of variable names and opaque-atom keys.
+and descends over the list, combining payloads as the operators do; a
+variable is the variable's registry atom and an integer below 1024 one
+cached node.  Floats appear only in evaluation and sampling, which this
+module owns for the whole package: `compile_expr` turns a payload into a
+float function once (the one evaluator: one set of closures, on floats or
+on columns of floats with the same bits per row), and `sample_points` is
+the one seeded sampler of evaluation points, which are tuples of floats
+aligned with a symbol list of variable names and opaque-atom keys.
 """
 
 from __future__ import annotations
@@ -124,40 +111,15 @@ NumberLike = Union[int, Fraction, "Expr"]
 
 
 # ---------------------------------------------------------------------------
-# expression trees
+# expressions
 
 
 class Expr:
-    """Immutable scalar expression tree.
+    """Immutable scalar: the node of its payload `_rat`, a quotient in
+    lowest terms.  Use the module constructors (`num`, `var`, `sin`, ...,
+    `func`, `parse`) and the overloaded operators; each returns a node."""
 
-    `op` is one of: const, var, add, mul, pow, div, func.  Use the module
-    constructors (`num`, `var`, `sin`, ..., `func`) and the overloaded
-    operators; do not build nodes by hand.
-
-    A canonical node (the output of `canon`, `diff`, `subst`) is its
-    payload, the `_Rat` quotient: `is_const_zero`, `const_value`, `==`
-    between canonical nodes, `free_vars`, `opaque_atoms`, `compile_expr`,
-    `str` and the arithmetic read that.  Its `op` and `args` stay unset
-    until something reads them (`key`/`hash`, the tree walks); the first
-    read builds the tree from the payload, once.
-    """
-
-    # op, args: unset on a canonical node until its tree is first read;
-    # _rat: canonical nodes only
-    __slots__ = ("op", "args", "_key", "_canon", "_rat")
-
-    def __init__(self, op: str, args: tuple):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_canon", None)
-
-    def __getattr__(self, name):
-        # reached only for unset slots, so reads of built nodes pay nothing
-        if (name == "op" or name == "args") and self._canon is self:
-            _build_tree(self)
-            return object.__getattribute__(self, name)
-        raise AttributeError(name)
+    __slots__ = ("_rat", "_key")
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
@@ -165,22 +127,10 @@ class Expr:
     # -- structural identity ------------------------------------------------
 
     def key(self) -> tuple:
-        """Hashable, totally ordered structural encoding of the tree."""
+        """Hashable, totally ordered encoding of the payload (`_rat_key`)."""
         k = self._key
         if k is None:
-            op = self.op
-            if op == "const":
-                c = self.args[0]
-                k = ("c", (c.numerator, c.denominator))
-            elif op == "var":
-                k = ("v", self.args[0])
-            elif op == "func":
-                k = ("f", self.args[0], tuple(a.key() for a in self.args[1:]))
-            elif op == "pow":
-                k = ("p", self.args[0].key(), self.args[1])
-            else:
-                tag = {"add": "a", "mul": "m", "div": "d"}[op]
-                k = (tag, tuple(a.key() for a in self.args))
+            k = _rat_key(self._rat)
             object.__setattr__(self, "_key", k)
         return k
 
@@ -189,11 +139,8 @@ class Expr:
             return True
         if not isinstance(other, Expr):
             return NotImplemented
-        if self._canon is self and other._canon is other:
-            # a canonical tree and its payload determine each other
-            a, b = self._rat, other._rat
-            return a.num == b.num and a.den == b.den
-        return self.key() == other.key()
+        a, b = self._rat, other._rat
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
         return hash(self.key())
@@ -201,36 +148,36 @@ class Expr:
     # -- arithmetic sugar ---------------------------------------------------
 
     def __add__(self, other):
-        return _add2(self, _coerce(other))
+        return _rat_to_expr(_rat_add(self._rat, _coerce(other)._rat))
 
     def __radd__(self, other):
-        return _add2(_coerce(other), self)
+        return _rat_to_expr(_rat_add(_coerce(other)._rat, self._rat))
 
     def __sub__(self, other):
-        return _add2(self, _neg(_coerce(other)))
+        return _rat_to_expr(_rat_add(self._rat, _rat_neg(_coerce(other)._rat)))
 
     def __rsub__(self, other):
-        return _add2(_coerce(other), _neg(self))
+        return _rat_to_expr(_rat_add(_coerce(other)._rat, _rat_neg(self._rat)))
 
     def __mul__(self, other):
-        return _mul2(self, _coerce(other))
+        return _rat_to_expr(_rat_mul(self._rat, _coerce(other)._rat))
 
     def __rmul__(self, other):
-        return _mul2(_coerce(other), self)
+        return _rat_to_expr(_rat_mul(_coerce(other)._rat, self._rat))
 
     def __truediv__(self, other):
-        return Expr("div", (self, _coerce(other)))
+        return _rat_to_expr(_rat_div(self._rat, _coerce(other)._rat))
 
     def __rtruediv__(self, other):
-        return Expr("div", (_coerce(other), self))
+        return _rat_to_expr(_rat_div(_coerce(other)._rat, self._rat))
 
     def __pow__(self, n):
         if not isinstance(n, int):
             raise TypeError("only integer powers are supported")
-        return Expr("pow", (self, n))
+        return _rat_to_expr(_rat_pow(self._rat, n))
 
     def __neg__(self):
-        return _neg(self)
+        return _rat_to_expr(_rat_neg(self._rat))
 
     def __pos__(self):
         return self
@@ -238,19 +185,17 @@ class Expr:
     # -- conveniences -------------------------------------------------------
 
     def canon(self) -> "Expr":
-        return canon(self)
+        return self
 
     def diff(self, v) -> "Expr":
         return diff(self, v)
 
     def is_const_zero(self) -> bool:
-        if self._canon is self:
-            return not self._rat.num[2]
-        return self.op == "const" and self.args[0] == 0
+        return not self._rat.num[2]
 
     def const_value(self) -> Optional[Fraction]:
-        """Fraction value if the canonical form is a constant, else None."""
-        rat = _canon(self)._rat
+        """Fraction value if the expression is a constant, else None."""
+        rat = self._rat
         p, q, terms = rat.num
         if not terms:
             return Fraction(0)
@@ -259,60 +204,24 @@ class Expr:
         return None
 
     def __str__(self):
-        return _format(self, 0)
+        return _rat_format(self._rat, 0)
 
     def __repr__(self):
-        return f"Expr({_format(self, 0)!r})"
+        return f"Expr({_rat_format(self._rat, 0)!r})"
 
 
 def _coerce(x) -> Expr:
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction)):
-        return Expr("const", (Fraction(x),))
+        v = Fraction(x)
+        return _rat_to_expr(_Rat(_p_const(v.numerator, v.denominator), _ONE_POLY) if v else _RAT_ZERO)
     raise TypeError(f"cannot coerce {type(x).__name__} to Expr")
-
-
-def _neg(e: Expr) -> Expr:
-    return _mul2(_MINUS_ONE, e)
-
-
-def _operands(e: Expr, op: str) -> tuple:
-    # a canonical operand stays whole, so _to_rat reads its cached payload
-    return e.args if e._canon is not e and e.op == op else (e,)
-
-
-def _is_one(e: Expr) -> bool:
-    if e._canon is e:
-        rat = e._rat
-        return rat.den is _ONE_POLY and rat.num == _ONE_POLY
-    return e.op == "const" and e.args[0] == 1
-
-
-def _add2(a: Expr, b: Expr) -> Expr:
-    if a.is_const_zero():
-        return b
-    if b.is_const_zero():
-        return a
-    return Expr("add", _operands(a, "add") + _operands(b, "add"))
-
-
-def _mul2(a: Expr, b: Expr) -> Expr:
-    if _is_one(a):
-        return b
-    if _is_one(b):
-        return a
-    return Expr("mul", _operands(a, "mul") + _operands(b, "mul"))
-
-
-ZERO = Expr("const", (Fraction(0),))
-ONE = Expr("const", (Fraction(1),))
-_MINUS_ONE = Expr("const", (Fraction(-1),))  # the one factor of every negation
 
 
 def num(value) -> Expr:
     """Exact rational constant."""
-    return Expr("const", (Fraction(value),))
+    return _coerce(Fraction(value))
 
 
 def var(name: str) -> Expr:
@@ -320,7 +229,7 @@ def var(name: str) -> Expr:
     # underscore admits jet symbols like Dz1_x2)
     if not name or not name[0].isalpha() or not all(c.isalnum() or c == "_" for c in name):
         raise ValueError(f"invalid variable name {name!r}")
-    return Expr("var", (name,))
+    return _var_atom(name)
 
 
 def variables(names: str) -> list[Expr]:
@@ -329,26 +238,26 @@ def variables(names: str) -> list[Expr]:
 
 
 def sin(e) -> Expr:
-    return Expr("func", ("sin", _coerce(e)))
+    return func("sin", e)
 
 
 def cos(e) -> Expr:
-    return Expr("func", ("cos", _coerce(e)))
+    return func("cos", e)
 
 
 def exp(e) -> Expr:
-    return Expr("func", ("exp", _coerce(e)))
+    return func("exp", e)
 
 
 def ln(e) -> Expr:
-    return Expr("func", ("ln", _coerce(e)))
+    return func("ln", e)
 
 
 def func(name: str, *args) -> Expr:
-    """Opaque function atom; derivatives become fresh atoms ``name@i``."""
+    """Function atom; an opaque one's derivatives are fresh atoms ``name@i``."""
     if name in KNOWN_FUNCS and len(args) != 1:
         raise ValueError(f"{name} takes exactly one argument")
-    return Expr("func", (name,) + tuple(_coerce(a) for a in args))
+    return _rat_to_expr(_func_rat(name, tuple(_coerce(a) for a in args)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +274,13 @@ def func(name: str, *args) -> Expr:
 # pair), and its float is the
 # correctly rounded int quotient, as `float` of that `Fraction` is.
 # monomial = sorted tuple of (atom_key, exponent).  Atom keys index
-# _ATOM_REGISTRY which holds the canonical Expr of each atom (a var or a
-# func node with canonical args).  Payloads are shared and never mutated;
-# their dict order depends on how they were built, so every consumer sorts
-# or walks the canonical tree.
+# _ATOM_REGISTRY, which holds the node of each atom, and a function atom's
+# key its arguments in _ATOM_ARGS.  Payloads are shared and never mutated;
+# their dict order depends on how they were built, so every consumer that
+# needs an order sorts.
 
 _ATOM_REGISTRY: dict[tuple, Expr] = {}
+_ATOM_ARGS: dict[tuple, tuple] = {}
 
 _EMPTY_MONO: tuple = ()
 _ZERO_POLY = (0, 1, {})
@@ -703,29 +613,25 @@ def _rat_is_zero(r: _Rat) -> bool:
     return not r.num[2]
 
 
-def _mark(node: Expr, rat: _Rat) -> Expr:
-    """Make `node` the canonical node of `rat`."""
-    object.__setattr__(node, "_rat", rat)
-    object.__setattr__(node, "_canon", node)
-    return node
-
-
-# the constants are their own canonical forms
-_mark(ZERO, _RAT_ZERO)
-_mark(ONE, _RAT_ONE)
-_mark(_MINUS_ONE, _Rat(_p_const(-1, 1), _ONE_POLY))
-
-
-def _var_atom(name: str, node: Optional[Expr] = None) -> Expr:
-    """The registry atom of variable `name`, which is its own canonical
-    form; `node` (or a new var node) becomes it if the name has none yet."""
-    key = ("v", name)
+def _atom_node(key: tuple) -> Expr:
+    """The registry atom of `key`, made on the first call."""
     atom = _ATOM_REGISTRY.get(key)
     if atom is None:
-        atom = _ATOM_REGISTRY[key] = node if node is not None else Expr("var", (name,))
-    if atom._canon is not atom:
-        _mark(atom, _rat_atom(key))
+        atom = _ATOM_REGISTRY[key] = _new_node(_rat_atom(key), key)
     return atom
+
+
+def _var_atom(name: str) -> Expr:
+    return _atom_node(("v", name))
+
+
+def _func_rat(name: str, args: tuple) -> _Rat:
+    """The payload of the atom `name(*args)`."""
+    key = ("f", name, tuple(a.key() for a in args))
+    if key not in _ATOM_REGISTRY:
+        _ATOM_ARGS[key] = args
+        _atom_node(key)
+    return _rat_atom(key)
 
 
 def _rat_normalize(num: tuple, den: tuple) -> _Rat:
@@ -853,85 +759,15 @@ def _rat_radial_integral(r: _Rat, q: int) -> _Rat:
     return _Rat(_p_primitive(*_q_mul(p, pq, 1, l), out), _ONE_POLY)
 
 
-def _to_rat(e: Expr) -> _Rat:
-    c = e._canon
-    if c is not None:
-        return c._rat
-    op = e.op
-    if op == "const":
-        v = e.args[0]
-        return _Rat(_p_const(v.numerator, v.denominator), _ONE_POLY) if v else _RAT_ZERO
-    if op == "var":
-        return _var_atom(e.args[0], e)._rat
-    if op == "func":
-        return _func_rat(e.args[0], tuple(canon(a) for a in e.args[1:]))
-    if op == "add" or op == "mul":
-        # the first operand stands for 0 + a or 1 * a, which normalize to a
-        combine = _rat_add if op == "add" else _rat_mul
-        args = e.args
-        acc = _to_rat(args[0])
-        for a in args[1:]:
-            acc = combine(acc, _to_rat(a))
-        return acc
-    if op == "pow":
-        return _rat_pow(_to_rat(e.args[0]), e.args[1])
-    if op == "div":
-        return _rat_div(_to_rat(e.args[0]), _to_rat(e.args[1]))
-    raise AssertionError(f"unknown op {op}")
-
-
-def _func_rat(name: str, cargs: tuple) -> _Rat:
-    """The payload of the atom `name(*cargs)`, its arguments canonical."""
-    key = ("f", name, tuple(a.key() for a in cargs))
-    if key not in _ATOM_REGISTRY:
-        atom = _ATOM_REGISTRY[key] = Expr("func", (name,) + cargs)
-        object.__setattr__(atom, "_key", key)
-    return _rat_atom(key)
-
-
-def _mono_to_expr(mono: tuple, coeff: Fraction) -> Expr:
-    factors: list[Expr] = []
-    if coeff != 1 or not mono:
-        factors.append(Expr("const", (coeff,)))
-    for a, e in mono:
-        base = _ATOM_REGISTRY[a]
-        factors.append(base if e == 1 else Expr("pow", (base, e)))
-    if len(factors) == 1:
-        return factors[0]
-    return Expr("mul", tuple(factors))
-
-
-def _p_to_expr(poly: tuple) -> Expr:
-    p, q, terms = poly
-    if not terms:
-        return ZERO
-    ordered = sorted(terms.items(), key=_mono_order, reverse=True)
-    exprs = [_mono_to_expr(m, Fraction(p * c, q)) for m, c in ordered]
-    if len(exprs) == 1:
-        return exprs[0]
-    return Expr("add", tuple(exprs))
-
-
-def canon(e: Expr) -> Expr:
-    """Canonical expanded form; idempotent, exact, deterministic."""
-    return _canon(e)
-
-
-def _canon(e: Expr) -> Expr:
-    # the payload is cached on the canonical output only (re-expanding a
-    # canonical tree reproduces it); in-module readers enter here, so calls
-    # of the public canon stay the canonicalizations callers ask for
-    if e._canon is not None:
-        return e._canon
-    out = _rat_to_expr(_to_rat(e))
-    object.__setattr__(e, "_canon", out)
-    return out
+def canon(e) -> Expr:
+    """The canonical form: the identity on an `Expr`, which is canonical
+    at construction, and the constant node of an int or Fraction."""
+    return _coerce(e)
 
 
 def _rat_to_expr(rat: _Rat) -> Expr:
-    """The canonical node of a payload: ZERO, ONE, the registry atom for a
-    single atom with coefficient 1, else a node holding only the payload,
-    whose tree `_build_tree` makes on its first structural read."""
+    """The node of a payload: ZERO, ONE, the registry atom for a single
+    atom with coefficient 1, else a new node."""
     p, q, terms = rat.num
     if rat.den is _ONE_POLY and len(terms) <= 1:
         if not terms:
@@ -941,22 +777,44 @@ def _rat_to_expr(rat: _Rat) -> Expr:
             if not mono:
                 return ONE
             if len(mono) == 1 and mono[0][1] == 1:
-                atom = _ATOM_REGISTRY[mono[0][0]]
-                return atom if atom._canon is atom else _mark(atom, rat)
+                return _ATOM_REGISTRY[mono[0][0]]
+    return _new_node(rat)
+
+
+def _new_node(rat: _Rat, key: Optional[tuple] = None) -> Expr:
     out = object.__new__(Expr)
-    object.__setattr__(out, "_key", None)
-    return _mark(out, rat)
+    object.__setattr__(out, "_rat", rat)
+    object.__setattr__(out, "_key", key)
+    return out
 
 
-def _build_tree(e: Expr) -> None:
-    """Give a canonical node the tree of its payload: terms in descending
-    `_mono_order`, numerator over denominator."""
-    rat = e._rat
-    tree = _p_to_expr(rat.num)
-    if rat.den is not _ONE_POLY:
-        tree = Expr("div", (tree, _p_to_expr(rat.den)))
-    object.__setattr__(e, "op", tree.op)
-    object.__setattr__(e, "args", tree.args)
+ZERO = _new_node(_RAT_ZERO)
+ONE = _new_node(_RAT_ONE)
+
+
+def _rat_key(rat: _Rat) -> tuple:
+    """The key of a payload: numerator over denominator ("d"), a sum of
+    terms in descending `_mono_order` ("a"), a term its coefficient ("c",
+    unless it is 1) times its atoms' keys or powers ("p"), a product of
+    several ("m")."""
+    num = _poly_key(rat.num)
+    return num if rat.den is _ONE_POLY else ("d", (num, _poly_key(rat.den)))
+
+
+def _poly_key(poly: tuple) -> tuple:
+    p, q, terms = poly
+    if not terms:
+        return ("c", (0, 1))
+    keys = [_term_key(m, c, p, q) for m, c in sorted(terms.items(), key=_mono_order, reverse=True)]
+    return keys[0] if len(keys) == 1 else ("a", tuple(keys))
+
+
+def _term_key(mono: tuple, c: int, p: int, q: int) -> tuple:
+    g = gcd(p * c, q)
+    n, d = p * c // g, q // g
+    factors = [("c", (n, d))] if n != 1 or d != 1 or not mono else []
+    factors += [a if e == 1 else ("p", a, e) for a, e in mono]
+    return factors[0] if len(factors) == 1 else ("m", tuple(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -968,15 +826,13 @@ _ATOM_DIFF: dict[tuple, _Rat] = {}
 
 
 def diff(e: Expr, v) -> Expr:
-    """Partial derivative with respect to variable `v`, canonicalized: the
-    derivative of the payload of `canon(e)` (`_rat_diff`)."""
+    """Partial derivative with respect to variable `v`: the derivative of
+    the payload (`_rat_diff`)."""
     if isinstance(v, Expr):
-        if v.op != "var":
+        if v is not _ATOM_REGISTRY.get(("v", str(v))):
             raise ValueError("can only differentiate by a variable")
-        vname = v.args[0]
-    else:
-        vname = v
-    return _rat_to_expr(_rat_diff(_canon(e)._rat, vname))
+        v = str(v)
+    return _rat_to_expr(_rat_diff(_coerce(e)._rat, v))
 
 
 def _rat_diff(r: _Rat, v: str) -> _Rat:
@@ -1055,7 +911,7 @@ def _atom_diff(a: tuple, v: str) -> _Rat:
     """Derivative of the function atom `a` by `v`, by the chain rule: the
     outer derivative (cos, -sin, exp, 1/u, or the formal partial name@i
     of an opaque atom) times that of each argument."""
-    name, args = a[1], _ATOM_REGISTRY[a].args[1:]  # registry atoms have canonical arguments
+    name, args = a[1], _ATOM_ARGS[a]
     if name in KNOWN_FUNCS:
         u = args[0]._rat
         if name == "sin":
@@ -1080,24 +936,9 @@ def _atom_diff(a: tuple, v: str) -> _Rat:
 
 
 def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Replace variables by expressions (simultaneous), canonicalized."""
+    """Replace variables by expressions (simultaneous)."""
     mapping = {k: _coerce(v) for k, v in mapping.items()}
-    return canon(_subst(e, mapping, {}))
-
-
-def _subst(e: Expr, mapping: Mapping[str, Expr], images: dict) -> Expr:
-    if e._canon is e:
-        return _rat_to_expr(_rat_subst(e._rat, mapping, images))
-    op = e.op
-    if op == "const":
-        return e
-    if op == "var":
-        return mapping.get(e.args[0], e)
-    if op == "func":
-        return Expr("func", (e.args[0],) + tuple(_subst(a, mapping, images) for a in e.args[1:]))
-    if op == "pow":
-        return Expr("pow", (_subst(e.args[0], mapping, images), e.args[1]))
-    return Expr(op, tuple(_subst(a, mapping, images) for a in e.args))
+    return _rat_to_expr(_rat_subst(e._rat, mapping, {}))
 
 
 def _rat_subst(r: _Rat, mapping: Mapping[str, Expr], images: dict) -> _Rat:
@@ -1131,32 +972,12 @@ def _atom_subst(a: tuple, mapping: Mapping[str, Expr], images: dict) -> _Rat:
     if mapping.keys().isdisjoint(_atom_vars(a)):
         return _rat_atom(a)
     if a[0] == "v":
-        return _to_rat(mapping[a[1]])
-    atom = _ATOM_REGISTRY[a]
-    return _to_rat(Expr("func", (a[1],) + tuple(_subst(x, mapping, images) for x in atom.args[1:])))
+        return mapping[a[1]]._rat
+    return _func_rat(a[1], tuple(_rat_to_expr(_rat_subst(x._rat, mapping, images)) for x in _ATOM_ARGS[a]))
 
 
 def free_vars(e: Expr) -> set[str]:
-    out: set[str] = set()
-    _collect_vars(e, out)
-    return out
-
-
-def _collect_vars(e: Expr, out: set):
-    if e._canon is e:
-        out |= _rat_vars(e._rat)
-        return
-    op = e.op
-    if op == "var":
-        out.add(e.args[0])
-    elif op == "func":
-        for a in e.args[1:]:
-            _collect_vars(a, out)
-    elif op == "pow":
-        _collect_vars(e.args[0], out)
-    elif op in ("add", "mul", "div"):
-        for a in e.args:
-            _collect_vars(a, out)
+    return set(_rat_vars(e._rat))
 
 
 def _rat_vars(r: _Rat) -> frozenset:
@@ -1192,26 +1013,25 @@ def _atom_vars(a: tuple) -> frozenset:
         if a[0] == "v":
             names = frozenset((a[1],))
         else:
-            names = frozenset().union(*(free_vars(x) for x in _ATOM_REGISTRY[a].args[1:]))
+            names = frozenset().union(*(_rat_vars(x._rat) for x in _ATOM_ARGS[a]))
         _ATOM_VARS[a] = names
     return names
 
 
 def numer_denom(e: Expr) -> tuple[Expr, Expr]:
-    """Numerator and denominator of the canonical form of `e`, each a
-    canonical polynomial; the denominator is ONE for a polynomial."""
-    c = _canon(e)
-    rat = c._rat
+    """Numerator and denominator of `e`, each a polynomial; the
+    denominator is ONE for a polynomial."""
+    rat = e._rat
     if rat.den is _ONE_POLY:
-        return c, ONE
+        return e, ONE
     return _rat_to_expr(_Rat(rat.num, _ONE_POLY)), _rat_to_expr(_Rat(rat.den, _ONE_POLY))
 
 
 def poly_terms(e: Expr) -> Optional[list[tuple[Fraction, tuple[tuple[Expr, int], ...]]]]:
-    """Terms of the canonical form in ascending monomial order (total
-    degree, then atom keys) as (coefficient, ((atom, exponent), ...)), or
-    None when the canonical form carries a nontrivial denominator."""
-    rat = _canon(e)._rat
+    """Terms of `e` in ascending monomial order (total degree, then atom
+    keys) as (coefficient, ((atom, exponent), ...)), or None when `e` has
+    a nontrivial denominator."""
+    rat = e._rat
     if rat.den is not _ONE_POLY:
         return None
     p, q, terms = rat.num
@@ -1228,12 +1048,12 @@ def poly_coeffs(e: Expr) -> Optional[list[Fraction]]:
 
 
 def poly_content(exprs: Iterable[Expr]) -> Optional[Fraction]:
-    """The positive rational gcd of all coefficients of the canonical
-    forms of `exprs` (the rational gcd of their contents), or None when
-    one of them has a nontrivial denominator or all of them are zero."""
+    """The positive rational gcd of all coefficients of `exprs` (the
+    rational gcd of their contents), or None when one of them has a
+    nontrivial denominator or all of them are zero."""
     p, q = 0, 1
     for e in exprs:
-        rat = _canon(e)._rat
+        rat = e._rat
         if rat.den is not _ONE_POLY:
             return None
         p, q = gcd(p, rat.num[0]), lcm(q, rat.num[1])
@@ -1241,22 +1061,22 @@ def poly_content(exprs: Iterable[Expr]) -> Optional[Fraction]:
 
 
 def opaque_atoms(e: Expr) -> dict[tuple, Expr]:
-    """Distinct opaque function atoms of the canonical form, keyed, in
-    order of first appearance in its tree (numerator then denominator,
-    terms in order, each atom before the atoms nested in its arguments),
+    """Distinct opaque function atoms of `e`, keyed, in order of first
+    appearance in its text (numerator then denominator, terms in
+    descending order, each atom before the atoms nested in its arguments),
     followed by the atoms found only inside the arguments of sin, cos,
     exp and ln (walked the same way, one nesting level at a time)."""
     out: dict[tuple, Expr] = {}
     known_args: list[Expr] = []
-    _walk_opaque(_canon(e)._rat, out, known_args)
+    _walk_opaque(e._rat, out, known_args)
     for a in known_args:  # grows while walked
         _walk_opaque(a._rat, out, known_args)
     return out
 
 
 def _walk_opaque(rat: _Rat, out: dict, known_args: list):
-    # the canonical tree's order without building it: numerator then
-    # denominator, terms descending, the atoms of a term in key order
+    # numerator then denominator, terms descending, the atoms of a term in
+    # key order
     for p in (rat.num,) if rat.den is _ONE_POLY else (rat.num, rat.den):
         terms = [t for t in p[2].items() if any(a[0] == "f" for a, _ in t[0])]
         if len(terms) > 1:
@@ -1264,11 +1084,10 @@ def _walk_opaque(rat: _Rat, out: dict, known_args: list):
         for mono, _ in terms:
             for a, _ in mono:
                 if a[0] == "f" and a not in out:
-                    atom = _ATOM_REGISTRY[a]
                     if a[1] in KNOWN_FUNCS:
-                        known_args.extend(atom.args[1:])
+                        known_args.extend(_ATOM_ARGS[a])
                         continue
-                    out[a] = atom
+                    out[a] = _ATOM_REGISTRY[a]
                     nested, known = _atom_nested(a)
                     for b in nested:
                         if b not in out:
@@ -1288,7 +1107,7 @@ def _atom_nested(a: tuple) -> tuple[tuple, tuple]:
     if nested is None:
         out: dict[tuple, Expr] = {}
         known: list[Expr] = []
-        for x in _ATOM_REGISTRY[a].args[1:]:  # registry atoms have canonical arguments
+        for x in _ATOM_ARGS[a]:
             _walk_opaque(x._rat, out, known)
         nested = _ATOM_NESTED[a] = (tuple(out), tuple(known))
     return nested
@@ -1299,13 +1118,12 @@ def _atom_nested(a: tuple) -> tuple[tuple, tuple]:
 
 
 def compile_expr(e: Expr, symbols: Sequence) -> Callable[[Sequence[float]], float]:
-    """Float evaluator of the canonical form of `e`, compiled once from its
-    payload (no tree is built).
+    """Float evaluator of `e`, compiled once from its payload.
 
     The returned function takes the values of `symbols` in order, either
     floats or equal-length 1-D float arrays (columns, one row per point);
     on columns it returns an array, or a float when the form is constant.
-    The arithmetic is in the order of the canonical tree: numerator over
+    The arithmetic is in the order of the text: numerator over
     denominator, terms in descending monomial order summed by `math.fsum`,
     each term its coefficient and then its atoms' powers left to right,
     `((1.0 * c) * a) * b`.  One set of closures serves floats and columns,
@@ -1319,7 +1137,7 @@ def compile_expr(e: Expr, symbols: Sequence) -> Callable[[Sequence[float]], floa
     `linalg.sample_stack`, which evaluate on columns, re-run the rows one
     by one to name the first.
     """
-    f = _compile(canon(e), {s: i for i, s in enumerate(symbols)})
+    f = _compile(e, {s: i for i, s in enumerate(symbols)})
 
     def evaluator(v):
         if v and v[0].__class__ is np.ndarray:
@@ -1331,8 +1149,8 @@ def compile_expr(e: Expr, symbols: Sequence) -> Callable[[Sequence[float]], floa
 
 
 def _compile(e: Expr, slots: Mapping) -> Callable:
-    """Closure of the canonical `e` over the values of `slots`: its
-    numerator, over its denominator when it has one."""
+    """Closure of `e` over the values of `slots`: its numerator, over its
+    denominator when it has one."""
     rat, atoms = e._rat, {}  # atom key -> closure, shared by the terms
     num = _compile_poly(rat.num, slots, atoms)
     if rat.den is _ONE_POLY:
@@ -1406,7 +1224,7 @@ def _compile_atom(a: tuple, slots: Mapping) -> Callable:
     if a[0] == "v":
         i, argv = slots.get(name), []
     else:
-        args = _ATOM_REGISTRY[a].args[1:]  # registry atoms have canonical arguments
+        args = _ATOM_ARGS[a]
         if name in KNOWN_FUNCS:
             return _per_row(_compile(args[0], slots), KNOWN_FUNCS[name])
         # the arguments' own errors come first; a product of bound variables cannot raise
@@ -1427,8 +1245,8 @@ def _compile_atom(a: tuple, slots: Mapping) -> Callable:
 
 
 def _bound_product(x: Expr, slots: Mapping) -> bool:
-    """Whether the canonical `x` is one term in variables of `slots` to the
-    first power."""
+    """Whether `x` is one term in variables of `slots` to the first
+    power."""
     rat = x._rat
     terms = rat.num[2]
     return rat.den is _ONE_POLY and len(terms) <= 1 and all(
@@ -1459,9 +1277,9 @@ def sample_points(
 ) -> tuple[tuple, Iterator[tuple[float, ...]]]:
     """Seeded evaluation points for `exprs`: returns (symbols, points).
 
-    `symbols` are the free variable names of the expressions as given,
-    sorted, then the registry keys of the opaque atoms of their canonical
-    forms (nested atoms included), sorted.  Each of the `count` points is
+    `symbols` are the free variable names of the expressions, sorted,
+    then the registry keys of their opaque atoms (nested atoms included),
+    sorted.  Each of the `count` points is
     a tuple aligned with `symbols`: variables uniform in the box, atoms
     uniform in the default box (a generic-coefficient draw).  With
     `center`, the first point puts the variables at the box center (its
@@ -1524,10 +1342,10 @@ def is_zero(
     samples: int = SAMPLE_BUDGET,
     threshold: float = ZERO_THRESHOLD,
 ) -> ZeroTest:
-    """Zero iff the canonical numerator is the zero polynomial; otherwise
-    sample for a witness.  No witness within the budget yields 'unknown'
+    """Zero iff the numerator is the zero polynomial; otherwise sample for
+    a witness.  No witness within the budget yields 'unknown'
     (never silently 'zero')."""
-    if canon(e).is_const_zero():
+    if e.is_const_zero():
         return ZeroTest("zero", seed=seed, threshold=threshold)
     symbols, points = sample_points([e], box=box, seed=seed, count=samples)
     f = compile_expr(e, symbols)
@@ -1545,68 +1363,11 @@ def is_zero(
 # printing
 
 
-def _format(e: Expr, parent_prec: int) -> str:
-    """Infix text of `e` in an operand position of binding `parent_prec`
-    (0 alone or as an argument, 10 summand, 21 factor, 30 side of a
-    quotient, 41 power base): a raw tree is walked, a canonical node is
-    written from its payload."""
-    if e._canon is e:
-        return _rat_format(e._rat, parent_prec)
-    op = e.op
-    if op == "const":
-        c = e.args[0]
-        s = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        if c < 0 and parent_prec > 10:
-            return f"({s})"
-        if c.denominator != 1 and parent_prec >= 40:
-            return f"({s})"
-        return s
-    if op == "var":
-        return e.args[0]
-    if op == "func":
-        inner = ", ".join(_format(a, 0) for a in e.args[1:])
-        return f"{e.args[0]}({inner})"
-    if op == "pow":
-        base = _format(e.args[0], 41)
-        return f"{base}^{e.args[1]}"
-    if op == "add":
-        parts = [_format(e.args[0], 10)]
-        for a in e.args[1:]:
-            s = _format(a, 10)
-            if s.startswith("-"):
-                parts.append(" - " + s[1:])
-            else:
-                parts.append(" + " + s)
-        out = "".join(parts)
-        return f"({out})" if parent_prec > 10 else out
-    if op == "mul":
-        args = list(e.args)
-        sign = ""
-        if args and args[0].op == "const":
-            c = args[0].args[0]
-            if c < 0:
-                sign = "-"
-                c = -c
-            if c == 1 and len(args) > 1:
-                args = args[1:]
-            else:
-                args = [Expr("const", (c,))] + args[1:]
-        factors = [_format(a, 21) for a in args]
-        out = sign + "*".join(factors)
-        return f"({out})" if parent_prec > 20 else out
-    if op == "div":
-        a = _format(e.args[0], 30)
-        b = _format(e.args[1], 30)
-        out = f"{a}/{b}"
-        return f"({out})" if parent_prec > 20 else out
-    raise AssertionError(op)
-
-
-# The payload printer: `_format` of a canonical node's tree (numerator
-# over denominator, terms in descending `_mono_order`, each term its
-# coefficient, then its atoms and their powers), written straight from the
-# payload with the same precedence, sign and parenthesis rules; each
-# coefficient is a reduced int pair.
+# The printer writes a payload numerator over denominator, terms in
+# descending `_mono_order`, each term its coefficient, then its atoms and
+# their powers, in an operand position of binding `prec` (0 alone or as an
+# argument, 10 summand, 21 factor, 30 side of a quotient, 41 power base);
+# each coefficient is a reduced int pair.
 
 
 # atom key -> the text of the registry atom (its name, or its call)
@@ -1618,8 +1379,8 @@ def _atom_text(a: tuple) -> str:
     if text is None:
         if a[0] == "v":
             text = a[1]
-        else:  # registry atoms have canonical arguments
-            text = f"{a[1]}({', '.join(_format(x, 0) for x in _ATOM_REGISTRY[a].args[1:])})"
+        else:
+            text = f"{a[1]}({', '.join(_rat_format(x._rat, 0) for x in _ATOM_ARGS[a])})"
         _ATOM_TEXT[a] = text
     return text
 
@@ -1676,8 +1437,8 @@ def _term_format(mono: tuple, c: int, p: int, q: int, prec: int) -> str:
 _TOKEN = re.compile(r"\s*(\w+|[-+*/^(),]|\S)")
 _PUNCT = frozenset("+-*/^(),")
 
-# the leaves of small integer literals, shared by all parse trees (an Expr
-# is immutable); each is its own canonical form, so it carries its payload
+# the nodes of small integer literals, shared by all parses (an Expr is
+# immutable)
 _INT_LEAF_LIMIT = 1024
 _INT_LEAVES: dict[int, Expr] = {0: ZERO, 1: ONE}
 
@@ -1685,7 +1446,7 @@ _INT_LEAVES: dict[int, Expr] = {0: ZERO, 1: ONE}
 def _int_leaf(v: int) -> Expr:
     leaf = _INT_LEAVES.get(v)
     if leaf is None:
-        leaf = _mark(Expr("const", (Fraction(v),)), _Rat(_p_const(v, 1), _ONE_POLY))
+        leaf = _coerce(v)
         if v < _INT_LEAF_LIMIT:
             _INT_LEAVES[v] = leaf
     return leaf
@@ -1694,8 +1455,8 @@ def _int_leaf(v: int) -> Expr:
 class _Parser:
     """Recursive descent over the token list of one text, for
     +,- < *,/ < unary - < ^ (integer exponents).  Variables are their
-    registry atoms and small integers shared leaves; sums and products
-    are the left folds of `_add2` and `_mul2`.  The end of input is the
+    registry atoms and small integers shared nodes; each operator
+    combines its operands' payloads as it is met, left to right.  The end of input is the
     empty token.  A ParseError carries the position of a token's
     first character (an unexpected character, trailing input) or the
     position just past the token consumed last."""
@@ -1757,10 +1518,10 @@ class _Parser:
             t = toks[self.i]
             if t == "+":
                 self.i += 1
-                e = _add2(e, self.mul())
+                e = e + self.mul()
             elif t == "-":
                 self.i += 1
-                e = _add2(e, _neg(self.mul()))
+                e = e - self.mul()
             else:
                 return e
 
@@ -1771,10 +1532,10 @@ class _Parser:
             t = toks[self.i]
             if t == "*":
                 self.i += 1
-                e = _mul2(e, self.unary())
+                e = e * self.unary()
             elif t == "/":
                 self.i += 1
-                e = Expr("div", (e, self.unary()))
+                e = e / self.unary()
             else:
                 return e
 
@@ -1793,19 +1554,17 @@ class _Parser:
                 sign = -1
             kind, val = self.take()
             if kind == "int":
-                e = Expr("pow", (e, sign * val))
+                e = e ** (sign * val)
             elif kind == "(":
                 inner = self.add()
                 self.close("expected ')' in exponent")
                 c = inner.const_value()
                 if c is None or c.denominator != 1:
                     self.error("exponent must be an integer", self.i - 1)
-                e = Expr("pow", (e, sign * int(c)))
+                e = e ** (sign * int(c))
             else:
                 self.error("exponent must be an integer", self.i - 1)
-        for _ in range(negations):
-            e = _neg(e)
-        return e
+        return -e if negations % 2 else e
 
     def atom(self) -> Expr:
         kind, val = self.take()
@@ -1823,7 +1582,7 @@ class _Parser:
             self.close("expected ')' after function arguments")
             if val in KNOWN_FUNCS and len(args) != 1:
                 self.error(f"{val} takes exactly one argument", self.i - 1)
-            return Expr("func", (val, *args))
+            return func(val, *args)
         if kind == "(":
             e = self.add()
             self.close("expected ')'")

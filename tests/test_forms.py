@@ -9,6 +9,7 @@ from cartanvp import liouville as lv
 from cartanvp import symexpr as sx
 from cartanvp.errors import ChartMismatchError, DivisionByZeroError
 from conftest import rand_field, rand_form, rand_poly
+from test_symexpr import assert_payload
 
 
 def B(chart, name):
@@ -226,28 +227,28 @@ class TestPullback:
 
 class TestAccumulation:
     def test_sum_keeps_canonical_coefficients_whole(self, chart5, monkeypatch):
-        # a running sum of forms reads each canonical coefficient through its
-        # cached payload instead of expanding the sum so far term by term
+        # a running sum of forms adds each coefficient's payload to the sum
+        # so far once, instead of expanding the sum so far term by term
         x1 = sx.var("x1")
         pieces = [fm.DiffForm(chart5, 1, {(0,): x1**n}) for n in range(1, 201)]
         calls = 0
-        to_rat = sx._to_rat
+        rat_add = sx._rat_add
 
-        def counting(e):
+        def counting(a, b):
             nonlocal calls
             calls += 1
-            return to_rat(e)
+            return rat_add(a, b)
 
-        monkeypatch.setattr(sx, "_to_rat", counting)
+        monkeypatch.setattr(sx, "_rat_add", counting)
         acc = fm.zero_form(chart5, 1)
         for piece in pieces:
             acc = acc + piece
-        assert len(acc.terms[(0,)].args) == len(pieces)
-        assert calls == 0
+        assert len(sx.poly_terms(acc.terms[(0,)])) == len(pieces)
+        assert calls == len(pieces) - 1
 
     def test_calculus_folds_payloads(self, rng, chart5, monkeypatch):
-        # on canonical inputs, quotients included, wedge, interior, d and the
-        # Lie bracket canonicalize no raw tree: they fold payloads
+        # quotients included, wedge, interior, d and the Lie bracket fold
+        # payloads: they make one node per coefficient of the result
         x1, z1 = sx.var("x1"), sx.var("z1")
         a = rand_form(rng, chart5, 1, coeff_terms=3) + fm.d_coord(chart5, "z2") * (x1 / (z1 + 2))
         b = rand_form(rng, chart5, 2) + fm.wedge(fm.d_coord(chart5, "x1"), fm.d_coord(chart5, "z3")) * (
@@ -255,34 +256,24 @@ class TestAccumulation:
         )
         X = rand_field(rng, chart5) + fm.coord_field(chart5, "z1") * (z1 / (x1 + 1))
         Y = rand_field(rng, chart5)
-        raw = []
-        to_rat = sx._to_rat
+        nodes = 0
+        rat_to_expr = sx._rat_to_expr
 
-        def counting(e):
-            if e._canon is None:
-                raw.append(e)
-            return to_rat(e)
+        def counting(r):
+            nonlocal nodes
+            nodes += 1
+            return rat_to_expr(r)
 
-        monkeypatch.setattr(sx, "_to_rat", counting)
+        monkeypatch.setattr(sx, "_rat_to_expr", counting)
         results = [fm.wedge(a, b), fm.interior(X, b), fm.ext_d(a), fm.ext_d(b), fm.lie_bracket(X, Y)]
-        assert raw == []
+        assert nodes == sum(len(r.terms) for r in results[:4]) + chart5.dim
         assert not any(r.is_zero_form() if isinstance(r, fm.DiffForm) else r.is_zero_field() for r in results)
 
 
     def test_identities_build_no_coefficient_trees(self, rng, chart6w, monkeypatch):
-        # forms work reads canonical coefficients through their payloads:
         # d∘d, the interior antiderivation rule and pullback-commutes-with-d
-        # on 6 coordinates build no expression tree, and neither does
-        # printing a coefficient
-        builds = 0
-        build_tree = sx._build_tree
-
-        def counting(e):
-            nonlocal builds
-            builds += 1
-            return build_tree(e)
-
-        monkeypatch.setattr(sx, "_build_tree", counting)
+        # hold on 6 coordinates, and printing a coefficient makes no node:
+        # the text is written from the payload
         a, b = rand_form(rng, chart6w, 1, coeff_terms=3), rand_form(rng, chart6w, 2)
         X = rand_field(rng, chart6w)
         da = fm.ext_d(a)
@@ -294,6 +285,15 @@ class TestAccumulation:
         phi = fm.SectionMap(chart6w, {n: rand_poly(rng, base) for n in chart6w.fiber})
         pulled = fm.pullback(phi, fm.ext_d(a))
         assert pulled == fm.ext_d(fm.pullback(phi, a)) and not pulled.is_zero_form()
+        builds = 0
+        new_node = sx._new_node
+
+        def counting(*args):
+            nonlocal builds
+            builds += 1
+            return new_node(*args)
+
+        monkeypatch.setattr(sx, "_new_node", counting)
         str(next(iter(lhs.terms.values())))
         assert builds == 0
 
@@ -358,12 +358,14 @@ class TestComputedResults:
             for r in computed:
                 want = fm.DiffForm(r.chart, r.degree, r.terms)
                 assert r == want and list(r.terms) == list(want.terms)
-                assert all(c._canon is c for c in r.terms.values())
+                for c in r.terms.values():
+                    assert_payload(c._rat)
             for f in (a, b):
                 _same_form(fm.ext_d(f), _raw_ext_d(f))
             for V in (fm.lie_bracket(X, Y), X + Y, X - Y, X * s):
                 assert V == fm.VecField(V.chart, V.components)
-                assert all(c._canon is c for c in V.components)
+                for c in V.components:
+                    assert_payload(c._rat)
             _same_field(fm.lie_bracket(X, Y), _raw_lie_bracket(X, Y))
 
         check()
@@ -550,7 +552,7 @@ def _raw_lift(form, ext):
 
 
 def _same_bytes(got, want):
-    assert got._canon is got
+    assert_payload(got._rat)
     assert got._rat.num == want._rat.num and got._rat.den == want._rat.den
     assert str(got) == str(want)
 
