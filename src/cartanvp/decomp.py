@@ -159,7 +159,7 @@ def normalize(fs: FactorSet, box=None, seed: int = DEFAULT_SEED) -> FactorSet:
     pivots_sorted = sorted(elim.pivots, key=lambda t: t[1])
     order = [pi for pi, _ in pivots_sorted]
     order += [i for i in range(k1) if i not in order]
-    multiplier = sx.canon(multiplier * sx.num(_perm_sign(order)))
+    multiplier = multiplier * sx.num(_perm_sign(order))
     new_rows = [elim.rows[i] for i in order]
     z_order = tuple(pj for _, pj in pivots_sorted)
     alphas = tuple(

@@ -95,3 +95,8 @@ class ResidualTooLargeError(CartanVPError):
 
 class NonTransversalDistributionError(CartanVPError):
     pass
+
+
+class InvariantViolationError(CartanVPError):
+    """A mathematical self-check of the package failed: a result it has
+    just computed does not satisfy the identity that defines it."""

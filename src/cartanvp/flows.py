@@ -237,7 +237,6 @@ def _compile_step(X: VecField) -> Callable[[list, float, float, float], list]:
     reads: set[int] = set()
     texts = []
     for c in X.components:
-        c = sx.canon(c)
         text = _inline(c, slots, consts, reads)
         if text is None:
             calls.append(sx.compile_expr(c, coords))
@@ -419,7 +418,7 @@ def sweep_section(
         raise ValueError(f"distribution is not certified integrable ({fr.verdict})")
 
     comp_map = phi0.components if isinstance(phi0, SectionMap) else {
-        name: sx.canon(c if isinstance(c, Expr) else sx.num(c)) for name, c in phi0.items()
+        name: c if isinstance(c, Expr) else sx.num(c) for name, c in phi0.items()
     }
     for name in chart.fiber:
         if name not in comp_map:

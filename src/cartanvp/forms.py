@@ -175,7 +175,7 @@ def _perm_sign(seq: Sequence[int]) -> int:
 
 
 def _canon_coeff(c) -> Expr:
-    return sx.canon(c if isinstance(c, Expr) else sx.num(c))
+    return c if isinstance(c, Expr) else sx.num(c)
 
 
 class DiffForm:

@@ -150,14 +150,14 @@ def gauss_eliminate(
             return Elimination(pivots, values, rows, uncertain=any_nonzero_left)
         pi, pj = picked
         pivot = rows[pi][pj]
-        rows[pi] = [sx.canon(e / pivot) for e in rows[pi]]
+        rows[pi] = [e / pivot for e in rows[pi]]
         for i in range(m):
             if i == pi:
                 continue
             f = rows[i][pj]
             if f.is_const_zero():
                 continue
-            rows[i] = [sx.canon(a - f * b) for a, b in zip(rows[i], rows[pi])]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[pi])]
         pivots.append((pi, pj))
         values.append(pivot)
         free_rows.remove(pi)
@@ -174,10 +174,10 @@ def clear_denominators(comps: list[Expr], anchor: Optional[int] = None) -> list[
     for c in comps:
         # lcm(l, d) is l times the denominator of the reduced l/d
         l = l * sx.numer_denom(l / sx.numer_denom(c)[1])[1]
-    cleared = [sx.canon(c * l) for c in comps]
+    cleared = [c * l for c in comps]
     content = sx.poly_content(cleared)
     if content is not None and content != 1:
-        cleared = [sx.canon(c / sx.num(content)) for c in cleared]
+        cleared = [c / sx.num(content) for c in cleared]
     order = list(range(len(cleared)))
     if anchor is not None:
         order = [anchor] + [i for i in order if i != anchor]
@@ -186,7 +186,7 @@ def clear_denominators(comps: list[Expr], anchor: Optional[int] = None) -> list[
         if lead is None or lead == 0:
             continue
         if lead < 0:
-            cleared = [sx.canon(-x) for x in cleared]
+            cleared = [-x for x in cleared]
         break
     return cleared
 
@@ -216,7 +216,7 @@ def kernel_basis(elim: Elimination) -> list[list[Expr]]:
         v: list[Expr] = [sx.ZERO] * n
         v[f] = sx.ONE
         for ri, pj in elim.pivots:
-            v[pj] = sx.canon(-elim.rows[ri][f])
+            v[pj] = -elim.rows[ri][f]
         basis.append(clear_denominators(v, anchor=f))
     return basis
 
@@ -238,7 +238,7 @@ def determinant(mat) -> Expr:
         minor = [[row[q] for q in range(n) if q != j] for row in mat[1:]]
         term = c * determinant(minor)
         acc = acc + (term if j % 2 == 0 else -term)
-    return sx.canon(acc)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import symexpr as sx
 from . import varprin as vp
-from .errors import NonPolynomialCoefficientError, NotClosedError
+from .errors import InvariantViolationError, NonPolynomialCoefficientError, NotClosedError
 from .forms import (
     BundleChart,
     Chart,
@@ -113,7 +113,7 @@ def _radial_primitive(beta: DiffForm) -> DiffForm:
     out = interior(radial, _collect(chart, q, scaled))
     residual = ext_d(out) - beta
     if not residual.is_zero_form():
-        raise AssertionError("homotopy primitive failed the round trip")
+        raise InvariantViolationError("homotopy primitive failed the round trip")
     return out
 
 
@@ -154,9 +154,9 @@ def build_setup(
     theta = _lift(sigma, ext) + wedge(_lift(gamma, ext), dt) * sx.num((-1) ** s)
     problem = vp.build_problem(ext, theta=theta)
     if not interior(Z, problem.eta).is_zero_form():
-        raise AssertionError("the orientation sign nP mod 2 leaves Z non-characteristic")
+        raise InvariantViolationError("the orientation sign nP mod 2 leaves Z non-characteristic")
     if not interior(Z, dt).terms.get((), sx.ZERO) == sx.ONE:
-        raise AssertionError("Z fails the time normalization")
+        raise InvariantViolationError("Z fails the time normalization")
     return LiouvilleSetup(
         phase=chart,
         omega=omega,

@@ -82,7 +82,7 @@ def instance_from_spec(spec: Mapping, name: str) -> Optional[Mapping[str, str]]:
 
 def parse_coefficient(text: str, sub: Mapping[str, Expr]) -> Expr:
     e = sx.parse(text)
-    return sx.subst(e, sub) if sub else sx.canon(e)
+    return sx.subst(e, sub) if sub else e
 
 
 def _check_records(records, field: str) -> None:
@@ -175,7 +175,7 @@ def problem_from_spec(
     sub = opaque_substitution(chart, spec.get("opaque"))
     if instance:
         for name, text in instance.items():
-            sub[name] = sx.canon(sx.parse(text))
+            sub[name] = sx.parse(text)
     theta = None
     factors = None
     if "factors" in spec:

@@ -26,6 +26,7 @@ from .errors import (
     ChartMismatchError,
     DegreeMismatchError,
     ImproperPrincipleError,
+    InvariantViolationError,
     NormalFormRequiredError,
     ZeroEtaError,
 )
@@ -202,7 +203,7 @@ def build_problem(
         raise ValueError("need theta or factors")
     fs: Optional[dc.FactorSet] = None
     if factors is not None:
-        fs = factors if isinstance(factors, dc.FactorSet) else dc.FactorSet(chart, tuple(factors))
+        fs = given = factors if isinstance(factors, dc.FactorSet) else dc.FactorSet(chart, tuple(factors))
         if not fs.normalized:
             fs = dc.normalize(fs, box=box, seed=seed)
         eta = fs.eta()
@@ -215,7 +216,9 @@ def build_problem(
             )
         eta_from_theta = ext_d(theta)
         if fs is not None:
-            if eta_from_theta != eta:
+            # normalizing rescales the wedge by fs.multiplier: compare the
+            # wedge of the factors as given
+            if eta_from_theta != (eta if given is fs else given.eta()):
                 raise DegreeMismatchError("d(theta) does not match the factor wedge")
         else:
             eta = eta_from_theta
@@ -273,7 +276,7 @@ def _omega_coefficient(form: DiffForm) -> Expr:
 def _signed_minor(P: Sequence[Sequence[Expr]], a: int) -> Expr:
     rows = [list(r) for i, r in enumerate(P) if i != a]
     det = la.determinant(rows)
-    return sx.canon(det if a % 2 == 0 else -det)
+    return det if a % 2 == 0 else -det
 
 
 def _constant_ratio(num: Expr, den: Expr) -> Optional[Fraction]:
@@ -322,11 +325,11 @@ def _critical_equations(p: VariationalProblem) -> CriticalSystem:
                 if fs.G is not None:
                     for m, wc in enumerate(wcols):
                         entry = entry + fs.G[i][m] * sx.var(jet_name(chart.coords[wc], bname))
-                row.append(sx.canon(entry))
+                row.append(entry)
             P.append(row)
         if fs.C is not None:
             for crow in fs.C:
-                P.append([sx.canon(c) for c in crow])
+                P.append(list(crow))
         deltas = tuple(_signed_minor(P, a) for a in range(nz))
         pb = []
         for i in range(nz):
@@ -345,7 +348,7 @@ def _critical_equations(p: VariationalProblem) -> CriticalSystem:
         for mu, bname in enumerate(chart.base):
             d1 = d1 + A[mu] * sx.var(jet_name(wname, bname))
             d2 = d2 + A[mu] * sx.var(jet_name(zname, bname))
-        deltas = (sx.canon(d1 - g), sx.canon(-(d2 - f)))
+        deltas = (d1 - g, f - d2)
         pb = tuple(
             _omega_coefficient(formal_jet_pullback(p, psi)) for psi in p.psi[:2]
         )
@@ -360,18 +363,18 @@ def _critical_equations(p: VariationalProblem) -> CriticalSystem:
 def _assert_proportional(pb: Sequence[Expr], deltas: Sequence[Expr]) -> Fraction:
     ratio: Optional[Fraction] = None
     for a, (lhs, rhs) in enumerate(zip(pb, deltas)):
-        if sx.canon(lhs - rhs).is_const_zero():
+        if (lhs - rhs).is_const_zero():
             r = Fraction(1)
         else:
             r = _constant_ratio(lhs, rhs)
             if r is None:
-                raise AssertionError(
+                raise InvariantViolationError(
                     f"pullback coefficient and minor differ beyond a constant at row {a}"
                 )
         if ratio is None:
             ratio = r
         elif r != ratio:
-            raise AssertionError("minor-vs-pullback constants differ across rows")
+            raise InvariantViolationError("minor-vs-pullback constants differ across rows")
     return ratio if ratio is not None else Fraction(1)
 
 
@@ -419,12 +422,12 @@ def characteristic_field_maximal_degree(
     comps = list(A) + [f, g]
     W = VecField(chart, comps)
     if not interior(W, p.eta).is_zero_form():
-        raise AssertionError("characteristic field fails to annihilate eta")
+        raise InvariantViolationError("characteristic field fails to annihilate eta")
     if normalize:
         a1 = A[0]
         if not sx.is_zero(a1, box=p.box, seed=p.seed).is_nonzero:
             raise ImproperPrincipleError("cannot normalize: leading base component not certified nonzero")
-        W = VecField(chart, [sx.canon(c / a1) for c in comps])
+        W = VecField(chart, [c / a1 for c in comps])
     return W
 
 
@@ -458,9 +461,9 @@ def verify_critical(p: VariationalProblem, phi: SectionMap) -> VerifyReport:
             got = _match_residual(residuals, p, system, a)
             if got is None:
                 break
-            expected = sx.canon(sx.subst(delta, sub) * sx.num(system.ratio))
-            if not sx.canon(got - expected).is_const_zero():
-                raise AssertionError(
+            expected = sx.subst(delta, sub) * sx.num(system.ratio)
+            if not (got - expected).is_const_zero():
+                raise InvariantViolationError(
                     f"jet substitution disagrees with the direct pullback at row {a}"
                 )
         else:

@@ -78,6 +78,43 @@ class TestEl:
         assert report["minor_vs_pullback_constant"] == "1"
         assert "Dz1_x1" in json.dumps(report["P"])
 
+    THETA_FACTORS = {
+        "chart": {"base": ["x"], "fiber_z": ["z1", "z2"], "fiber_w": []},
+        "theta": [{"coeff": "2*z1 + x", "index": ["z2"]}],
+        "factors": [
+            [{"coeff": "2", "index": ["z1"]}, {"coeff": "1", "index": ["x"]}],
+            [{"coeff": "1", "index": ["z2"]}],
+        ],
+    }
+
+    def test_theta_with_factors_before_normalizing(self, tmp_path):
+        # d(theta) is the wedge of the factors as given; normalizing them
+        # (pivot 2) rescales their wedge, which must not reject the spec
+        path = tmp_path / "spec.json"
+        for pivot, code_want in (("2", 0), ("1", 1)):
+            spec = json.loads(json.dumps(self.THETA_FACTORS))
+            spec["factors"][0][0]["coeff"] = pivot
+            path.write_text(json.dumps(spec))
+            code, out = run(["el", "--spec", str(path)])
+            assert code == code_want, out
+            if code:  # with pivot 1, d(theta) is twice the wedge
+                assert json.loads(out)["kind"] == "DegreeMismatchError"
+        spec = json.loads(json.dumps(self.THETA_FACTORS))
+        spec["theta"] = [{"coeff": "z1 + x", "index": ["z2"]}]
+        spec["factors"][0][0]["coeff"] = "1"
+        path.write_text(json.dumps(spec))
+        assert run(["el", "--spec", str(path)])[0] == 0
+
+    def test_failed_self_check_is_typed(self, example1_spec, monkeypatch):
+        # a mathematical self-check that fails raises InvariantViolationError,
+        # which exits 1 and names its kind: here each pulled-back contraction
+        # is off by 1, so no constant relates it to its minor
+        omega_coefficient = vp._omega_coefficient
+        monkeypatch.setattr(vp, "_omega_coefficient", lambda form: omega_coefficient(form) + 1)
+        code, out = run(["el", "--spec", example1_spec])
+        assert code == 1
+        assert json.loads(out)["kind"] == "InvariantViolationError"
+
     def test_malformed_index_is_parse_error(self, tmp_path):
         spec = fx.load("example1")
         spec["factors"][0][0]["index"] = ["nope"]

@@ -13,6 +13,7 @@ from cartanvp.errors import (
     NonConstantRankError,
     DegreeMismatchError,
     ImproperPrincipleError,
+    InvariantViolationError,
     NormalFormRequiredError,
     ZeroEtaError,
 )
@@ -294,7 +295,7 @@ class TestCriticalEquations:
         assert vp._constant_ratio(2 * x + 1, 3 * y + 1) is None
         assert vp._constant_ratio(-x * y + 2, sx.canon(x * y / 2 - 1)) == -2
         assert vp._constant_ratio(sx.ZERO, y) == 0
-        with pytest.raises(AssertionError, match="beyond a constant"):
+        with pytest.raises(InvariantViolationError, match="beyond a constant"):
             vp._assert_proportional([x], [y])
 
 

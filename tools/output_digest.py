@@ -22,7 +22,8 @@ coordinates (odd phase dimension, so the orientation sign is 1) and on
 one on four coordinates; `el` on a k = 3
 intermediate and a k = 4 maximally characteristic polynomial spec (the
 pullback route at scale); `analyze` on a k = 6 intermediate opaque spec
-(Frobenius at scale); demos 01-05.
+(Frobenius at scale); `el` on a spec with both theta and factors that
+normalizing rescales; demos 01-05.
 """
 
 from __future__ import annotations
@@ -40,6 +41,16 @@ FIXTURES = ROOT / "src" / "cartanvp" / "fixtures" / "data"
 
 # name -> JSON written to the temporary directory before the runs
 INPUTS = {
+    # theta with factors that normalizing rescales (pivot 2): d(theta) is
+    # the wedge of the factors as given
+    "theta-factors.json": {
+        "chart": {"base": ["x"], "fiber_z": ["z1", "z2"], "fiber_w": []},
+        "theta": [{"coeff": "2*z1 + x", "index": ["z2"]}],
+        "factors": [
+            [{"coeff": "2", "index": ["z1"]}, {"coeff": "1", "index": ["x"]}],
+            [{"coeff": "1", "index": ["z2"]}],
+        ],
+    },
     "rotation-theta.json": {
         "chart": {"base": ["t"], "fiber_z": ["x", "y"], "fiber_w": []},
         "theta": [
@@ -263,6 +274,7 @@ def entries() -> list[list[str]]:
         ["cartanvp", "el", "--spec", "swell-k3-intermediate-0.json"],
         ["cartanvp", "el", "--spec", "swell-k4-maximally-characteristic-0.json"],
         ["cartanvp", "analyze", "--spec", "k6probe-intermediate-opaque-0.json"],
+        ["cartanvp", "el", "--spec", "theta-factors.json"],
     ]
     runs += [["python", f"demos/{p.name}"] for p in sorted((ROOT / "demos").glob("0[1-5]_*.py"))]
     return runs

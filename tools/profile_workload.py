@@ -2,7 +2,7 @@
 benchmark worker runs them, and print the top entries.
 
     python3 tools/profile_workload.py --workload forms-identities --seed 1 \
-        --cycles 0-3 [--top 25] [--calls diff _to_rat _compile] [--sample] \
+        --cycles 0-3 [--top 25] [--calls diff _rat_normalize _t_gcd] [--sample] \
         [--kind el]
 
 Each item is prepared, called and checked before the next one is
