@@ -10,16 +10,16 @@ The calculus computes on the `_Rat` payloads of canonical coefficients:
 wedge, interior, d, the Hodge star, pullbacks, the Lie bracket and form
 and field arithmetic hand `(index, payload)` contributions to `_collect`,
 which sums each index's contributions with `_rat_add` and builds one
-canonical node per index whose sum is not zero; no expression tree is
-built on the way.  A payload is a quotient in lowest terms, so a sum does
-not depend on the order of its terms.  d and the Lie bracket
+node per index whose sum is not zero, and no node in between.  A payload
+is a quotient in lowest terms, so a sum does not depend on the order of
+its terms.  d and the Lie bracket
 differentiate payloads with `sx._rat_diff`, the payload of `sx.diff`
 without its node, by the coordinates that `sx._diff_vars` keeps: every
 one, except those missing from a coefficient whose atoms are all
 variables.  Computed
 forms and fields are built by `DiffForm._make` and `VecField._make`,
-which take their canonical terms as they are; `__init__`, which checks
-indices and canonicalizes coefficients, is for input.  `_merge_indices`
+which take their terms as they are; `__init__`, which checks indices,
+makes numbers into coefficients and drops zeros, is for input.  `_merge_indices`
 is the package's one sign rule for two ascending index tuples;
 `_perm_sign` serves unsorted input only, and every contraction elsewhere
 is a call of `interior`.
@@ -393,7 +393,7 @@ def _fold(contributions: Iterable[tuple[tuple, sx._Rat]]) -> dict[tuple, sx._Rat
 
 def _collect(chart: Chart, degree: int, contributions: Iterable[tuple[tuple, sx._Rat]]) -> DiffForm:
     """The form of `(index, payload)` contributions: `_fold`, then one
-    canonical node per index whose sum is not zero."""
+    node per index whose sum is not zero."""
     terms = {K: sx._rat_to_expr(r) for K, r in _fold(contributions).items() if not sx._rat_is_zero(r)}
     return DiffForm._make(chart, degree, terms)
 

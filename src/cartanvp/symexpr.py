@@ -184,9 +184,6 @@ class Expr:
 
     # -- conveniences -------------------------------------------------------
 
-    def canon(self) -> "Expr":
-        return self
-
     def diff(self, v) -> "Expr":
         return diff(self, v)
 
@@ -229,7 +226,7 @@ def var(name: str) -> Expr:
     # underscore admits jet symbols like Dz1_x2)
     if not name or not name[0].isalpha() or not all(c.isalnum() or c == "_" for c in name):
         raise ValueError(f"invalid variable name {name!r}")
-    return _var_atom(name)
+    return _atom_node(("v", name))
 
 
 def variables(names: str) -> list[Expr]:
@@ -621,10 +618,6 @@ def _atom_node(key: tuple) -> Expr:
     return atom
 
 
-def _var_atom(name: str) -> Expr:
-    return _atom_node(("v", name))
-
-
 def _func_rat(name: str, args: tuple) -> _Rat:
     """The payload of the atom `name(*args)`."""
     key = ("f", name, tuple(a.key() for a in args))
@@ -637,10 +630,9 @@ def _func_rat(name: str, args: tuple) -> _Rat:
 def _rat_normalize(num: tuple, den: tuple) -> _Rat:
     """num/den in lowest terms with the denominator monic: a common factor
     of two sums is their `_t_gcd`, then `_rat_lowest`."""
-    if len(num[2]) > 1 and len(den[2]) > 1:
-        g = _t_gcd(num[2], den[2])
-        if len(g) > 1 or _EMPTY_MONO not in g:
-            num, den = _p_exquo(num, g), _p_exquo(den, g)
+    g = _t_common(num[2], den[2])
+    if g is not None:
+        num, den = _p_exquo(num, g), _p_exquo(den, g)
     return _rat_lowest(num, den)
 
 
@@ -1573,7 +1565,7 @@ class _Parser:
         if kind == "ident":
             toks = self.toks
             if toks[self.i] != "(":
-                return _var_atom(val)
+                return _atom_node(("v", val))
             self.i += 1
             args = [self.add()]
             while toks[self.i] == ",":
