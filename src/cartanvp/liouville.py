@@ -69,13 +69,19 @@ def is_liouville(X: VecField, omega: DiffForm) -> bool:
     """True iff the contraction of the volume form is closed (the volume
     is preserved); exactness is delivered constructively on star-shaped
     charts by the homotopy operator."""
+    return ext_d(_volume_contraction(X, omega)).is_zero_form()
+
+
+def _volume_contraction(X: VecField, omega: DiffForm) -> DiffForm:
+    """X -| omega, for omega a volume form: top degree, with a coefficient
+    certified nonvanishing."""
     if omega.degree != omega.chart.dim:
         raise ValueError("omega must be a top-degree form")
     top = tuple(range(omega.chart.dim))
     coeff = omega.terms.get(top, sx.ZERO)
     if not sx.is_zero(coeff).is_nonzero:
         raise ValueError("omega coefficient is not certified nonvanishing")
-    return ext_d(interior(X, omega)).is_zero_form()
+    return interior(X, omega)
 
 
 def _require_polynomial(e: Expr):
@@ -134,7 +140,8 @@ def build_setup(
     variational problem built here.
     """
     chart = phase if isinstance(phase, Chart) else Chart(tuple(phase))
-    if not is_liouville(X, omega):
+    beta = _volume_contraction(X, omega)
+    if not ext_d(beta).is_zero_form():
         raise NotClosedError("the field does not preserve the volume form")
     nP = chart.dim
     if nP < 2:
@@ -143,7 +150,7 @@ def build_setup(
         sigma = homotopy_antiderivative(omega)
     elif ext_d(sigma) != omega:
         raise ValueError("sigma is not a primitive of omega")
-    gamma = _radial_primitive(interior(X, omega))
+    gamma = _radial_primitive(beta)
 
     base = (time_name,) + chart.coords[: nP - 2]
     fiber = chart.coords[nP - 2 :]

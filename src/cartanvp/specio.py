@@ -81,8 +81,9 @@ def instance_from_spec(spec: Mapping, name: str) -> Optional[Mapping[str, str]]:
 
 
 def parse_coefficient(text: str, sub: Mapping[str, Expr]) -> Expr:
-    e = sx.parse(text)
-    return sx.subst(e, sub) if sub else e
+    """The expression of `text` with the names of `sub` bound as they are
+    read (`symexpr.parse`)."""
+    return sx.parse(text, sub)
 
 
 def _check_records(records, field: str) -> None:

@@ -19,7 +19,12 @@ and no result depends on the order in which it was summed.
 Coefficient arithmetic is exact and in `int`s: each polynomial is a
 positive rational content (two ints) times a primitive polynomial with
 `int` coefficients, so a product multiplies the contents once and the
-terms as `int`s, and a sum takes one gcd.  A `Fraction` is formed only
+terms as `int`s, and a sum takes one gcd.  A product goes by its
+operands' shapes: the shared unit `_RAT_ONE` returns the other operand
+(and `*` and `/` its node), a one-term factor maps the other's terms one
+to one (a constant rescales the content, sharing the term dict when its
+coefficient is 1; a monomial shifts each term), and only a sum times a
+sum runs the double loop.  A `Fraction` is formed only
 where a coefficient is read (`const_value`, `poly_terms`).  `key` and
 printing write a payload's terms in descending `_mono_order`, numerator
 over denominator; the text of each atom is cached by its registry key.
@@ -32,12 +37,17 @@ node in between.  `diff` is the quotient rule over polynomial
 derivatives, each atom's derivative formed once by `_rat` arithmetic and
 cached.
 `parse` reads its text in one regular-expression pass into a token list
-and descends over the list, combining payloads as the operators do; a
-variable is the variable's registry atom and an integer below 1024 one
-cached node.  Floats appear only in evaluation and sampling, which this
-module owns for the whole package: `compile_expr` turns a payload into a
-float function once (the one evaluator: one set of closures, on floats or
-on columns of floats with the same bits per row), and `sample_points` is
+and descends over the list, combining payloads as the operators do and
+building one node at the end; a variable is the variable's registry atom,
+or the expression the caller binds to its name, and an integer below
+1024 one cached node.  A power of a sum that would expand to more than
+`_POWER_TERM_LIMIT` terms is a ParseError at its exponent.  Floats appear
+only in evaluation and sampling, which this module owns for the whole
+package: `compile_expr` turns a payload into a float function once per
+symbol tuple (the one evaluator: one set of closures, on floats or on
+columns of floats with the same bits per row), kept on the payload and
+freed with it, so every later zero test, pivot choice or rank
+certificate of that payload reuses it; and `sample_points` is
 the one seeded sampler of evaluation points, which are tuples of floats
 aligned with a symbol list of variable names and opaque-atom keys.
 """
@@ -49,7 +59,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -160,13 +170,19 @@ class Expr:
         return _rat_to_expr(_rat_add(_coerce(other)._rat, _rat_neg(self._rat)))
 
     def __mul__(self, other):
-        return _rat_to_expr(_rat_mul(self._rat, _coerce(other)._rat))
+        other = _coerce(other)
+        rat = _rat_mul(self._rat, other._rat)
+        # an unchanged payload keeps its node
+        if rat is self._rat:
+            return self
+        return other if rat is other._rat else _rat_to_expr(rat)
 
     def __rmul__(self, other):
         return _rat_to_expr(_rat_mul(_coerce(other)._rat, self._rat))
 
     def __truediv__(self, other):
-        return _rat_to_expr(_rat_div(self._rat, _coerce(other)._rat))
+        rat = _rat_div(self._rat, _coerce(other)._rat)
+        return self if rat is self._rat else _rat_to_expr(rat)
 
     def __rtruediv__(self, other):
         return _rat_to_expr(_rat_div(_coerce(other)._rat, self._rat))
@@ -192,19 +208,22 @@ class Expr:
 
     def const_value(self) -> Optional[Fraction]:
         """Fraction value if the expression is a constant, else None."""
-        rat = self._rat
-        p, q, terms = rat.num
-        if not terms:
-            return Fraction(0)
-        if rat.den is _ONE_POLY and len(terms) == 1 and _EMPTY_MONO in terms:
-            return Fraction(p * terms[_EMPTY_MONO], q)
-        return None
+        return _rat_const(self._rat)
 
     def __str__(self):
         return _rat_format(self._rat, 0)
 
     def __repr__(self):
         return f"Expr({_rat_format(self._rat, 0)!r})"
+
+
+def _rat_const(rat: "_Rat") -> Optional[Fraction]:
+    p, q, terms = rat.num
+    if not terms:
+        return Fraction(0)
+    if rat.den is _ONE_POLY and len(terms) == 1 and _EMPTY_MONO in terms:
+        return Fraction(p * terms[_EMPTY_MONO], q)
+    return None
 
 
 def _coerce(x) -> Expr:
@@ -363,10 +382,38 @@ def _mono_mul(m1: tuple, m2: tuple) -> tuple:
 
 
 def _p_mul(a: tuple, b: tuple) -> tuple:
+    """a * b, by the operands' shapes.  A one-term operand maps the other's
+    terms one to one, since distinct monomials times one monomial stay
+    distinct: the constant 1 keeps the other's term dict (and returns the
+    other when its content is 1 too), another constant scales the
+    coefficients, and a monomial shifts each term.  Only a sum times a
+    sum runs the double loop (`_t_product`).  Gauss's lemma: a product of
+    primitive polynomials is primitive.  The term dicts need not be
+    primitive: `_t_mul` passes gcd cofactors such as {(): 3}."""
     ap, aq, A = a
     bp, bq, B = b
     if not A or not B:
         return _ZERO_POLY
+    if len(A) > 1:
+        if len(B) > 1:
+            return (*_q_mul(ap, aq, bp, bq), _t_product(A, B))
+        a, b, A, B = b, a, B, A  # the one-term operand first
+    ((m1, c1),) = A.items()
+    if not m1:
+        if c1 == 1:
+            if a[0] == 1 and a[1] == 1:
+                return b
+            return (*_q_mul(ap, aq, bp, bq), B)
+        out = {m: c1 * c for m, c in B.items()}
+    elif c1 == 1:
+        out = {_mono_mul(m1, m): c for m, c in B.items()}
+    else:
+        out = {_mono_mul(m1, m): c1 * c for m, c in B.items()}
+    return (*_q_mul(ap, aq, bp, bq), out)
+
+
+def _t_product(A: dict, B: dict) -> dict:
+    """The term dict of a sum times a sum."""
     out: dict = {}
     for m1, c1 in A.items():
         for m2, c2 in B.items():
@@ -376,8 +423,7 @@ def _p_mul(a: tuple, b: tuple) -> tuple:
                 out[m] = s
             else:
                 del out[m]
-    # Gauss's lemma: a product of primitive polynomials is primitive
-    return (*_q_mul(ap, aq, bp, bq), out)
+    return out
 
 
 def _p_pow(a: tuple, n: int) -> tuple:
@@ -589,13 +635,15 @@ def _t_exquo(a: dict, b: dict) -> dict:
 class _Rat:
     # vars: the names of the variables in the quotient, atoms' arguments
     # included, and only_vars: whether every atom is a variable; both set
-    # by `_rat_vars`, which reads them
-    __slots__ = ("num", "den", "vars", "only_vars")
+    # by `_rat_vars`, which reads them.  evals: symbol tuple -> the float
+    # closure `_compiled` made, freed with the payload
+    __slots__ = ("num", "den", "vars", "only_vars", "evals")
 
     def __init__(self, num: tuple, den: tuple):
         self.num = num
         self.den = den
         self.vars = None
+        self.evals = None
 
 
 _RAT_ZERO = _Rat(_ZERO_POLY, _ONE_POLY)
@@ -706,8 +754,16 @@ def _rat_add(a: _Rat, b: _Rat) -> _Rat:
 
 
 def _rat_mul(a: _Rat, b: _Rat) -> _Rat:
+    # the shared unit is free: the other operand is returned as it is
+    if a is _RAT_ONE:
+        return b
+    if b is _RAT_ONE:
+        return a
     if a.den is _ONE_POLY and b.den is _ONE_POLY:
-        return _Rat(_p_mul(a.num, b.num), _ONE_POLY)
+        num = _p_mul(a.num, b.num)
+        if num is b.num:
+            return b
+        return a if num is a.num else _Rat(num, _ONE_POLY)
     return _quotient_product(a.num, a.den, b.num, b.den)
 
 
@@ -729,6 +785,8 @@ def _rat_neg(r: _Rat) -> _Rat:
 
 
 def _rat_div(a: _Rat, b: _Rat) -> _Rat:
+    if b is _RAT_ONE:
+        return a
     return _quotient_product(a.num, a.den, b.den, b.num)
 
 
@@ -758,18 +816,21 @@ def canon(e) -> Expr:
 
 
 def _rat_to_expr(rat: _Rat) -> Expr:
-    """The node of a payload: ZERO, ONE, the registry atom for a single
-    atom with coefficient 1, else a new node."""
+    """The node of a payload: ZERO, the shared node of an integer the
+    parser has met (ONE among them), the registry atom for a single atom
+    with coefficient 1, else a new node."""
     p, q, terms = rat.num
     if rat.den is _ONE_POLY and len(terms) <= 1:
         if not terms:
             return ZERO
         ((mono, c),) = terms.items()
-        if c == 1 and p == 1 and q == 1:
-            if not mono:
-                return ONE
-            if len(mono) == 1 and mono[0][1] == 1:
-                return _ATOM_REGISTRY[mono[0][0]]
+        if not mono:
+            if q == 1:
+                leaf = _INT_LEAVES.get(p * c)
+                if leaf is not None:
+                    return leaf
+        elif c == 1 and p == 1 and q == 1 and len(mono) == 1 and mono[0][1] == 1:
+            return _ATOM_REGISTRY[mono[0][0]]
     return _new_node(rat)
 
 
@@ -782,6 +843,11 @@ def _new_node(rat: _Rat, key: Optional[tuple] = None) -> Expr:
 
 ZERO = _new_node(_RAT_ZERO)
 ONE = _new_node(_RAT_ONE)
+
+# the nodes of small integer literals, shared by all parses (an Expr is
+# immutable); `_rat_to_expr` returns them for their payloads
+_INT_LEAF_LIMIT = 1024
+_INT_LEAVES: dict[int, Expr] = {0: ZERO, 1: ONE}
 
 
 def _rat_key(rat: _Rat) -> tuple:
@@ -1129,7 +1195,7 @@ def compile_expr(e: Expr, symbols: Sequence) -> Callable[[Sequence[float]], floa
     `linalg.sample_stack`, which evaluate on columns, re-run the rows one
     by one to name the first.
     """
-    f = _compile(e, {s: i for i, s in enumerate(symbols)})
+    f = _compiled(e._rat, tuple(symbols))
 
     def evaluator(v):
         if v and v[0].__class__ is np.ndarray:
@@ -1140,14 +1206,29 @@ def compile_expr(e: Expr, symbols: Sequence) -> Callable[[Sequence[float]], floa
     return evaluator
 
 
-def _compile(e: Expr, slots: Mapping) -> Callable:
-    """Closure of `e` over the values of `slots`: its numerator, over its
-    denominator when it has one."""
-    rat, atoms = e._rat, {}  # atom key -> closure, shared by the terms
-    num = _compile_poly(rat.num, slots, atoms)
+def _compiled(rat: _Rat, symbols: tuple, slots: Optional[Mapping] = None) -> Callable:
+    """The closure of `rat` over `symbols`, compiled on the first call for
+    that symbol tuple and kept on the payload (`slots` maps each symbol to
+    its position)."""
+    memo = rat.evals
+    if memo is None:
+        memo = rat.evals = {}
+    f = memo.get(symbols)
+    if f is None:
+        if slots is None:
+            slots = {s: i for i, s in enumerate(symbols)}
+        f = memo[symbols] = _compile(rat, symbols, slots)
+    return f
+
+
+def _compile(rat: _Rat, symbols: tuple, slots: Mapping) -> Callable:
+    """Closure of a payload over the values of `slots`: its numerator,
+    over its denominator when it has one."""
+    atoms: dict = {}  # atom key -> closure, shared by the terms
+    num = _compile_poly(rat.num, symbols, slots, atoms)
     if rat.den is _ONE_POLY:
         return num
-    den = _compile_poly(rat.den, slots, atoms)
+    den = _compile_poly(rat.den, symbols, slots, atoms)
 
     def quotient(v):
         d = den(v)
@@ -1158,7 +1239,7 @@ def _compile(e: Expr, slots: Mapping) -> Callable:
     return quotient
 
 
-def _compile_poly(poly: tuple, slots: Mapping, atoms: dict) -> Callable:
+def _compile_poly(poly: tuple, symbols: tuple, slots: Mapping, atoms: dict) -> Callable:
     p, q, coeffs = poly
     terms = []
     for mono, c in sorted(coeffs.items(), key=_mono_order, reverse=True):
@@ -1166,7 +1247,7 @@ def _compile_poly(poly: tuple, slots: Mapping, atoms: dict) -> Callable:
         for a, n in mono:
             f = atoms.get(a)
             if f is None:
-                f = atoms[a] = _compile_atom(a, slots)
+                f = atoms[a] = _compile_atom(a, symbols, slots)
             factors.append(f if n == 1 else _per_row(f, lambda t, n=n: t**n))
         terms.append(_product(p * c / q, factors))  # rounded as float(Fraction) is
     if len(terms) <= 1:
@@ -1211,16 +1292,17 @@ def _per_row(f: Callable, g: Callable[[float], float]) -> Callable:
     return apply
 
 
-def _compile_atom(a: tuple, slots: Mapping) -> Callable:
+def _compile_atom(a: tuple, symbols: tuple, slots: Mapping) -> Callable:
     name = a[1]
     if a[0] == "v":
         i, argv = slots.get(name), []
     else:
         args = _ATOM_ARGS[a]
         if name in KNOWN_FUNCS:
-            return _per_row(_compile(args[0], slots), KNOWN_FUNCS[name])
+            return _per_row(_compiled(args[0]._rat, symbols, slots), KNOWN_FUNCS[name])
         # the arguments' own errors come first; a product of bound variables cannot raise
-        i, argv = slots.get(a), [_compile(x, slots) for x in args if not _bound_product(x, slots)]
+        i = slots.get(a)
+        argv = [_compiled(x._rat, symbols, slots) for x in args if not _bound_product(x, slots)]
     if i is not None and not argv:
         return lambda v: v[i]
 
@@ -1286,13 +1368,15 @@ def sample_points(
 
 
 def _draw(bounds, n_atoms: int, seed: int, count: int, center: bool):
-    rng = random.Random(seed)
+    # `random.uniform(lo, hi)` inlined: lo + (hi - lo) * random(), the same bits
+    draw = random.Random(seed).random
+    lo_atom, width_atom = DEFAULT_BOX[0], DEFAULT_BOX[1] - DEFAULT_BOX[0]
     for k in range(count):
         if center and k == 0:
             vals = [(lo + hi) / 2.0 for lo, hi in bounds]
         else:
-            vals = [rng.uniform(lo, hi) for lo, hi in bounds]
-        vals += [rng.uniform(*DEFAULT_BOX) for _ in range(n_atoms)]
+            vals = [lo + (hi - lo) * draw() for lo, hi in bounds]
+        vals += [lo_atom + width_atom * draw() for _ in range(n_atoms)]
         yield tuple(vals)
 
 
@@ -1424,15 +1508,17 @@ def _term_format(mono: tuple, c: int, p: int, q: int, prec: int) -> str:
 # before it (`\s`: `str.isspace`) is skipped.  A word is an identifier when
 # it starts with a letter (`str.isalpha`); one that starts with a decimal
 # digit (`str.isdecimal`, the digits `int` reads) is split where those
-# digits end when the parser consumes it.  Any other first character,
-# such as a superscript digit, is an unexpected character.
+# digits end when the parser consumes it, unless a digit follows them
+# that is not decimal (a superscript): that one is an unexpected
+# character.  Any other first character, such as a superscript digit, is
+# an unexpected character.
 _TOKEN = re.compile(r"\s*(\w+|[-+*/^(),]|\S)")
 _PUNCT = frozenset("+-*/^(),")
 
-# the nodes of small integer literals, shared by all parses (an Expr is
-# immutable)
-_INT_LEAF_LIMIT = 1024
-_INT_LEAVES: dict[int, Expr] = {0: ZERO, 1: ONE}
+# the most terms a parsed power may expand to: a sum of t terms to the
+# n-th power has up to C(n + t - 1, t - 1) of them (one per monomial of
+# degree n in t indeterminates)
+_POWER_TERM_LIMIT = 1000
 
 
 def _int_leaf(v: int) -> Expr:
@@ -1444,32 +1530,46 @@ def _int_leaf(v: int) -> Expr:
     return leaf
 
 
+def _power_terms(rat: _Rat, n: int) -> int:
+    """The most terms the polynomials of `rat` to the n-th power can have."""
+    return max((comb(n + t - 1, t - 1) for t in (len(rat.num[2]), len(rat.den[2])) if t > 1), default=1)
+
+
 class _Parser:
     """Recursive descent over the token list of one text, for
-    +,- < *,/ < unary - < ^ (integer exponents).  Variables are their
-    registry atoms and small integers shared nodes; each operator
-    combines its operands' payloads as it is met, left to right.  The end of input is the
-    empty token.  A ParseError carries the position of a token's
-    first character (an unexpected character, trailing input) or the
+    +,- < *,/ < unary - < ^ (integer exponents).  Each rule returns a
+    payload, and each operator combines its operands' payloads as it is
+    met, left to right, so a parse builds one node, at the end.  A
+    variable is its registry atom's payload, or the payload `names` binds
+    to it (an exponent binds no names); a small integer is the payload of
+    a shared node.  The end of input is the empty token.  A ParseError
+    carries the position of a token's first character (an unexpected
+    character, trailing input, a power too large to expand) or the
     position just past the token consumed last."""
 
-    __slots__ = ("text", "toks", "i")
+    __slots__ = ("text", "toks", "i", "names")
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, names: Mapping[str, Expr]):
         self.text = text
         self.toks = _TOKEN.findall(text)
         self.toks.append("")
         self.i = 0
+        self.names = names
 
-    def error(self, message: str, i: int, after: bool = True):
-        """Raise at the end of token `i`, or at its start."""
+    def span(self, i: int) -> tuple[int, int]:
+        """The start and the end of token `i` in the text."""
         text, pos = self.text, 0
         for tok in self.toks[: i + 1]:
             while text[pos : pos + 1].isspace():
                 pos += 1
             start = pos
             pos += len(tok)
-        raise ParseError(message, pos if after else start, text)
+        return start, pos
+
+    def error(self, message: str, i: int, after: bool = True):
+        """Raise at the end of token `i`, or at its start."""
+        start, end = self.span(i)
+        raise ParseError(message, end if after else start, self.text)
 
     def take(self) -> tuple:
         """Consume one token: (kind, value), the kind being "int",
@@ -1485,6 +1585,8 @@ class _Parser:
         if c.isdecimal():
             if not tok.isdecimal():
                 n = next(k for k, ch in enumerate(tok) if not ch.isdecimal())
+                if tok[n].isdigit():
+                    raise ParseError(f"unexpected character {tok[n]!r}", self.span(i)[0] + n, self.text)
                 self.toks[i : i + 1] = tok[:n], tok[n:]
                 tok = tok[:n]
             return "int", int(tok)
@@ -1497,75 +1599,82 @@ class _Parser:
             self.take()
             self.error(message, self.i - 1)
 
-    def parse(self) -> Expr:
-        e = self.add()
+    def parse(self) -> _Rat:
+        r = self.add()
         if self.toks[self.i]:
             self.error("trailing input", self.i, after=False)
-        return e
+        return r
 
-    def add(self) -> Expr:
+    def add(self) -> _Rat:
         toks = self.toks
-        e = self.mul()
+        r = self.mul()
         while True:
             t = toks[self.i]
             if t == "+":
                 self.i += 1
-                e = e + self.mul()
+                r = _rat_add(r, self.mul())
             elif t == "-":
                 self.i += 1
-                e = e - self.mul()
+                r = _rat_add(r, _rat_neg(self.mul()))
             else:
-                return e
+                return r
 
-    def mul(self) -> Expr:
+    def mul(self) -> _Rat:
         toks = self.toks
-        e = self.unary()
+        r = self.unary()
         while True:
             t = toks[self.i]
             if t == "*":
                 self.i += 1
-                e = e * self.unary()
+                r = _rat_mul(r, self.unary())
             elif t == "/":
                 self.i += 1
-                e = e / self.unary()
+                r = _rat_div(r, self.unary())
             else:
-                return e
+                return r
 
-    def unary(self) -> Expr:
+    def unary(self) -> _Rat:
         toks = self.toks
         negations = 0
         while toks[self.i] == "-":
             self.i += 1
             negations += 1
-        e = self.atom()
+        r = self.atom()
         if toks[self.i] == "^":
             self.i += 1
+            at = self.i
             sign = 1
             if toks[self.i] == "-":
                 self.i += 1
                 sign = -1
             kind, val = self.take()
             if kind == "int":
-                e = e ** (sign * val)
+                n = sign * val
             elif kind == "(":
+                names, self.names = self.names, {}
                 inner = self.add()
+                self.names = names
                 self.close("expected ')' in exponent")
-                c = inner.const_value()
+                c = _rat_const(inner)
                 if c is None or c.denominator != 1:
                     self.error("exponent must be an integer", self.i - 1)
-                e = e ** (sign * int(c))
+                n = sign * int(c)
             else:
                 self.error("exponent must be an integer", self.i - 1)
-        return -e if negations % 2 else e
+            if _power_terms(r, abs(n)) > _POWER_TERM_LIMIT:
+                self.error(f"power too large to expand (over {_POWER_TERM_LIMIT} terms)", at, after=False)
+            r = _rat_pow(r, n)
+        return _rat_neg(r) if negations % 2 else r
 
-    def atom(self) -> Expr:
+    def atom(self) -> _Rat:
         kind, val = self.take()
         if kind == "int":
-            return _int_leaf(val)
+            return _int_leaf(val)._rat
         if kind == "ident":
             toks = self.toks
             if toks[self.i] != "(":
-                return _atom_node(("v", val))
+                bound = self.names.get(val)
+                return _atom_node(("v", val))._rat if bound is None else bound._rat
             self.i += 1
             args = [self.add()]
             while toks[self.i] == ",":
@@ -1574,14 +1683,17 @@ class _Parser:
             self.close("expected ')' after function arguments")
             if val in KNOWN_FUNCS and len(args) != 1:
                 self.error(f"{val} takes exactly one argument", self.i - 1)
-            return func(val, *args)
+            return _func_rat(val, tuple(map(_rat_to_expr, args)))
         if kind == "(":
-            e = self.add()
+            r = self.add()
             self.close("expected ')'")
-            return e
+            return r
         self.error(f"unexpected token {val!r}" if kind else "unexpected end of input", self.i - 1)
 
 
-def parse(text: str) -> Expr:
-    """Parse the infix expression grammar used throughout file formats."""
-    return _Parser(text).parse()
+def parse(text: str, names: Optional[Mapping[str, Expr]] = None) -> Expr:
+    """Parse the infix expression grammar used throughout file formats.
+    `names` binds identifiers to expressions as they are read: the result
+    is that of `subst(parse(text), names)`, except that an exponent binds
+    no names."""
+    return _rat_to_expr(_Parser(text, names or {}).parse())

@@ -331,12 +331,9 @@ def _critical_equations(p: VariationalProblem) -> CriticalSystem:
             for crow in fs.C:
                 P.append(list(crow))
         deltas = tuple(_signed_minor(P, a) for a in range(nz))
-        pb = []
-        for i in range(nz):
-            V = coord_field(chart, chart.coords[fs.z_order[i]])
-            psi = interior(V, p.eta)
-            pb.append(_omega_coefficient(formal_jet_pullback(p, psi)))
-        pb = tuple(pb)
+        pb = tuple(
+            _omega_coefficient(formal_jet_pullback(p, _fiber_contraction(p, zcol))) for zcol in fs.z_order
+        )
         ratio = _assert_proportional(pb, deltas)
         jets = _jet_names_of(deltas + pb, chart)
         return CriticalSystem(deltas, jets, tuple(tuple(r) for r in P), pb, "minors", ratio)
@@ -358,6 +355,17 @@ def _critical_equations(p: VariationalProblem) -> CriticalSystem:
     raise NormalFormRequiredError(
         "critical equations need normalized factors or a maximal-degree problem"
     )
+
+
+def _fiber_contraction(p: VariationalProblem, col: int) -> DiffForm:
+    """The contraction of eta with the coordinate field of the fiber
+    column `col`: the problem's psi form of that field when its vertical
+    basis holds it there (the default basis does), else contracted here."""
+    V = coord_field(p.chart, p.chart.coords[col])
+    j = col - p.chart.k
+    if j < len(p.vertical_basis) and p.vertical_basis[j] == V:
+        return p.psi[j]
+    return interior(V, p.eta)
 
 
 def _assert_proportional(pb: Sequence[Expr], deltas: Sequence[Expr]) -> Fraction:

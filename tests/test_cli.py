@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from cartanvp import flows
 from cartanvp import fixtures as fx
 from cartanvp import ideals as ids
 from cartanvp import specio
+from cartanvp import symexpr as sx
 from cartanvp import varprin as vp
 from conftest import ROTATION_THETA
 
@@ -59,6 +61,22 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["rank_certificate"]["box"] == [0.5, 2.0]
 
+    def test_each_payload_compiled_once(self, example1_spec, monkeypatch):
+        # the pivot rule, the zero tests, the rank certificates and the
+        # Frobenius fallback share one float closure per payload and symbol
+        # list, kept on the payload
+        compile_ = sx._compile
+        compiled = []
+
+        def counting(rat, symbols, slots):
+            compiled.append((rat, symbols))
+            return compile_(rat, symbols, slots)
+
+        monkeypatch.setattr(sx, "_compile", counting)
+        code, _ = run(["analyze", "--spec", example1_spec])
+        assert code == 0
+        assert compiled and len({(id(r), s) for r, s in compiled}) == len(compiled)
+
     def test_env_seed_override(self, example1_spec, monkeypatch):
         monkeypatch.setenv("CARTAN_VP_SEED", "99")
         _, out = run(["analyze", "--spec", example1_spec])
@@ -86,6 +104,20 @@ class TestEl:
             [{"coeff": "1", "index": ["z2"]}],
         ],
     }
+
+    def test_power_too_large_to_expand(self, tmp_path):
+        # the parser refuses to expand the power, so the run fails at once
+        # with a typed error instead of running without end
+        spec = json.loads(json.dumps(self.THETA_FACTORS))
+        spec["theta"][0]["coeff"] = "(x + z1)^99999"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        start = time.perf_counter()
+        code, out = run(["el", "--spec", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        report = json.loads(out)
+        assert report == {"error": "power too large to expand (over 1000 terms) (at position 9)", "position": 9}
 
     def test_theta_with_factors_before_normalizing(self, tmp_path):
         # d(theta) is the wedge of the factors as given; normalizing them
@@ -400,6 +432,32 @@ class TestLiouville:
         assert code == 0
         assert len(thetas) == 1
         assert fm.form_to_spec(thetas[0]) == json.loads(out)["theta"]
+
+    def test_field_contracted_with_omega_once(self, tmp_path, monkeypatch):
+        # the closedness check and gamma share one contraction X -| omega
+        spec = {
+            "phase": ["x", "y", "z"],
+            "omega": [{"coeff": "1", "index": ["x", "y", "z"]}],
+            "field": {"x": "x*y + z^2", "y": "-1/2*y^2 + z", "z": "x^2 + y"},
+        }
+        path = tmp_path / "liouville-3d.json"
+        path.write_text(json.dumps(spec))
+        phase = fm.Chart(spec["phase"])
+        X = specio.field_from_spec(phase, spec["field"])
+        interior = fm.interior
+        contractions = []
+
+        def counting(field, form):
+            if field == X and form.chart == phase and form.degree == phase.dim:
+                contractions.append(form)
+            return interior(field, form)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cartanvp") and getattr(module, "interior", None) is interior:
+                monkeypatch.setattr(module, "interior", counting)
+        code, out = run(["liouville", "--spec", str(path)])
+        assert code == 0 and json.loads(out)["is_liouville"] is True
+        assert len(contractions) == 1
 
     def test_supplied_sigma(self, tmp_path):
         spec = {

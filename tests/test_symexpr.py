@@ -561,6 +561,8 @@ class TestParser:
             "_x", "x ½", "½", "x^", "x^y", "x^(y)", "x^(1/2)", "x^1.5", "x^(1", "x^(1 y)", "x^-",
             "sin(x, y)", "ln()", "F(x,", "F(x y)", "F(x; y)", "sin(x", "x ^ 2 ^ 3", "()", "(,)",
             "x^²", "²", "x + ²", "(x ²", "x^(1/0)", "1/0", "x^(0/0)",
+            # a digit run with a non-decimal digit, met where a bracket must close
+            "(x 0²)", "F(x 0²)", "(F(x, x 0²))",
         ]
         for text in texts:
             _assert_matches_reference(text)
@@ -613,6 +615,36 @@ class TestParser:
 
         check()
 
+
+    def test_names_bound_while_reading(self):
+        # parse(text, names) is subst(parse(text), names), except that an
+        # exponent binds no names
+        names = {"B": sx.func("B", x, z), "C": y / 2 + 1, "D": sx.num(3)}
+        texts = [
+            "B", "B*x + C^2", "sin(B) - C/B", "F(B, C)*D", "G(x^2, B) + B^-2", "x^(2)",
+            "(B + C)^3/(x - C)", "D^2", "-C*-B",
+        ]
+        for text in texts:
+            got = sx.parse(text, names)
+            want = sx.subst(sx.parse(text), names)
+            assert got == want and str(got) == str(want), text
+        assert sx.parse("B", names) is names["B"]
+        with pytest.raises(ParseError, match="exponent must be an integer"):
+            sx.parse("x^(D)", names)
+        with pytest.raises(DivisionByZeroError):
+            sx.parse("1/(D - 3)", names)
+
+    def test_power_too_large_to_expand(self):
+        # a power of a sum of t terms has up to C(n + t - 1, t - 1) terms;
+        # the parser refuses one over the limit at the exponent, at once
+        assert len(sx.parse("(x + y)^999")._rat.num[2]) == 1000 == sx._POWER_TERM_LIMIT
+        for text, at in [("(x + y)^1000", 8), ("(x + y)^99999", 8), ("1/(x + 1)^-99999", 10),
+                         ("(x + y + z)^(50 - 5)", 12)]:
+            with pytest.raises(ParseError, match="power too large") as err:
+                sx.parse(text)
+            assert err.value.position == at, text
+        # a monomial's power has one term
+        assert str(sx.parse("(2*x*y)^99")) == f"{2**99}*x^99*y^99"
 
     def test_roundtrip_on_corpus(self):
         rng = random.Random(17)
@@ -1480,6 +1512,49 @@ class TestIntegerPayload:
                     assert (got_num, got_den) == (want_num, want_den)
 
         check()
+
+    def test_products_by_operand_shape_property(self, keys):
+        # one-term operands take their own path in `_p_mul`: the unit,
+        # other constants (also the non-primitive ones `_t_mul` passes in
+        # the gcd, such as {(): 3}) and monomials, on either side
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        monos = st.tuples(*[st.integers(0, 2)] * len(keys)).map(
+            lambda es: tuple((a, e) for a, e in zip(keys, es) if e)
+        )
+        ints = st.integers(-9, 9).filter(bool)
+        one_term = st.one_of(
+            st.sampled_from([{(): 1}, {(): -1}, {(): 3}, {(): -6}]),
+            st.builds(lambda c: {(): c}, ints),
+            st.builds(lambda m, c: {m: c}, monos, st.sampled_from([1, -1, 2, -4])),
+        )
+        dicts = st.one_of(one_term, st.dictionaries(monos, ints, max_size=5))
+        contents = st.sampled_from([(1, 1), (2, 3), (5, 1), (1, 4)])
+
+        @hypothesis.settings(max_examples=400, deadline=None, database=None)
+        @hypothesis.given(dicts, dicts, contents, contents)
+        def check(a, b, ca, cb):
+            want = _ref_p_mul(a, b)
+            assert sx._t_mul(a, b) == want
+            pa, pb = (*ca, a), (*cb, b)
+            got = sx._p_mul(pa, pb)
+            assert _fractions(got) == _ref_p_mul(_fractions(pa), _fractions(pb))
+            if a and b and _poly(_fractions(pa)) == pa and _poly(_fractions(pb)) == pb:
+                assert got == _poly(_fractions(got))  # primitive operands, primitive product
+
+        check()
+        pb = (2, 3, {((keys[0], 1),): 1, (): -1})
+        assert sx._p_mul(sx._ONE_POLY, pb) is pb and sx._p_mul(pb, sx._ONE_POLY) is pb
+        assert sx._p_mul((2, 1, {(): 1}), pb)[2] is pb[2]
+
+    def test_the_unit_is_free(self):
+        r = (x + 1)._rat
+        assert sx._rat_mul(r, sx._RAT_ONE) is r and sx._rat_mul(sx._RAT_ONE, r) is r
+        assert sx._rat_div(r, sx._RAT_ONE) is r
+        q = x / (y + 1)
+        for e in (x, q, 3 * x):
+            assert e * sx.ONE is e and sx.ONE * e is e and e / sx.ONE is e
+            assert e * 1 is e and e / 1 is e
 
     def test_every_payload_keeps_the_invariant(self, monkeypatch):
         # every _Rat built by canon, diff, subst and the forms calculus has

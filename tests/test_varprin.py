@@ -210,6 +210,20 @@ class TestCriticalEquations:
         # the cache is no part of the problem's value
         assert p == example1_problem(chart5)
 
+    def test_pullback_route_reads_the_psi_forms(self, chart5, monkeypatch):
+        # with the default vertical basis the pullback route reads the psi
+        # forms the problem holds; a basis that does not hold a coordinate
+        # field at its place has eta contracted with that field
+        p = example1_problem(chart5)
+        q = vp.build_problem(chart5, factors=list(p.factors.alphas), vertical_basis=p.vertical_basis[::-1])
+        contracted = []
+        interior = vp.interior
+        monkeypatch.setattr(vp, "interior", lambda V, form: contracted.append(V) or interior(V, form))
+        system = vp.critical_equations(p)
+        assert contracted == []
+        assert vp.critical_equations(q).pullback_deltas == system.pullback_deltas
+        assert contracted == [fm.coord_field(chart5, "z1"), fm.coord_field(chart5, "z3")]
+
     def test_maximal_degree_reduces_to_transport_residuals(self):
         p, f, g = maximal_degree_problem()
         system = vp.critical_equations(p)
