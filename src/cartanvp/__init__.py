@@ -7,20 +7,14 @@ critical-section PDE system, and reconstructs critical sections
 numerically by integrating characteristic vector fields.  For a
 volume-preserving field it assembles the action form, with the
 orientation sign fixed by the parity of the phase dimension.
+
+Submodules load on first use (`import cartanvp.forms`, or the attribute
+`cartanvp.forms`), so a process imports only what it runs; numpy is
+loaded by the numeric code alone (`flows`, rank certificates, the
+Frobenius fallback, the fixture checks).
 """
 
-from . import (
-    symexpr,
-    forms,
-    linalg,
-    ideals,
-    decomp,
-    varprin,
-    flows,
-    liouville,
-    specio,
-    fixtures,
-)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -36,3 +30,11 @@ __all__ = [
     "specio",
     "fixtures",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: a submodule of __all__ is imported on its first attribute
+    # access, after which it is an attribute of the package
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

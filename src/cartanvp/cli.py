@@ -10,6 +10,10 @@ byte-identical.  The problem computes its distributions on first read,
 so each command builds only those it reports: `analyze` and `example`
 the annihilator and its vertical part, `annihilator`, `frobenius` and
 `integrate` the annihilator, `el`, `verify` and `liouville` neither.
+Only numeric work loads numpy: the rank certificates and Frobenius
+fallback of `analyze`, `annihilator` and `frobenius`, the sweeps of
+`integrate` (`flows`, imported by that command) and the fixture checks of
+`example`; `el`, `verify` and `liouville` run without it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ import os
 import sys
 from typing import Optional
 
-from . import fixtures as fx
-from . import flows
 from . import ideals as ids
 from . import liouville as lv
 from . import specio
@@ -35,6 +37,8 @@ __all__ = ["main", "build_parser", "run"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from . import fixtures as fx
+
     ap = argparse.ArgumentParser(
         prog="cartanvp",
         description="variational Cartan ideals: analyze action forms, list "
@@ -231,6 +235,8 @@ def cmd_verify(args):
 
 
 def cmd_integrate(args):
+    from . import flows
+
     p, spec, options = _problem(args)
     section_spec = _load_json(args.section)
     grid = {
@@ -302,6 +308,8 @@ def cmd_liouville(args):
 
 
 def cmd_example(args):
+    from . import fixtures as fx
+
     seed = _effective_seed(args, specio.options_from_spec(fx.load(args.name)))
     rep = fx.run_fixture(args.name, seed=seed)
     report = rep.to_dict()

@@ -22,8 +22,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .. import ideals as ids
 from .. import specio
 from .. import symexpr as sx
@@ -224,6 +222,8 @@ def _f_elimination_item(p, system, seed) -> FixtureItem:
     """Tangency-vs-equations equivalence at sample points: slope matrices
     with a kernel direction must kill every equation (residual below 1e-9),
     generic slope matrices must violate one."""
+    import numpy as np
+
     chart = p.chart
     rng = random.Random(seed ^ 0x5EED)
     atoms = {}

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import linalg as la
 from . import symexpr as sx
 from .errors import ChartMismatchError, InvariantViolationError, UnequalGeneratorDegreesError
@@ -269,6 +267,8 @@ def frobenius_check(D: Distribution, box=None, seed: int = DEFAULT_SEED) -> Frob
             if combination(D, Z.components, range(D.chart.dim)) is not None:
                 continue
             # numeric fallback: least squares at fresh sample points
+            import numpy as np
+
             exprs = [e for Y in basis for e in Y.components] + list(Z.components)
             symbols, points = sx.sample_points(exprs, box=box, seed=seed, count=32, center=True)
             points = list(points)

@@ -6,21 +6,25 @@ the box center plus seeded uniform sample points (opaque coefficient atoms
 drawn as generic values), and numeric ranks must agree.  `sample_stack`
 is the one float evaluation of a matrix at sample points: a (points, m,
 n) stack, each entry evaluated once over the point columns, whose ranks
-`numeric_ranks` takes from one stacked SVD.  The symbolic elimination, and
-its pivot rule, is `gauss_eliminate`, the package's only one.
+`numeric_ranks` takes from one stacked SVD.  These two are the module's
+numeric part and import numpy when first called; the elimination and its
+zero tests evaluate Python floats and never load it.  The symbolic
+elimination, and its pivot rule, is `gauss_eliminate`, the package's only
+one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import symexpr as sx
 from .errors import CartanVPError, NonConstantRankError
 from .symexpr import DEFAULT_SEED, Expr
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RANK_TOL = 1e-9
 SAMPLE_COUNT = 64
@@ -37,15 +41,23 @@ def sample_stack(mat, symbols: Sequence, points) -> tuple[np.ndarray, list[tuple
     each point the bits of a scalar evaluation.  If an entry fails, the
     points are evaluated one by one, entries row-major, as a per-point loop
     would: a failing point is left out of the stack and listed, in point
-    order, as (index, error of its first failing entry)."""
+    order, as (index, error of its first failing entry).  numpy's float
+    warnings are ignored over the whole column pass, entered once per
+    stack; the per-point pass evaluates Python floats."""
+    import numpy as np
+
     values = np.asarray(points, dtype=float).reshape(len(points), len(symbols))
     m, n = len(mat), len(mat[0]) if mat else 0
-    entries = [sx.compile_expr(e, symbols) for row in mat for e in row]
+    symbols = tuple(symbols)
+    # the compiled closures themselves: `compile_expr`'s wrapper would
+    # enter np.errstate once per entry
+    entries = [sx._compiled(e._rat, symbols) for row in mat for e in row]
     out = np.empty((len(values), m * n))
     try:
         columns = list(values.T)
-        for j, f in enumerate(entries):
-            out[:, j] = f(columns)
+        with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
+            for j, f in enumerate(entries):
+                out[:, j] = f(columns)
         return out.reshape(len(values), m, n), []
     except _EVAL_ERRORS:
         pass
@@ -62,6 +74,8 @@ def sample_stack(mat, symbols: Sequence, points) -> tuple[np.ndarray, list[tuple
 def numeric_ranks(stack: np.ndarray) -> np.ndarray:
     """Numeric ranks of the matrices of a (points, m, n) stack, from one
     SVD call."""
+    import numpy as np
+
     if stack.size == 0:
         return np.zeros(len(stack), dtype=int)
     return np.sum(np.linalg.svd(stack, compute_uv=False) > RANK_TOL, axis=-1)

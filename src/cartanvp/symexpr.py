@@ -49,7 +49,10 @@ columns of floats with the same bits per row), kept on the payload and
 freed with it, so every later zero test, pivot choice or rank
 certificate of that payload reuses it; and `sample_points` is
 the one seeded sampler of evaluation points, which are tuples of floats
-aligned with a symbol list of variable names and opaque-atom keys.
+aligned with a symbol list of variable names and opaque-atom keys.  The
+module does not import numpy: a closure handed a numpy column finds
+numpy in `sys.modules`, so exact work and scalar evaluation never load
+it.
 """
 
 from __future__ import annotations
@@ -57,12 +60,11 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
-
-import numpy as np
 
 from .errors import (
     DivisionByZeroError,
@@ -1189,6 +1191,10 @@ def compile_expr(e: Expr, symbols: Sequence) -> Callable[[Sequence[float]], floa
     quotients are elementwise, and where the two differ a closure branches
     on its input's class (`math.fsum`, powers and sin/cos/exp/ln through
     Python floats per row, the 1e-12 check over the whole column).  A
+    Python float takes the scalar branch at once; only another class is
+    looked up as a numpy array, in `sys.modules`, so evaluating floats
+    never imports numpy.  On columns the evaluator ignores numpy's float
+    warnings, as Python floats overflow to inf silently too.  A
     variable or atom missing from `symbols` raises UnboundVariableError or
     UnboundFunctionError when it is reached.  Columns raise where some row
     would, with some failing row's error: `flows._rk4` and
@@ -1198,12 +1204,22 @@ def compile_expr(e: Expr, symbols: Sequence) -> Callable[[Sequence[float]], floa
     f = _compiled(e._rat, tuple(symbols))
 
     def evaluator(v):
-        if v and v[0].__class__ is np.ndarray:
-            with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
-                return f(v)
+        if v and v[0].__class__ is not float:
+            np = _numpy_of(v[0])
+            if np is not None:
+                with np.errstate(all="ignore"):  # Python floats overflow to inf silently too
+                    return f(v)
         return f(v)
 
     return evaluator
+
+
+def _numpy_of(x):
+    """numpy, when `x` is one of its arrays (a column), else None.  Only
+    code that imported numpy can pass an array, so this module does not
+    import it but looks it up in `sys.modules`."""
+    np = sys.modules.get("numpy")
+    return np if np is not None and x.__class__ is np.ndarray else None
 
 
 def _compiled(rat: _Rat, symbols: tuple, slots: Optional[Mapping] = None) -> Callable:
@@ -1232,7 +1248,11 @@ def _compile(rat: _Rat, symbols: tuple, slots: Mapping) -> Callable:
 
     def quotient(v):
         d = den(v)
-        if np.any(np.abs(d) <= EVAL_DIV_TOLERANCE) if d.__class__ is np.ndarray else abs(d) <= EVAL_DIV_TOLERANCE:
+        if d.__class__ is float or _numpy_of(d) is None:
+            near = abs(d) <= EVAL_DIV_TOLERANCE
+        else:
+            near = (abs(d) <= EVAL_DIV_TOLERANCE).any()
+        if near:
             raise DivisionByZeroError("denominator within 1e-12 of zero")
         return num(v) / d
 
@@ -1256,7 +1276,7 @@ def _compile_poly(poly: tuple, symbols: tuple, slots: Mapping, atoms: dict) -> C
     def total(v):
         xs = [t(v) for t in terms]
         for x in xs:
-            if x.__class__ is np.ndarray:  # fsum per row, floats broadcast
+            if x.__class__ is not float and (np := _numpy_of(x)) is not None:  # fsum per row, floats broadcast
                 cols = [y.tolist() if y.__class__ is np.ndarray else [y] * len(x) for y in xs]
                 return np.array(list(map(math.fsum, zip(*cols))))
         return math.fsum(xs)
@@ -1285,7 +1305,7 @@ def _per_row(f: Callable, g: Callable[[float], float]) -> Callable:
 
     def apply(v):
         x = f(v)
-        if x.__class__ is np.ndarray:
+        if x.__class__ is not float and (np := _numpy_of(x)) is not None:
             return np.array([g(t) for t in x.tolist()])
         return g(x)
 
@@ -1420,9 +1440,18 @@ def is_zero(
 ) -> ZeroTest:
     """Zero iff the numerator is the zero polynomial; otherwise sample for
     a witness.  No witness within the budget yields 'unknown'
-    (never silently 'zero')."""
+    (never silently 'zero').  A nonzero constant takes the same value at
+    every point, so its float decides it without a draw: 'nonzero' with
+    the empty witness when `samples` > 0 and it exceeds `threshold`,
+    else 'unknown'."""
     if e.is_const_zero():
         return ZeroTest("zero", seed=seed, threshold=threshold)
+    c = e.const_value()
+    if c is not None:  # every sample point gives this one value: no draw
+        val = float(c)
+        if samples > 0 and abs(val) > threshold:
+            return ZeroTest("nonzero", {}, val, seed, threshold)
+        return ZeroTest("unknown", seed=seed, threshold=threshold)
     symbols, points = sample_points([e], box=box, seed=seed, count=samples)
     f = compile_expr(e, symbols)
     for vals in points:

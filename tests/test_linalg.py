@@ -88,3 +88,22 @@ class TestSampleStack:
         entries = [[sx.compile_expr(e, symbols) for e in row] for row in mat]
         assert not failures
         assert np.array_equal(stack, [[[f(v) for f in row] for row in entries] for v in points])
+
+    def test_float_warnings_ignored_once_per_stack(self, monkeypatch):
+        # one np.errstate for the column pass of the whole stack, none for
+        # the per-point pass of Python floats; an overflow still reads inf
+        entered = []
+        errstate = np.errstate
+
+        def counting(**kwargs):
+            entered.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counting)
+        mat = [[x, x * y, y], [sx.sin(x), sx.ONE, 1 / y]]
+        stack, failures = la.sample_stack(mat, ["x", "y"], [(1.0, 1.0), (1e200, 1e200)])
+        assert entered == [{"all": "ignore"}] and not failures
+        assert stack[1, 0, 1] == math.inf
+        entered.clear()
+        _, failures = la.sample_stack(mat, ["x", "y"], [(1.0, 1.0), (1e200, 0.0)])
+        assert entered == [{"all": "ignore"}] and [i for i, _ in failures] == [1]

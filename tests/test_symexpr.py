@@ -505,6 +505,26 @@ class TestIsZero:
         assert res.verdict == "nonzero"
         assert "F(x)" in res.witness
 
+    def test_constant_decided_by_its_value(self, monkeypatch):
+        # the verdicts of the 64-point loop, with no draw or compile: a
+        # nonzero witness {} and the constant's float, or "unknown" at or
+        # below the threshold or with no samples
+        monkeypatch.setattr(sx, "sample_points", _no_sampling)
+        monkeypatch.setattr(sx, "_compile", _no_sampling)
+        for c in (3, Fraction(-7, 3), Fraction(1, 10**8)):
+            res = sx.is_zero(sx.num(c), seed=5)
+            assert res == sx.ZeroTest("nonzero", {}, float(c), 5, sx.ZERO_THRESHOLD)
+        assert sx.is_zero(sx.num(Fraction(1, 10**12))) == sx.ZeroTest("unknown")
+        assert sx.is_zero(sx.num(2), threshold=2.0).verdict == "unknown"
+        assert sx.is_zero(sx.num(2), samples=0).verdict == "unknown"
+        assert sx.is_zero(sx.num(0)).verdict == "zero"
+        with pytest.raises(AssertionError, match="sampled"):
+            sx.is_zero(x - x + x)
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sampled")
+
 
 class TestParser:
     def test_precedence_and_rationals(self):
@@ -563,6 +583,10 @@ class TestParser:
             "x^²", "²", "x + ²", "(x ²", "x^(1/0)", "1/0", "x^(0/0)",
             # a digit run with a non-decimal digit, met where a bracket must close
             "(x 0²)", "F(x 0²)", "(F(x, x 0²))",
+            # powers of sums, which the parser expands
+            "(x + y)^3", "(x - 2*y)^2*(x + 1)", "-(a + b)^2", "(x + 1)^-2", "F(x, (x + y)^2)",
+            "(x + y)^0", "(x + y)^1", "(x + y)^(3 - 1)", "((x + y)^2 - z)^3", "(x/y + 1)^2",
+            "(sin(x) + 1)^2", "1/(x - y)^3", "(1/2*x - 3)^3/(x + 1)^2", "(x - x)^-2", "(x + y)^-(2)",
         ]
         for text in texts:
             _assert_matches_reference(text)
@@ -580,12 +604,14 @@ class TestParser:
         def extend(kids):
             binary = st.tuples(kids, space, st.sampled_from("+-*/"), kids)
             power = st.tuples(kids, st.sampled_from(["", "-"]), exps)
+            sum_power = st.tuples(kids, st.sampled_from("+-"), kids, st.sampled_from(["", "-"]), exps)
             call = st.tuples(st.sampled_from(["sin", "exp", "F", "G1"]), st.lists(kids, min_size=1, max_size=3))
             return st.one_of(
                 binary.map(lambda t: f"{t[0]}{t[1]}{t[2]}{t[1]}{t[3]}"),
                 kids.map(lambda k: f"-{k}"),
                 kids.map(lambda k: f"({k})"),
                 power.map(lambda t: f"{t[0]}^{t[1]}{t[2]}"),
+                sum_power.map(lambda t: f"({t[0]} {t[1]} {t[2]})^{t[3]}{t[4]}"),
                 st.tuples(kids, exps, exps).map(lambda t: f"{t[0]}^({t[1]} - {t[2]})"),
                 call.map(lambda t: f"{t[0]}({', '.join(t[1])})"),
             )
@@ -611,6 +637,9 @@ class TestParser:
         @hypothesis.settings(max_examples=600, deadline=None, database=None)
         @hypothesis.given(texts())
         def check(text):
+            # the reference expands a power of any size; a text over the
+            # term limit is test_power_too_large_to_expand's
+            hypothesis.assume("power too large" not in str(_outcome(sx.parse, text)))
             _assert_matches_reference(text)
 
         check()
