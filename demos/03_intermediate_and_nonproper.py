@@ -38,9 +38,8 @@ print("   goldens carry the pullback-derived form)")
 p3 = fx.problem("example3")
 c3 = p3.classification
 print(f"\nnon-proper example: n = {c3.n}, k = {c3.k}, case = {c3.degree_case}")
-verdict, witnesses = vp.check_proper(p3)
-print(f"  properness: {verdict}; vertical witness:")
-for Y in witnesses:
+print(f"  properness: {c3.proper}; vertical witness:")
+for Y in p3.vertical_annihilator.basis:
     print("   ", Y.display())
 print(f"  annihilator rank q = {c3.q}, transversal part r = {c3.r}")
 

@@ -136,9 +136,8 @@ def cmd_analyze(args):
     p, spec, options = _problem(args)
     cls = p.classification
     fr = ids.frobenius_check(p.annihilator, box=options["box"], seed=options["seed"])
-    verdict, witnesses = vp.check_proper(p)
     basis = [_field_json(Y) for Y in p.annihilator.basis]
-    vertical = [_field_json(Y) for Y in witnesses]
+    vertical = [_field_json(Y) for Y in p.vertical_annihilator.basis]
     report = {
         "seed": options["seed"],
         "classification": {
@@ -338,10 +337,24 @@ COMMANDS = {
 
 
 def run(argv=None) -> tuple[int, str]:
-    """Parse, execute, and render; returns (exit code, rendered output)."""
+    """Parse, execute, and render; returns (exit code, rendered output).
+    A file that cannot be read or written (`--spec`, `--section`, `--out`)
+    exits 2 with its `OSError` kind."""
     args = _parser().parse_args(argv)
     try:
         result = COMMANDS[args.command](args)
+        report, text, code = result[:3]
+        if args.format == "json":
+            out = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        elif args.format == "text":
+            out = text + "\n"
+        else:  # csv, which only integrate accepts and returns
+            out = result[3]
+        if args.out:
+            with open(args.out, "w") as f:
+                f.write(out)
+            return code, ""
+        return code, out
     except ParseError as exc:
         payload = json.dumps({"error": str(exc), "position": exc.position}, sort_keys=True)
         return 2, payload
@@ -350,23 +363,11 @@ def run(argv=None) -> tuple[int, str]:
             {"error": str(exc), "kind": type(exc).__name__}, sort_keys=True
         )
         return 1, payload
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         payload = json.dumps(
             {"error": str(exc), "kind": type(exc).__name__}, sort_keys=True
         )
         return 2, payload
-    report, text, code = result[:3]
-    if args.format == "json":
-        out = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    elif args.format == "text":
-        out = text + "\n"
-    else:  # csv, which only integrate accepts and returns
-        out = result[3]
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(out)
-        return code, ""
-    return code, out
 
 
 def main(argv=None) -> int:

@@ -27,19 +27,17 @@ __all__ = ["FactorSet", "Def8Verdict", "classify", "normalize"]
 class FactorSet:
     """k+1 one-forms with the bookkeeping of their normal-form reduction.
 
-    After normalization, row i reads dz^{sigma(i)} + B_{im} dx^m
-    (+ G_{im} dw^m when the chart has a residual block), and any remaining
-    rows are pure base rows C_{im} dx^m.  `multiplier` relates the wedge
-    of the normalized factors to the wedge of the originals.
+    After normalization the factors `alphas` are the normal form itself:
+    row i < len(z_order) reads dc + B_{im} dx^m (+ G_{im} dw^m over the
+    fiber columns w that are not pivots), with c = z_order[i], and any
+    remaining rows are pure base rows C_{im} dx^m.  `multiplier` relates
+    the wedge of the normalized factors to the wedge of the originals.
     """
 
     chart: BundleChart
     alphas: tuple[DiffForm, ...]
     normalized: bool = False
     z_order: tuple[int, ...] = ()  # absolute chart index of the pivot coordinate per z-row
-    B: Optional[tuple[tuple[Expr, ...], ...]] = None
-    C: Optional[tuple[tuple[Expr, ...], ...]] = None
-    G: Optional[tuple[tuple[Expr, ...], ...]] = None
     multiplier: Expr = sx.ONE
     pivot_permutation: tuple[tuple[int, int], ...] = ()  # (row, fiber column) picks
 
@@ -54,10 +52,6 @@ class FactorSet:
                 raise DegreeMismatchError("factor on a different chart")
             if a.degree != 1:
                 raise DegreeMismatchError("factors must be one-forms")
-
-    @property
-    def h(self) -> int:
-        return len(self.C) if self.C is not None else 0
 
     def eta(self) -> DiffForm:
         return wedge_all(list(self.alphas))
@@ -160,24 +154,14 @@ def normalize(fs: FactorSet, box=None, seed: int = DEFAULT_SEED) -> FactorSet:
     order = [pi for pi, _ in pivots_sorted]
     order += [i for i in range(k1) if i not in order]
     multiplier = multiplier * sx.num(_perm_sign(order))
-    new_rows = [elim.rows[i] for i in order]
-    z_order = tuple(pj for _, pj in pivots_sorted)
     alphas = tuple(
-        DiffForm(ch, 1, {(j,): c for j, c in enumerate(row)}) for row in new_rows
+        DiffForm(ch, 1, {(j,): c for j, c in enumerate(elim.rows[i])}) for i in order
     )
-    nz = len(z_order)
-    B = tuple(tuple(new_rows[i][j] for j in range(ch.k)) for i in range(nz))
-    C = tuple(tuple(new_rows[i][j] for j in range(ch.k)) for i in range(nz, k1))
-    wcols = [j for j in range(ch.k, ch.dim) if j not in z_order]
-    G = tuple(tuple(new_rows[i][j] for j in wcols) for i in range(nz)) if wcols else None
     return FactorSet(
         chart=ch,
         alphas=alphas,
         normalized=True,
-        z_order=z_order,
-        B=B,
-        C=C if C else None,
-        G=G,
+        z_order=tuple(pj for _, pj in pivots_sorted),
         multiplier=multiplier,
         pivot_permutation=tuple(pivots_sorted),
     )

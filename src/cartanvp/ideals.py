@@ -1,8 +1,12 @@
-"""Annihilators, characteristic distributions, and Frobenius checks.
+"""Characteristic distributions, span membership, and Frobenius checks.
 
 The variational ideal itself is the tuple of contraction forms `psi` of a
-`varprin.VariationalProblem`; this module solves the contraction systems
-of eta, of the one-form factors, or of forms of one degree such as `psi`.
+`varprin.VariationalProblem`.  This module has one constructor of a
+distribution, `characteristic_distribution`: the joint kernel of
+contraction with forms of one degree, such as eta alone, the one-form
+factors of eta (the annihilator of a decomposable form is the joint
+kernel of its factors), or `psi`; optionally restricted to vertical
+fields.
 
 A distribution's rank is certified by sampling, never proved: the
 certificate records the seed, sample points, and per-point numeric ranks.
@@ -23,8 +27,6 @@ from .forms import (
     Chart,
     DiffForm,
     VecField,
-    coord_field,
-    interior,
     lie_bracket,
 )
 from .symexpr import DEFAULT_SEED, Expr
@@ -32,7 +34,6 @@ from .symexpr import DEFAULT_SEED, Expr
 __all__ = [
     "Distribution",
     "FrobeniusResult",
-    "annihilator",
     "characteristic_distribution",
     "combination",
     "frobenius_check",
@@ -82,12 +83,17 @@ class FrobeniusResult:
 
 
 def contraction_matrix(eta: DiffForm) -> tuple[list[tuple], list[list[Expr]]]:
-    """Coefficient matrix of iota_Y eta = 0: column i is the contraction
-    of eta with d/dx^i, rows are the ascending (deg-1)-indices it reaches."""
-    chart = eta.chart
-    cols = [interior(coord_field(chart, name), eta).terms for name in chart.coords]
-    rows = sorted(set().union(*cols))
-    return rows, [[col.get(K, sx.ZERO) for col in cols] for K in rows]
+    """Coefficient matrix of iota_Y eta = 0: rows are the ascending
+    (deg-1)-indices K that the contractions reach, and entry (K, i) is the
+    coefficient c of the index K with i inserted, signed as
+    `forms.interior` signs it (-c when i sits at an odd position)."""
+    entries: dict[tuple, list[Expr]] = {}
+    for J, c in eta.terms.items():
+        for pos, i in enumerate(J):
+            row = entries.setdefault(J[:pos] + J[pos + 1 :], [sx.ZERO] * eta.chart.dim)
+            row[i] = -c if pos % 2 else c
+    rows = sorted(entries)
+    return rows, [entries[K] for K in rows]
 
 
 def _fiber_first_groups(chart: Chart, cols: list[int]) -> Optional[list[list[int]]]:
@@ -160,20 +166,19 @@ def _check_definitional_residual(mat, dist: Distribution):
                 raise InvariantViolationError("kernel basis fails the defining contraction")
 
 
-def annihilator(eta: DiffForm, box=None, seed: int = DEFAULT_SEED) -> Distribution:
-    """Solution module of iota_Y eta = 0 (Gaussian elimination over the
-    expression field; rank certified constant by sampling)."""
-    if eta.is_zero_form():
-        raise ValueError("annihilator of the zero form is everything")
-    _, mat = contraction_matrix(eta)
-    return _distribution_from_matrix(mat, eta.chart, box, seed, "annihilator system")
-
-
 def characteristic_distribution(
-    forms: Sequence[DiffForm], box=None, seed: int = DEFAULT_SEED
+    forms: Sequence[DiffForm],
+    box=None,
+    seed: int = DEFAULT_SEED,
+    vertical_only: bool = False,
+    what: str = "characteristic system",
 ) -> Distribution:
-    """Joint kernel of contraction with forms of one degree on one chart,
-    such as the contraction forms `psi` of a variational problem."""
+    """Joint kernel of contraction with forms of one degree on one chart:
+    eta alone, its one-form factors (k+1 rows, so the kernel basis comes
+    out in the factors' own normal form), or the contraction forms `psi`.
+
+    `vertical_only` restricts the kernel to the fiber coordinates of a
+    bundle chart; `what` names the system in a rank error."""
     degs = {g.degree for g in forms}
     if len(degs) != 1:
         raise UnequalGeneratorDegreesError(
@@ -186,35 +191,8 @@ def characteristic_distribution(
     for g in forms:
         _, part = contraction_matrix(g)
         mat.extend(part)
-    return _distribution_from_matrix(mat, chart, box, seed, "characteristic system")
-
-
-def vertical_annihilator(
-    eta: DiffForm, box=None, seed: int = DEFAULT_SEED
-) -> Distribution:
-    """Annihilator restricted to vertical fields (fiber components only)."""
-    _, mat = contraction_matrix(eta)
-    return _distribution_from_matrix(
-        mat, eta.chart, box, seed, "vertical annihilator system", vertical_only=True
-    )
-
-
-def annihilator_from_factors(
-    chart: Chart,
-    alphas: Sequence[DiffForm],
-    box=None,
-    seed: int = DEFAULT_SEED,
-    vertical_only: bool = False,
-) -> Distribution:
-    """Joint kernel of the one-form factors.
-
-    For an independent factor set this is the annihilator of their wedge
-    (the annihilator of a decomposable form is the intersection of the
-    factor annihilators), but the system has only k+1 rows, so the kernel
-    basis comes out in the factors' own normal form.
-    """
-    mat = [[a.terms.get((i,), sx.ZERO) for i in range(chart.dim)] for a in alphas]
-    what = "vertical factor annihilator system" if vertical_only else "factor annihilator system"
+    if not mat:
+        raise ValueError("the kernel of contraction with zero forms is everything")
     return _distribution_from_matrix(mat, chart, box, seed, what, vertical_only=vertical_only)
 
 

@@ -52,7 +52,6 @@ __all__ = [
     "CriticalSystem",
     "VerifyReport",
     "build_problem",
-    "check_proper",
     "critical_equations",
     "characteristic_field_maximal_degree",
     "verify_critical",
@@ -87,9 +86,10 @@ class Classification:
 @dataclass(frozen=True)
 class VariationalProblem:
     """A problem as `build_problem` assembles it: chart, theta, eta, the
-    normalized factors and the contraction forms.  The annihilator, the
-    vertical annihilator, the classification and the critical system are
-    computed on first read and kept on the problem (`cached_property`
+    normalized factors and the contraction forms `psi`, eta contracted
+    with the fiber coordinate fields in chart order.  The annihilator,
+    the vertical annihilator, the classification and the critical system
+    are computed on first read and kept on the problem (`cached_property`
     writes the instance dict, which a frozen dataclass leaves open), so a
     command builds only the distributions it reports."""
 
@@ -97,7 +97,6 @@ class VariationalProblem:
     theta: Optional[DiffForm]
     eta: DiffForm
     factors: Optional[dc.FactorSet]
-    vertical_basis: tuple[VecField, ...]
     psi: tuple[DiffForm, ...]
     box: object = None
     seed: int = DEFAULT_SEED
@@ -108,21 +107,26 @@ class VariationalProblem:
 
     @cached_property
     def annihilator(self) -> ids.Distribution:
-        if self.factors is not None:
-            # joint factor kernel: same module as the eta annihilator, but
-            # the basis lands in the factors' normal form
-            return ids.annihilator_from_factors(
-                self.chart, self.factors.alphas, box=self.box, seed=self.seed
-            )
-        return ids.annihilator(self.eta, box=self.box, seed=self.seed)
+        return self._kernel(vertical_only=False)
 
     @cached_property
     def vertical_annihilator(self) -> ids.Distribution:
+        return self._kernel(vertical_only=True)
+
+    def _kernel(self, vertical_only: bool) -> ids.Distribution:
+        # the joint kernel of the factors is the annihilator of their
+        # wedge, with the basis in the factors' normal form
         if self.factors is not None:
-            return ids.annihilator_from_factors(
-                self.chart, self.factors.alphas, box=self.box, seed=self.seed, vertical_only=True
-            )
-        return ids.vertical_annihilator(self.eta, box=self.box, seed=self.seed)
+            forms, what = self.factors.alphas, "factor annihilator system"
+        else:
+            forms, what = (self.eta,), "annihilator system"
+        return ids.characteristic_distribution(
+            forms,
+            box=self.box,
+            seed=self.seed,
+            vertical_only=vertical_only,
+            what="vertical " + what if vertical_only else what,
+        )
 
     @cached_property
     def classification(self) -> Classification:
@@ -168,10 +172,6 @@ class VerifyReport:
     cross_checked: bool
 
 
-def _default_vertical_basis(chart: BundleChart) -> tuple[VecField, ...]:
-    return tuple(coord_field(chart, n) for n in chart.fiber)
-
-
 def _degree_case(n: int, k: int) -> str:
     if k == n - 2:
         return MAXIMAL_DEGREE
@@ -188,14 +188,13 @@ def build_problem(
     chart: BundleChart,
     theta: Optional[DiffForm] = None,
     factors: Optional[Sequence[DiffForm] | dc.FactorSet] = None,
-    vertical_basis: Optional[Sequence[VecField]] = None,
     box=None,
     seed: int = DEFAULT_SEED,
 ) -> VariationalProblem:
     """Assemble the variational problem from theta or from factor input.
 
     eta is d(theta) or the wedge of the factors; the contraction forms are
-    taken against the vertical basis (coordinate fiber fields by default).
+    eta contracted with the fiber coordinate fields, in chart order.
     No distribution is built here: the annihilator, the vertical
     annihilator and the classification are computed on first read.
     """
@@ -224,26 +223,16 @@ def build_problem(
             eta = eta_from_theta
     if eta.is_zero_form():
         raise ZeroEtaError("eta vanishes identically")
-    vb = tuple(vertical_basis) if vertical_basis is not None else _default_vertical_basis(chart)
-    psi = tuple(interior(V, eta) for V in vb)
+    psi = tuple(interior(coord_field(chart, name), eta) for name in chart.fiber)
     return VariationalProblem(
         chart=chart,
         theta=theta,
         eta=eta,
         factors=fs,
-        vertical_basis=vb,
         psi=psi,
         box=box,
         seed=seed,
     )
-
-
-def check_proper(p: VariationalProblem) -> tuple[str, list[VecField]]:
-    """Properness with the vertical annihilator basis as witness."""
-    vert = p.vertical_annihilator
-    if vert.rank == 0:
-        return "proper", []
-    return "not_proper", list(vert.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +288,15 @@ def critical_equations(p: VariationalProblem) -> CriticalSystem:
     """The residual expressions whose vanishing picks out critical sections,
     computed once per problem and kept on it.
 
-    Decomposable route: signed k x k minors of the slope matrix P built
-    from the normalized factors.  Maximal-degree route: the two quasilinear
-    transport residuals read off the coordinate display of eta.  In both
-    routes the coefficient of the base volume form in the formally
-    pulled-back contraction forms is computed independently and must agree
-    canonically (ratio reported).
+    Decomposable route: signed k x k minors of the slope matrix P, whose
+    row i holds the base coefficients of normalized factor i once each
+    fiber differential dc is replaced by sum_j Dc_xj dx^j; row a of the
+    system belongs to the contraction form of the a-th pivot column.
+    Maximal-degree route: the two quasilinear transport residuals read
+    off the coordinate display of eta, row a belonging to the contraction
+    form of the a-th fiber coordinate.  In both routes the coefficient of
+    the base volume form in the formally pulled-back contraction forms is
+    computed independently and must agree canonically (ratio reported).
     """
     return p.critical_system
 
@@ -313,26 +305,19 @@ def _critical_equations(p: VariationalProblem) -> CriticalSystem:
     chart = p.chart
     if p.factors is not None and p.factors.normalized:
         fs = p.factors
-        k = chart.k
-        nz = len(fs.z_order)
-        wcols = [j for j in range(chart.k, chart.dim) if j not in fs.z_order]
         P: list[list[Expr]] = []
-        for i in range(nz):
-            zname = chart.coords[fs.z_order[i]]
+        for alpha in fs.alphas:
+            fiber = [(c, a) for (c,), a in alpha.terms.items() if not chart.is_base(c)]
             row = []
             for j, bname in enumerate(chart.base):
-                entry = fs.B[i][j] + sx.var(jet_name(zname, bname))
-                if fs.G is not None:
-                    for m, wc in enumerate(wcols):
-                        entry = entry + fs.G[i][m] * sx.var(jet_name(chart.coords[wc], bname))
+                entry = alpha.terms.get((j,), sx.ZERO)
+                for c, a in fiber:
+                    entry = entry + a * sx.var(jet_name(chart.coords[c], bname))
                 row.append(entry)
             P.append(row)
-        if fs.C is not None:
-            for crow in fs.C:
-                P.append(list(crow))
-        deltas = tuple(_signed_minor(P, a) for a in range(nz))
+        deltas = tuple(_signed_minor(P, a) for a in range(len(fs.z_order)))
         pb = tuple(
-            _omega_coefficient(formal_jet_pullback(p, _fiber_contraction(p, zcol))) for zcol in fs.z_order
+            _omega_coefficient(formal_jet_pullback(p, p.psi[c - chart.k])) for c in fs.z_order
         )
         ratio = _assert_proportional(pb, deltas)
         jets = _jet_names_of(deltas + pb, chart)
@@ -355,17 +340,6 @@ def _critical_equations(p: VariationalProblem) -> CriticalSystem:
     raise NormalFormRequiredError(
         "critical equations need normalized factors or a maximal-degree problem"
     )
-
-
-def _fiber_contraction(p: VariationalProblem, col: int) -> DiffForm:
-    """The contraction of eta with the coordinate field of the fiber
-    column `col`: the problem's psi form of that field when its vertical
-    basis holds it there (the default basis does), else contracted here."""
-    V = coord_field(p.chart, p.chart.coords[col])
-    j = col - p.chart.k
-    if j < len(p.vertical_basis) and p.vertical_basis[j] == V:
-        return p.psi[j]
-    return interior(V, p.eta)
 
 
 def _assert_proportional(pb: Sequence[Expr], deltas: Sequence[Expr]) -> Fraction:
@@ -415,27 +389,15 @@ def maximal_degree_data(p: VariationalProblem) -> tuple[list[Expr], Expr, Expr]:
     return A, f, g
 
 
-def characteristic_field_maximal_degree(
-    p: VariationalProblem, normalize: bool = False
-) -> VecField:
-    """W = sum_mu A^mu d/dx^mu + f d/dz + g d/dw, asserted to annihilate eta.
-
-    With `normalize`, divides by the first base component (certified
-    nonzero) so that the field pairs to 1 with the first base differential.
-    """
+def characteristic_field_maximal_degree(p: VariationalProblem) -> VecField:
+    """W = sum_mu A^mu d/dx^mu + f d/dz + g d/dw, asserted to annihilate eta."""
     chart = p.chart
     A, f, g = maximal_degree_data(p)
     if all(a.is_const_zero() for a in A):
         raise ImproperPrincipleError("the base vector of eta vanishes identically")
-    comps = list(A) + [f, g]
-    W = VecField(chart, comps)
+    W = VecField(chart, list(A) + [f, g])
     if not interior(W, p.eta).is_zero_form():
         raise InvariantViolationError("characteristic field fails to annihilate eta")
-    if normalize:
-        a1 = A[0]
-        if not sx.is_zero(a1, box=p.box, seed=p.seed).is_nonzero:
-            raise ImproperPrincipleError("cannot normalize: leading base component not certified nonzero")
-        W = VecField(chart, [c / a1 for c in comps])
     return W
 
 
@@ -446,7 +408,9 @@ def characteristic_field_maximal_degree(
 def verify_critical(p: VariationalProblem, phi: SectionMap) -> VerifyReport:
     """Pull every contraction form back along the section; all residual
     volume coefficients must cancel.  When the critical equations are
-    available the jet-substituted residuals are cross-checked canonically."""
+    available each is cross-checked canonically, jet-substituted, against
+    the residual of its contraction form: that of its pivot column on the
+    minors route, of its fiber coordinate on the maximal-degree route."""
     if phi.chart != p.chart:
         raise ChartMismatchError("section lives on a different chart")
     residuals = []
@@ -454,44 +418,23 @@ def verify_critical(p: VariationalProblem, phi: SectionMap) -> VerifyReport:
         pb = pullback(phi, psi)
         residuals.append(_omega_coefficient(pb))
     ok = all(r.is_const_zero() for r in residuals)
-    cross = False
     try:
         system = critical_equations(p)
     except NormalFormRequiredError:
-        system = None
-    if system is not None:
-        sub: dict[str, Expr] = {}
-        for fname in p.chart.fiber:
-            sub[fname] = phi.components[fname]
-            for bname in p.chart.base:
-                sub[jet_name(fname, bname)] = sx.diff(phi.components[fname], bname)
-        for a, delta in enumerate(system.deltas):
-            got = _match_residual(residuals, p, system, a)
-            if got is None:
-                break
-            expected = sx.subst(delta, sub) * sx.num(system.ratio)
-            if not (got - expected).is_const_zero():
-                raise InvariantViolationError(
-                    f"jet substitution disagrees with the direct pullback at row {a}"
-                )
-        else:
-            cross = True
-    return VerifyReport(ok, tuple(residuals), cross)
-
-
-def _match_residual(
-    residuals, p: VariationalProblem, system: CriticalSystem, a: int
-) -> Optional[Expr]:
-    # row a of the system corresponds to the vertical direction of the a-th
-    # pivot coordinate (minors route) or the a-th fiber coordinate; custom
-    # vertical bases have no such row, so the cross-check is skipped
+        return VerifyReport(ok, tuple(residuals), False)
+    sub: dict[str, Expr] = {}
+    for fname in p.chart.fiber:
+        sub[fname] = phi.components[fname]
+        for bname in p.chart.base:
+            sub[jet_name(fname, bname)] = sx.diff(phi.components[fname], bname)
     if system.route == "minors":
-        zcol = p.factors.z_order[a]
-        name = p.chart.coords[zcol]
+        rows = [c - p.chart.k for c in p.factors.z_order]
     else:
-        name = p.chart.fiber[a]
-    for V, r in zip(p.vertical_basis, residuals):
-        comp = V.components[p.chart.index(name)]
-        if comp == sx.ONE and sum(1 for c in V.components if not c.is_const_zero()) == 1:
-            return r
-    return None
+        rows = range(len(system.deltas))
+    for a, (row, delta) in enumerate(zip(rows, system.deltas)):
+        expected = sx.subst(delta, sub) * sx.num(system.ratio)
+        if not (residuals[row] - expected).is_const_zero():
+            raise InvariantViolationError(
+                f"jet substitution disagrees with the direct pullback at row {a}"
+            )
+    return VerifyReport(ok, tuple(residuals), True)

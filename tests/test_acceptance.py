@@ -96,10 +96,7 @@ def test_criterion_4_structural_identities():
             for b in ("x1", "x2"):
                 alpha = alpha + fm.d_coord(chart, b) * rand_poly(rng, names, degree=1, terms=2)
             alphas.append(alpha)
-        fs = dc.FactorSet(
-            chart, tuple(alphas), normalized=True, z_order=(2, 3, 4),
-            B=tuple(tuple(a.terms.get((j,), sx.ZERO) for j in range(2)) for a in alphas),
-        )
+        fs = dc.FactorSet(chart, tuple(alphas), normalized=True, z_order=(2, 3, 4))
         chis = chi_forms(fs.alphas)
         eta = fs.eta()
         for row, col in enumerate(fs.z_order):
@@ -124,7 +121,8 @@ def test_criterion_4_structural_identities():
         lhs = fm.interior(fm.coord_field(chart_w, "w"), eta)
         rhs = fm.zero_form(chart_w, 2)
         for j in range(3):
-            rhs = rhs + chis[j] * fs.G[j][0]
+            # the G block of the normal form: the w coefficient of pivot row j
+            rhs = rhs + chis[j] * fs.alphas[j].terms.get((chart_w.index("w"),), sx.ZERO)
         ok = ok and lhs == rhs
 
     # minor-vs-pullback identity in the jet variables
@@ -168,7 +166,7 @@ def test_criterion_5_characteristic_equals_annihilator():
     for name in ("example1", "example2"):
         p = fx.problem(name)
         n, k = p.classification.n, p.classification.k
-        D_eta = ids.annihilator(p.eta, box=p.box, seed=p.seed)
+        D_eta = ids.characteristic_distribution((p.eta,), box=p.box, seed=p.seed)
         D_char = ids.characteristic_distribution(p.psi, box=p.box, seed=p.seed)
         ok = ok and D_eta.rank == D_char.rank == n - k - 1
         ok = ok and ids.span_equal(list(D_eta.basis), list(D_char.basis), seed=p.seed)

@@ -602,7 +602,7 @@ class TestTextFormat:
         path.write_text(json.dumps(spec))
         code, out = run(["analyze", "--spec", str(path), "--format", "text"])
         p = specio.problem_from_spec(spec)
-        _, witnesses = vp.check_proper(p)
+        witnesses = p.vertical_annihilator.basis
         assert code == 0 and witnesses
         lines = out.splitlines()
         at = lines.index("vertical annihilator witnesses:")
@@ -619,18 +619,14 @@ class TestDistributionsBuilt:
     def built(self, monkeypatch):
         calls = []
 
-        def counting(f, vertical):
+        def counting(f):
             def wrapper(*args, **kwargs):
-                calls.append("vertical" if vertical or kwargs.get("vertical_only") else "full")
+                calls.append("vertical" if kwargs.get("vertical_only") else "full")
                 return f(*args, **kwargs)
 
             return wrapper
 
-        monkeypatch.setattr(ids, "annihilator", counting(ids.annihilator, False))
-        monkeypatch.setattr(ids, "vertical_annihilator", counting(ids.vertical_annihilator, True))
-        monkeypatch.setattr(
-            ids, "annihilator_from_factors", counting(ids.annihilator_from_factors, False)
-        )
+        monkeypatch.setattr(ids, "characteristic_distribution", counting(ids.characteristic_distribution))
         return calls
 
     @pytest.fixture(params=["example1", "rotation"])
@@ -724,3 +720,40 @@ class TestElWithoutAnnihilator:
             "error": "annihilator system: sampled rank differs from symbolic rank 2 (sampled [0, 2])",
             "kind": "NonConstantRankError",
         }
+
+
+class TestFilePaths:
+    """A file that cannot be read (`--spec`, `--section`) or written
+    (`--out`) exits 2 with its `OSError` kind, not with a traceback."""
+
+    @pytest.mark.parametrize("command", ["el", "analyze", "liouville"])
+    def test_missing_spec(self, tmp_path, command):
+        missing = tmp_path / "missing.json"
+        code, out = run([command, "--spec", str(missing)])
+        assert code == 2
+        assert json.loads(out) == {
+            "error": f"[Errno 2] No such file or directory: '{missing}'",
+            "kind": "FileNotFoundError",
+        }
+
+    @pytest.mark.parametrize("command", ["el", "analyze", "liouville"])
+    def test_spec_is_a_directory(self, tmp_path, command):
+        code, out = run([command, "--spec", str(tmp_path)])
+        assert code == 2
+        assert json.loads(out) == {"error": f"[Errno 21] Is a directory: '{tmp_path}'", "kind": "IsADirectoryError"}
+
+    def test_missing_section(self, example1_spec, tmp_path):
+        missing = tmp_path / "section.json"
+        code, out = run(["verify", "--spec", example1_spec, "--section", str(missing)])
+        assert code == 2
+        assert json.loads(out)["kind"] == "FileNotFoundError"
+
+    def test_out_in_missing_directory(self, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out = run(["example", "example1", "--out", str(target)])
+        assert code == 2
+        assert json.loads(out) == {
+            "error": f"[Errno 2] No such file or directory: '{target}'",
+            "kind": "FileNotFoundError",
+        }
+        assert not target.parent.exists()

@@ -17,6 +17,19 @@ def opaque(chart, name):
     return sx.func(name, *[sx.var(c) for c in chart.coords])
 
 
+def blocks(fs):
+    """The B, C and G blocks of a normal form, read off its factors: the
+    base and the non-pivot fiber coefficients of the pivot rows, and the
+    base coefficients of the other rows (None for an empty C or G)."""
+    ch, nz = fs.chart, len(fs.z_order)
+    rows = fs.coefficient_matrix()
+    wcols = [j for j in range(ch.k, ch.dim) if j not in fs.z_order]
+    B = tuple(tuple(row[: ch.k]) for row in rows[:nz])
+    C = tuple(tuple(row[: ch.k]) for row in rows[nz:]) or None
+    G = tuple(tuple(row[j] for j in wcols) for row in rows[:nz]) if wcols else None
+    return B, C, G
+
+
 def example1_factors(chart):
     out = []
     for a in (1, 2, 3):
@@ -87,7 +100,8 @@ class TestNormalize:
         assert out.multiplier == sx.ONE
         assert out.alphas == fs.alphas
         assert out.z_order == (2, 3, 4)
-        assert out.C is None and out.G is None
+        _, C, G = blocks(out)
+        assert C is None and G is None
 
     def test_rescaling_records_multiplier(self, chart5):
         fs = example1_factors(chart5)
@@ -115,10 +129,11 @@ class TestNormalize:
         out = dc.normalize(example3_factors(chart6w))
         assert out.normalized
         assert out.z_order == (2, 3, 4)
-        assert out.C is None
-        assert out.G is not None and len(out.G) == 3
+        _, C, G = blocks(out)
+        assert C is None
+        assert G is not None and len(G) == 3
         for a in range(3):
-            assert out.G[a][0] == opaque(chart6w, f"C{a + 1}")
+            assert G[a][0] == opaque(chart6w, f"C{a + 1}")
 
     def test_rank_deficient_rejected(self, chart5):
         # no dz parts at all: fiber block is rank zero
@@ -210,11 +225,11 @@ def _elimination_corpus():
 def _elimination_lines(i, fs):
     n = dc.normalize(fs)
     out = [f"{i} z_order {n.z_order} multiplier {n.multiplier} pivots {n.pivot_permutation}"]
-    for name, block in (("B", n.B), ("C", n.C), ("G", n.G)):
+    for name, block in zip(("B", "C", "G"), blocks(n)):
         text = "None" if block is None else " | ".join(", ".join(map(str, r)) for r in block)
         out.append(f"{i} {name} {text}")
     for vertical in (False, True):
-        D = ids.annihilator_from_factors(fs.chart, fs.alphas, vertical_only=vertical)
+        D = ids.characteristic_distribution(fs.alphas, vertical_only=vertical)
         out.append(f"{i} {'vertical' if vertical else 'annihilator'} rank {D.rank}")
         out += [f"{i}   " + ", ".join(map(str, Y.components)) for Y in D.basis]
     return out
@@ -271,10 +286,7 @@ class TestChiForms:
         chart = fm.BundleChart(["x1", "x2"], ["z1", "z2", "z3"])
         for _ in range(50):
             fs = random_normalized_factorset(rng, chart, h=0)
-            fs = dc.FactorSet(
-                chart, fs.alphas, normalized=True, z_order=(2, 3, 4),
-                B=tuple(tuple(a.terms.get((j,), sx.ZERO) for j in range(2)) for a in fs.alphas),
-            )
+            fs = dc.FactorSet(chart, fs.alphas, normalized=True, z_order=(2, 3, 4))
             chis = chi_forms(fs.alphas)
             eta = fs.eta()
             for row, col in enumerate(fs.z_order):
@@ -293,8 +305,9 @@ class TestChiForms:
             # residual-block contraction identity
             lhs = fm.interior(fm.coord_field(chart6w, "w"), eta)
             rhs = fm.zero_form(chart6w, 2)
+            _, _, G = blocks(fs)
             for j in range(3):
-                rhs = rhs + chis[j] * fs.G[j][0]
+                rhs = rhs + chis[j] * G[j][0]
             assert lhs == rhs
 
     def test_psi_tail_combination_random(self, chart6w):
@@ -306,7 +319,8 @@ class TestChiForms:
             eta = fs.eta()
             psi_w = fm.interior(fm.coord_field(chart6w, "w"), eta)
             acc = fm.zero_form(chart6w, 2)
+            _, _, G = blocks(fs)
             for j, zcol in enumerate(fs.z_order):
                 name = chart6w.coords[zcol]
-                acc = acc + fm.interior(fm.coord_field(chart6w, name), eta) * fs.G[j][0]
+                acc = acc + fm.interior(fm.coord_field(chart6w, name), eta) * G[j][0]
             assert psi_w == acc

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -45,13 +46,13 @@ class TestAnnihilator:
     def test_plane_form_in_r3(self):
         chart = fm.Chart(["x1", "x2", "x3"])
         eta = fm.wedge(fm.d_coord(chart, "x1"), fm.d_coord(chart, "x2"))
-        D = ids.annihilator(eta)
+        D = ids.characteristic_distribution((eta,))
         assert D.rank == 1
         assert ids.span_equal(list(D.basis), [fm.coord_field(chart, "x3")])
 
     def test_example1_generators(self, chart5):
         eta = example1_eta(chart5)
-        D = ids.annihilator(eta)
+        D = ids.characteristic_distribution((eta,))
         assert D.rank == 2
         Bs = {(a, j): opaque(chart5, f"B{a}{j}") for a in (1, 2, 3) for j in (1, 2)}
         want = []
@@ -79,7 +80,7 @@ class TestAnnihilator:
         for k in (1, 2, 3):
             alpha4 = alpha4 + fm.d_coord(chart, f"x{k}") * Cs[k]
         eta = fm.wedge_all(alphas + [alpha4])
-        D = ids.annihilator(eta)
+        D = ids.characteristic_distribution((eta,))
         assert D.rank == 2
         want = []
         for pair in ((1, 3), (2, 3)):
@@ -98,7 +99,7 @@ class TestCharacteristicDistribution:
         eta = example1_eta(chart5)
         psis = tuple(fm.interior(fm.coord_field(chart5, f"z{a}"), eta) for a in (1, 2, 3))
         D1 = ids.characteristic_distribution(psis)
-        D2 = ids.annihilator(eta)
+        D2 = ids.characteristic_distribution((eta,))
         assert D1.rank == D2.rank == 2
         assert ids.span_equal(list(D1.basis), list(D2.basis))
 
@@ -140,10 +141,66 @@ class TestCharacteristicDistribution:
             ids.characteristic_distribution((g1, g2))
 
 
+    def test_zero_forms_rejected(self, chart5):
+        with pytest.raises(ValueError, match="zero forms"):
+            ids.characteristic_distribution((fm.zero_form(chart5, 2), fm.zero_form(chart5, 2)))
+
+
+def _interior_contraction_matrix(eta):
+    """The reference: column i is the contraction of eta with d/dx^i by
+    `forms.interior`, rows the (deg-1)-indices the columns reach."""
+    chart = eta.chart
+    cols = [fm.interior(fm.coord_field(chart, name), eta).terms for name in chart.coords]
+    rows = sorted(set().union(*cols))
+    return rows, [[col.get(K, sx.ZERO) for col in cols] for K in rows]
+
+
+class TestContractionMatrix:
+    def test_matches_interior_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def forms(draw):
+            n = draw(st.integers(1, 5))
+            chart = fm.Chart([f"x{i + 1}" for i in range(n)])
+            coords = [sx.var(c) for c in chart.coords]
+            small = st.integers(-3, 3).filter(bool)
+
+            def coefficient():
+                a, b = (coords[draw(st.integers(0, n - 1))] for _ in range(2))
+                kind = draw(st.sampled_from(["constant", "polynomial", "opaque", "quotient"]))
+                if kind == "constant":
+                    return sx.num(draw(small))
+                if kind == "polynomial":
+                    return a * b * draw(small) + draw(small)
+                if kind == "opaque":
+                    return sx.func("F", *coords) * draw(small) + a
+                return (a * draw(small) + sx.func("G", b)) / (b + draw(small))
+
+            degree = draw(st.integers(1, n))
+            indices = list(itertools.combinations(range(n), degree))
+            picked = draw(st.lists(st.sampled_from(indices), min_size=1, max_size=4, unique=True))
+            return fm.DiffForm(chart, degree, {I: coefficient() for I in picked})
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(forms())
+        def check(eta):
+            rows, mat = ids.contraction_matrix(eta)
+            want_rows, want = _interior_contraction_matrix(eta)
+            assert rows == want_rows
+            for got_row, want_row in zip(mat, want, strict=True):
+                assert len(got_row) == len(want_row)
+                for g, w in zip(got_row, want_row):
+                    assert g == w
+
+        check()
+
+
 class TestFrobenius:
     def test_coordinate_distribution(self, chart5):
-        D = ids.annihilator(
-            fm.wedge_all([fm.d_coord(chart5, n) for n in ("z1", "z2", "z3")])
+        D = ids.characteristic_distribution(
+            (fm.wedge_all([fm.d_coord(chart5, n) for n in ("z1", "z2", "z3")]),)
         )
         assert ids.frobenius_check(D).verdict == "integrable"
 
@@ -157,13 +214,13 @@ class TestFrobenius:
 
     def test_example1_generic_vs_closed(self, chart5):
         # generic coefficients: the bracket leaves the span
-        D = ids.annihilator(example1_eta(chart5))
+        D = ids.characteristic_distribution((example1_eta(chart5),))
         res = ids.frobenius_check(D)
         assert res.verdict == "not_integrable"
         assert res.witness_pair == (0, 1) and res.witness_point is not None
 
         # polynomial coefficients satisfying the closure condition
-        D2 = ids.annihilator(fm.wedge_all(example1_closed_alphas(chart5)))
+        D2 = ids.characteristic_distribution((fm.wedge_all(example1_closed_alphas(chart5)),))
         assert ids.frobenius_check(D2).verdict == "integrable"
 
     def test_numeric_only_pair_leaves_later_pairs_symbolic(self):
@@ -195,7 +252,7 @@ class TestFrobenius:
             return point_label(symbols, values)
 
         monkeypatch.setattr(sx, "point_label", counting)
-        res = ids.frobenius_check(ids.annihilator(example1_eta(chart5)))
+        res = ids.frobenius_check(ids.characteristic_distribution((example1_eta(chart5),)))
         assert res.verdict == "not_integrable" and len(calls) == 1
         calls.clear()
         chart = fm.Chart(["x", "y", "z", "w"])
@@ -212,7 +269,7 @@ class TestFrobenius:
 
     def test_pointwise_solve_oracle(self, chart5):
         # independent oracle for span membership: least squares at samples
-        D = ids.annihilator(example1_eta(chart5))
+        D = ids.characteristic_distribution((example1_eta(chart5),))
         Z = fm.lie_bracket(D.basis[0], D.basis[1])
         exprs = [e for Y in D.basis for e in Y.components] + list(Z.components)
         symbols, points = sx.sample_points(exprs, seed=99, count=20, center=True)
@@ -244,7 +301,7 @@ def _solve_by_elimination(A, b):
 class TestSpanMembership:
     def test_anchors(self, chart5):
         # a kernel basis is anchored on its free columns
-        D = ids.annihilator(fm.wedge_all([fm.d_coord(chart5, n) for n in ("z1", "z2", "z3")]))
+        D = ids.characteristic_distribution((fm.wedge_all([fm.d_coord(chart5, n) for n in ("z1", "z2", "z3")]),))
         assert D.anchors == (0, 1)
         # d/dx + x d/dy and d/dx - d/dy are both nonzero on every column
         chart = fm.Chart(["x", "y"])
@@ -253,8 +310,8 @@ class TestSpanMembership:
             ids.Distribution(chart, fields, 2, None, la.RankCertificate(2, 0, None, 0, []))
 
     def test_frobenius_runs_no_elimination(self, chart5, eliminations):
-        generic = ids.annihilator(example1_eta(chart5))
-        closed = ids.annihilator(fm.wedge_all(example1_closed_alphas(chart5)))
+        generic = ids.characteristic_distribution((example1_eta(chart5),))
+        closed = ids.characteristic_distribution((fm.wedge_all(example1_closed_alphas(chart5)),))
         constant = fx.problem("example1", instance="constant").annihilator
         eliminations.clear()
         assert ids.frobenius_check(generic).verdict == "not_integrable"

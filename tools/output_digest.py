@@ -16,7 +16,9 @@ on a pole, in the first and in the second axis); `analyze`, `el` and
 `verify` (of a polynomial-and-quotient section) on a k = 2 spec whose
 factors carry quotients over distinct denominators;
 `analyze`, `annihilator`, `frobenius` and `el` on the rotation action
-form (the route through the contraction matrix of a given theta);
+form (the route through the contraction matrix of a given theta), and
+`verify` on it of a flow line and of its mirror image (the
+maximal-degree cross-check);
 `liouville` on the rotation spec, on a divergence-free field on three
 coordinates (odd phase dimension, so the orientation sign is 1) and on
 one on four coordinates; `el` on a k = 3
@@ -98,6 +100,10 @@ INPUTS = {
         "grid": {"x1": [0.0, 1.0, 4], "x2": [0.0, 1.0, 4]},
     },
     "helix-seed.json": {"components": {"x": "1", "y": "0"}, "grid": {"t": [0.0, 6.0, 61]}},
+    # candidate sections of rotation-theta.json for `verify` on the
+    # maximal-degree route: a flow line, and its mirror image, which is not
+    "rotation-section.json": {"components": {"x": "cos(t)", "y": "sin(t)"}},
+    "rotation-section-mirrored.json": {"components": {"x": "cos(t)", "y": "-sin(t)"}},
     # closed factors dz_a + P_a(x1) dx1 + Q_a(x2) dx2 with non-polynomial
     # coefficients: the swept fields carry components that are not products
     "nonpoly-k2.json": {
@@ -260,6 +266,10 @@ def entries() -> list[list[str]]:
          "--tol", "0.01", "--format", "csv"],
     ]
     runs += [["cartanvp", cmd, "--spec", "rotation-theta.json"] for cmd in ("analyze", "annihilator", "frobenius", "el")]
+    runs += [
+        ["cartanvp", "verify", "--spec", "rotation-theta.json", "--section", section]
+        for section in ("rotation-section.json", "rotation-section-mirrored.json")
+    ]
     nonpoly = ["cartanvp", "integrate", "--spec", "nonpoly-k2.json", "--tol", "0.01", "--format", "csv"]
     runs += [
         nonpoly + ["--section", "nonpoly-seed.json", "--step", "0.01"],
