@@ -32,13 +32,13 @@ print("\nannihilator basis (tangent to every critical section):")
 for Y in p.annihilator.basis:
     print("  ", Y.display())
 
-fr = ids.frobenius_check(p.annihilator, seed=p.seed)
+fr = ids.frobenius_check(p.annihilator)
 print("\nFrobenius verdict with generic coefficients:", fr.verdict)
 print("(the bracket of the generators escapes the span unless the")
 print(" coefficients satisfy the closure condition; constants do)")
 
 p_const = fx.problem("example1", instance="constant")
-fr_const = ids.frobenius_check(p_const.annihilator, seed=p_const.seed)
+fr_const = ids.frobenius_check(p_const.annihilator)
 print("Frobenius verdict with constant coefficients:", fr_const.verdict)
 
 report = fx.run_fixture("example1")

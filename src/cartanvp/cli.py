@@ -30,7 +30,7 @@ from . import liouville as lv
 from . import specio
 from . import varprin as vp
 from .errors import CartanVPError, NotClosedError, ParseError
-from .forms import Chart, form_to_spec
+from .forms import form_to_spec
 from .symexpr import DEFAULT_SEED
 
 __all__ = ["main", "build_parser", "run"]
@@ -135,7 +135,7 @@ def _field_text(record: dict) -> str:
 def cmd_analyze(args):
     p, spec, options = _problem(args)
     cls = p.classification
-    fr = ids.frobenius_check(p.annihilator, box=options["box"], seed=options["seed"])
+    fr = ids.frobenius_check(p.annihilator)
     basis = [_field_json(Y) for Y in p.annihilator.basis]
     vertical = [_field_json(Y) for Y in p.vertical_annihilator.basis]
     report = {
@@ -204,7 +204,7 @@ def cmd_annihilator(args):
 
 def cmd_frobenius(args):
     p, spec, options = _problem(args)
-    fr = ids.frobenius_check(p.annihilator, box=options["box"], seed=options["seed"])
+    fr = ids.frobenius_check(p.annihilator)
     report = {
         "seed": options["seed"],
         "verdict": fr.verdict,
@@ -218,8 +218,7 @@ def cmd_frobenius(args):
 
 def cmd_verify(args):
     p, spec, options = _problem(args)
-    section_spec = _load_json(args.section)
-    phi = specio.section_from_spec(p.chart, section_spec)
+    phi = specio.section_from_spec(p.chart, _load_json(args.section))
     result = vp.verify_critical(p, phi)
     report = {
         "seed": options["seed"],
@@ -237,25 +236,13 @@ def cmd_integrate(args):
     from . import flows
 
     p, spec, options = _problem(args)
-    section_spec = _load_json(args.section)
-    grid = {
-        name: tuple(v) for name, v in section_spec["grid"].items()
-    }
-    seed_axes = section_spec.get("seed_axes", [])
-    comps = {
-        name: specio.parse_coefficient(text, {})
-        for name, text in section_spec["components"].items()
-    }
-    D = p.annihilator
+    sweep = specio.sweep_from_spec(_load_json(args.section))
     patch = flows.sweep_section(
         p,
-        D,
-        comps,
-        grid,
-        seed_axes=seed_axes,
+        p.annihilator,
         step=options["step"] if args.step is None else args.step,
         tolerance=options["tolerance"] if args.tol is None else args.tol,
-        axis_order=section_spec.get("axis_order"),
+        **sweep,
     )
     report = {
         "seed": options["seed"],
@@ -272,14 +259,8 @@ def cmd_liouville(args):
     spec = _load_json(args.spec)
     options = specio.options_from_spec(spec)
     seed = _effective_seed(args, options)
-    chart = Chart(tuple(spec["phase"]))
-    omega = specio.form_from_records(chart, spec["omega"], {})
-    X = specio.field_from_spec(chart, spec["field"])
-    sigma = (
-        specio.form_from_records(chart, spec["sigma"], {}) if "sigma" in spec else None
-    )
     try:
-        setup = lv.build_setup(chart, omega, X, sigma)
+        setup = lv.build_setup(*specio.liouville_from_spec(spec))
     except NotClosedError:
         return {"seed": seed, "is_liouville": False}, "is_liouville: false", 1
     report = {"seed": seed, "is_liouville": True}

@@ -100,3 +100,7 @@ class NonTransversalDistributionError(CartanVPError):
 class InvariantViolationError(CartanVPError):
     """A mathematical self-check of the package failed: a result it has
     just computed does not satisfy the identity that defines it."""
+
+
+class ExpansionLimitError(CartanVPError):
+    """A power of a sum would expand to more terms than `symexpr` allows."""

@@ -138,21 +138,16 @@ def run_fixture(name: str, box=None, seed: Optional[int] = None) -> FixtureRepor
     system = vp.critical_equations(p)
     if "deltas" in golden:
         for a, text in enumerate(golden["deltas"], start=1):
-            want = specio.parse_coefficient(text, sub)
-            check(
-                f"delta{a}",
-                (system.deltas[a - 1] - want).is_const_zero(),
-                {"got": str(system.deltas[a - 1])},
-            )
+            got = system.deltas[a - 1]
+            check(f"delta{a}", got == specio.parse_coefficient(text, sub), {"got": str(got)})
     check("minor_vs_pullback_ratio", system.ratio == 1, {"ratio": str(system.ratio)})
 
     if "P" in golden:
-        ok = True
-        for i, row in enumerate(golden["P"]):
-            for j, text in enumerate(row):
-                want = specio.parse_coefficient(text, sub)
-                if not (system.P[i][j] - want).is_const_zero():
-                    ok = False
+        ok = all(
+            system.P[i][j] == specio.parse_coefficient(text, sub)
+            for i, row in enumerate(golden["P"])
+            for j, text in enumerate(row)
+        )
         check("P", ok)
 
     if "annihilator" in golden:
@@ -184,8 +179,7 @@ def _printed_variant_items(name, spec, p, system, sub, chart):
         return
     if "deltas" in printed:
         for a, text in enumerate(printed["deltas"], start=1):
-            want = specio.parse_coefficient(text, sub)
-            agree = (system.deltas[a - 1] - want).is_const_zero()
+            agree = system.deltas[a - 1] == specio.parse_coefficient(text, sub)
             yield FixtureItem(
                 f"printed_delta{a}",
                 "pass" if agree else "discrepancy",
@@ -195,24 +189,14 @@ def _printed_variant_items(name, spec, p, system, sub, chart):
                     "note": printed.get("note", ""),
                 },
             )
-    for rec in printed.get("eta_terms", ()):
+    terms = [("eta", p.eta, rec) for rec in printed.get("eta_terms", ())]
+    terms += [(f"psi{rec['psi']}", p.psi[rec["psi"] - 1], rec) for rec in printed.get("psi_terms", ())]
+    for what, form, rec in terms:
         idx = tuple(sorted(chart.index(n) for n in rec["index"]))
-        computed = p.eta.terms.get(idx, sx.ZERO)
-        want = specio.parse_coefficient(rec["printed"], sub)
-        agree = (computed - want).is_const_zero()
+        computed = form.terms.get(idx, sx.ZERO)
+        agree = computed == specio.parse_coefficient(rec["printed"], sub)
         yield FixtureItem(
-            "printed_eta_" + "_".join(rec["index"]),
-            "pass" if agree else "discrepancy",
-            {} if agree else {"printed": rec["printed"], "computed": str(computed), "note": rec.get("note", "")},
-        )
-    for rec in printed.get("psi_terms", ()):
-        a = rec["psi"]
-        idx = tuple(sorted(chart.index(n) for n in rec["index"]))
-        computed = p.psi[a - 1].terms.get(idx, sx.ZERO)
-        want = specio.parse_coefficient(rec["printed"], sub)
-        agree = (computed - want).is_const_zero()
-        yield FixtureItem(
-            f"printed_psi{a}_" + "_".join(rec["index"]),
+            f"printed_{what}_" + "_".join(rec["index"]),
             "pass" if agree else "discrepancy",
             {} if agree else {"printed": rec["printed"], "computed": str(computed), "note": rec.get("note", "")},
         )

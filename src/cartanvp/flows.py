@@ -413,7 +413,7 @@ def sweep_section(
         if sorted(axis_order) != sorted(trans_axes):
             raise ValueError("axis_order must permute the transversal axes")
 
-    fr = ids.frobenius_check(D, box=p.box, seed=p.seed)
+    fr = ids.frobenius_check(D)
     if fr.verdict != "integrable":
         raise ValueError(f"distribution is not certified integrable ({fr.verdict})")
 

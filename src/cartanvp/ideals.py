@@ -54,7 +54,6 @@ class Distribution:
     chart: Chart
     basis: tuple[VecField, ...]
     rank: int
-    box: object
     certificate: la.RankCertificate = field(compare=False)
     uncertain: bool = False  # elimination met uncertifiable pivots
     anchors: tuple[int, ...] = field(init=False, compare=False)
@@ -142,7 +141,7 @@ def _distribution_from_matrix(
         for c, v in zip(cols, vec):
             comps[c] = v
         basis.append(VecField(chart, comps))
-    dist = Distribution(chart, tuple(basis), len(basis), box, cert, uncertain=elim.uncertain)
+    dist = Distribution(chart, tuple(basis), len(basis), cert, uncertain=elim.uncertain)
     _check_definitional_residual(mat, dist)
     la.certify_rank(
         [list(Y.components) for Y in basis],
@@ -223,17 +222,17 @@ def combination(D: Distribution, target: Sequence[Expr], cols: Sequence[int]) ->
     return u
 
 
-def frobenius_check(D: Distribution, box=None, seed: int = DEFAULT_SEED) -> FrobeniusResult:
+def frobenius_check(D: Distribution) -> FrobeniusResult:
     """Bracket-closure test for a rank-certified distribution.
 
     Symbolic span membership first, read off the basis anchors with no
     elimination (`combination` over all columns); a pair whose bracket
-    stays outside the span symbolically is then tested numerically at the
-    certification samples: residual above 1e-9 somewhere -> not
-    integrable (witness point), everywhere below -> unknown (numerically
-    integrable only).
+    stays outside the span symbolically is then tested numerically at
+    points drawn in the box and with the seed of D's certificate:
+    residual above 1e-9 somewhere -> not integrable (witness point),
+    everywhere below -> unknown (numerically integrable only).
     """
-    box = box if box is not None else D.box
+    box, seed = D.certificate.box, D.certificate.seed
     basis = D.basis
     A = [[Y.components[c] for Y in basis] for c in range(D.chart.dim)]
     numeric_only = False

@@ -117,8 +117,7 @@ def _radial_primitive(beta: DiffForm) -> DiffForm:
         scaled.append((I, sx._rat_radial_integral(c._rat, q)))
     radial = VecField(chart, [sx.var(n) for n in chart.coords])
     out = interior(radial, _collect(chart, q, scaled))
-    residual = ext_d(out) - beta
-    if not residual.is_zero_form():
+    if ext_d(out) != beta:
         raise InvariantViolationError("homotopy primitive failed the round trip")
     return out
 
@@ -198,8 +197,8 @@ def verify_hodge_identity(setup: LiouvilleSetup) -> tuple[bool, int]:
     of Z; returns (holds, resolved sign in {+1, -1, 0})."""
     eta = setup.eta()
     star = hodge_star(dual_one_form(setup.Z))
-    if (eta - star).is_zero_form():
+    if eta == star:
         return True, 1
-    if (eta + star).is_zero_form():
+    if eta == -star:
         return True, -1
     return False, 0

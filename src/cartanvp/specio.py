@@ -6,8 +6,9 @@ A problem spec holds a chart block, either `theta` or `factors` (lists of
 coefficient strings are applied to the listed chart coordinates), an
 optional `instances` block of named numeric instantiations of those atoms
 (atom name -> expression string), and an `options` block (box, seed,
-step, tolerance).  A field of the wrong shape raises a ParseError that
-names it.
+step, tolerance).  The section file of `verify` and `integrate` and
+the spec of `liouville` are read here too.  A field of the wrong shape
+raises a ParseError that names it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ __all__ = [
     "parse_coefficient",
     "form_from_records",
     "section_from_spec",
+    "sweep_from_spec",
     "field_from_spec",
+    "liouville_from_spec",
     "problem_from_spec",
     "options_from_spec",
 ]
@@ -109,22 +112,60 @@ def form_from_records(chart: Chart, records, sub: Mapping[str, Expr]) -> DiffFor
         raise ParseError(f"unknown coordinate in form index: {exc}") from exc
 
 
-def section_from_spec(chart: BundleChart, spec: Mapping, sub=None) -> SectionMap:
-    comps = spec["components"] if "components" in spec else spec
-    sub = sub or {}
-    return SectionMap(
-        chart,
-        {name: parse_coefficient(text, sub) for name, text in comps.items()},
-    )
+def _components(spec, field: str, sub: Mapping[str, Expr]) -> dict[str, Expr]:
+    """The parsed coordinate name -> expression string record of a section
+    or field spec: its `components` record, or the spec itself."""
+    if isinstance(spec, Mapping) and "components" in spec:
+        spec, field = spec["components"], f"{field}.components"
+    if not isinstance(spec, Mapping):
+        raise ParseError(f"{field} must be a record of coordinate name -> expression string")
+    for name, text in spec.items():
+        if not isinstance(text, str):
+            raise ParseError(f"{field}.{name} must be an expression string")
+    return {name: parse_coefficient(text, sub) for name, text in spec.items()}
 
 
-def field_from_spec(chart: Chart, spec: Mapping, sub=None) -> VecField:
-    comps = spec["components"] if "components" in spec else spec
-    sub = sub or {}
+def section_from_spec(chart: BundleChart, spec, sub=None) -> SectionMap:
+    return SectionMap(chart, _components(spec, "section", sub or {}))
+
+
+def sweep_from_spec(spec) -> dict:
+    """The seed file of `integrate`: the keyword arguments `phi0`, `grid`,
+    `seed_axes` and `axis_order` of `flows.sweep_section`."""
+    if not isinstance(spec, Mapping) or "components" not in spec or "grid" not in spec:
+        raise ParseError("section must be a record with components and grid")
+    grid = spec["grid"]
+    if not isinstance(grid, Mapping):
+        raise ParseError("section.grid must be a record of axis name -> [lo, hi, count]")
+    for name, axis in grid.items():
+        # lo and hi numbers, count an int (a JSON true or false is neither)
+        if not (isinstance(axis, list) and len(axis) == 3 and all(type(v) in (int, float) for v in axis)
+                and type(axis[2]) is int):
+            raise ParseError(f"section.grid.{name} must be [lo, hi, count] with an integer count")
+    order = spec.get("axis_order")
+    return {
+        "phi0": _components(spec, "section", {}),
+        "grid": {name: tuple(axis) for name, axis in grid.items()},
+        "seed_axes": _names(spec.get("seed_axes", []), "section.seed_axes"),
+        "axis_order": None if order is None else _names(order, "section.axis_order"),
+    }
+
+
+def field_from_spec(chart: Chart, spec, sub=None) -> VecField:
     out = [sx.ZERO] * chart.dim
-    for name, text in comps.items():
-        out[chart.index(name)] = parse_coefficient(text, sub)
+    for name, c in _components(spec, "field", sub or {}).items():
+        out[chart.index(name)] = c
     return VecField(chart, out)
+
+
+def liouville_from_spec(spec: Mapping) -> tuple[Chart, DiffForm, VecField, Optional[DiffForm]]:
+    """The phase chart, the volume form omega, the field and the optional
+    primitive sigma of a `liouville` spec."""
+    chart = Chart(_names(spec["phase"], "phase"))
+    for key in ("omega", "sigma"):
+        _check_records(spec.get(key, []), key)
+    sigma = form_from_records(chart, spec["sigma"], {}) if "sigma" in spec else None
+    return chart, form_from_records(chart, spec["omega"], {}), field_from_spec(chart, spec["field"]), sigma
 
 
 def _option(options: Mapping, key: str, convert, default, what: str):

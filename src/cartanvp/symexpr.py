@@ -41,7 +41,8 @@ and descends over the list, combining payloads as the operators do and
 building one node at the end; a variable is the variable's registry atom,
 or the expression the caller binds to its name, and an integer below
 1024 one cached node.  A power of a sum that would expand to more than
-`_POWER_TERM_LIMIT` terms is a ParseError at its exponent.  Floats appear
+`_POWER_TERM_LIMIT` terms is refused, by `**` and by `parse` (a
+ParseError at its exponent).  Floats appear
 only in evaluation and sampling, which this module owns for the whole
 package: `compile_expr` turns a payload into a float function once per
 symbol tuple (the one evaluator: one set of closures, on floats or on
@@ -68,6 +69,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Un
 
 from .errors import (
     DivisionByZeroError,
+    ExpansionLimitError,
     ParseError,
     UnboundFunctionError,
     UnboundVariableError,
@@ -93,6 +95,7 @@ __all__ = [
     "numer_denom",
     "opaque_atoms",
     "poly_terms",
+    "constant_ratio",
     "is_zero",
     "ZeroTest",
     "parse",
@@ -192,7 +195,7 @@ class Expr:
     def __pow__(self, n):
         if not isinstance(n, int):
             raise TypeError("only integer powers are supported")
-        return _rat_to_expr(_rat_pow(self._rat, n))
+        return _rat_to_expr(_rat_pow_bounded(self._rat, n))
 
     def __neg__(self):
         return _rat_to_expr(_rat_neg(self._rat))
@@ -801,6 +804,21 @@ def _rat_pow(a: _Rat, n: int) -> _Rat:
     return _rat_lowest(_p_pow(a.num, n), _p_pow(a.den, n))
 
 
+# the most terms a power may expand to: a sum of t terms to the n-th
+# power has up to C(n + t - 1, t - 1) of them (one per monomial of degree
+# n in t indeterminates)
+_POWER_TERM_LIMIT = 1000
+
+
+def _rat_pow_bounded(a: _Rat, n: int) -> _Rat:
+    """a^n for `**` and `parse`, refused (ExpansionLimitError) when a
+    polynomial of a to the |n|-th power could exceed the term limit."""
+    terms = max((comb(abs(n) + t - 1, t - 1) for t in (len(a.num[2]), len(a.den[2])) if t > 1), default=1)
+    if terms > _POWER_TERM_LIMIT:
+        raise ExpansionLimitError(f"power too large to expand (over {_POWER_TERM_LIMIT} terms)")
+    return _rat_pow(a, n)
+
+
 def _rat_radial_integral(r: _Rat, q: int) -> _Rat:
     """The integral of t^(q-1) c(t x) dt over [0, 1] of a polynomial
     payload c: each term of total degree d divided by q + d."""
@@ -1085,6 +1103,21 @@ def numer_denom(e: Expr) -> tuple[Expr, Expr]:
     if rat.den is _ONE_POLY:
         return e, ONE
     return _rat_to_expr(_Rat(rat.num, _ONE_POLY)), _rat_to_expr(_Rat(rat.den, _ONE_POLY))
+
+
+def constant_ratio(a: Expr, b: Expr) -> Optional[Fraction]:
+    """The constant c != 0 with a = c * b, or None: payloads in lowest
+    terms with monic denominators have one when their denominators are
+    equal and their primitive numerators are equal up to sign, and c is
+    that sign times the ratio of the numerators' contents."""
+    (ap, aq, A), (bp, bq, B) = a._rat.num, b._rat.num
+    if not A or len(A) != len(B) or a._rat.den != b._rat.den:
+        return None
+    mono, c = next(iter(A.items()))
+    sign = 1 if B.get(mono) == c else -1
+    if any(B.get(m) != sign * c for m, c in A.items()):
+        return None
+    return Fraction(sign * ap * bq, aq * bp)
 
 
 def poly_terms(e: Expr) -> Optional[list[tuple[Fraction, tuple[tuple[Expr, int], ...]]]]:
@@ -1544,12 +1577,6 @@ def _term_format(mono: tuple, c: int, p: int, q: int, prec: int) -> str:
 _TOKEN = re.compile(r"\s*(\w+|[-+*/^(),]|\S)")
 _PUNCT = frozenset("+-*/^(),")
 
-# the most terms a parsed power may expand to: a sum of t terms to the
-# n-th power has up to C(n + t - 1, t - 1) of them (one per monomial of
-# degree n in t indeterminates)
-_POWER_TERM_LIMIT = 1000
-
-
 def _int_leaf(v: int) -> Expr:
     leaf = _INT_LEAVES.get(v)
     if leaf is None:
@@ -1557,11 +1584,6 @@ def _int_leaf(v: int) -> Expr:
         if v < _INT_LEAF_LIMIT:
             _INT_LEAVES[v] = leaf
     return leaf
-
-
-def _power_terms(rat: _Rat, n: int) -> int:
-    """The most terms the polynomials of `rat` to the n-th power can have."""
-    return max((comb(n + t - 1, t - 1) for t in (len(rat.num[2]), len(rat.den[2])) if t > 1), default=1)
 
 
 class _Parser:
@@ -1690,9 +1712,10 @@ class _Parser:
                 n = sign * int(c)
             else:
                 self.error("exponent must be an integer", self.i - 1)
-            if _power_terms(r, abs(n)) > _POWER_TERM_LIMIT:
-                self.error(f"power too large to expand (over {_POWER_TERM_LIMIT} terms)", at, after=False)
-            r = _rat_pow(r, n)
+            try:
+                r = _rat_pow_bounded(r, n)
+            except ExpansionLimitError as exc:
+                self.error(str(exc), at, after=False)
         return _rat_neg(r) if negations % 2 else r
 
     def atom(self) -> _Rat:

@@ -160,9 +160,9 @@ class CriticalSystem:
     deltas: tuple[Expr, ...]
     jet_names: tuple[str, ...]
     P: Optional[tuple[tuple[Expr, ...], ...]]
-    pullback_deltas: tuple[Expr, ...]
+    rows: tuple[int, ...]  # equation a belongs to the contraction form psi[rows[a]]
     route: str  # "minors" | "maximal_degree"
-    ratio: Fraction  # pullback_delta / delta, constant across a
+    ratio: Fraction  # pulled-back coefficient / delta, one nonzero constant
 
 
 @dataclass(frozen=True)
@@ -268,22 +268,6 @@ def _signed_minor(P: Sequence[Sequence[Expr]], a: int) -> Expr:
     return det if a % 2 == 0 else -det
 
 
-def _constant_ratio(num: Expr, den: Expr) -> Optional[Fraction]:
-    """The constant c with num = c * den when both are polynomials, else
-    None: the two must have the same monomials, each coefficient of num c
-    times that of den."""
-    tn = sx.poly_terms(num)
-    td = sx.poly_terms(den)
-    if tn is None or td is None or not td:
-        return None
-    if not tn:
-        return Fraction(0)
-    if [m for _, m in tn] != [m for _, m in td]:
-        return None
-    ratios = {a / b for (a, _), (b, _) in zip(tn, td)}
-    return ratios.pop() if len(ratios) == 1 else None
-
-
 def critical_equations(p: VariationalProblem) -> CriticalSystem:
     """The residual expressions whose vanishing picks out critical sections,
     computed once per problem and kept on it.
@@ -296,7 +280,8 @@ def critical_equations(p: VariationalProblem) -> CriticalSystem:
     off the coordinate display of eta, row a belonging to the contraction
     form of the a-th fiber coordinate.  In both routes the coefficient of
     the base volume form in the formally pulled-back contraction forms is
-    computed independently and must agree canonically (ratio reported).
+    computed independently and must be one nonzero constant times the
+    equations, payload by payload (the constant is reported).
     """
     return p.critical_system
 
@@ -316,12 +301,8 @@ def _critical_equations(p: VariationalProblem) -> CriticalSystem:
                 row.append(entry)
             P.append(row)
         deltas = tuple(_signed_minor(P, a) for a in range(len(fs.z_order)))
-        pb = tuple(
-            _omega_coefficient(formal_jet_pullback(p, p.psi[c - chart.k])) for c in fs.z_order
-        )
-        ratio = _assert_proportional(pb, deltas)
-        jets = _jet_names_of(deltas + pb, chart)
-        return CriticalSystem(deltas, jets, tuple(tuple(r) for r in P), pb, "minors", ratio)
+        rows = tuple(c - chart.k for c in fs.z_order)
+        return _checked_system(p, deltas, tuple(tuple(r) for r in P), rows, "minors")
     if p.degree_case == MAXIMAL_DEGREE:
         A, f, g = maximal_degree_data(p)
         zname, wname = chart.fiber[0], chart.fiber[1]
@@ -330,42 +311,35 @@ def _critical_equations(p: VariationalProblem) -> CriticalSystem:
         for mu, bname in enumerate(chart.base):
             d1 = d1 + A[mu] * sx.var(jet_name(wname, bname))
             d2 = d2 + A[mu] * sx.var(jet_name(zname, bname))
-        deltas = (d1 - g, f - d2)
-        pb = tuple(
-            _omega_coefficient(formal_jet_pullback(p, psi)) for psi in p.psi[:2]
-        )
-        ratio = _assert_proportional(pb, deltas)
-        jets = _jet_names_of(deltas + pb, chart)
-        return CriticalSystem(deltas, jets, None, pb, "maximal_degree", ratio)
+        return _checked_system(p, (d1 - g, f - d2), None, (0, 1), "maximal_degree")
     raise NormalFormRequiredError(
         "critical equations need normalized factors or a maximal-degree problem"
     )
 
 
-def _assert_proportional(pb: Sequence[Expr], deltas: Sequence[Expr]) -> Fraction:
+def _checked_system(
+    p: VariationalProblem, deltas: tuple, P: Optional[tuple], rows: tuple, route: str
+) -> CriticalSystem:
+    """The critical system of `deltas`, once the coefficient of the base
+    volume form in the formal pullback of each contraction form
+    p.psi[rows[a]] is found to be one nonzero constant times Delta_a: row
+    by row `==` first, else `sx.constant_ratio` of the payloads."""
     ratio: Optional[Fraction] = None
-    for a, (lhs, rhs) in enumerate(zip(pb, deltas)):
-        if (lhs - rhs).is_const_zero():
-            r = Fraction(1)
-        else:
-            r = _constant_ratio(lhs, rhs)
-            if r is None:
-                raise InvariantViolationError(
-                    f"pullback coefficient and minor differ beyond a constant at row {a}"
-                )
+    for a, (row, delta) in enumerate(zip(rows, deltas)):
+        pb = _omega_coefficient(formal_jet_pullback(p, p.psi[row]))
+        r = Fraction(1) if pb == delta else sx.constant_ratio(pb, delta)
+        if r is None:
+            raise InvariantViolationError(
+                f"pullback coefficient and minor differ beyond a constant at row {a}"
+            )
         if ratio is None:
             ratio = r
         elif r != ratio:
             raise InvariantViolationError("minor-vs-pullback constants differ across rows")
-    return ratio if ratio is not None else Fraction(1)
-
-
-def _jet_names_of(exprs: Sequence[Expr], chart: BundleChart) -> tuple[str, ...]:
-    jets = {jet_name(f, b) for f in chart.fiber for b in chart.base}
-    seen: set[str] = set()
-    for e in exprs:
-        seen |= sx.free_vars(e) & jets
-    return tuple(sorted(seen))
+    jets = {jet_name(f, b) for f in p.chart.fiber for b in p.chart.base}
+    seen = set().union(*(sx.free_vars(d) & jets for d in deltas))
+    ratio = ratio if ratio is not None else Fraction(1)
+    return CriticalSystem(deltas, tuple(sorted(seen)), P, rows, route, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +387,7 @@ def verify_critical(p: VariationalProblem, phi: SectionMap) -> VerifyReport:
     minors route, of its fiber coordinate on the maximal-degree route."""
     if phi.chart != p.chart:
         raise ChartMismatchError("section lives on a different chart")
-    residuals = []
-    for psi in p.psi:
-        pb = pullback(phi, psi)
-        residuals.append(_omega_coefficient(pb))
+    residuals = [_omega_coefficient(pullback(phi, psi)) for psi in p.psi]
     ok = all(r.is_const_zero() for r in residuals)
     try:
         system = critical_equations(p)
@@ -427,13 +398,8 @@ def verify_critical(p: VariationalProblem, phi: SectionMap) -> VerifyReport:
         sub[fname] = phi.components[fname]
         for bname in p.chart.base:
             sub[jet_name(fname, bname)] = sx.diff(phi.components[fname], bname)
-    if system.route == "minors":
-        rows = [c - p.chart.k for c in p.factors.z_order]
-    else:
-        rows = range(len(system.deltas))
-    for a, (row, delta) in enumerate(zip(rows, system.deltas)):
-        expected = sx.subst(delta, sub) * sx.num(system.ratio)
-        if not (residuals[row] - expected).is_const_zero():
+    for a, (row, delta) in enumerate(zip(system.rows, system.deltas)):
+        if residuals[row] != sx.subst(delta, sub) * sx.num(system.ratio):
             raise InvariantViolationError(
                 f"jet substitution disagrees with the direct pullback at row {a}"
             )

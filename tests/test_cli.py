@@ -147,6 +147,27 @@ class TestEl:
         assert code == 1
         assert json.loads(out)["kind"] == "InvariantViolationError"
 
+    def test_zero_pullback_is_caught(self, example1_spec, monkeypatch):
+        # a pullback that vanishes identically is no constant times a
+        # nonzero minor: the self-check refuses it instead of reporting 0
+        monkeypatch.setattr(vp, "_omega_coefficient", lambda form: sx.ZERO)
+        code, out = run(["el", "--spec", example1_spec])
+        assert code == 1
+        assert json.loads(out)["kind"] == "InvariantViolationError"
+
+    def test_perturbed_minor_is_caught(self, example1_spec, monkeypatch):
+        # one term added to one Delta breaks the identity in that row only
+        signed_minor = vp._signed_minor
+        monkeypatch.setattr(
+            vp, "_signed_minor", lambda P, a: signed_minor(P, a) + (sx.var("x1") if a == 1 else 0)
+        )
+        code, out = run(["el", "--spec", example1_spec])
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "pullback coefficient and minor differ beyond a constant at row 1",
+            "kind": "InvariantViolationError",
+        }
+
     def test_malformed_index_is_parse_error(self, tmp_path):
         spec = fx.load("example1")
         spec["factors"][0][0]["index"] = ["nope"]
@@ -720,6 +741,83 @@ class TestElWithoutAnnihilator:
             "error": "annihilator system: sampled rank differs from symbolic rank 2 (sampled [0, 2])",
             "kind": "NonConstantRankError",
         }
+
+
+SEED_SECTION = {"components": {"z1": "0", "z2": "0", "z3": "0"}, "grid": {"x1": [0.0, 1.0, 2], "x2": [0.0, 1.0, 2]}}
+ROTATION_LIOUVILLE = {
+    "phase": ["x", "y"],
+    "omega": [{"coeff": "1", "index": ["x", "y"]}],
+    "field": {"x": "-y", "y": "x"},
+}
+
+
+def _changed(record, path, value):
+    """A deep copy of `record` with the entry at `path` set to `value`
+    (the whole record when `path` is empty)."""
+    if not path:
+        return value
+    out = json.loads(json.dumps(record))
+    at = out
+    for key in path[:-1]:
+        at = at[key]
+    at[path[-1]] = value
+    return out
+
+
+class TestInputShapes:
+    """A section file or a liouville spec of the wrong shape exits 2 with
+    a ParseError that names the field."""
+
+    def _run(self, tmp_path, argv, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code, out = run([*argv, str(path)])
+        assert code == 2
+        return json.loads(out)
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("grid",), 5, "section.grid must be a record"),
+            (("grid", "x1"), 5, "section.grid.x1 must be [lo, hi, count]"),
+            (("grid", "x1"), [0.0, 1.0, 3.5], "section.grid.x1 must be [lo, hi, count]"),
+            (("components", "z1"), 0, "section.components.z1 must be an expression string"),
+            (("components",), ["0", "0", "0"], "section.components must be a record"),
+            ((), [SEED_SECTION], "section must be a record"),
+            (("axis_order",), 5, "section.axis_order must be a list"),
+            (("seed_axes",), 5, "section.seed_axes must be a list"),
+        ],
+    )
+    def test_integrate_section(self, example1_spec, tmp_path, path, value, field):
+        argv = ["integrate", "--spec", example1_spec, "--instance", "constant", "--section"]
+        report = self._run(tmp_path, argv, _changed(SEED_SECTION, path, value))
+        assert report["error"].startswith(field) and report["position"] is None
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"components": {"z1": 0, "z2": "0", "z3": "0"}}, "section.components.z1 must be an expression string"),
+            (["-1/2*x1"], "section must be a record"),
+            ("-1/2*x1", "section must be a record"),
+        ],
+    )
+    def test_verify_section(self, example1_spec, tmp_path, payload, field):
+        argv = ["verify", "--spec", example1_spec, "--instance", "constant", "--section"]
+        report = self._run(tmp_path, argv, payload)
+        assert report["error"].startswith(field) and report["position"] is None
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("phase",), 5, "phase must be a list"),
+            (("phase",), "xy", "phase must be a list"),
+            (("field",), ["-y", "x"], "field must be a record"),
+            (("field", "x"), 1, "field.x must be an expression string"),
+        ],
+    )
+    def test_liouville_spec(self, tmp_path, path, value, field):
+        report = self._run(tmp_path, ["liouville", "--spec"], _changed(ROTATION_LIOUVILLE, path, value))
+        assert report["error"].startswith(field) and report["position"] is None
 
 
 class TestFilePaths:

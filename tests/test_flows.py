@@ -97,7 +97,7 @@ class TestCommutationDefect:
         chart = fm.Chart(["x", "y", "z"])
         cert = la.RankCertificate(2, 0, None, 0, [])
         D = ids.Distribution(
-            chart, (fm.coord_field(chart, "x"), fm.coord_field(chart, "y")), 2, None, cert
+            chart, (fm.coord_field(chart, "x"), fm.coord_field(chart, "y")), 2, cert
         )
         assert flows.commutation_defect(D, [0.0, 0.0, 0.0], 0.3) < 1e-12
 
@@ -107,7 +107,7 @@ class TestCommutationDefect:
         X = fm.coord_field(chart, "x")
         Y = fm.VecField(chart, [sx.ZERO, sx.ZERO, sx.var("x")])
         cert = la.RankCertificate(2, 0, None, 0, [])
-        D = ids.Distribution(chart, (X, Y), 2, None, cert)
+        D = ids.Distribution(chart, (X, Y), 2, cert)
         defect = flows.commutation_defect(D, [0.0, 0.0, 0.0], 0.1)
         assert abs(defect - 0.01) < 1e-12
 
@@ -301,7 +301,7 @@ class TestSweep:
         p = fx.problem("example1", instance="constant")
         vertical = fm.VecField(p.chart, [sx.ZERO, sx.ZERO, sx.ONE, sx.ZERO, sx.ZERO])
         cert = la.RankCertificate(1, 0, None, 0, [])
-        D = ids.Distribution(p.chart, (vertical,), 1, None, cert)
+        D = ids.Distribution(p.chart, (vertical,), 1, cert)
         with pytest.raises(NonTransversalDistributionError):
             flows.sweep_section(
                 p,
@@ -319,7 +319,7 @@ class TestSweep:
         one, zero = sx.ONE, sx.ZERO
         Y1 = fm.VecField(p.chart, [one, zero, one, zero, zero])
         Y2 = fm.VecField(p.chart, [one, one, zero, one, zero])
-        D = ids.Distribution(p.chart, (Y1, Y2), 2, None, la.RankCertificate(2, 0, None, 0, []))
+        D = ids.Distribution(p.chart, (Y1, Y2), 2, la.RankCertificate(2, 0, None, 0, []))
         assert D.anchors == (2, 1)
         with pytest.raises(NonTransversalDistributionError, match="x1 direction"):
             flows.sweep_section(
@@ -637,7 +637,7 @@ class TestBatchedSweep:
             X1[chart.index("z1")] = extra
         X2 = [sx.ZERO, sx.ONE] + [sx.ZERO] * len(chart.fiber)
         cert = la.RankCertificate(2, 0, None, 0, [])
-        return ids.Distribution(chart, (fm.VecField(chart, X1), fm.VecField(chart, X2)), 2, None, cert)
+        return ids.Distribution(chart, (fm.VecField(chart, X1), fm.VecField(chart, X2)), 2, cert)
 
     def test_march_failure_names_the_point(self):
         # the z1-slope of the x1 field has a pole at x1 = 1/2, which the

@@ -209,7 +209,7 @@ class TestFrobenius:
         Y1 = fm.VecField(chart, [sx.ONE, sx.ZERO, sx.var("z1")])
         Y2 = fm.coord_field(chart, "x2")
         cert = la.RankCertificate(2, 0, None, 0, [])
-        D = ids.Distribution(chart, (Y1, Y2), 2, None, cert)
+        D = ids.Distribution(chart, (Y1, Y2), 2, cert)
         assert ids.frobenius_check(D).verdict == "integrable"
 
     def test_example1_generic_vs_closed(self, chart5):
@@ -235,7 +235,7 @@ class TestFrobenius:
             fm.VecField(chart, [sx.ZERO, sx.ZERO, sx.ONE, x]),
         )
         cert = la.RankCertificate(3, 0, None, 0, [])
-        res = ids.frobenius_check(ids.Distribution(chart, basis, 3, None, cert))
+        res = ids.frobenius_check(ids.Distribution(chart, basis, 3, cert))
         assert res.verdict == "not_integrable"
         assert res.witness_pair == (0, 2)
 
@@ -264,7 +264,7 @@ class TestFrobenius:
             fm.VecField(chart, [sx.ZERO, sx.ZERO, sx.ONE, x]),
         )
         cert = la.RankCertificate(3, 0, None, 0, [])
-        res = ids.frobenius_check(ids.Distribution(chart, basis, 3, None, cert))
+        res = ids.frobenius_check(ids.Distribution(chart, basis, 3, cert))
         assert res.verdict == "not_integrable" and res.witness_pair == (0, 2) and len(calls) == 1
 
     def test_pointwise_solve_oracle(self, chart5):
@@ -307,7 +307,7 @@ class TestSpanMembership:
         chart = fm.Chart(["x", "y"])
         fields = (fm.VecField(chart, [sx.ONE, sx.var("x")]), fm.VecField(chart, [sx.ONE, sx.num(-1)]))
         with pytest.raises(ValueError, match="alone"):
-            ids.Distribution(chart, fields, 2, None, la.RankCertificate(2, 0, None, 0, []))
+            ids.Distribution(chart, fields, 2, la.RankCertificate(2, 0, None, 0, []))
 
     def test_frobenius_runs_no_elimination(self, chart5, eliminations):
         generic = ids.characteristic_distribution((example1_eta(chart5),))
@@ -337,7 +337,7 @@ class TestSpanMembership:
             rng = random.Random(seed)
             mat = [[rand_poly(rng, names, degree=1, terms=2) for _ in names] for _ in range(rows)]
             basis = tuple(fm.VecField(chart, v) for v in la.nullspace(mat))
-            D = ids.Distribution(chart, basis, len(basis), None, cert)
+            D = ids.Distribution(chart, basis, len(basis), cert)
             if in_span:
                 w = [rand_poly(rng, names, degree=1, terms=2) for _ in basis]
                 target = [sx.canon(sum((wc * Y.components[i] for wc, Y in zip(w, basis)), sx.ZERO)) for i in range(3)]

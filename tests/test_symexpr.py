@@ -12,6 +12,7 @@ from cartanvp import forms as fm
 from cartanvp import symexpr as sx
 from cartanvp.errors import (
     DivisionByZeroError,
+    ExpansionLimitError,
     ParseError,
     UnboundFunctionError,
     UnboundVariableError,
@@ -675,6 +676,16 @@ class TestParser:
         # a monomial's power has one term
         assert str(sx.parse("(2*x*y)^99")) == f"{2**99}*x^99*y^99"
 
+    def test_operator_power_has_the_parser_bound(self):
+        # `**` refuses the powers the parser refuses, with a typed error,
+        # before expanding anything
+        with pytest.raises(ExpansionLimitError, match="power too large"):
+            (x + y + z) ** 60
+        with pytest.raises(ExpansionLimitError):
+            (x + 1) ** -1000
+        assert (x + y + z) ** 43 == sx.parse("(x + y + z)^43")
+        assert str((2 * x * y) ** 99) == f"{2**99}*x^99*y^99"
+
     def test_roundtrip_on_corpus(self):
         rng = random.Random(17)
         for _ in range(40):
@@ -948,6 +959,26 @@ def _mono_mul_reference(m1, m2):
     for a, e in m2:
         acc[a] = acc.get(a, 0) + e
     return tuple(sorted(acc.items()))
+
+
+class TestConstantRatio:
+    def test_ratio_of_payloads(self):
+        # a = c * b iff the denominators are equal and the primitive
+        # numerators are equal up to sign; c is never 0
+        delta = sx.parse("x^2*y - 3*x*z + 1/2")
+        assert sx.constant_ratio(2 * delta, delta) == 2
+        assert sx.constant_ratio(-delta, delta) == -1
+        assert sx.constant_ratio(delta, delta) == 1
+        a, b = x * y - 1, x + y + z
+        assert sx.constant_ratio(3 * a / b, a / b) == 3
+        assert sx.constant_ratio(sx.canon(-a / (2 * b)), a / b) == Fraction(-1, 2)
+        # different denominators, or numerators that differ beyond a constant
+        assert sx.constant_ratio(a / b, a / (x + y)) is None
+        assert sx.constant_ratio(a / b, a) is None
+        assert sx.constant_ratio(delta + 1, delta) is None
+        assert sx.constant_ratio(sx.ZERO, delta) is None
+        assert sx.constant_ratio(delta, sx.ZERO) is None
+        assert sx.constant_ratio(sx.ZERO, sx.ZERO) is None
 
 
 class TestCanonicalCore:

@@ -25,7 +25,10 @@ one on four coordinates; `el` on a k = 3
 intermediate and a k = 4 maximally characteristic polynomial spec (the
 pullback route at scale); `analyze` on a k = 6 intermediate opaque spec
 (Frobenius at scale); `el` on a spec with both theta and factors that
-normalizing rescales; demos 01-05.
+normalizing rescales; three inputs of the wrong shape, each exit 2 with a
+ParseError naming its field: `verify` of a section with a non-string
+component, `integrate` with a grid that is not a record, and `liouville`
+with a phase that is not a list of names; demos 01-05.
 """
 
 from __future__ import annotations
@@ -138,6 +141,15 @@ INPUTS = {
     # back through quotient coefficients, so they print what the fold of
     # each index's sum gives
     "quotients-section.json": {"components": {"z1": "x1*x2 + 1", "z2": "x1 - x2", "z3": "x2^2/(x1 + 7)"}},
+    # inputs of the wrong shape: a non-string section component, a grid
+    # that is not a record, a phase that is not a list of names
+    "section-component-0.json": {"components": {"z1": 0, "z2": "0", "z3": "0"}},
+    "section-grid-5.json": {"components": {"z1": "0", "z2": "0", "z3": "0"}, "grid": 5},
+    "liouville-phase-5.json": {
+        "phase": 5,
+        "omega": [{"coeff": "1", "index": ["x", "y"]}],
+        "field": {"x": "-y", "y": "x"},
+    },
     "nonpoly-seed.json": {
         "components": {"z1": "1/5", "z2": "0", "z3": "-1"},
         "grid": {"x1": [0.0, 0.5, 6], "x2": [0.5, 1.0, 5]},
@@ -285,6 +297,10 @@ def entries() -> list[list[str]]:
         ["cartanvp", "el", "--spec", "swell-k4-maximally-characteristic-0.json"],
         ["cartanvp", "analyze", "--spec", "k6probe-intermediate-opaque-0.json"],
         ["cartanvp", "el", "--spec", "theta-factors.json"],
+        ["cartanvp", "verify", "--spec", "example1.json", "--instance", "constant",
+         "--section", "section-component-0.json"],
+        ex1 + ["--section", "section-grid-5.json"],
+        ["cartanvp", "liouville", "--spec", "liouville-phase-5.json"],
     ]
     runs += [["python", f"demos/{p.name}"] for p in sorted((ROOT / "demos").glob("0[1-5]_*.py"))]
     return runs
