@@ -10,8 +10,8 @@ orientation sign fixed by the parity of the phase dimension.
 
 Submodules load on first use (`import cartanvp.forms`, or the attribute
 `cartanvp.forms`), so a process imports only what it runs; numpy is
-loaded by the numeric code alone (`flows`, rank certificates, the
-Frobenius fallback, the fixture checks).
+loaded by the numeric code alone (`flows`, sampled rank certificates,
+the Frobenius fallback, the fixture checks).
 """
 
 import importlib

@@ -10,8 +10,9 @@ byte-identical.  The problem computes its distributions on first read,
 so each command builds only those it reports: `analyze` and `example`
 the annihilator and its vertical part, `annihilator`, `frobenius` and
 `integrate` the annihilator, `el`, `verify` and `liouville` neither.
-Only numeric work loads numpy: the rank certificates and Frobenius
-fallback of `analyze`, `annihilator` and `frobenius`, the sweeps of
+Only numeric work loads numpy: the sampled rank certificates and the
+Frobenius fallback of `analyze`, `annihilator` and `frobenius` (a rank
+that `linalg.prove_rank` proves samples nothing), the sweeps of
 `integrate` (`flows`, imported by that command) and the fixture checks of
 `example`; `el`, `verify` and `liouville` run without it.
 """
@@ -236,7 +237,7 @@ def cmd_integrate(args):
     from . import flows
 
     p, spec, options = _problem(args)
-    sweep = specio.sweep_from_spec(_load_json(args.section))
+    sweep = specio.sweep_from_spec(p.chart, _load_json(args.section))
     patch = flows.sweep_section(
         p,
         p.annihilator,

@@ -8,10 +8,15 @@ factors of eta (the annihilator of a decomposable form is the joint
 kernel of its factors), or `psi`; optionally restricted to vertical
 fields.
 
-A distribution's rank is certified by sampling, never proved: the
-certificate records the seed, sample points, and per-point numeric ranks.
-Generic coefficient atoms (opaque functions) are drawn as independent
-uniform values per sample point, which realizes "generic B" hypotheses.
+A distribution's rank is proved where the system's entries are
+everywhere defined (polynomials in the coordinates and opaque atoms) and
+its pivot minor is a nonzero constant (`linalg.prove_rank`); otherwise
+it is certified by sampling.  Either way the certificate records the
+seed, the box, and per-point ranks: a proved one the rank at each of the
+64 points the sampled one would draw.  Generic coefficient atoms (opaque
+functions) are drawn as independent uniform values per sample point,
+which realizes "generic B" hypotheses; the proof treats them as
+indeterminates, which is the same hypothesis.
 """
 
 from __future__ import annotations
@@ -44,7 +49,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Distribution:
-    """Module of vector fields with a sampled constant-rank certificate.
+    """Module of vector fields with a constant-rank certificate, proved
+    or sampled.
 
     The basis is in normal form: each field has an anchor, the first
     chart column where that field alone is canonically nonzero (a kernel
@@ -120,7 +126,10 @@ def _distribution_from_matrix(
     what: str,
     vertical_only: bool = False,
 ) -> Distribution:
-    """Solve mat . Y = 0 over the expression field and certify the rank.
+    """Solve mat . Y = 0 over the expression field, and prove the rank
+    or else certify it by sampling; then check the kernel basis exactly
+    against `mat`, and its independence unless it is evident
+    (`_independent_everywhere`).
 
     `vertical_only` restricts the unknown vector to the fiber coordinates
     of a bundle chart; the returned fields are zero on the base.
@@ -134,7 +143,9 @@ def _distribution_from_matrix(
     sub = [[row[c] for c in cols] for row in mat]
     groups = _fiber_first_groups(chart, cols)
     elim = la.gauss_eliminate(sub, box=box, seed=seed, col_groups=groups)
-    cert = la.certify_rank(sub, box=box, seed=seed, expected=elim.rank, what=what)
+    cert = la.prove_rank(sub, elim, box, seed) or la.certify_rank(
+        sub, box=box, seed=seed, expected=elim.rank, what=what
+    )
     basis = []
     for vec in la.kernel_basis(elim):
         comps = [sx.ZERO] * n
@@ -143,15 +154,28 @@ def _distribution_from_matrix(
         basis.append(VecField(chart, comps))
     dist = Distribution(chart, tuple(basis), len(basis), cert, uncertain=elim.uncertain)
     _check_definitional_residual(mat, dist)
-    la.certify_rank(
-        [list(Y.components) for Y in basis],
-        box,
-        seed,
-        count=16,
-        expected=len(basis),
-        what="distribution basis",
-    )
+    if not _independent_everywhere(dist):
+        la.certify_rank(
+            [list(Y.components) for Y in basis],
+            box,
+            seed,
+            count=16,
+            expected=len(basis),
+            what="distribution basis",
+        )
     return dist
+
+
+def _independent_everywhere(dist: Distribution) -> bool:
+    """Whether the basis has full rank at every point: its entries are
+    everywhere defined, and each field holds a nonzero constant in a
+    column where it alone is nonzero, so that on those columns the basis
+    is diagonal with constant entries."""
+    fields = [Y.components for Y in dist.basis]
+    if not all(sx.everywhere_defined(c) for comps in fields for c in comps):
+        return False
+    alone = [sum(not c.is_const_zero() for c in col) == 1 for col in zip(*fields)]
+    return all(any(own and c.const_value() for own, c in zip(alone, comps)) for comps in fields)
 
 
 def _check_definitional_residual(mat, dist: Distribution):

@@ -1,9 +1,12 @@
-"""Linear algebra over the symbolic expression field, with sampled
-certification.
+"""Linear algebra over the symbolic expression field, with proved or
+sampled rank certificates.
 
-Rank constancy is never proved, only certified: matrices are evaluated at
-the box center plus seeded uniform sample points (opaque coefficient atoms
-drawn as generic values), and numeric ranks must agree.  `sample_stack`
+Rank constancy is proved exactly where it can be (`prove_rank`): the
+entries are everywhere defined, the elimination is certain, and the
+minor on its pivots is a nonzero constant.  Otherwise it is certified by
+sampling: matrices are evaluated at the box center plus seeded uniform
+sample points (opaque coefficient atoms drawn as generic values), and
+numeric ranks must agree.  `sample_stack`
 is the one float evaluation of a matrix at sample points: a (points, m,
 n) stack, each entry evaluated once over the point columns, whose ranks
 `numeric_ranks` takes from one stacked SVD.  These two are the module's
@@ -15,7 +18,7 @@ one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -261,11 +264,18 @@ def determinant(mat) -> Expr:
 
 @dataclass
 class RankCertificate:
+    """The rank of a matrix at `count` points drawn with `seed` in `box`:
+    `ranks` holds the numeric rank at each point that evaluates.  A
+    `proved` certificate holds the rank proved at every point
+    (`prove_rank`) and records it as the full sample set would, so its
+    record is the sampled one."""
+
     rank: int
     seed: int
     box: object
     count: int
     ranks: list[int]
+    proved: bool = field(default=False, compare=False)
 
     def to_record(self) -> dict:
         return {
@@ -277,6 +287,26 @@ class RankCertificate:
         }
 
 
+def prove_rank(mat, elim: Elimination, box=None, seed: int = DEFAULT_SEED) -> Optional[RankCertificate]:
+    """The certificate of the rank of `elim`, an elimination of `mat`,
+    proved at every point, or None when this proof does not apply.
+
+    The rank is at least r = elim.rank everywhere when every entry is
+    everywhere defined (`symexpr.everywhere_defined`: no pole, no atom of
+    a known function) and the minor on the pivot rows and columns is a
+    nonzero constant.  It is at most r wherever the entries are defined
+    when the elimination is not `uncertain`: then its n - r kernel
+    vectors, which the caller checks against `mat` exactly and anchors,
+    are independent over the function field, so every larger minor
+    vanishes identically."""
+    if elim.uncertain or not all(sx.everywhere_defined(e) for row in mat for e in row):
+        return None
+    minor = determinant([[mat[i][j] for _, j in elim.pivots] for i, _ in elim.pivots])
+    if not minor.const_value():  # a zero constant, or None for a function
+        return None
+    return RankCertificate(elim.rank, seed, box, SAMPLE_COUNT, [elim.rank] * SAMPLE_COUNT, proved=True)
+
+
 def certify_rank(
     mat,
     box=None,
@@ -285,8 +315,11 @@ def certify_rank(
     expected: Optional[int] = None,
     what: str = "matrix",
 ) -> RankCertificate:
-    """Sampled-rank certificate; raises NonConstantRankError with witness
-    points when ranks differ across the sample set."""
+    """Sampled-rank certificate: the numeric rank at `count` seeded
+    points, the box center first, of which those that fail to evaluate
+    are dropped; raises NonConstantRankError with witness points when
+    ranks differ across the sample set or from `expected`.  For the
+    ranks that `prove_rank` proves, use that first."""
     symbols, samples = sx.sample_points(
         [e for row in mat for e in row], box=box, seed=seed, count=count, center=True
     )

@@ -8,7 +8,9 @@ optional `instances` block of named numeric instantiations of those atoms
 (atom name -> expression string), and an `options` block (box, seed,
 step, tolerance).  The section file of `verify` and `integrate` and
 the spec of `liouville` are read here too.  A field of the wrong shape
-raises a ParseError that names it.
+raises a ParseError that names it, and so does a section entry that the
+chart does not have (a component off the fiber, a grid axis off the
+base).
 """
 
 from __future__ import annotations
@@ -112,9 +114,10 @@ def form_from_records(chart: Chart, records, sub: Mapping[str, Expr]) -> DiffFor
         raise ParseError(f"unknown coordinate in form index: {exc}") from exc
 
 
-def _components(spec, field: str, sub: Mapping[str, Expr]) -> dict[str, Expr]:
+def _components(spec, field: str, sub: Mapping[str, Expr], fiber=None) -> dict[str, Expr]:
     """The parsed coordinate name -> expression string record of a section
-    or field spec: its `components` record, or the spec itself."""
+    or field spec: its `components` record, or the spec itself.  A section
+    passes its chart's `fiber`, and a name outside it is refused."""
     if isinstance(spec, Mapping) and "components" in spec:
         spec, field = spec["components"], f"{field}.components"
     if not isinstance(spec, Mapping):
@@ -122,16 +125,19 @@ def _components(spec, field: str, sub: Mapping[str, Expr]) -> dict[str, Expr]:
     for name, text in spec.items():
         if not isinstance(text, str):
             raise ParseError(f"{field}.{name} must be an expression string")
+        if fiber is not None and name not in fiber:
+            raise ParseError(f"{field}.{name} is not a fiber coordinate of the chart")
     return {name: parse_coefficient(text, sub) for name, text in spec.items()}
 
 
 def section_from_spec(chart: BundleChart, spec, sub=None) -> SectionMap:
-    return SectionMap(chart, _components(spec, "section", sub or {}))
+    return SectionMap(chart, _components(spec, "section", sub or {}, chart.fiber))
 
 
-def sweep_from_spec(spec) -> dict:
-    """The seed file of `integrate`: the keyword arguments `phi0`, `grid`,
-    `seed_axes` and `axis_order` of `flows.sweep_section`."""
+def sweep_from_spec(chart: BundleChart, spec) -> dict:
+    """The seed file of `integrate` on `chart`: the keyword arguments
+    `phi0`, `grid`, `seed_axes` and `axis_order` of
+    `flows.sweep_section`."""
     if not isinstance(spec, Mapping) or "components" not in spec or "grid" not in spec:
         raise ParseError("section must be a record with components and grid")
     grid = spec["grid"]
@@ -142,9 +148,11 @@ def sweep_from_spec(spec) -> dict:
         if not (isinstance(axis, list) and len(axis) == 3 and all(type(v) in (int, float) for v in axis)
                 and type(axis[2]) is int):
             raise ParseError(f"section.grid.{name} must be [lo, hi, count] with an integer count")
+        if name not in chart.base:
+            raise ParseError(f"section.grid.{name} is not a base coordinate of the chart")
     order = spec.get("axis_order")
     return {
-        "phi0": _components(spec, "section", {}),
+        "phi0": _components(spec, "section", {}, chart.fiber),
         "grid": {name: tuple(axis) for name, axis in grid.items()},
         "seed_axes": _names(spec.get("seed_axes", []), "section.seed_axes"),
         "axis_order": None if order is None else _names(order, "section.axis_order"),

@@ -41,7 +41,7 @@ and descends over the list, combining payloads as the operators do and
 building one node at the end; a variable is the variable's registry atom,
 or the expression the caller binds to its name, and an integer below
 1024 one cached node.  A power of a sum that would expand to more than
-`_POWER_TERM_LIMIT` terms is refused, by `**` and by `parse` (a
+`_POWER_TERM_LIMIT` terms is refused, by `**`, `subst` and `parse` (a
 ParseError at its exponent).  Floats appear
 only in evaluation and sampling, which this module owns for the whole
 package: `compile_expr` turns a payload into a float function once per
@@ -92,6 +92,7 @@ __all__ = [
     "point_label",
     "subst",
     "free_vars",
+    "everywhere_defined",
     "numer_denom",
     "opaque_atoms",
     "poly_terms",
@@ -1014,7 +1015,9 @@ def _atom_diff(a: tuple, v: str) -> _Rat:
 
 
 def subst(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Replace variables by expressions (simultaneous)."""
+    """Replace variables by expressions (simultaneous).  A power of an
+    image that could expand to more than `_POWER_TERM_LIMIT` terms is
+    refused, as by `**` (ExpansionLimitError)."""
     mapping = {k: _coerce(v) for k, v in mapping.items()}
     return _rat_to_expr(_rat_subst(e._rat, mapping, {}))
 
@@ -1040,7 +1043,7 @@ def _p_subst(p: tuple, mapping: Mapping[str, Expr], images: dict) -> _Rat:
             image = images.get(a)
             if image is None:
                 image = images[a] = _atom_subst(a, mapping, images)
-            factor = image if n == 1 else _rat_pow(image, n)
+            factor = image if n == 1 else _rat_pow_bounded(image, n)
             term = factor if term is None else _rat_mul(term, factor)
         acc = term if acc is None else _rat_add(acc, term)
     return _RAT_ZERO if acc is None else acc
@@ -1094,6 +1097,32 @@ def _atom_vars(a: tuple) -> frozenset:
             names = frozenset().union(*(_rat_vars(x._rat) for x in _ATOM_ARGS[a]))
         _ATOM_VARS[a] = names
     return names
+
+
+def everywhere_defined(e: Expr) -> bool:
+    """Whether `e` is a polynomial whose atoms are variables and opaque
+    functions of such polynomials.  It then has a value at every point
+    and every draw of its opaque atoms, and its canonical form is exact
+    there: no quotient has a pole, and no sin, cos, exp or ln relation
+    (sin^2 + cos^2 = 1) escapes the canonical form."""
+    r = e._rat
+    if r.den is not _ONE_POLY:
+        return False
+    _rat_vars(r)
+    return r.only_vars or all(_atom_defined(a) for mono in r.num[2] for a, _ in mono)
+
+
+# atom key -> whether the atom is everywhere defined
+_ATOM_DEFINED: dict[tuple, bool] = {}
+
+
+def _atom_defined(a: tuple) -> bool:
+    ok = _ATOM_DEFINED.get(a)
+    if ok is None:
+        ok = _ATOM_DEFINED[a] = a[0] == "v" or (
+            a[1] not in KNOWN_FUNCS and all(map(everywhere_defined, _ATOM_ARGS[a]))
+        )
+    return ok
 
 
 def numer_denom(e: Expr) -> tuple[Expr, Expr]:

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -93,3 +95,13 @@ def chart5():
 @pytest.fixture
 def chart6w():
     return fm.BundleChart(["x1", "x2"], ["z1", "z2", "z3"], ["w"])
+
+
+def output_digest():
+    """The module tools/output_digest.py: its `INPUTS` are the specs and
+    section files of the digest's runs, by file name."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    return digest

@@ -765,8 +765,9 @@ def _changed(record, path, value):
 
 
 class TestInputShapes:
-    """A section file or a liouville spec of the wrong shape exits 2 with
-    a ParseError that names the field."""
+    """A section file or a liouville spec of the wrong shape, or a section
+    entry the chart does not have, exits 2 with a ParseError that names
+    the field."""
 
     def _run(self, tmp_path, argv, payload):
         path = tmp_path / "input.json"
@@ -786,6 +787,8 @@ class TestInputShapes:
             ((), [SEED_SECTION], "section must be a record"),
             (("axis_order",), 5, "section.axis_order must be a list"),
             (("seed_axes",), 5, "section.seed_axes must be a list"),
+            (("grid", "x9"), [0.0, 1.0, 50], "section.grid.x9 is not a base coordinate of the chart"),
+            (("components", "z4"), "x1", "section.components.z4 is not a fiber coordinate of the chart"),
         ],
     )
     def test_integrate_section(self, example1_spec, tmp_path, path, value, field):
@@ -799,6 +802,10 @@ class TestInputShapes:
             ({"components": {"z1": 0, "z2": "0", "z3": "0"}}, "section.components.z1 must be an expression string"),
             (["-1/2*x1"], "section must be a record"),
             ("-1/2*x1", "section must be a record"),
+            (
+                {"components": {"z1": "0", "z2": "0", "z3": "0", "z4": "x1"}},
+                "section.components.z4 is not a fiber coordinate of the chart",
+            ),
         ],
     )
     def test_verify_section(self, example1_spec, tmp_path, payload, field):

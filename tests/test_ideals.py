@@ -1,6 +1,9 @@
 import itertools
+import json
 import random
 import sys
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +12,11 @@ from cartanvp import fixtures as fx
 from cartanvp import forms as fm
 from cartanvp import ideals as ids
 from cartanvp import linalg as la
+from cartanvp import specio
 from cartanvp import symexpr as sx
+from cartanvp import varprin as vp
 from cartanvp.errors import ChartMismatchError, NonConstantRankError, UnequalGeneratorDegreesError
-from conftest import rand_poly
+from conftest import output_digest, rand_poly
 
 
 def opaque(chart, name):
@@ -357,3 +362,180 @@ class TestSpanMembership:
                     assert sx.canon(acc - target[i]).is_const_zero()
 
         check()
+
+
+# ---------------------------------------------------------------------------
+# ranks proved from exact minors, against the sampled certificate
+
+
+def _proved_and_sampled(build):
+    """The distribution `build()` returns, and the one it returns with the
+    proof switched off (no entry reads as everywhere defined), which
+    samples as the certificate did before the proof."""
+    proved = build()
+    with mock.patch.object(sx, "everywhere_defined", lambda e: False):
+        sampled = build()
+    assert not sampled.certificate.proved
+    assert proved == sampled
+    assert proved.certificate.to_record() == sampled.certificate.to_record()
+    return proved
+
+
+def _both_annihilators(make_problem):
+    """`_proved_and_sampled` of a problem's annihilator and its vertical
+    part, each on a fresh problem."""
+    return [
+        _proved_and_sampled(lambda: getattr(make_problem(), attr))
+        for attr in ("annihilator", "vertical_annihilator")
+    ]
+
+
+def _generated_factors(rng, k, p, kind, scaled):
+    """A factor set shaped as perfbench's `analyze` generator shapes one:
+    z rows dz_a + B_a.dx, then k + 1 - p base rows dx_j plus C entries on
+    the base columns that are no row's pivot, each coefficient an opaque
+    atom over the chart or c1*u*v + c2*w in its coordinates (zero at the
+    box center, so the unit entries pivot), rows shuffled; `scaled`
+    multiplies one row by 2 + x1^2, which makes the pivot minor a
+    function."""
+    chart = fm.BundleChart([f"x{m}" for m in range(1, k + 1)], [f"z{a}" for a in range(1, p + 1)])
+    names = list(chart.coords)
+
+    def coeff(name):
+        if kind == "opaque":
+            return opaque(chart, name)
+        c1, c2 = (sx.num(Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.choice([1, 2, 3]))) for _ in "12")
+        u, v, w = (sx.var(rng.choice(names)) for _ in "uvw")
+        return c1 * u * v + c2 * w
+
+    rows = []
+    for a in range(1, p + 1):
+        alpha = fm.d_coord(chart, f"z{a}")
+        for m in range(1, k + 1):
+            alpha = alpha + fm.d_coord(chart, f"x{m}") * coeff(f"B{a}{m}")
+        rows.append(alpha)
+    pivots = rng.sample(range(k), k + 1 - p)
+    for i, j in enumerate(pivots, start=1):
+        alpha = fm.d_coord(chart, f"x{j + 1}")
+        for m in range(k):
+            if m not in pivots:
+                alpha = alpha + fm.d_coord(chart, f"x{m + 1}") * coeff(f"C{i}{m + 1}")
+        rows.append(alpha)
+    rng.shuffle(rows)
+    if scaled:
+        j = rng.randrange(len(rows))
+        rows[j] = rows[j] * (2 + sx.var("x1") ** 2)
+    return chart, rows
+
+
+class TestProvedRank:
+    """A distribution whose system has everywhere-defined entries and a
+    constant pivot minor has its rank proved; its certificate records
+    what the 64 samples give, so reports do not change."""
+
+    def test_elimination_corpus(self):
+        from test_decomp import _elimination_corpus
+
+        proved = [
+            _proved_and_sampled(
+                lambda: ids.characteristic_distribution(fs.alphas, vertical_only=vertical)
+            ).certificate.proved
+            for fs in _elimination_corpus()
+            for vertical in (False, True)
+        ]
+        # one row of each set is scaled by a function or by 1
+        assert 0 < sum(proved) < len(proved) == 192
+
+    def test_generated_factor_specs(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # (k, fiber size): maximal degree, intermediate, maximally characteristic
+        shapes = [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)]
+
+        @hypothesis.settings(max_examples=40, deadline=None, database=None)
+        @hypothesis.given(
+            st.integers(0, 10**6), st.sampled_from(shapes), st.sampled_from(["opaque", "poly"]), st.booleans()
+        )
+        def check(seed, shape, kind, scaled):
+            chart, rows = _generated_factors(random.Random(seed), *shape, kind, scaled)
+            dists = _both_annihilators(lambda: vp.build_problem(chart, factors=rows))
+            if not scaled:
+                assert all(D.certificate.proved for D in dists)
+
+        check()
+
+    def test_digest_specs(self):
+        specs = [(name, fx.load(name), None) for name in ("example1", "example2", "example3")]
+        specs += [
+            (name, fx.load(name), inst) for name, spec, _ in list(specs) for inst in spec.get("instances", {})
+        ]
+        specs += [(name, payload, None) for name, payload in output_digest().INPUTS.items() if "chart" in payload]
+        proved = {}
+        for name, spec, inst in specs:
+            instance = specio.instance_from_spec(spec, inst) if inst else None
+            dists = _both_annihilators(lambda: specio.problem_from_spec(spec, instance=instance))
+            proved[name, inst] = [D.certificate.proved for D in dists]
+        assert proved[("swell-k3-maximal-degree-0.json", None)] == [True, True]
+        assert proved[("k6probe-intermediate-opaque-0.json", None)] == [True, True]
+
+    @pytest.mark.parametrize(
+        "name, coeff",
+        [("singular-k2.json", None), ("quotients-k2.json", None), ("sin", "sin(x1)"), ("exp", "exp(x1)")],
+    )
+    def test_inputs_that_sample(self, name, coeff):
+        # a quotient, and a coefficient of a known function, keep the
+        # sampled certificate; so do the normalized factors of the singular
+        # spec, which carry 1/x1 (the sample at the box center fails)
+        inputs = output_digest().INPUTS
+        if coeff is None:
+            spec = inputs[name]
+        else:
+            spec = json.loads(json.dumps(inputs["swell-k3-maximal-degree-0.json"]))
+            spec["factors"][1][1]["coeff"] = coeff
+        D = specio.problem_from_spec(spec).annihilator
+        assert not D.certificate.proved
+        if name == "singular-k2.json":
+            assert D.certificate.count == 63
+
+    def test_no_sampling_on_a_proved_distribution(self, monkeypatch):
+        # the basis check is skipped too: each field has a nonzero constant
+        # in a column where it alone is nonzero
+        spec = output_digest().INPUTS["swell-k3-maximal-degree-0.json"]
+        monkeypatch.setattr(la, "certify_rank", mock.Mock(side_effect=AssertionError("sampled")))
+        p = specio.problem_from_spec(spec)
+        assert p.annihilator.certificate.proved and p.vertical_annihilator.certificate.proved
+        assert la.certify_rank.call_count == 0
+
+    def test_roundoff_no_longer_decides(self):
+        # dx + 10^20 x dy and dy have the pivot minor 1, but at a sample the
+        # smaller singular value is about 10^-20 |x|^-1, below RANK_TOL
+        chart = fm.Chart(["x", "y", "z"])
+        forms = (
+            fm.d_coord(chart, "x") + fm.d_coord(chart, "y") * (sx.num(10**20) * sx.var("x")),
+            fm.d_coord(chart, "y"),
+        )
+        D = ids.characteristic_distribution(forms)
+        assert D.rank == 1 and D.certificate.proved and D.certificate.ranks == [2] * 64
+        with mock.patch.object(sx, "everywhere_defined", lambda e: False):
+            with pytest.raises(NonConstantRankError, match="sampled rank differs"):
+                ids.characteristic_distribution(forms)
+
+
+class TestEverywhereDefined:
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("3", True),
+            ("x*y^2 - 1/2", True),
+            ("B(x, y^2 + 1)*x", True),
+            ("B(C(x))", True),
+            ("1/x", False),
+            ("x/(y^2 + 1)", False),
+            ("B(1/x)", False),
+            ("sin(x)", False),
+            ("exp(x)*y", False),
+            ("B(ln(x))", False),
+        ],
+    )
+    def test_examples(self, text, want):
+        assert sx.everywhere_defined(sx.parse(text)) is want

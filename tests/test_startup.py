@@ -2,12 +2,12 @@
 
 Each check runs in a fresh interpreter on this checkout's package, since
 the test process itself has numpy loaded already.  The exact API and the
-`el`, `liouville` and `verify` commands never import numpy; the rank
-certificates of `analyze`, the sweeps of `integrate` and the fixture
-checks of `example` do.
+`el`, `liouville` and `verify` commands never import numpy, nor does
+`analyze` where every rank is proved and Frobenius decides symbolically;
+the sampled rank certificates and the Frobenius fallback of `analyze`,
+the sweeps of `integrate` and the fixture checks of `example` do.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import output_digest
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "src" / "cartanvp" / "fixtures" / "data"
@@ -51,11 +52,8 @@ def _fresh(code: str, cwd: Path) -> dict:
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory) -> Path:
     """A directory holding the inputs of tools/output_digest.py."""
-    spec = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
     where = tmp_path_factory.mktemp("inputs")
-    for name, payload in digest.INPUTS.items():
+    for name, payload in output_digest().INPUTS.items():
         (where / name).write_text(json.dumps(payload))
     return where
 
@@ -104,6 +102,15 @@ def test_el_liouville_and_verify_never_import_numpy(inputs):
     assert result["codes"] == {
         " ".join(argv): (1 if argv[0] == "verify" else 0) for argv in argvs
     }
+
+
+def test_proved_ranks_never_import_numpy(inputs):
+    # a maximal-degree polynomial spec: constant pivot minors, and one
+    # annihilator field, so Frobenius has no pair to test
+    argvs = [[cmd, "--spec", "swell-k3-maximal-degree-0.json"] for cmd in ("analyze", "annihilator")]
+    result = _fresh("".join(f"cli_run({argv!r})\n" for argv in argvs), inputs)
+    assert result["codes"] == {" ".join(argv): 0 for argv in argvs}
+    assert not any(result["loaded"].values()), result["loaded"]
 
 
 @pytest.mark.parametrize(

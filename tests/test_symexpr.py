@@ -686,6 +686,18 @@ class TestParser:
         assert (x + y + z) ** 43 == sx.parse("(x + y + z)^43")
         assert str((2 * x * y) ** 99) == f"{2**99}*x^99*y^99"
 
+    def test_subst_power_has_the_parser_bound(self):
+        # subst(parse(text), names) is parse(text, names): both refuse a
+        # power of a bound sum that would expand past the term limit
+        names = {"x": x + y + z}
+        with pytest.raises(ParseError, match="power too large"):
+            sx.parse("x^60", names)
+        with pytest.raises(ExpansionLimitError, match="power too large"):
+            sx.subst(x**60, names)
+        with pytest.raises(ExpansionLimitError):
+            sx.subst(sx.func("B", x**60), names)
+        assert sx.subst(x**43 / (y - 1), names) == sx.parse("x^43/(y - 1)", names)
+
     def test_roundtrip_on_corpus(self):
         rng = random.Random(17)
         for _ in range(40):

@@ -28,7 +28,11 @@ pullback route at scale); `analyze` on a k = 6 intermediate opaque spec
 normalizing rescales; three inputs of the wrong shape, each exit 2 with a
 ParseError naming its field: `verify` of a section with a non-string
 component, `integrate` with a grid that is not a record, and `liouville`
-with a phase that is not a list of names; demos 01-05.
+with a phase that is not a list of names; two section files with an entry
+the chart does not have (a `verify` component z4, an `integrate` grid
+axis x9), each exit 2; `analyze` and `annihilator` on a k = 3 maximal
+degree polynomial spec, whose ranks are proved, and on a spec whose
+normalized factors carry 1/x1, whose ranks are sampled; demos 01-05.
 """
 
 from __future__ import annotations
@@ -237,6 +241,47 @@ INPUTS = {
         "opaque": {},
         "options": {"seed": 13895},
     },
+    # factor_spec(random.Random("swell/3/maximal_degree/0"), 3,
+    # "maximal_degree", "poly")["spec"]: polynomial entries and constant
+    # pivot minors, so its ranks are proved exactly
+    "swell-k3-maximal-degree-0.json": {
+        "chart": {"base": ["x1", "x2", "x3"], "fiber_z": ["z1", "z2"], "fiber_w": []},
+        "factors": [
+            [{"coeff": "1", "index": ["x2"]}, {"coeff": "(1/2)*x2 + (-4/3)*x1*x3", "index": ["x1"]}],
+            [
+                {"coeff": "1", "index": ["z1"]},
+                {"coeff": "(-2)*x1 + (-1/3)*x1*x2", "index": ["x1"]},
+                {"coeff": "(-2)*z2 + (-1)*z1*z2", "index": ["x2"]},
+                {"coeff": "(-4)*x3*z2 + (-2)*x2", "index": ["x3"]},
+            ],
+            [{"coeff": "1", "index": ["x3"]}, {"coeff": "(-4/3)*z2 + (-1/2)*x3^2", "index": ["x1"]}],
+            [
+                {"coeff": "1", "index": ["z2"]},
+                {"coeff": "(1)*x3 + (-4/3)*x3*z2", "index": ["x1"]},
+                {"coeff": "(1/2)*z1 + (-3)*x3*z2", "index": ["x2"]},
+                {"coeff": "(2)*z1 + (-2)*z1*z2", "index": ["x3"]},
+            ],
+        ],
+        "opaque": {},
+        "options": {"seed": 47849},
+    },
+    # the factors [x1*dz1 + dx1, dz2 + dx2, dz3]: normalizing divides by
+    # x1, so the ranks are sampled, and the sample at the box center fails
+    "singular-k2.json": {
+        "chart": {"base": ["x1", "x2"], "fiber_z": ["z1", "z2", "z3"], "fiber_w": []},
+        "factors": [
+            [{"coeff": "x1", "index": ["z1"]}, {"coeff": "1", "index": ["x1"]}],
+            [{"coeff": "1", "index": ["z2"]}, {"coeff": "1", "index": ["x2"]}],
+            [{"coeff": "1", "index": ["z3"]}],
+        ],
+    },
+    # section entries the chart does not have: a component z4 and a grid
+    # axis x9 (example1 has fiber z1-z3 and base x1, x2)
+    "section-component-z4.json": {"components": {"z1": "0", "z2": "0", "z3": "0", "z4": "x1"}},
+    "section-grid-x9.json": {
+        "components": {"z1": "0", "z2": "0", "z3": "0"},
+        "grid": {"x1": [0.0, 1.0, 2], "x2": [0.0, 1.0, 2], "x9": [0.0, 1.0, 50]},
+    },
     # factor_spec(random.Random("k6probe/intermediate/opaque/0"), 6,
     # "intermediate", "opaque")["spec"]: Frobenius on rank-3 brackets of
     # opaque atoms over nine coordinates
@@ -301,6 +346,14 @@ def entries() -> list[list[str]]:
          "--section", "section-component-0.json"],
         ex1 + ["--section", "section-grid-5.json"],
         ["cartanvp", "liouville", "--spec", "liouville-phase-5.json"],
+        ["cartanvp", "verify", "--spec", "example1.json", "--instance", "constant",
+         "--section", "section-component-z4.json"],
+        ex1 + ["--section", "section-grid-x9.json"],
+    ]
+    runs += [
+        ["cartanvp", cmd, "--spec", spec]
+        for spec in ("swell-k3-maximal-degree-0.json", "singular-k2.json")
+        for cmd in ("analyze", "annihilator")
     ]
     runs += [["python", f"demos/{p.name}"] for p in sorted((ROOT / "demos").glob("0[1-5]_*.py"))]
     return runs
