@@ -10,9 +10,9 @@ byte-identical.  The problem computes its distributions on first read,
 so each command builds only those it reports: `analyze` and `example`
 the annihilator and its vertical part, `annihilator`, `frobenius` and
 `integrate` the annihilator, `el`, `verify` and `liouville` neither.
-Only numeric work loads numpy: the sampled rank certificates and the
-Frobenius fallback of `analyze`, `annihilator` and `frobenius` (a rank
-that `linalg.prove_rank` proves samples nothing), the sweeps of
+Only numeric work loads numpy: the sampled rank certificates of
+`analyze`, `annihilator` and `frobenius` (a rank that
+`linalg.prove_rank` proves samples nothing), the sweeps of
 `integrate` (`flows`, imported by that command) and the fixture checks of
 `example`; `el`, `verify` and `liouville` run without it.
 """

@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import linalg as la
 from . import symexpr as sx
-from .errors import DegreeMismatchError, RankDeficientLError
+from .errors import DegreeMismatchError, RankDeficientLError, UndecidedPivotError
 from .forms import BundleChart, DiffForm, _perm_sign, wedge_all
 from .symexpr import DEFAULT_SEED, Expr
 
@@ -129,7 +129,8 @@ def normalize(fs: FactorSet, box=None, seed: int = DEFAULT_SEED) -> FactorSet:
     unchanged, so the wedge changes by the recorded nonzero multiplier.
     Pivots follow the rule of `linalg.gauss_eliminate`, with the primary
     fiber columns preferred to the residual block; base columns never
-    pivot.
+    pivot.  An elimination with an `undecided` entry raises
+    UndecidedPivotError, which names it, not RankDeficientLError.
     """
     ch = fs.chart
     k1 = ch.k + 1
@@ -139,6 +140,12 @@ def normalize(fs: FactorSet, box=None, seed: int = DEFAULT_SEED) -> FactorSet:
         seed=seed,
         col_groups=[range(ch.k, ch.k + ch.p), range(ch.k + ch.p, ch.dim)],
     )
+    if elim.undecided:
+        i, j = elim.undecided
+        raise UndecidedPivotError(
+            f"fiber block pivot undecided: the d{ch.coords[j]} entry of factors[{i}] reduces to"
+            f" {elim.rows[i][j]}, which no sample certifies nonzero"
+        )
     target_pivots = min(ch.dim - ch.k, k1)
     if elim.rank < target_pivots:
         raise RankDeficientLError(

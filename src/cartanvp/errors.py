@@ -62,6 +62,10 @@ class RankDeficientLError(CartanVPError):
     """The fiber block of a factor set has deficient rank."""
 
 
+class UndecidedPivotError(CartanVPError):
+    """An elimination left a pivot candidate that no zero test certifies."""
+
+
 class NotClosedError(CartanVPError):
     pass
 

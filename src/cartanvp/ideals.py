@@ -8,6 +8,9 @@ factors of eta (the annihilator of a decomposable form is the joint
 kernel of its factors), or `psi`; optionally restricted to vertical
 fields.
 
+Span membership and the Frobenius verdict are read off the basis anchors
+and decided by the canonical zero test, with no float solve.
+
 A distribution's rank is proved where the system's entries are
 everywhere defined (polynomials in the coordinates and opaque atoms) and
 its pivot minor is a nonzero constant (`linalg.prove_rank`); otherwise
@@ -152,7 +155,7 @@ def _distribution_from_matrix(
         for c, v in zip(cols, vec):
             comps[c] = v
         basis.append(VecField(chart, comps))
-    dist = Distribution(chart, tuple(basis), len(basis), cert, uncertain=elim.uncertain)
+    dist = Distribution(chart, tuple(basis), len(basis), cert, uncertain=elim.undecided is not None)
     _check_definitional_residual(mat, dist)
     if not _independent_everywhere(dist):
         la.certify_rank(
@@ -223,80 +226,59 @@ def characteristic_distribution(
 # span membership and Frobenius integrability
 
 
-def combination(D: Distribution, target: Sequence[Expr], cols: Sequence[int]) -> Optional[list[Expr]]:
-    """Coefficients u with sum_c u_c Y_c = `target` on the chart columns
-    `cols`, or None when there are none of this form.
-
-    u_c is forced on the anchor a_c of Y_c, target[a_c] / Y_c[a_c], when
-    a_c lies in `cols`, and is 0 otherwise; the combination is then
-    checked canonically on every column of `cols`.  Over all columns the
-    forced u is the only candidate, so None means `target` is not in the
-    span wherever the canonical zero test is exact."""
+def _forced(D: Distribution, target: Sequence[Expr], cols: Sequence[int]) -> tuple[list[Expr], list[Expr]]:
+    """The coefficients u that the anchors force, u_c = target[a_c] /
+    Y_c[a_c] when the anchor a_c of Y_c lies in `cols` and 0 otherwise,
+    and the residual target - sum_c u_c Y_c on each column of `cols`."""
     inside = set(cols)
     u = [
         target[a] / Y.components[a] if a in inside else sx.ZERO
         for Y, a in zip(D.basis, D.anchors)
     ]
+    residual = []
     for i in cols:
         acc = target[i]
         for uc, Y in zip(u, D.basis):
             acc = acc - uc * Y.components[i]
-        if not acc.is_const_zero():
-            return None
-    return u
+        residual.append(acc)
+    return u, residual
+
+
+def combination(D: Distribution, target: Sequence[Expr], cols: Sequence[int]) -> Optional[list[Expr]]:
+    """Coefficients u with sum_c u_c Y_c = `target` on the chart columns
+    `cols`: the `_forced` u when its residual there is canonically zero,
+    else None (over all columns, `target` is then outside the span)."""
+    u, residual = _forced(D, target, cols)
+    return u if all(r.is_const_zero() for r in residual) else None
 
 
 def frobenius_check(D: Distribution) -> FrobeniusResult:
-    """Bracket-closure test for a rank-certified distribution.
-
-    Symbolic span membership first, read off the basis anchors with no
-    elimination (`combination` over all columns); a pair whose bracket
-    stays outside the span symbolically is then tested numerically at
-    points drawn in the box and with the seed of D's certificate:
-    residual above 1e-9 somewhere -> not integrable (witness point),
-    everywhere below -> unknown (numerically integrable only).
-    """
+    """Bracket-closure test: each canonically nonzero column of a
+    bracket's `_forced` residual goes to `symexpr.is_zero` (box and seed
+    of D's certificate).  'nonzero' gives 'not_integrable' with the pair,
+    the column and the zero test's witness; a pair whose columns all read
+    'unknown' (sin, cos, exp or ln atoms) gives 'unknown' unless a later
+    pair escapes."""
     box, seed = D.certificate.box, D.certificate.seed
-    basis = D.basis
-    A = [[Y.components[c] for Y in basis] for c in range(D.chart.dim)]
-    numeric_only = False
+    basis, coords = D.basis, D.chart.coords
+    undecided = None  # the first column whose zero test read 'unknown'
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             Z = lie_bracket(basis[i], basis[j])
             if Z.is_zero_field():
                 continue
-            if combination(D, Z.components, range(D.chart.dim)) is not None:
-                continue
-            # numeric fallback: least squares at fresh sample points
-            import numpy as np
-
-            exprs = [e for Y in basis for e in Y.components] + list(Z.components)
-            symbols, points = sx.sample_points(exprs, box=box, seed=seed, count=32, center=True)
-            points = list(points)
-            A_at, A_failures = la.sample_stack(A, symbols, points)
-            b_at, b_failures = la.sample_stack([Z.components], symbols, points)
-            # a point evaluates A before b
-            failure = min(A_failures[:1] + b_failures[:1], key=lambda f: f[0], default=None)
-            if failure is not None:
-                raise failure[1]
-            worst, worst_at = 0.0, None  # the first point of the largest residual
-            for at, (Ai, bi) in enumerate(zip(A_at, b_at[:, 0])):
-                coef, *_ = np.linalg.lstsq(Ai, bi, rcond=None)
-                res = float(np.linalg.norm(Ai @ coef - bi))
-                if res > worst:
-                    worst, worst_at = res, at
-            if worst > sx.ZERO_THRESHOLD:
-                return FrobeniusResult(
-                    "not_integrable",
-                    witness_pair=(i, j),
-                    witness_point=sx.point_label(symbols, points[worst_at]),
-                    detail=f"bracket escapes the span; residual {worst:.3e}",
-                )
-            numeric_only = True
-    if numeric_only:
-        return FrobeniusResult(
-            "unknown", detail="bracket membership holds numerically but not canonically"
-        )
+            _, residual = _forced(D, Z.components, range(D.chart.dim))
+            for c, r in enumerate(residual):
+                if r.is_const_zero():
+                    continue
+                test = sx.is_zero(r, box=box, seed=seed)
+                if test.is_nonzero:
+                    detail = f"bracket escapes the span in {coords[c]}"
+                    return FrobeniusResult("not_integrable", (i, j), test.witness, detail)
+                undecided = undecided or coords[c]
+    if undecided:
+        detail = f"bracket residual in {undecided} is canonically nonzero but within 1e-9 of 0 at every sample"
+        return FrobeniusResult("unknown", detail=detail)
     return FrobeniusResult("integrable")
 
 

@@ -13,7 +13,8 @@ n) stack, each entry evaluated once over the point columns, whose ranks
 numeric part and import numpy when first called; the elimination and its
 zero tests evaluate Python floats and never load it.  The symbolic
 elimination, and its pivot rule, is `gauss_eliminate`, the package's only
-one.
+one; its zero tests are exact, so it is certain, unless an entry holds a
+sin, cos, exp or ln atom.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class Elimination:
     pivots: list[tuple[int, int]]  # (row, column) in the order chosen
     pivot_values: list[Expr]  # each pivot entry as it stood when chosen
     rows: list[list[Expr]]  # reduced rows, each at its input index
-    uncertain: bool = False
+    undecided: Optional[tuple[int, int]] = None  # a candidate no zero test certified
 
     @property
     def rank(self) -> int:
@@ -117,8 +118,10 @@ def gauss_eliminate(
     the box center (generic atom draw), ties broken by (row, column) in
     input order, if it is certified nonzero by the tri-state zero test;
     otherwise the first certified-nonzero entry of that tier in row-major
-    order; a tier with none passes to the next.  Entries that are
-    canonically nonzero but never certifiable leave `uncertain` set.
+    order; a tier with none passes to the next.  If no tier yields a
+    pivot while canonically nonzero entries are left, the elimination is
+    uncertain: the first of them is `undecided`, which only a sin, cos,
+    exp or ln atom allows (see `symexpr.is_zero`).
     """
     rows = [[sx.canon(e) for e in row] for row in mat]
     m = len(rows)
@@ -137,8 +140,7 @@ def gauss_eliminate(
     free_rows = list(range(m))
     used_cols: set[int] = set()
     while free_rows:
-        picked = None
-        any_nonzero_left = False
+        picked = undecided = None
         for group in groups:
             cands = [
                 (i, j)
@@ -148,7 +150,7 @@ def gauss_eliminate(
             ]
             if not cands:
                 continue
-            any_nonzero_left = True
+            undecided = undecided or cands[0]
             best = None
             for i, j in cands:
                 try:
@@ -164,7 +166,7 @@ def gauss_eliminate(
             if picked:
                 break
         if picked is None:
-            return Elimination(pivots, values, rows, uncertain=any_nonzero_left)
+            return Elimination(pivots, values, rows, undecided)
         pi, pj = picked
         pivot = rows[pi][pj]
         rows[pi] = [e / pivot for e in rows[pi]]
@@ -295,11 +297,11 @@ def prove_rank(mat, elim: Elimination, box=None, seed: int = DEFAULT_SEED) -> Op
     everywhere defined (`symexpr.everywhere_defined`: no pole, no atom of
     a known function) and the minor on the pivot rows and columns is a
     nonzero constant.  It is at most r wherever the entries are defined
-    when the elimination is not `uncertain`: then its n - r kernel
+    when the elimination has no `undecided` entry: then its n - r kernel
     vectors, which the caller checks against `mat` exactly and anchors,
     are independent over the function field, so every larger minor
     vanishes identically."""
-    if elim.uncertain or not all(sx.everywhere_defined(e) for row in mat for e in row):
+    if elim.undecided or not all(sx.everywhere_defined(e) for row in mat for e in row):
         return None
     minor = determinant([[mat[i][j] for _, j in elim.pivots] for i, _ in elim.pivots])
     if not minor.const_value():  # a zero constant, or None for a function

@@ -93,6 +93,7 @@ __all__ = [
     "subst",
     "free_vars",
     "everywhere_defined",
+    "decided_by_canon",
     "numer_denom",
     "opaque_atoms",
     "poly_terms",
@@ -1101,28 +1102,40 @@ def _atom_vars(a: tuple) -> frozenset:
 
 def everywhere_defined(e: Expr) -> bool:
     """Whether `e` is a polynomial whose atoms are variables and opaque
-    functions of such polynomials.  It then has a value at every point
-    and every draw of its opaque atoms, and its canonical form is exact
-    there: no quotient has a pole, and no sin, cos, exp or ln relation
-    (sin^2 + cos^2 = 1) escapes the canonical form."""
-    r = e._rat
-    if r.den is not _ONE_POLY:
-        return False
+    functions of such polynomials: `decided_by_canon`, and with no pole,
+    so defined at every point and every draw of its opaque atoms."""
+    return _rat_kind(e._rat) == _POLYNOMIAL
+
+
+def decided_by_canon(e: Expr) -> bool:
+    """Whether `e` has no sin, cos, exp or ln atom at any depth, the only
+    atoms with relations the canonical form misses: such an `e` is zero
+    as a function of generic opaque functions iff its canonical form is."""
+    return _rat_kind(e._rat) != _KNOWN_FUNCTION
+
+
+# what `_rat_kind` finds at any depth of a payload, in increasing order
+_POLYNOMIAL, _QUOTIENT, _KNOWN_FUNCTION = 0, 1, 2
+_ATOM_KIND: dict[tuple, int] = {}  # atom key -> its kind, arguments included
+
+
+def _rat_kind(r: _Rat) -> int:
+    kind = _POLYNOMIAL if r.den is _ONE_POLY else _QUOTIENT
     _rat_vars(r)
-    return r.only_vars or all(_atom_defined(a) for mono in r.num[2] for a, _ in mono)
+    if r.only_vars:
+        return kind
+    return max(kind, *(_atom_kind(a) for p in (r.num, r.den) for mono in p[2] for a, _ in mono))
 
 
-# atom key -> whether the atom is everywhere defined
-_ATOM_DEFINED: dict[tuple, bool] = {}
-
-
-def _atom_defined(a: tuple) -> bool:
-    ok = _ATOM_DEFINED.get(a)
-    if ok is None:
-        ok = _ATOM_DEFINED[a] = a[0] == "v" or (
-            a[1] not in KNOWN_FUNCS and all(map(everywhere_defined, _ATOM_ARGS[a]))
+def _atom_kind(a: tuple) -> int:
+    kind = _ATOM_KIND.get(a)
+    if kind is None:
+        kind = _ATOM_KIND[a] = (
+            _POLYNOMIAL if a[0] == "v"
+            else _KNOWN_FUNCTION if a[1] in KNOWN_FUNCS
+            else max((_rat_kind(x._rat) for x in _ATOM_ARGS[a]), default=_POLYNOMIAL)
         )
-    return ok
+    return kind
 
 
 def numer_denom(e: Expr) -> tuple[Expr, Expr]:
@@ -1476,13 +1489,13 @@ def point_label(symbols: Sequence, values: Sequence[float]) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class ZeroTest:
-    """Tri-state zero verdict: 'zero', 'nonzero' (with witness), 'unknown'."""
+    """Tri-state zero verdict: 'zero', 'nonzero' or 'unknown'.  A 'nonzero'
+    witness: a sample point and its value, {} and a constant's value, or None."""
 
     verdict: str
     witness: Optional[dict] = None
-    witness_value: Optional[float] = None
+    witness_value: Union[float, Fraction, None] = None
     seed: int = DEFAULT_SEED
-    threshold: float = ZERO_THRESHOLD
 
     @property
     def is_zero(self) -> bool:
@@ -1493,37 +1506,26 @@ class ZeroTest:
         return self.verdict == "nonzero"
 
 
-def is_zero(
-    e: Expr,
-    box=None,
-    seed: int = DEFAULT_SEED,
-    samples: int = SAMPLE_BUDGET,
-    threshold: float = ZERO_THRESHOLD,
-) -> ZeroTest:
-    """Zero iff the numerator is the zero polynomial; otherwise sample for
-    a witness.  No witness within the budget yields 'unknown'
-    (never silently 'zero').  A nonzero constant takes the same value at
-    every point, so its float decides it without a draw: 'nonzero' with
-    the empty witness when `samples` > 0 and it exceeds `threshold`,
-    else 'unknown'."""
+def is_zero(e: Expr, box=None, seed: int = DEFAULT_SEED) -> ZeroTest:
+    """Zero iff the canonical form is 0.  A nonzero constant is 'nonzero'
+    with no draw; otherwise seeded samples look for a witness, and with
+    none the verdict is 'nonzero' if `decided_by_canon(e)`, else
+    'unknown' (sin(x)^2 + cos(x)^2 - 1 is canonically nonzero)."""
     if e.is_const_zero():
-        return ZeroTest("zero", seed=seed, threshold=threshold)
+        return ZeroTest("zero", seed=seed)
     c = e.const_value()
     if c is not None:  # every sample point gives this one value: no draw
-        val = float(c)
-        if samples > 0 and abs(val) > threshold:
-            return ZeroTest("nonzero", {}, val, seed, threshold)
-        return ZeroTest("unknown", seed=seed, threshold=threshold)
-    symbols, points = sample_points([e], box=box, seed=seed, count=samples)
+        return ZeroTest("nonzero", {}, c, seed)
+    symbols, points = sample_points([e], box=box, seed=seed)
     f = compile_expr(e, symbols)
     for vals in points:
         try:
             val = f(vals)
         except SINGULAR_POINT_ERRORS:
             continue
-        if abs(val) > threshold:
-            return ZeroTest("nonzero", point_label(symbols, vals), val, seed, threshold)
-    return ZeroTest("unknown", seed=seed, threshold=threshold)
+        if abs(val) > ZERO_THRESHOLD:
+            return ZeroTest("nonzero", point_label(symbols, vals), val, seed)
+    return ZeroTest("nonzero" if decided_by_canon(e) else "unknown", seed=seed)
 
 
 # ---------------------------------------------------------------------------

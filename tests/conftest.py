@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,3 +106,28 @@ def output_digest():
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
     return digest
+
+
+def gen_analyze():
+    """The module perfbench/gen_analyze.py, which generates the factor
+    specs of the analyze-generic workload (`factor_spec`); it imports its
+    sibling `common` by name."""
+    where = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, where)
+    try:
+        import gen_analyze
+    finally:
+        sys.path.remove(where)
+    return gen_analyze
+
+
+def analyze_shapes(gen) -> list[tuple]:
+    """The (k, degree case, coefficient kind) of every factor spec that the
+    analyze-generic workload runs `analyze` on (`gen` is `gen_analyze()`)."""
+    return [
+        (k, case, kind)
+        for k, cases in gen.CASES.items()
+        for case in cases
+        for kind in gen.KINDS
+        if (k, case, kind, "analyze") not in gen.SKIP
+    ]

@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +15,7 @@ from cartanvp import ideals as ids
 from cartanvp import specio
 from cartanvp import symexpr as sx
 from cartanvp import varprin as vp
-from conftest import ROTATION_THETA
+from conftest import ROTATION_THETA, analyze_shapes, gen_analyze, output_digest
 
 
 @pytest.fixture
@@ -705,7 +707,8 @@ class TestDistributionsBuilt:
 class TestElWithoutAnnihilator:
     """`el` reads only eta, so a problem whose annihilator rank cannot be
     certified at the samples still gets its equations; the commands that
-    report the annihilator fail as before."""
+    report the annihilator fail.  Rational coefficients, however small,
+    have their rank proved."""
 
     SPEC = {
         "chart": {"base": ["t"], "fiber_z": ["x", "y"], "fiber_w": []},
@@ -715,6 +718,16 @@ class TestElWithoutAnnihilator:
             {"coeff": "-1/2*x^2 - 1/2*y^2", "index": ["t"]},
         ],
         "options": {"seed": 50343},
+    }
+    # the 10^-13 of SPEC times sin(t)^2 + cos(t)^2: below 1e-9 at every
+    # sample, and a relation the canonical form does not see
+    PYTHAGOREAN = {
+        **SPEC,
+        "theta": [
+            {"coeff": "-1/10000000000000*(sin(t)^2 + cos(t)^2)*y", "index": ["x"]},
+            {"coeff": "1/10000000000000*(sin(t)^2 + cos(t)^2)*x", "index": ["y"]},
+            {"coeff": "-1/2*x^2 - 1/2*y^2", "index": ["t"]},
+        ],
     }
 
     @pytest.fixture
@@ -734,13 +747,97 @@ class TestElWithoutAnnihilator:
         ]
 
     @pytest.mark.parametrize("command", ["analyze", "annihilator", "frobenius"])
-    def test_annihilator_commands_fail(self, spec_path, command):
-        code, out = run([command, "--spec", spec_path])
+    def test_annihilator_commands_fail(self, tmp_path, command):
+        path = tmp_path / "pythagorean.json"
+        path.write_text(json.dumps(self.PYTHAGOREAN))
+        code, out = run(["el", "--spec", str(path)])
+        assert code == 0 and len(json.loads(out)["equations"]) == 2
+        code, out = run([command, "--spec", str(path)])
         assert code == 1
         assert json.loads(out) == {
             "error": "annihilator system: sampled rank differs from symbolic rank 2 (sampled [0, 2])",
             "kind": "NonConstantRankError",
         }
+
+    def test_annihilator_rank_is_proved(self, spec_path):
+        code, out = run(["annihilator", "--spec", spec_path])
+        assert code == 0
+        assert json.loads(out) == {
+            "seed": 50343,
+            "rank": 1,
+            "basis": [{"t": "1", "x": "-5000000000000*y", "y": "5000000000000*x"}],
+            "certificate": {"rank": 2, "seed": 50343, "box": None, "count": 64, "ranks": [2] * 64},
+        }
+        code, out = run(["analyze", "--spec", spec_path])
+        assert code == 0 and json.loads(out)["classification"]["q"] == 1
+        assert run(["frobenius", "--spec", spec_path])[0] == 0
+
+
+class TestExactPivots:
+    """A nonzero rational pivot is taken however small or large it is;
+    only a sin, cos, exp or ln relation leaves a pivot undecided, and then
+    the error names it instead of claiming a rank deficiency."""
+
+    @staticmethod
+    def _analyze(tmp_path, spec) -> tuple[int, dict]:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out = run(["analyze", "--spec", str(path)])
+        return code, json.loads(out)
+
+    @staticmethod
+    def _verdicts(report: dict) -> tuple:
+        return report["classification"], report["rank_certificate"]["rank"], report["frobenius"]["verdict"]
+
+    @pytest.mark.parametrize("c", ["1/1000000000000*x1", "1/1000000000000", "1000000000000*x1", "10^400"])
+    def test_small_pivot_classified_as_x1(self, tmp_path, c):
+        small_pivot = output_digest()._small_pivot
+        code, want = self._analyze(tmp_path, small_pivot("x1"))
+        assert code == 0
+        code, got = self._analyze(tmp_path, small_pivot(c))
+        assert code == 0 and self._verdicts(got) == self._verdicts(want)
+        assert run(["el", "--spec", str(tmp_path / "spec.json")])[0] == 0
+
+    def test_undecided_pivot_is_named(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(output_digest().INPUTS["pythagorean-pivot-k2.json"]))
+        for cmd in ("analyze", "el"):
+            code, out = run([cmd, "--spec", str(path)])
+            assert code == 1
+            assert json.loads(out) == {
+                "error": "fiber block pivot undecided: the dz1 entry of factors[0] reduces to"
+                " 1/1000000000000*sin(x1)^2 + 1/1000000000000*cos(x1)^2, which no sample certifies nonzero",
+                "kind": "UndecidedPivotError",
+            }
+
+    def test_scaling_a_factor_changes_no_verdict(self, tmp_path):
+        # metamorphic: analyze-generic's factor specs (every k <= 3 case it
+        # runs `analyze` on), one factor times a rational c with
+        # 10^-15 <= |c| < 10^15
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        gen = gen_analyze()
+        cases = analyze_shapes(gen)
+        mantissas = [Fraction(1), Fraction(-1), Fraction(7, 3), Fraction(-9, 2), Fraction(5)]
+
+        @hypothesis.settings(max_examples=30, deadline=None, database=None)
+        @hypothesis.given(
+            st.integers(0, 10**6), st.sampled_from(cases), st.integers(0, 6),
+            st.sampled_from(mantissas), st.integers(-15, 14),
+        )
+        def check(seed, shape, row, mantissa, exponent):
+            spec = gen.factor_spec(random.Random(seed), *shape)["spec"]
+            c = mantissa * Fraction(10) ** exponent
+            scaled = json.loads(json.dumps(spec))
+            factor = scaled["factors"][row % len(spec["factors"])]
+            for term in factor:
+                term["coeff"] = f"({c})*({term['coeff']})"
+            code, want = self._analyze(tmp_path, spec)
+            assert code == 0
+            code, got = self._analyze(tmp_path, scaled)
+            assert code == 0 and self._verdicts(got) == self._verdicts(want), (spec, c)
+
+        check()
 
 
 SEED_SECTION = {"components": {"z1": "0", "z2": "0", "z3": "0"}, "grid": {"x1": [0.0, 1.0, 2], "x2": [0.0, 1.0, 2]}}

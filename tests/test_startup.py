@@ -2,10 +2,10 @@
 
 Each check runs in a fresh interpreter on this checkout's package, since
 the test process itself has numpy loaded already.  The exact API and the
-`el`, `liouville` and `verify` commands never import numpy, nor does
-`analyze` where every rank is proved and Frobenius decides symbolically;
-the sampled rank certificates and the Frobenius fallback of `analyze`,
-the sweeps of `integrate` and the fixture checks of `example` do.
+`el`, `liouville` and `verify` commands never import numpy, nor do
+`analyze` and `frobenius` where every rank is proved, since Frobenius is
+decided exactly; the sampled rank certificates of `analyze`, the sweeps
+of `integrate` and the fixture checks of `example` do.
 """
 
 import json
@@ -106,17 +106,20 @@ def test_el_liouville_and_verify_never_import_numpy(inputs):
 
 def test_proved_ranks_never_import_numpy(inputs):
     # a maximal-degree polynomial spec: constant pivot minors, and one
-    # annihilator field, so Frobenius has no pair to test
+    # annihilator field, so Frobenius has no pair to test; example1:
+    # opaque factors, whose brackets leave the span exactly
     argvs = [[cmd, "--spec", "swell-k3-maximal-degree-0.json"] for cmd in ("analyze", "annihilator")]
+    argvs += [[cmd, "--spec", str(FIXTURES / "example1.json")] for cmd in ("analyze", "frobenius")]
     result = _fresh("".join(f"cli_run({argv!r})\n" for argv in argvs), inputs)
-    assert result["codes"] == {" ".join(argv): 0 for argv in argvs}
+    assert result["codes"] == {" ".join(argv): 1 if argv[0] == "frobenius" else 0 for argv in argvs}
     assert not any(result["loaded"].values()), result["loaded"]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["analyze", "--spec", str(FIXTURES / "example1.json")],
+        # quotient coefficients: the ranks are sampled
+        ["analyze", "--spec", "quotients-k2.json"],
         ["integrate", "--spec", str(FIXTURES / "example1.json"), "--instance", "constant",
          "--section", "test-seed-4.json", "--step", "0.01"],
         ["example", "example1"],

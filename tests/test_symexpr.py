@@ -507,20 +507,32 @@ class TestIsZero:
         assert "F(x)" in res.witness
 
     def test_constant_decided_by_its_value(self, monkeypatch):
-        # the verdicts of the 64-point loop, with no draw or compile: a
-        # nonzero witness {} and the constant's float, or "unknown" at or
-        # below the threshold or with no samples
+        # a nonzero constant is "nonzero" at any size, with the empty
+        # witness {} and its exact value (10^400 has no float), and no draw
+        # or compile
         monkeypatch.setattr(sx, "sample_points", _no_sampling)
         monkeypatch.setattr(sx, "_compile", _no_sampling)
-        for c in (3, Fraction(-7, 3), Fraction(1, 10**8)):
+        for c in (3, Fraction(-7, 3), Fraction(1, 10**8), Fraction(1, 10**12), Fraction(-1, 10**400), 10**400):
             res = sx.is_zero(sx.num(c), seed=5)
-            assert res == sx.ZeroTest("nonzero", {}, float(c), 5, sx.ZERO_THRESHOLD)
-        assert sx.is_zero(sx.num(Fraction(1, 10**12))) == sx.ZeroTest("unknown")
-        assert sx.is_zero(sx.num(2), threshold=2.0).verdict == "unknown"
-        assert sx.is_zero(sx.num(2), samples=0).verdict == "unknown"
+            assert res == sx.ZeroTest("nonzero", {}, c, 5)
         assert sx.is_zero(sx.num(0)).verdict == "zero"
         with pytest.raises(AssertionError, match="sampled"):
             sx.is_zero(x - x + x)
+
+    @pytest.mark.parametrize(
+        "text, verdict",
+        [
+            # below 1e-9 at every sample: the canonical form decides, with
+            # no witness, unless a sin, cos, exp or ln atom sits at any depth
+            ("1/1000000000000*x", "nonzero"),
+            ("1/1000000000000*B(1/x)/(x + 3)", "nonzero"),
+            ("1/1000000000000*sin(x)^2 + 1/1000000000000*cos(x)^2", "unknown"),
+            ("1/1000000000000*B(exp(x))", "unknown"),
+            ("x/(1000000000000*x^2 + 1000000000000*cos(x)^2)", "unknown"),
+        ],
+    )
+    def test_below_threshold_everywhere(self, text, verdict):
+        assert sx.is_zero(sx.parse(text)) == sx.ZeroTest(verdict)
 
 
 def _no_sampling(*args, **kwargs):

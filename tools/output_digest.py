@@ -32,7 +32,12 @@ with a phase that is not a list of names; two section files with an entry
 the chart does not have (a `verify` component z4, an `integrate` grid
 axis x9), each exit 2; `analyze` and `annihilator` on a k = 3 maximal
 degree polynomial spec, whose ranks are proved, and on a spec whose
-normalized factors carry 1/x1, whose ranks are sampled; demos 01-05.
+normalized factors carry 1/x1, whose ranks are sampled; `analyze` and
+`el` on a spec whose dz1 pivot is 10^-12*x1 (below 1e-9 at every sample,
+nonzero exactly), `analyze` on the same spec with the pivot a multiple
+of sin^2 + cos^2 (no sample certifies it: exit 1 with the entry named),
+and `frobenius` on a spec whose bracket residual is x2*(sin^2 + cos^2 -
+1) (verdict unknown); demos 01-05.
 """
 
 from __future__ import annotations
@@ -47,6 +52,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "src" / "cartanvp" / "fixtures" / "data"
+
+
+def _small_pivot(c: str) -> dict:
+    return {
+        "chart": {"base": ["x1", "x2"], "fiber_z": ["z1", "z2", "z3"], "fiber_w": []},
+        "factors": [
+            [{"coeff": c, "index": ["z1"]}, {"coeff": "1", "index": ["x1"]}],
+            [{"coeff": "1", "index": ["z2"]}, {"coeff": "z1", "index": ["x2"]}],
+            [{"coeff": "1", "index": ["z3"]}, {"coeff": "x2", "index": ["x1"]}],
+        ],
+    }
+
 
 # name -> JSON written to the temporary directory before the runs
 INPUTS = {
@@ -285,6 +302,21 @@ INPUTS = {
     # factor_spec(random.Random("k6probe/intermediate/opaque/0"), 6,
     # "intermediate", "opaque")["spec"]: Frobenius on rank-3 brackets of
     # opaque atoms over nine coordinates
+    # [c*dz1 + dx1, dz2 + z1*dx2, dz3 + x2*dx1]: with c = x1 it exits 0;
+    # with c = 10^-12*x1 every sample of c is below 1e-9, and with c a
+    # multiple of sin^2 + cos^2 no sample certifies the dz1 pivot
+    "small-pivot-k2.json": _small_pivot("1/1000000000000*x1"),
+    "pythagorean-pivot-k2.json": _small_pivot("1/1000000000000*sin(x1)^2 + 1/1000000000000*cos(x1)^2"),
+    # [dz1 + x2*(sin(x1)^2 + cos(x1)^2 - 1)*dx1, dz2, dz3]: the bracket of
+    # the two annihilator fields leaves their span only canonically
+    "pythagorean-bracket-k2.json": {
+        "chart": {"base": ["x1", "x2"], "fiber_z": ["z1", "z2", "z3"], "fiber_w": []},
+        "factors": [
+            [{"coeff": "1", "index": ["z1"]}, {"coeff": "x2*(sin(x1)^2 + cos(x1)^2 - 1)", "index": ["x1"]}],
+            [{"coeff": "1", "index": ["z2"]}],
+            [{"coeff": "1", "index": ["z3"]}],
+        ],
+    },
     "k6probe-intermediate-opaque-0.json": {
         "chart": {"base": ["x1", "x2", "x3", "x4", "x5", "x6"], "fiber_z": ["z1", "z2", "z3"], "fiber_w": []},
         "factors": [
@@ -354,6 +386,12 @@ def entries() -> list[list[str]]:
         ["cartanvp", cmd, "--spec", spec]
         for spec in ("swell-k3-maximal-degree-0.json", "singular-k2.json")
         for cmd in ("analyze", "annihilator")
+    ]
+    runs += [
+        ["cartanvp", "analyze", "--spec", "small-pivot-k2.json"],
+        ["cartanvp", "el", "--spec", "small-pivot-k2.json"],
+        ["cartanvp", "analyze", "--spec", "pythagorean-pivot-k2.json"],
+        ["cartanvp", "frobenius", "--spec", "pythagorean-bracket-k2.json"],
     ]
     runs += [["python", f"demos/{p.name}"] for p in sorted((ROOT / "demos").glob("0[1-5]_*.py"))]
     return runs
